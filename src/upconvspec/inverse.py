@@ -6,8 +6,9 @@ Richardson-Lucy is the natural inverse here: multiplicative, nonnegative,
 and the fixed point of Poisson maximum likelihood, which is exactly the
 noise the counter produces.  Iterations stop on the discrepancy principle
 -- when the Pearson chi^2 per point falls to its statistical expectation --
-so noise is not amplified into ringing; a Tikhonov-regularized linear solve
-is available as a cross-check alternative.
+so noise is not amplified into ringing.  RL works on the kernel's sparse
+band, so an iteration costs its nonzeros, not the dense matrix's cells.  A
+Tikhonov-regularized linear solve is available as a cross-check alternative.
 """
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ from .spectra import Spectrum
 
 _CLIP_SIGMA = 3.5
 _MIN_BASELINE_POINTS = 5
+_GRID_REL_TOL = 1e-6  # scan/kernel pump grids must agree to this x the step
 
 
 def estimate_background(result, noise_model=None):
@@ -27,13 +29,15 @@ def estimate_background(result, noise_model=None):
     of the kept set and a Poisson width sqrt(mean/dwell), dropping points
     more than 3.5 sigma away, until the kept set stabilizes.  Signal peaks
     are clipped from above; a two-sided clip at 3.5 sigma is bias-free at
-    the precision the Poisson standard error allows.  Falls back to the
-    noise model's rate if the scan has no usable baseline (raises
-    BackgroundError without one).
+    the precision the Poisson standard error allows.  A sampled scan is
+    read from its counts, an unsampled one from its expected rates.  Falls
+    back to the noise model's rate if the scan has no usable baseline
+    (raises BackgroundError without one).
     """
-    rates = np.asarray(result.expected_rate_cps, dtype=float)
-    if np.any(result.sampled_counts > 0):
+    if result.sampled:
         rates = np.asarray(result.sampled_counts, dtype=float) / result.dwell_s
+    else:
+        rates = np.asarray(result.expected_rate_cps, dtype=float)
     if rates.size < _MIN_BASELINE_POINTS:
         raise BackgroundError(
             f"scan has {rates.size} points; need at least {_MIN_BASELINE_POINTS}"
@@ -87,7 +91,7 @@ class DeconvolutionResult:
 
 def _counts_vector(raw, use_expected):
     if use_expected is None:
-        use_expected = not bool(np.any(raw.sampled_counts > 0))
+        use_expected = not raw.sampled
     if use_expected:
         return np.asarray(raw.expected_rate_cps, dtype=float) * raw.dwell_s
     return np.asarray(raw.sampled_counts, dtype=float)
@@ -98,20 +102,29 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
                use_expected=None):
     """Richardson-Lucy estimate of the input spectral density [W/nm].
 
-    raw/kernel must share the scan grid.  Background (model, explicit value,
+    raw/kernel must share the pump grid (to 1e-6 of a pump step).  A sampled
+    scan is read from its counts, an unsampled one from its expected rates,
+    unless use_expected says otherwise.  Background (model, explicit value,
     or estimated off-band baseline) is subtracted first, clamped at zero.
-    Iterations run until the Pearson discrepancy chi^2/N drops to
-    discrepancy_target (use 0 for noiseless rate data), the update
-    stagnates, or max_iters.  The estimate is supported on the kernel
-    columns inside support_nm (default: the scan's mapped signal range);
-    columns that are identically zero inside the support make those bands
-    unrecoverable and raise UnrecoverableBandError.
+    Iterations run on the kernel's band (ResponseKernel.band) until the
+    Pearson discrepancy chi^2/N drops to discrepancy_target (use 0 for
+    noiseless rate data), the update stagnates, or max_iters.  The estimate
+    is supported on the kernel columns inside support_nm (default: the
+    scan's mapped signal range); columns with no band entry inside the
+    support make those bands unrecoverable and raise UnrecoverableBandError.
     """
     d = _counts_vector(raw, use_expected)
     if d.size < 3:
         raise DomainError("scan shorter than 3 points cannot be deconvolved")
-    if d.size != kernel.pump_grid_nm.size:
+    pump = kernel.pump_grid_nm
+    if d.size != pump.size:
         raise DomainError("scan length does not match the kernel's pump grid")
+    off = float(np.max(np.abs(np.asarray(raw.pump_grid_nm, dtype=float) - pump)))
+    if off > _GRID_REL_TOL * float(np.median(np.abs(np.diff(pump)))):
+        raise DomainError(
+            f"scan pump grid is off the kernel's by up to {off:.6g} nm; "
+            "use the kernel built for this scan"
+        )
     if np.any(d < 0):
         raise DomainError("negative counts in scan")
     if max_iters < 1:
@@ -121,7 +134,8 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
         background_cps = estimate_background(raw, noise_model=noise_model)
     if background_cps < 0:
         raise DomainError("background rate must be nonnegative")
-    d_sig = np.maximum(d - background_cps * raw.dwell_s, 0.0)
+    bg_counts = background_cps * raw.dwell_s
+    d_sig = np.maximum(d - bg_counts, 0.0)
 
     grid = kernel.signal_grid_nm
     if support_nm is None:
@@ -135,10 +149,11 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
     if not np.any(in_support):
         raise DomainError("requested support contains no signal-grid points")
 
-    # Forward matrix: density [W/nm] -> expected signal counts per point.
+    # Forward operator: density [W/nm] -> expected signal counts per point.
     weights = np.gradient(grid)
-    m = kernel.matrix * (weights[None, :] * raw.dwell_s)
-    col_sum = m.sum(axis=0)
+    m = kernel.band.copy()
+    m.data *= (weights * raw.dwell_s)[m.indices]
+    col_sum = np.asarray(m.sum(axis=0)).ravel()
     dead = in_support & (col_sum <= 0.0)
     if np.any(dead):
         bands = []
@@ -153,9 +168,10 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
         bands.append((float(grid[start]), float(grid[prev])))
         raise UnrecoverableBandError(bands)
 
-    active = in_support
+    active = np.flatnonzero(in_support)
     m_act = m[:, active]
-    norm = m_act.sum(axis=0)  # > 0 by the dead-column check
+    m_act_t = m_act.T.tocsr()
+    norm = col_sum[active]  # > 0 by the dead-column check
 
     total = float(d_sig.sum())
     if total == 0.0:
@@ -166,20 +182,21 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
             stop_reason="discrepancy_reached", background_cps=float(background_cps),
         )
 
-    x = np.full(m_act.shape[1], total / m_act.sum())
-    bg_counts = background_cps * raw.dwell_s
+    x = np.full(active.size, total / norm.sum())
     stop_reason = "max_iterations"
     iters = 0
+    model = m_act @ x
     for iters in range(1, max_iters + 1):
-        model = m_act @ x
         ratio = np.where(model > 0, d_sig / np.where(model > 0, model, 1.0), 0.0)
-        x_new = x * (m_act.T @ ratio) / norm
+        x_new = x * (m_act_t @ ratio) / norm
         step = np.linalg.norm(x_new - x)
         x = x_new
         # Pearson discrepancy on the raw counts against the full model
         # (signal + pedestal): at the Poisson noise level this sits at ~1.
-        model = m_act @ x + bg_counts
-        chi2 = float(np.mean((d - model) ** 2 / np.maximum(model, 1.0)))
+        # The signal part is also the next iteration's model.
+        model = m_act @ x
+        full = model + bg_counts
+        chi2 = float(np.mean((d - full) ** 2 / np.maximum(full, 1.0)))
         if chi2 <= discrepancy_target:
             stop_reason = "discrepancy_reached"
             break

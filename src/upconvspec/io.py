@@ -133,6 +133,7 @@ def write_scan_csv(path, result, meta=None):
         "dwell_s": repr(float(result.dwell_s)),
         "pump_power_mw": repr(float(result.pump_power_mw)),
         "noise_rate_cps": repr(float(result.noise_rate_cps)),
+        "sampled": "true" if result.sampled else "false",
         "vbg_centers_nm": result.vbg_centers_nm,
     })
     with open(path, "w") as fh:
@@ -155,6 +156,9 @@ def read_scan_csv(path):
     if data.ndim != 2 or data.shape[1] != 5:
         raise DomainError(f"{path}: malformed data rows")
     dwell = float(data[0, 4])
+    sampled = meta.get("sampled")
+    if sampled not in ("true", "false"):
+        raise DomainError(f"{path}: missing or malformed '# sampled: true|false' header")
     if "vbg_centers_nm" in meta:
         centers = np.array([float(v) for v in meta["vbg_centers_nm"].split()])
     else:
@@ -169,5 +173,6 @@ def read_scan_csv(path):
         seed=int(meta.get("seed", "0") or 0),
         pump_power_mw=float(meta.get("pump_power_mw", "0") or 0.0),
         noise_rate_cps=float(meta.get("noise_rate_cps", "0") or 0.0),
+        sampled=sampled == "true",
     )
     return result, meta

@@ -7,15 +7,20 @@ to a signal spectral density S(lambda) [W/nm] at scan point i is
 
     rate_i = sum_j K[i][j] S(lambda_j) dlambda_j + noise(P)
 
-with K the dense response kernel built here.  Each kernel row combines the
-QPM sinc^2 lineshape, the filter-chain transmission at the upconverted
+with K the response kernel built here.  Each kernel row combines the QPM
+sinc^2 lineshape, the filter-chain transmission at the upconverted
 wavelength (VBG tracked or fixed), and the pinned conversion efficiency,
 normalized so a phase-matched monochromatic input of power W with a tracked
-VBG produces eta(P) * W / (h nu) counts/s.
+VBG produces eta(P) * W / (h nu) counts/s.  Each row is sharp around its
+phase-matched signal, so K is banded: the kernel is built and stored as a
+dense matrix, and ResponseKernel.band holds the sparse copy of the entries
+that matter, which Richardson-Lucy runs on.
 """
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 
 from . import dispersion
 from .components import VbgState, transmission, vbg_transmission
@@ -24,6 +29,7 @@ from .errors import CoverageError, DomainError, TuningError
 from .units import photon_energy_j
 
 SIGNAL_GRID_STEP_NM = 0.02
+BAND_REL_TOL = 1e-12  # band keeps entries above this x their row's peak
 _GRID_PAD_NM = 1.5  # sinc^2 tails beyond the mapped range worth keeping
 
 
@@ -138,11 +144,12 @@ def vbg_tracking_schedule(plan, wg, vbg):
 
 @dataclass(frozen=True)
 class ResponseKernel:
-    """Dense instrument response: counts/s per W of monochromatic input.
+    """Instrument response: counts/s per W of monochromatic input.
 
     matrix[i][j] is the expected count rate at scan point i per watt of
-    input at signal_grid_nm[j].  mapped_signal_nm[i] is scan point i's
-    phase-matched signal wavelength (the scan's native abscissa).
+    input at signal_grid_nm[j], stored dense.  mapped_signal_nm[i] is scan
+    point i's phase-matched signal wavelength (the scan's native abscissa).
+    band is a sparse copy of matrix without its negligible entries.
     """
 
     pump_grid_nm: np.ndarray
@@ -153,6 +160,21 @@ class ResponseKernel:
     pump_power_mw: float
     efficiency: float
     vbg_tracking: str
+
+    @functools.cached_property
+    def band(self):
+        """CSR copy of the entries above BAND_REL_TOL x their own row's peak.
+
+        The tolerance is per row, not global: in fixed-VBG mode rows far
+        from the VBG center have small peaks, and a per-row cut keeps their
+        shape.  The dropped mass is below 1e-12 of each row's sum on the
+        default kernels.  Built once per kernel on first use; a kernel made
+        with dataclasses.replace is a new instance and gets its own band.
+        """
+        m = self.matrix
+        keep = m > BAND_REL_TOL * m.max(axis=1, keepdims=True)
+        indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
+        return sparse.csr_matrix((m[keep], np.nonzero(keep)[1], indptr), shape=m.shape)
 
 
 def default_signal_grid(wg, plan, step_nm=SIGNAL_GRID_STEP_NM, pad_nm=_GRID_PAD_NM):
@@ -231,7 +253,12 @@ def build_kernel(wg, chain, vbg, conv_model, plan, signal_grid_nm=None):
 
 @dataclass(frozen=True)
 class ScanResult:
-    """One executed scan: expectations and the Poisson-sampled counts."""
+    """One executed scan: expectations and the Poisson-sampled counts.
+
+    sampled says whether sampled_counts holds Poisson draws.  A sampled scan
+    is read from its counts alone, even when every count is zero; only an
+    unsampled (noiseless) scan stands on expected_rate_cps.
+    """
 
     pump_grid_nm: np.ndarray
     signal_nm_mapped: np.ndarray
@@ -242,6 +269,7 @@ class ScanResult:
     seed: int
     pump_power_mw: float
     noise_rate_cps: float
+    sampled: bool
 
 
 def expected_rates(spectrum, kernel, noise_model, pump_power_mw):
@@ -282,6 +310,7 @@ def forward_scan(spectrum, kernel, noise_model, plan, sample=True):
         seed=plan.seed,
         pump_power_mw=plan.pump_power_mw,
         noise_rate_cps=float(noise_model.rate(plan.pump_power_mw)),
+        sampled=bool(sample),
     )
 
 

@@ -135,6 +135,20 @@ def test_deconvolve_model_kernel_matches_saved(scan_workdir):
     assert rep["residual_norm"] == pytest.approx(0.8878576069011208, rel=1e-9)
 
 
+def test_deconvolve_rejects_kernel_for_another_pump_range(scan_workdir):
+    work, _ = scan_workdir
+    code, _ = run_cli(["scan", "--input", str(work / "input.csv"),
+                       "--out", str(work / "scan_shifted.csv"),
+                       "--pump-start", "1945", "--pump-stop", "1957",
+                       "--pump-step", "0.1", "--seed", "7",
+                       "--write-kernel", str(work / "kernel_shifted.csv")])
+    assert code == 0
+    code, _ = run_cli(["deconvolve", "--raw", str(work / "scan.csv"),
+                       "--kernel", str(work / "kernel_shifted.csv"),
+                       "--out", str(work / "est_shifted.csv")])
+    assert code == 4
+
+
 def test_exit_codes(tmp_path):
     code, _ = run_cli(["scan", "--input", str(tmp_path / "missing.csv"),
                        "--out", str(tmp_path / "out.csv")])

@@ -46,6 +46,7 @@ def _synthetic_scan(rates, power_mw=30.0):
         seed=0,
         pump_power_mw=power_mw,
         noise_rate_cps=42.0,
+        sampled=False,
     )
 
 
@@ -191,6 +192,31 @@ def test_zero_signal_scan_yields_zero_estimate(small_kernel, small_plan, noise):
     assert res.background_cps == pytest.approx(PEDESTAL_CPS, rel=1e-12)
 
 
+def test_sampled_all_zero_scan_yields_zero_estimate(small_kernel, small_plan):
+    # A weak line with no pedestal draws zero counts everywhere; the expected
+    # rates are not zero, but a sampled scan must never be read from them.
+    quiet = NoiseModel(floor_cps=0.0, amplitude_cps=0.0, exponent=1.0)
+    s = spectra.monochromatic_spectrum(small_kernel.signal_grid_nm, 1550.0, 1e-19)
+    scan = spectrometer.forward_scan(s, small_kernel, quiet, small_plan)
+    assert scan.sampled
+    assert np.all(scan.sampled_counts == 0)
+    assert np.sum(scan.expected_rate_cps) > 0.0
+    assert inverse.estimate_background(scan) == 0.0
+    res = inverse.deconvolve(scan, small_kernel, noise_model=quiet)
+    assert res.iterations_used == 0
+    assert np.all(res.estimate.values == 0.0)
+
+
+def test_shifted_kernel_grid_is_rejected(cfg, wg3, models, small_plan, delta_scan):
+    _, scan = delta_scan
+    shifted = replace(small_plan, pump_start_nm=small_plan.pump_start_nm + 1.0,
+                      pump_stop_nm=small_plan.pump_stop_nm + 1.0)
+    kern = spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, models[0], shifted)
+    assert kern.pump_grid_nm.size == scan.pump_grid_nm.size
+    with pytest.raises(DomainError, match="pump grid is off the kernel's by up to 1 nm"):
+        inverse.deconvolve(scan, kern, background_cps=PEDESTAL_CPS)
+
+
 def test_deconvolve_validation(kernel, small_kernel, delta_scan):
     _, scan = delta_scan
     with pytest.raises(DomainError):
@@ -204,7 +230,7 @@ def test_deconvolve_validation(kernel, small_kernel, delta_scan):
     with pytest.raises(DomainError):
         inverse.deconvolve(scan, kernel, background_cps=PEDESTAL_CPS)
     negative = _synthetic_scan(np.full(121, 100.0))
-    negative = replace(negative,
+    negative = replace(negative, sampled=True,
                        sampled_counts=np.array([5] + [-1] * 120, dtype=np.int64))
     with pytest.raises(DomainError, match="negative counts"):
         inverse.deconvolve(negative, small_kernel, background_cps=0.0)

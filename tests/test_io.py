@@ -1,4 +1,6 @@
 """CSV round trips must be bit-exact: repr-printed floats, parsed back."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,20 @@ def test_scan_round_trip(tmp_path, scan_and_kernel):
     assert back.dwell_s == result.dwell_s
     assert back.pump_power_mw == result.pump_power_mw
     assert back.noise_rate_cps == result.noise_rate_cps
+    assert back.sampled is True
+    quiet = replace(result, sampled=False)
+    uio.write_scan_csv(path, quiet)
+    assert uio.read_scan_csv(path)[0].sampled is False
+
+
+def test_scan_csv_needs_sampled_header(tmp_path, scan_and_kernel):
+    _, result, _ = scan_and_kernel
+    path = tmp_path / "r.csv"
+    uio.write_scan_csv(path, result)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(l for l in lines if not l.startswith("# sampled:")))
+    with pytest.raises(DomainError, match="sampled"):
+        uio.read_scan_csv(path)
 
 
 def test_identical_writes_are_byte_identical(tmp_path, scan_and_kernel):

@@ -1,0 +1,140 @@
+"""Richardson-Lucy on the kernel's band against the dense reference loop.
+
+deconvolve runs RL on ResponseKernel.band, a CSR copy of the kernel without
+its entries below BAND_REL_TOL x the row peak.  dense_rl is the loop as it
+ran on the full dense matrix; the two must agree in iteration count and
+stop reason, and in estimate and residual to a relative 1e-9.
+"""
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from upconvspec import inverse, spectra, spectrometer
+
+PEDESTAL_CPS = 42.385528808577135  # fitted noise model at 30 mW
+
+
+def dense_rl(raw, kernel, background_cps, max_iters=500, discrepancy_target=1.0):
+    """Reference: RL with dense matrix-vector products over every kernel cell."""
+    d = np.asarray(raw.sampled_counts if raw.sampled
+                   else raw.expected_rate_cps * raw.dwell_s, dtype=float)
+    bg = background_cps * raw.dwell_s
+    d_sig = np.maximum(d - bg, 0.0)
+    grid = kernel.signal_grid_nm
+    active = ((grid >= kernel.mapped_signal_nm.min())
+              & (grid <= kernel.mapped_signal_nm.max()))
+    m = kernel.matrix * (np.gradient(grid)[None, :] * raw.dwell_s)
+    m_act = m[:, active]
+    norm = m_act.sum(axis=0)
+    x = np.full(m_act.shape[1], d_sig.sum() / m_act.sum())
+    stop = "max_iterations"
+    for iters in range(1, max_iters + 1):
+        model = m_act @ x
+        ratio = np.where(model > 0, d_sig / np.where(model > 0, model, 1.0), 0.0)
+        x_new = x * (m_act.T @ ratio) / norm
+        step = np.linalg.norm(x_new - x)
+        x = x_new
+        model = m_act @ x + bg
+        if np.mean((d - model) ** 2 / np.maximum(model, 1.0)) <= discrepancy_target:
+            stop = "discrepancy_reached"
+            break
+        if step <= 1e-9 * max(np.linalg.norm(x), 1e-300):
+            stop = "stagnation"
+            break
+    est = np.zeros(grid.size)
+    est[active] = x
+    model = m @ est + bg
+    return est, iters, stop, float(np.mean((d - model) ** 2 / np.maximum(model, 1.0)))
+
+
+@pytest.fixture(scope="module")
+def noise(models):
+    return models[1]
+
+
+@pytest.fixture(scope="module")
+def fixed_small(cfg, wg3, models, small_plan):
+    plan = replace(small_plan, vbg_tracking="fixed")
+    return plan, spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, models[0], plan)
+
+
+@pytest.fixture(scope="module", params=["tracked_default", "fixed_small"])
+def kernel_and_plan(request, cfg, kernel, fixed_small):
+    if request.param == "tracked_default":
+        return cfg.scan, kernel
+    return fixed_small
+
+
+@pytest.mark.parametrize("kind,dwell_s", [("broad", 1.0), ("broad", 10.0),
+                                          ("broad", 100.0), ("line", 10.0)])
+def test_band_rl_matches_dense_reference(kernel_and_plan, noise, kind, dwell_s):
+    plan, kern = kernel_and_plan
+    grid = kern.signal_grid_nm
+    center = float(np.median(kern.mapped_signal_nm))
+    if kind == "broad":
+        source = spectra.multimode_ld_spectrum(grid, center_nm=center, total_dbm=-100.0)
+        target = 1.0
+    else:  # discrepancy target 0: runs to the iteration cap
+        source = spectra.monochromatic_spectrum(grid, center + 0.3, 1e-13)
+        target = 0.0
+    scan = spectrometer.forward_scan(source, kern, noise,
+                                     replace(plan, dwell_s=dwell_s, seed=11))
+    assert scan.sampled
+    res = inverse.deconvolve(scan, kern, noise_model=noise, discrepancy_target=target)
+    est, iters, stop, resid = dense_rl(scan, kern, res.background_cps,
+                                       discrepancy_target=target)
+    assert res.iterations_used == iters
+    assert res.stop_reason == stop
+    if kind == "line":
+        assert stop == "max_iterations" and iters == 500
+    assert np.max(np.abs(res.estimate.values - est)) <= 1e-9 * np.max(np.abs(est))
+    assert res.residual_norm == pytest.approx(resid, rel=1e-9)
+
+
+def test_band_drops_negligible_mass(kernel_and_plan):
+    _, kern = kernel_and_plan
+    band = kern.band
+    assert band.shape == kern.matrix.shape
+    row_sum = kern.matrix.sum(axis=1)
+    band_sum = np.asarray(band.sum(axis=1)).ravel()
+    assert np.all(row_sum > 0)
+    assert np.all(row_sum - band_sum <= 1e-10 * row_sum)
+    kept = band.toarray()
+    assert np.array_equal(kept[kept > 0], kern.matrix[kept > 0])
+    assert band.nnz < 0.1 * kern.matrix.size
+
+
+def test_band_is_rebuilt_for_a_replaced_kernel(small_kernel):
+    blocked = small_kernel.matrix.copy()
+    blocked[:, :100] = 0.0
+    other = replace(small_kernel, matrix=blocked)
+    assert other.band is not small_kernel.band
+    assert other.band.nnz < small_kernel.band.nnz
+    assert other.band[:, :100].nnz == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(lines=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.02, 2.0),
+                                st.floats(-16.0, -11.0)), max_size=4),
+       cap=st.integers(1, 50))
+def test_rl_conserves_flux(small_kernel, small_plan, noise, lines, cap):
+    grid = small_kernel.signal_grid_nm
+    lo, hi = small_kernel.mapped_signal_nm.min(), small_kernel.mapped_signal_nm.max()
+    values = np.zeros(grid.size)
+    for where, width, log_w in lines:
+        center = lo + where * (hi - lo)
+        shape = np.exp(-0.5 * ((grid - center) / width) ** 2)
+        values += 10.0 ** log_w * shape / np.trapezoid(shape, grid)
+    scan = spectrometer.forward_scan(spectra.Spectrum(grid, values), small_kernel,
+                                     noise, small_plan, sample=False)
+    res = inverse.deconvolve(scan, small_kernel, max_iters=cap, discrepancy_target=0.0,
+                             background_cps=PEDESTAL_CPS)
+    est = res.estimate.values
+    assert np.all(est >= 0.0)
+    d_sig = np.maximum(scan.expected_rate_cps * scan.dwell_s
+                       - PEDESTAL_CPS * scan.dwell_s, 0.0)
+    predicted = small_kernel.matrix @ (est * np.gradient(grid)) * scan.dwell_s
+    assert predicted.sum() == pytest.approx(d_sig.sum(), rel=1e-9)
