@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .components import ApdSpec, FilterElement, VbgState
 from .conversion import ConversionModel, NoiseModel, PumpState, fit_conversion, fit_noise
 from .dispersion import (
-    OpticalWave,
     SellmeierMedium,
     WaveguideSpec,
     acceptance_bandwidth,

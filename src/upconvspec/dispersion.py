@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CalibrationError, DomainError, TuningError
-from .units import C_M_PER_S
 
 TWO_PI = 2.0 * np.pi
 
@@ -65,26 +64,6 @@ CONGRUENT_LN_E = SellmeierMedium(
 
 
 @dataclass(frozen=True)
-class OpticalWave:
-    """A quasi-monochromatic wave identified by its vacuum wavelength [nm]."""
-
-    wavelength_nm: float
-
-    def __post_init__(self):
-        w = self.wavelength_nm
-        if not (100.0 < w < 20000.0):
-            raise DomainError(f"wavelength {w} nm outside the supported 100-20000 nm range")
-
-    @property
-    def frequency_hz(self):
-        return C_M_PER_S / (self.wavelength_nm * 1e-9)
-
-    @classmethod
-    def from_frequency(cls, frequency_hz):
-        return cls(wavelength_nm=C_M_PER_S / frequency_hz * 1e9)
-
-
-@dataclass(frozen=True)
 class WaveguideSpec:
     """PPLN waveguide geometry, operating temperature and coupling losses.
 
@@ -115,21 +94,6 @@ class WaveguideSpec:
                 f"temperature {self.temperature_c} C outside the medium's "
                 f"validity window [{lo}, {hi}] C"
             )
-
-
-@dataclass(frozen=True)
-class PhaseMatchState:
-    """Phase-matching bundle for one (signal, pump) pair."""
-
-    signal_nm: float
-    pump_nm: float
-    sfg_nm: float
-    delta_k_per_um: float
-    length_mm: float
-
-    @property
-    def efficiency_factor(self):
-        return efficiency_factor(self.delta_k_per_um, self.length_mm)
 
 
 def _correction_poly(correction, lam_um):
@@ -219,17 +183,6 @@ def efficiency_factor(delta_k_per_um, length_mm):
     x = np.asarray(delta_k_per_um, dtype=float) * (length_mm * 1e3) / 2.0
     out = np.sinc(x / np.pi) ** 2
     return float(out) if np.ndim(delta_k_per_um) == 0 else out
-
-
-def phase_match(signal_nm, pump_nm, wg):
-    """Build the PhaseMatchState for one (signal, pump) pair."""
-    return PhaseMatchState(
-        signal_nm=float(signal_nm),
-        pump_nm=float(pump_nm),
-        sfg_nm=sfg_wavelength(float(signal_nm), float(pump_nm)),
-        delta_k_per_um=qpm_mismatch(float(signal_nm), float(pump_nm), wg),
-        length_mm=wg.length_mm,
-    )
 
 
 def _bisect_roots(f, lo, hi, iterations=80):

@@ -73,10 +73,11 @@ def test_phase_matched_pump_inverts_signal(wg3):
 
 
 def test_phase_match_state_at_anchor(wg3):
-    state = dispersion.phase_match(1550.0, 1950.0, wg3)
-    assert state.sfg_nm == pytest.approx(863.5714285714286, rel=1e-12)
-    assert abs(state.delta_k_per_um) < 1e-12
-    assert state.efficiency_factor == pytest.approx(1.0, abs=1e-12)
+    assert dispersion.sfg_wavelength(1550.0, 1950.0) == pytest.approx(
+        863.5714285714286, rel=1e-12)
+    dk = dispersion.qpm_mismatch(1550.0, 1950.0, wg3)
+    assert abs(dk) < 1e-12
+    assert dispersion.efficiency_factor(dk, wg3.length_mm) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_efficiency_factor_peak_and_nulls(wg3):
