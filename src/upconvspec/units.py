@@ -17,8 +17,3 @@ def dbm_to_watts(dbm):
 
 def watts_to_dbm(watts):
     return 10.0 * np.log10(np.asarray(watts, dtype=float) / 1e-3)
-
-
-def db_to_fraction(loss_db):
-    """Transmission fraction corresponding to a loss given in dB (positive dB = loss)."""
-    return 10.0 ** (-np.asarray(loss_db, dtype=float) / 10.0)
