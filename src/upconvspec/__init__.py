@@ -16,7 +16,7 @@ from .dispersion import (
     refractive_index,
     sfg_wavelength,
 )
-from .fom import NepResult, OperatingPoint, nep, operating_point
+from .fom import NepResult, OperatingPoint, nep
 from .inverse import DeconvolutionResult, deconvolve, estimate_background
 from .spectra import Spectrum, monochromatic_spectrum, multimode_ld_spectrum
 from .spectrometer import (

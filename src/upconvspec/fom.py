@@ -80,12 +80,3 @@ def nep(point, convention="background_sqrt_d"):
         efficiency=point.efficiency,
         background_cps=point.background_cps,
     )
-
-
-def operating_point(signal_nm, pump, conversion_model, noise_model):
-    """Build the OperatingPoint at a pump power from the pinned models."""
-    return OperatingPoint(
-        signal_nm=float(signal_nm),
-        efficiency=conversion_model.efficiency(pump.power_mw),
-        background_cps=noise_model.rate(pump.power_mw),
-    )

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from upconvspec import fom
-from upconvspec.conversion import PumpState
 from upconvspec.errors import DomainError
 
 POINT = fom.OperatingPoint(signal_nm=1550.0, efficiency=0.20, background_cps=60.0)
@@ -49,11 +48,3 @@ def test_nep_error_paths():
         fom.OperatingPoint(signal_nm=1550.0, efficiency=1.5, background_cps=60.0)
     with pytest.raises(DomainError):
         fom.OperatingPoint(signal_nm=-1.0, efficiency=0.2, background_cps=60.0)
-
-
-def test_operating_point_from_pinned_models(models):
-    conv, noise = models
-    pt = fom.operating_point(1550.0, PumpState(power_mw=30.0), conv, noise)
-    assert pt.efficiency == pytest.approx(0.20221549041225295, rel=1e-12)
-    assert pt.background_cps == pytest.approx(42.385528808577135, rel=1e-12)
-    assert pt.signal_nm == 1550.0
