@@ -24,23 +24,6 @@ from .errors import DomainError, FitError
 
 
 @dataclass(frozen=True)
-class PumpState:
-    """Pump laser operating point (CW, ~1.9-2.0 um band)."""
-
-    power_mw: float = 30.0
-    wavelength_nm: float = 1950.0
-    max_power_mw: float = 800.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.power_mw <= self.max_power_mw):
-            raise DomainError(
-                f"pump power {self.power_mw} mW outside [0, {self.max_power_mw}] mW"
-            )
-        if self.wavelength_nm <= 0:
-            raise DomainError("pump wavelength must be positive")
-
-
-@dataclass(frozen=True)
 class ConversionModel:
     """eta(P) = eta_max * sin^2(u * sqrt(P)), P in mW.
 

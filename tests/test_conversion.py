@@ -4,7 +4,7 @@ import pytest
 
 from upconvspec import conversion
 from upconvspec.conversion import (
-    ConversionModel, NoiseModel, PumpState, fit_conversion, fit_noise,
+    ConversionModel, NoiseModel, fit_conversion, fit_noise,
 )
 from upconvspec.errors import DomainError, FitError
 
@@ -108,11 +108,3 @@ def test_model_validation():
     model = ConversionModel(eta_max=0.3, u_per_sqrt_mw=0.17)
     with pytest.raises(DomainError):
         model.efficiency(-5.0)
-
-
-def test_pump_state_bounds():
-    assert PumpState().power_mw == 30.0
-    with pytest.raises(DomainError):
-        PumpState(power_mw=900.0)
-    with pytest.raises(DomainError):
-        PumpState(power_mw=-1.0)
