@@ -1,4 +1,4 @@
-"""Detector figures of merit: noise-equivalent power and operating point.
+"""Detector figures of merit: the operating point and its noise-equivalent power.
 
 NEP here is the photon-counting form: the optical power at the signal
 wavelength for which the mean signal counts in a 1 s integration equal the
@@ -13,19 +13,16 @@ rate in counts/s.  Two conventions differ on the fluctuation term:
 * "background_sqrt_2d"   -- sqrt(2 D): counting both the background and the
   equal-variance signal contribution at the detection threshold.
 
-Both are provided; they differ by exactly sqrt(2) (1.5 dB).  An "hbar_audit"
-variant using the reduced Planck constant is included only as a cross-check
-trap: quoting NEP with hbar instead of h understates it by 2*pi (~8 dB) and
-has no physical reading, so nep() rejects it unless explicitly requested.
+Both are provided; they differ by exactly sqrt(2) (1.5 dB).
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .units import H_J_S, HBAR_J_S, C_M_PER_S, watts_to_dbm
+from .units import photon_energy_j, watts_to_dbm
 
-CONVENTIONS = ("background_sqrt_d", "background_sqrt_2d", "hbar_audit")
+CONVENTIONS = ("background_sqrt_d", "background_sqrt_2d")
 
 
 @dataclass(frozen=True)
@@ -65,8 +62,7 @@ def nep(point, convention="background_sqrt_d"):
         raise DomainError(f"unknown NEP convention {convention!r}")
     if point.background_cps == 0:
         raise DomainError("NEP is undefined for zero background rate")
-    quantum = H_J_S if convention != "hbar_audit" else HBAR_J_S
-    energy_j = quantum * C_M_PER_S / (point.signal_nm * 1e-9)
+    energy_j = photon_energy_j(point.signal_nm)
     if convention == "background_sqrt_2d":
         fluct = np.sqrt(2.0 * point.background_cps)
     else:

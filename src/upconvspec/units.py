@@ -3,7 +3,6 @@ import numpy as np
 
 C_M_PER_S = 2.99792458e8        # speed of light [m/s]
 H_J_S = 6.62607015e-34          # Planck constant [J s]
-HBAR_J_S = H_J_S / (2.0 * np.pi)
 
 
 def photon_energy_j(wavelength_nm):

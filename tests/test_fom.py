@@ -21,14 +21,6 @@ def test_nep_conventions_differ_by_sqrt2():
     assert b.nep_dbm == pytest.approx(-141.53694338449986, abs=1e-9)
 
 
-def test_hbar_audit_is_2pi_low():
-    # the hbar variant exists to catch the constant mix-up, nothing else
-    a = fom.nep(POINT, "background_sqrt_d")
-    h = fom.nep(POINT, "hbar_audit")
-    assert a.nep_w_per_sqrt_hz / h.nep_w_per_sqrt_hz == pytest.approx(2.0 * np.pi, rel=1e-12)
-    assert h.nep_dbm == pytest.approx(-151.02389204640093, abs=1e-6)
-
-
 def test_nep_scalings():
     base = fom.nep(POINT).nep_w_per_sqrt_hz
     quad = fom.OperatingPoint(signal_nm=1550.0, efficiency=0.20, background_cps=240.0)
