@@ -167,15 +167,3 @@ def vbg_transmission(vbg, wavelength_nm, center_nm=None):
         fall = 0.5 * (1.0 + erf(((c_arr + half) - lam) / w))
         out = vbg.peak_reflectance * rise * fall
     return float(out) if np.ndim(wavelength_nm) == 0 and np.ndim(center) == 0 else out
-
-
-def chain_transmission(elements, wavelength_nm):
-    """Product transmission of a list of FilterElement / VbgState objects."""
-    lam = np.asarray(wavelength_nm, dtype=float)
-    out = np.ones_like(lam)
-    for el in elements:
-        if isinstance(el, VbgState):
-            out = out * vbg_transmission(el, lam)
-        else:
-            out = out * transmission(el, lam)
-    return float(out) if np.ndim(wavelength_nm) == 0 else out

@@ -4,7 +4,7 @@ import pytest
 
 from upconvspec import components
 from upconvspec.components import (
-    ApdSpec, FilterElement, VbgState, chain_transmission, gaussian_band,
+    ApdSpec, FilterElement, VbgState, gaussian_band,
     transmission, vbg_transmission,
 )
 from upconvspec.errors import DomainError
@@ -87,19 +87,6 @@ def test_all_transmissions_bounded_under_fuzz(cfg):
         vbg = VbgState(lineshape=shape)
         t = vbg_transmission(vbg, lam)
         assert np.all(t >= 0.0) and np.all(t <= vbg.peak_reflectance + 1e-12)
-
-
-def test_chain_is_product_and_order_free(cfg):
-    rng = np.random.default_rng(7)
-    lam = rng.uniform(840.0, 880.0, size=200)
-    chain = list(cfg.filters) + [cfg.vbg]
-    prod = np.ones_like(lam)
-    for el in cfg.filters:
-        prod = prod * transmission(el, lam)
-    prod = prod * vbg_transmission(cfg.vbg, lam)
-    assert np.allclose(chain_transmission(chain, lam), prod, rtol=0, atol=1e-15)
-    assert np.allclose(chain_transmission(chain[::-1], lam),
-                       chain_transmission(chain, lam), rtol=0, atol=1e-15)
 
 
 def test_filter_element_validation():
