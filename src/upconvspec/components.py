@@ -85,13 +85,6 @@ class VbgState:
         if self.lineshape not in ("gaussian", "top_hat"):
             raise DomainError(f"unknown VBG lineshape {self.lineshape!r}")
 
-    def retuned(self, center_nm):
-        """Same grating rotated to a new center; validates the tuning range."""
-        return VbgState(center_setpoint_nm=float(center_nm), fwhm_nm=self.fwhm_nm,
-                        peak_reflectance=self.peak_reflectance,
-                        tuning_range_nm=self.tuning_range_nm,
-                        lineshape=self.lineshape)
-
 
 @dataclass(frozen=True)
 class ApdSpec:

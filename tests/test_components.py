@@ -36,17 +36,6 @@ def test_vbg_top_hat_shape():
     assert vbg_transmission(th, 863.57 + 0.015) > 0.94
 
 
-def test_vbg_retune_and_range():
-    vbg = VbgState()
-    moved = vbg.retuned(870.0)
-    assert moved.center_setpoint_nm == 870.0
-    assert moved.fwhm_nm == vbg.fwhm_nm
-    with pytest.raises(DomainError):
-        vbg.retuned(900.0)
-    with pytest.raises(DomainError):
-        vbg_transmission(vbg, 863.0, center_nm=900.0)
-
-
 def test_short_pass_edge_and_stopband(cfg):
     spf = [f for f in cfg.filters if f.kind == "short_pass"][0]
     assert transmission(spf, spf.edge_nm - 10.0) > 0.97
@@ -105,6 +94,8 @@ def test_filter_element_validation():
 def test_vbg_and_apd_validation():
     with pytest.raises(DomainError):
         VbgState(center_setpoint_nm=900.0)  # outside its own tuning range
+    with pytest.raises(DomainError):
+        vbg_transmission(VbgState(), 863.0, center_nm=900.0)
     with pytest.raises(DomainError):
         VbgState(fwhm_nm=0.0)
     with pytest.raises(DomainError):
