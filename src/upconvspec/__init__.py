@@ -3,7 +3,7 @@ detector operated as a pump-scanned infrared spectrometer."""
 
 __version__ = "0.1.0"
 
-from .components import ApdSpec, FilterElement, VbgState
+from .components import FilterElement, VbgState
 from .conversion import ConversionModel, NoiseModel, fit_conversion, fit_noise
 from .dispersion import (
     SellmeierMedium,

@@ -1,4 +1,4 @@
-"""Post-waveguide optical filter chain and the single-photon detector spec.
+"""Post-waveguide optical filter chain: fixed filters and the tunable VBG.
 
 The chain isolates the upconverted (~860 nm) light from pump harmonics and
 parasitic upconversion: a short-pass edge filter, a band-pass filter, an
@@ -84,29 +84,6 @@ class VbgState:
             raise DomainError("VBG peak reflectance must be in (0, 1]")
         if self.lineshape not in ("gaussian", "top_hat"):
             raise DomainError(f"unknown VBG lineshape {self.lineshape!r}")
-
-
-@dataclass(frozen=True)
-class ApdSpec:
-    """Silicon APD single-photon counter parameters.
-
-    quantum_efficiency is bookkeeping only: absolute throughput lives in the
-    lumped conversion-efficiency calibration.  Dead time and afterpulsing are
-    carried as fields but off (zero) by default and not modeled.
-    """
-
-    dark_rate_cps: float = 25.0
-    quantum_efficiency: float = 0.65
-    dead_time_s: float = 0.0
-    afterpulse_prob: float = 0.0
-
-    def __post_init__(self):
-        if self.dark_rate_cps < 0:
-            raise DomainError("dark rate must be nonnegative")
-        if not (0.0 < self.quantum_efficiency <= 1.0):
-            raise DomainError("quantum efficiency must be in (0, 1]")
-        if self.dead_time_s < 0 or not (0.0 <= self.afterpulse_prob < 1.0):
-            raise DomainError("invalid dead time / afterpulse probability")
 
 
 def gaussian_band(wavelength_nm, center_nm, fwhm_nm, peak=1.0):

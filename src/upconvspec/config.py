@@ -12,7 +12,7 @@ import json
 
 import yaml
 
-from .components import ApdSpec, FilterElement, VbgState
+from .components import FilterElement, VbgState
 from .conversion import fit_conversion, fit_noise
 from .dispersion import SellmeierMedium, WaveguideSpec, calibrate_operating_point
 from .errors import ConfigError
@@ -31,7 +31,6 @@ class ExperimentConfig:
     anchors: tuple                    # ((pump_nm, signal_nm), ...)
     filters: tuple                    # fixed chain, VBG excluded
     vbg: VbgState
-    apd: ApdSpec
     conversion_points: tuple
     noise_points: tuple
     noise_floor_cps: float
@@ -137,17 +136,6 @@ def parse_config(doc):
     except ValueError as exc:
         raise ConfigError("vbg", str(exc)) from exc
 
-    a = doc.get("apd", {})
-    try:
-        apd = ApdSpec(
-            dark_rate_cps=_num(a, "dark_rate_cps", "apd", default=25.0),
-            quantum_efficiency=_num(a, "quantum_efficiency", "apd", default=0.65),
-            dead_time_s=_num(a, "dead_time_s", "apd", default=0.0),
-            afterpulse_prob=_num(a, "afterpulse_prob", "apd", default=0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError("apd", str(exc)) from exc
-
     conv_pts = _pairs(_need(doc, "conversion_points", ""), "conversion_points", n_min=2)
     noise_pts = _pairs(_need(doc, "noise_points", ""), "noise_points", n_min=2)
     noise_floor = _num(doc, "noise_floor_cps", "", default=0.0)
@@ -178,7 +166,7 @@ def parse_config(doc):
 
     return ExperimentConfig(
         sellmeier=medium, waveguide=wg, anchors=anchors_raw, filters=filters,
-        vbg=vbg, apd=apd, conversion_points=conv_pts, noise_points=noise_pts,
+        vbg=vbg, conversion_points=conv_pts, noise_points=noise_pts,
         noise_floor_cps=noise_floor, scan=scan, signal_grid_step_nm=step,
         nep_convention=convention,
         fom_signal_nm=_num(doc, "fom_signal_nm", "", default=1550.0),

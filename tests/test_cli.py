@@ -8,7 +8,7 @@ import pytest
 
 from upconvspec import cli, io as uio, spectra
 
-CONFIG_HASH = "1d1ab3dd4c1a5821"
+CONFIG_HASH = "450fe373d32c609b"
 
 
 def run_cli(argv):

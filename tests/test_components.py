@@ -4,7 +4,7 @@ import pytest
 
 from upconvspec import components
 from upconvspec.components import (
-    ApdSpec, FilterElement, VbgState, gaussian_band,
+    FilterElement, VbgState, gaussian_band,
     transmission, vbg_transmission,
 )
 from upconvspec.errors import DomainError
@@ -91,7 +91,7 @@ def test_filter_element_validation():
         FilterElement(kind="band_pass", center_nm=860.0, fwhm_nm=1.0, lineshape="sinc")
 
 
-def test_vbg_and_apd_validation():
+def test_vbg_validation():
     with pytest.raises(DomainError):
         VbgState(center_setpoint_nm=900.0)  # outside its own tuning range
     with pytest.raises(DomainError):
@@ -100,9 +100,3 @@ def test_vbg_and_apd_validation():
         VbgState(fwhm_nm=0.0)
     with pytest.raises(DomainError):
         VbgState(tuning_range_nm=(880.0, 850.0))
-    with pytest.raises(DomainError):
-        ApdSpec(dark_rate_cps=-1.0)
-    with pytest.raises(DomainError):
-        ApdSpec(quantum_efficiency=0.0)
-    spec = ApdSpec()
-    assert spec.dark_rate_cps == 25.0 and spec.quantum_efficiency == 0.65

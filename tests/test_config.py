@@ -17,8 +17,6 @@ def test_default_instrument_values(cfg):
     assert cfg.vbg.fwhm_nm == 0.05
     assert cfg.vbg.peak_reflectance == 0.95
     assert cfg.vbg.tuning_range_nm == (850.0, 880.0)
-    assert cfg.apd.dark_rate_cps == 25.0
-    assert cfg.apd.quantum_efficiency == 0.65
     assert cfg.conversion_points == ((20.0, 0.15), (58.0, 0.286))
     assert cfg.noise_points == ((20.0, 25.0), (58.0, 100.0))
     assert cfg.noise_floor_cps == 0.0
@@ -38,7 +36,7 @@ def test_default_instrument_values(cfg):
 
 
 def test_config_hash_is_stable(cfg):
-    assert config.config_hash(cfg) == "1d1ab3dd4c1a5821"
+    assert config.config_hash(cfg) == "450fe373d32c609b"
     assert config.config_hash(config.load_config()) == config.config_hash(cfg)
 
 
