@@ -102,29 +102,6 @@ def sample_poisson(mean, rng, size=None):
     return out.reshape(shape)
 
 
-@dataclass(frozen=True)
-class CountSample:
-    """One dwell's counts with the expectation it was drawn from."""
-
-    counts: int
-    expected: float
-    dwell_s: float
-
-    @property
-    def rate_cps(self):
-        return self.counts / self.dwell_s
-
-
-def sample_counts(rate_cps, dwell_s, seed, path=()):
-    """Draw one dwell of counts at a mean rate; reproducible via (seed, path)."""
-    if rate_cps < 0 or dwell_s <= 0:
-        raise DomainError("need nonnegative rate and positive dwell")
-    rng = rng_from_path(seed, path)
-    mean = rate_cps * dwell_s
-    return CountSample(counts=int(sample_poisson(mean, rng)),
-                       expected=mean, dwell_s=float(dwell_s))
-
-
 def photon_rate(power_dbm, wavelength_nm):
     """Photon flux [1/s] of a CW beam quoted in dBm at a wavelength."""
     return dbm_to_watts(power_dbm) / photon_energy_j(wavelength_nm)

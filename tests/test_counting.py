@@ -17,9 +17,11 @@ def test_rng_paths_are_reproducible_and_distinct():
 
 
 def test_sampling_order_does_not_matter():
-    fwd = [counting.sample_counts(1000.0, 1.0, 42, path=(i,)).counts for i in range(20)]
-    rev = [counting.sample_counts(1000.0, 1.0, 42, path=(i,)).counts
-           for i in reversed(range(20))]
+    def draw(i):
+        return counting.sample_poisson(1000.0, counting.rng_from_path(42, (i,)))
+
+    fwd = [draw(i) for i in range(20)]
+    rev = [draw(i) for i in reversed(range(20))]
     assert fwd == rev[::-1]
 
 
@@ -59,16 +61,6 @@ def test_poisson_edge_cases():
     assert arr.shape == (3, 4) and arr.dtype == np.int64
     with pytest.raises(DomainError):
         counting.sample_poisson(-1.0, rng)
-
-
-def test_sample_counts_wrapper():
-    s = counting.sample_counts(120.0, 2.0, 7, path=(0,))
-    assert s.expected == 240.0
-    assert s.rate_cps == s.counts / 2.0
-    with pytest.raises(DomainError):
-        counting.sample_counts(-1.0, 1.0, 7)
-    with pytest.raises(DomainError):
-        counting.sample_counts(10.0, 0.0, 7)
 
 
 def test_photon_rate_values():
