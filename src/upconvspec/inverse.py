@@ -7,8 +7,7 @@ and the fixed point of Poisson maximum likelihood, which is exactly the
 noise the counter produces.  Iterations stop on the discrepancy principle
 -- when the Pearson chi^2 per point falls to its statistical expectation --
 so noise is not amplified into ringing.  RL works on the kernel's sparse
-band, so an iteration costs its nonzeros, not the dense matrix's cells.  A
-Tikhonov-regularized linear solve is available as a cross-check alternative.
+band, so an iteration costs its nonzeros, not the dense matrix's cells.
 """
 from dataclasses import dataclass
 
@@ -218,32 +217,3 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
 def _pearson(d, background_cps, raw, m, est):
     model = m @ est + background_cps * raw.dwell_s
     return float(np.mean((d - model) ** 2 / np.maximum(model, 1.0)))
-
-
-def tikhonov(raw, kernel, alpha=1e-3, background_cps=None, noise_model=None,
-             use_expected=None):
-    """Linear least-squares alternative with L2 penalty, clamped nonnegative.
-
-    Solves min ||M x - d'||^2 + alpha^2 ||x||^2 on the background-subtracted
-    counts; useful as a linear cross-check on the RL estimate.  alpha is
-    relative to the largest kernel singular value.
-    """
-    d = _counts_vector(raw, use_expected)
-    if background_cps is None:
-        background_cps = estimate_background(raw, noise_model=noise_model)
-    d_sig = np.maximum(d - background_cps * raw.dwell_s, 0.0)
-    grid = kernel.signal_grid_nm
-    weights = np.gradient(grid)
-    m = kernel.matrix * (weights[None, :] * raw.dwell_s)
-    s_max = np.linalg.norm(m, 2)
-    a = np.vstack([m, alpha * s_max * np.eye(m.shape[1])])
-    b = np.concatenate([d_sig, np.zeros(m.shape[1])])
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    x = np.maximum(x, 0.0)
-    return DeconvolutionResult(
-        estimate=Spectrum(grid, x, unit="w_per_nm"),
-        iterations_used=1,
-        residual_norm=_pearson(d, background_cps, raw, m, x),
-        stop_reason="discrepancy_reached",
-        background_cps=float(background_cps),
-    )

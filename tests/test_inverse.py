@@ -1,4 +1,4 @@
-"""Background estimation and Richardson-Lucy / Tikhonov inversion."""
+"""Background estimation and Richardson-Lucy inversion."""
 from dataclasses import replace
 
 import numpy as np
@@ -85,29 +85,6 @@ def test_rl_noiseless_smooth_roundtrip(small_kernel, smooth_scan):
     assert rel < 1e-6
     assert res.stop_reason in ("stagnation", "max_iterations")
     assert res.estimate.total_power_w() / s.total_power_w() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_tikhonov_smooth_roundtrip(small_kernel, smooth_scan):
-    s, scan = smooth_scan
-    res = inverse.tikhonov(scan, small_kernel, background_cps=PEDESTAL_CPS)
-    rel = (np.linalg.norm(res.estimate.values - s.values)
-           / np.linalg.norm(s.values))
-    assert rel < 1e-4
-    grid = small_kernel.signal_grid_nm
-    assert grid[np.argmax(res.estimate.values)] == pytest.approx(DELTA_BIN_NM, abs=1e-9)
-    assert np.all(res.estimate.values >= 0.0)
-
-
-def test_tikhonov_spreads_deltas(small_kernel, delta_scan):
-    # L2 smoothing spreads an isolated line: position survives, shape does not
-    s, scan = delta_scan
-    res = inverse.tikhonov(scan, small_kernel, background_cps=PEDESTAL_CPS)
-    grid = small_kernel.signal_grid_nm
-    assert grid[np.argmax(res.estimate.values)] == pytest.approx(DELTA_BIN_NM, abs=1e-9)
-    rel = (np.linalg.norm(res.estimate.values - s.values)
-           / np.linalg.norm(s.values))
-    assert rel > 0.5
-    assert np.all(res.estimate.values >= 0.0)
 
 
 def test_rl_sampled_scan_stops_on_discrepancy(small_kernel, small_plan, noise,
