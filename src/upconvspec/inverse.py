@@ -88,31 +88,25 @@ class DeconvolutionResult:
     background_cps: float
 
 
-def _counts_vector(raw, use_expected):
-    if use_expected is None:
-        use_expected = not raw.sampled
-    if use_expected:
-        return np.asarray(raw.expected_rate_cps, dtype=float) * raw.dwell_s
-    return np.asarray(raw.sampled_counts, dtype=float)
-
-
 def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
-               background_cps=None, noise_model=None, support_nm=None,
-               use_expected=None):
+               background_cps=None, noise_model=None, support_nm=None):
     """Richardson-Lucy estimate of the input spectral density [W/nm].
 
     raw/kernel must share the pump grid (to 1e-6 of a pump step).  A sampled
     scan is read from its counts, an unsampled one from its expected rates,
-    unless use_expected says otherwise.  Background (model, explicit value,
-    or estimated off-band baseline) is subtracted first, clamped at zero.
-    Iterations run on the kernel's band (ResponseKernel.band) until the
-    Pearson discrepancy chi^2/N drops to discrepancy_target (use 0 for
+    the same rule estimate_background follows.  Background (model, explicit
+    value, or estimated off-band baseline) is subtracted first, clamped at
+    zero.  Iterations run on the kernel's band (ResponseKernel.band) until
+    the Pearson discrepancy chi^2/N drops to discrepancy_target (use 0 for
     noiseless rate data), the update stagnates, or max_iters.  The estimate
     is supported on the kernel columns inside support_nm (default: the
     scan's mapped signal range); columns with no band entry inside the
     support make those bands unrecoverable and raise UnrecoverableBandError.
     """
-    d = _counts_vector(raw, use_expected)
+    if raw.sampled:
+        d = np.asarray(raw.sampled_counts, dtype=float)
+    else:
+        d = np.asarray(raw.expected_rate_cps, dtype=float) * raw.dwell_s
     if d.size < 3:
         raise DomainError("scan shorter than 3 points cannot be deconvolved")
     pump = kernel.pump_grid_nm
