@@ -110,8 +110,6 @@ def parse_config(doc):
             length_mm=_num(w, "length_mm", "waveguide"),
             qpm_period_um=_num(w, "qpm_period_um", "waveguide"),
             temperature_c=_num(w, "temperature_c", "waveguide"),
-            pigtail_loss_db=_num(w, "pigtail_loss_db", "waveguide", default=0.0),
-            facet_loss_db=_num(w, "facet_loss_db", "waveguide", default=0.0),
             medium=medium,
         )
     except ValueError as exc:

@@ -65,7 +65,7 @@ CONGRUENT_LN_E = SellmeierMedium(
 
 @dataclass(frozen=True)
 class WaveguideSpec:
-    """PPLN waveguide geometry, operating temperature and coupling losses.
+    """PPLN waveguide geometry, operating temperature and tuning correction.
 
     dispersion_correction holds ascending polynomial coefficients (c0, c1, ...)
     of a dimensionless effective-index offset evaluated at wavelength in um.
@@ -76,8 +76,6 @@ class WaveguideSpec:
     length_mm: float = 52.0
     qpm_period_um: float = 19.6
     temperature_c: float = 56.0
-    pigtail_loss_db: float = 0.7
-    facet_loss_db: float = 1.5
     dispersion_correction: tuple = ()
     medium: SellmeierMedium = field(default=CONGRUENT_LN_E)
 
@@ -86,8 +84,6 @@ class WaveguideSpec:
             raise DomainError("waveguide length must be positive")
         if self.qpm_period_um <= 0:
             raise DomainError("QPM period must be positive")
-        if self.pigtail_loss_db < 0 or self.facet_loss_db < 0:
-            raise DomainError("losses must be nonnegative dB values")
         lo, hi = self.medium.valid_temp_c
         if not (lo <= self.temperature_c <= hi):
             raise DomainError(

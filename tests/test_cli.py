@@ -8,7 +8,7 @@ import pytest
 
 from upconvspec import cli, io as uio, spectra
 
-CONFIG_HASH = "450fe373d32c609b"
+CONFIG_HASH = "e660cf8b3b99d8a5"
 
 
 def run_cli(argv):

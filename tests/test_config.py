@@ -10,7 +10,6 @@ from upconvspec.errors import ConfigError
 def test_default_instrument_values(cfg):
     wg = cfg.waveguide
     assert (wg.length_mm, wg.qpm_period_um, wg.temperature_c) == (52.0, 19.6, 56.0)
-    assert (wg.pigtail_loss_db, wg.facet_loss_db) == (0.7, 1.5)
     assert wg.dispersion_correction == ()
     assert cfg.anchors == ((1920.0, 1570.9), (1950.0, 1550.0), (1980.0, 1532.9))
     assert cfg.vbg.center_setpoint_nm == 863.571
@@ -36,7 +35,7 @@ def test_default_instrument_values(cfg):
 
 
 def test_config_hash_is_stable(cfg):
-    assert config.config_hash(cfg) == "450fe373d32c609b"
+    assert config.config_hash(cfg) == "e660cf8b3b99d8a5"
     assert config.config_hash(config.load_config()) == config.config_hash(cfg)
 
 
