@@ -35,7 +35,6 @@ class ExperimentConfig:
     noise_points: tuple
     noise_floor_cps: float
     scan: ScanPlan
-    signal_grid_step_nm: float
     nep_convention: str
     fom_signal_nm: float
     quoted_usable_span_nm: float
@@ -154,10 +153,6 @@ def parse_config(doc):
     except ValueError as exc:
         raise ConfigError("scan", str(exc)) from exc
 
-    step = _num(doc, "signal_grid_step_nm", "", default=0.02)
-    if step <= 0:
-        raise ConfigError("signal_grid_step_nm", "must be positive")
-
     convention = str(doc.get("nep_convention", "background_sqrt_d"))
     if convention not in CONVENTIONS:
         raise ConfigError("nep_convention", f"must be one of {CONVENTIONS}")
@@ -165,8 +160,7 @@ def parse_config(doc):
     return ExperimentConfig(
         sellmeier=medium, waveguide=wg, anchors=anchors_raw, filters=filters,
         vbg=vbg, conversion_points=conv_pts, noise_points=noise_pts,
-        noise_floor_cps=noise_floor, scan=scan, signal_grid_step_nm=step,
-        nep_convention=convention,
+        noise_floor_cps=noise_floor, scan=scan, nep_convention=convention,
         fom_signal_nm=_num(doc, "fom_signal_nm", "", default=1550.0),
         quoted_usable_span_nm=_num(doc, "quoted_usable_span_nm", "", default=3.09),
         raw=doc,

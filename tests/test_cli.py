@@ -8,7 +8,7 @@ import pytest
 
 from upconvspec import cli, io as uio, spectra
 
-CONFIG_HASH = "e660cf8b3b99d8a5"
+CONFIG_HASH = "a80ad5fe68f3439e"
 
 
 def run_cli(argv):

@@ -25,7 +25,6 @@ def test_default_instrument_values(cfg):
     assert cfg.scan.pump_power_mw == 30.0
     assert cfg.scan.vbg_tracking == "tracked"
     assert cfg.scan.seed == 20240901
-    assert cfg.signal_grid_step_nm == 0.02
     assert cfg.nep_convention == "background_sqrt_d"
     assert cfg.fom_signal_nm == 1550.0
     assert cfg.quoted_usable_span_nm == 3.09
@@ -35,7 +34,7 @@ def test_default_instrument_values(cfg):
 
 
 def test_config_hash_is_stable(cfg):
-    assert config.config_hash(cfg) == "e660cf8b3b99d8a5"
+    assert config.config_hash(cfg) == "a80ad5fe68f3439e"
     assert config.config_hash(config.load_config()) == config.config_hash(cfg)
 
 
