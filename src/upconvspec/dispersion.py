@@ -182,7 +182,8 @@ def efficiency_factor(delta_k_per_um, length_mm):
 
 
 def _bisect_roots(f, lo, hi, iterations=80):
-    """Vectorized bisection; f must have opposite signs at lo/hi elementwise."""
+    """Vectorized bisection; elementwise, f must change sign on [lo, hi]
+    or vanish at lo."""
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
     flo = f(lo)
@@ -213,8 +214,12 @@ def _solve_matched(known_nm, wg, solve_for, window_nm, guess_nm=None, bracket_nm
         dk_grid = qpm_mismatch(grid[None, :], known[:, None], wg)
     else:
         dk_grid = qpm_mismatch(known[:, None], grid[None, :], wg)
-    sign_flip = dk_grid[:, :-1] * dk_grid[:, 1:] <= 0.0
-    n_roots = sign_flip.sum(axis=1)
+    # A root exactly on a grid node (a designed period puts one on the guess)
+    # counts once, as that node; a sign flip between nonzero nodes counts as
+    # one root inside its interval.
+    on_node = dk_grid == 0.0
+    sign_flip = dk_grid[:, :-1] * dk_grid[:, 1:] < 0.0
+    n_roots = on_node.sum(axis=1) + sign_flip.sum(axis=1)
     if np.any(n_roots == 0):
         bad = known[n_roots == 0]
         raise TuningError(
@@ -229,8 +234,11 @@ def _solve_matched(known_nm, wg, solve_for, window_nm, guess_nm=None, bracket_nm
             f"[{grid[0]:.1f}, {grid[-1]:.1f}] nm for {bad[:3].tolist()} nm; "
             "pass a guess with a tighter bracket"
         )
+    at_node = on_node.any(axis=1)
+    node = grid[np.argmax(on_node, axis=1)]
     idx = np.argmax(sign_flip, axis=1)
-    lo, hi = grid[idx], grid[idx + 1]
+    lo = np.where(at_node, node, grid[idx])
+    hi = np.where(at_node, node, grid[idx + 1])
 
     def dk_elementwise(x):
         if solve_for == "signal":

@@ -2,11 +2,12 @@
 import io as sysio
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from upconvspec import cli, io as uio, spectra
+from upconvspec import cli, dispersion, io as uio, spectra
 
 CONFIG_HASH = "a80ad5fe68f3439e"
 
@@ -56,6 +57,16 @@ def test_design_qpm_temperature_override():
     assert code == 0
     assert get_field(text, "temperature_c") == "58.00"
     assert get_field(text, "qpm_period_um") == "19.594617"
+
+
+def test_design_qpm_off_curve_pair(wg3):
+    # The designed period phase matches the pair exactly, so dk == 0 falls
+    # on the guess itself, a node of the root-search grid.
+    code, _ = run_cli(["design-qpm", "--signal", "1551", "--pump", "1950"])
+    assert code == 0
+    probe = replace(wg3, qpm_period_um=dispersion.design_qpm_period(1551.0, 1950.0, wg3))
+    assert dispersion.phase_matched_signal(1950.0, probe, guess_nm=1551.0) == pytest.approx(
+        1551.0, abs=1e-6)
 
 
 def test_fom_at_operating_power():
