@@ -18,7 +18,6 @@ Both models can be pinned from measured (power, value) pairs:
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DomainError, FitError
 
@@ -154,7 +153,10 @@ def fit_conversion(points):
         return model, FitReport(residuals=res, rms=float(np.sqrt(np.mean(res ** 2))))
 
     # Overdetermined: least-squares in (eta_max, u), seeded from the two
-    # extreme points via the exact two-point solve.
+    # extreme points via the exact two-point solve.  scipy.optimize is
+    # imported here, not at module level: two-point pins never need it.
+    from scipy.optimize import least_squares
+
     seed, _ = fit_conversion([pts[0], pts[-1]])
 
     def resid(x):
@@ -206,6 +208,8 @@ def fit_noise(points, floor_cps):
         model = NoiseModel(floor_cps=float(floor_cps), amplitude_cps=a, exponent=gamma)
         res = model.rate(p) - tot
         return model, FitReport(residuals=res, rms=float(np.sqrt(np.mean(res ** 2))))
+
+    from scipy.optimize import least_squares
 
     seed, _ = fit_noise([pts[0], pts[-1]], floor_cps)
 

@@ -2,11 +2,15 @@
 import io as sysio
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import upconvspec
 from upconvspec import cli, dispersion, io as uio, spectra
 
 CONFIG_HASH = "a80ad5fe68f3439e"
@@ -168,3 +172,14 @@ def test_exit_codes(tmp_path):
     bad.write_text("waveguide: [unclosed\n  x: {")
     code, _ = run_cli(["--config", str(bad), "fom", "--pump-power", "30"])
     assert code == 3
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # Two-point pins, the default, never fit; only >= 3-point fits load it.
+    src = os.path.dirname(os.path.dirname(upconvspec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, upconvspec.cli; sys.exit('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "scipy.optimize was imported"
