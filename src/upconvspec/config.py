@@ -4,6 +4,8 @@ The bundled defaults reproduce the published operating point of the
 instrument with zero flags; any field can be overridden by pointing the CLI
 at an edited copy.  Validation happens entirely at load time and reports
 the offending field by dotted path, so a bad config never dies mid-run.
+A field the schema does not define is an error too: a misspelt or retired
+setting is never silently ignored.
 """
 from dataclasses import dataclass, field
 import hashlib
@@ -47,6 +49,14 @@ def _need(mapping, key, path):
     return mapping[key]
 
 
+def _known(mapping, keys, path):
+    """Reject a field the schema does not define, naming it by dotted path."""
+    if isinstance(mapping, dict):
+        for key in mapping:
+            if key not in keys:
+                raise ConfigError(f"{path}.{key}" if path else str(key), "unknown field")
+
+
 def _num(mapping, key, path, default=None):
     if default is not None and (not isinstance(mapping, dict) or key not in mapping):
         return float(default)
@@ -70,6 +80,8 @@ def _pairs(raw, path, n_min=1):
 def _build_filter(raw, path):
     if not isinstance(raw, dict):
         raise ConfigError(path, "filter entries must be mappings")
+    _known(raw, ("kind", "center_nm", "edge_nm", "fwhm_nm", "peak", "edge_width_nm",
+                 "lineshape", "label"), path)
     kind = _need(raw, "kind", path)
     try:
         return FilterElement(
@@ -90,8 +102,12 @@ def parse_config(doc):
     """Validate a parsed YAML mapping into an ExperimentConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("", "config root must be a mapping")
+    _known(doc, ("sellmeier", "waveguide", "tuning_anchors", "filters", "vbg",
+                 "conversion_points", "noise_points", "noise_floor_cps", "scan",
+                 "nep_convention", "fom_signal_nm", "quoted_usable_span_nm"), "")
 
     s = _need(doc, "sellmeier", "")
+    _known(s, ("name", "a", "b", "t_ref_c", "t_offset_c"), "sellmeier")
     try:
         medium = SellmeierMedium(
             name=str(s.get("name", "custom")),
@@ -104,6 +120,7 @@ def parse_config(doc):
         raise ConfigError("sellmeier", str(exc)) from exc
 
     w = _need(doc, "waveguide", "")
+    _known(w, ("length_mm", "qpm_period_um", "temperature_c"), "waveguide")
     try:
         wg = WaveguideSpec(
             length_mm=_num(w, "length_mm", "waveguide"),
@@ -122,6 +139,8 @@ def parse_config(doc):
     filters = tuple(_build_filter(f, f"filters[{i}]") for i, f in enumerate(filters_raw))
 
     v = _need(doc, "vbg", "")
+    _known(v, ("center_setpoint_nm", "fwhm_nm", "peak_reflectance", "tuning_range_nm",
+               "lineshape"), "vbg")
     try:
         vbg = VbgState(
             center_setpoint_nm=_num(v, "center_setpoint_nm", "vbg"),
@@ -140,6 +159,8 @@ def parse_config(doc):
         raise ConfigError("noise_floor_cps", "must be nonnegative")
 
     sc = doc.get("scan", {})
+    _known(sc, ("pump_start_nm", "pump_stop_nm", "pump_step_nm", "dwell_s",
+                "pump_power_mw", "vbg_tracking", "seed"), "scan")
     try:
         scan = ScanPlan(
             pump_start_nm=_num(sc, "pump_start_nm", "scan", default=1920.0),

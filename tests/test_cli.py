@@ -9,9 +9,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 import upconvspec
-from upconvspec import cli, dispersion, io as uio, spectra
+from upconvspec import cli, config, dispersion, io as uio, spectra
 
 CONFIG_HASH = "a80ad5fe68f3439e"
 
@@ -172,6 +173,16 @@ def test_exit_codes(tmp_path):
     bad.write_text("waveguide: [unclosed\n  x: {")
     code, _ = run_cli(["--config", str(bad), "fom", "--pump-power", "30"])
     assert code == 3
+
+
+def test_removed_config_field_is_a_config_error(tmp_path, capsys):
+    raw = config.load_config().raw
+    raw["waveguide"]["pigtail_loss_db"] = 0.7
+    path = tmp_path / "old.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    code, _ = run_cli(["--config", str(path), "fom", "--pump-power", "30"])
+    assert code == 3
+    assert "waveguide.pigtail_loss_db: unknown field" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

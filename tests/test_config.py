@@ -50,6 +50,13 @@ def _parse_mutated(cfg, mutate):
     (lambda r: r.update(nep_convention="bogus"), "nep_convention"),
     (lambda r: r["vbg"].update(fwhm_nm=-0.05), "vbg"),
     (lambda r: r["scan"].update(pump_step_nm=0.0), "scan"),
+    (lambda r: r.update(signal_grid_step_nm=0.02), "signal_grid_step_nm"),
+    (lambda r: r.update(apd={"dark_rate_cps": 25.0}), "apd"),
+    (lambda r: r["sellmeier"].update(t_ref=24.5), "sellmeier.t_ref"),
+    (lambda r: r["waveguide"].update(pigtail_loss_db=0.7), "waveguide.pigtail_loss_db"),
+    (lambda r: r["vbg"].update(fwhm=0.05), "vbg.fwhm"),
+    (lambda r: r["scan"].update(dwell=1.0), "scan.dwell"),
+    (lambda r: r["filters"][1].update(centre_nm=857.0), "filters[1].centre_nm"),
 ])
 def test_parse_rejections_carry_field_path(cfg, mutate, field_path):
     with pytest.raises(ConfigError) as err:
