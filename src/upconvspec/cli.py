@@ -173,11 +173,6 @@ def _cmd_deconvolve(cfg, args, out):
         wg = calibrated_waveguide(cfg)
         conv, _ = pinned_models(cfg)
         kernel = build_kernel(wg, cfg.filters, cfg.vbg, conv, plan)
-        if kernel.pump_grid_nm.size != pump.size:
-            raise UpconvError(
-                "rebuilt kernel grid does not match the scan; pass the kernel "
-                "CSV saved by scan --write-kernel instead"
-            )
     else:
         kernel, _ = io.read_kernel_csv(args.kernel)
     _, noise = pinned_models(cfg)

@@ -60,10 +60,10 @@ class VbgState:
     Reflection line modeled as a gaussian of the stated FWHM by default;
     "top_hat" switches to an erf-edged flat top (edge scale FWHM/10) for
     sensitivity checks -- the published numbers give only FWHM and peak,
-    not a shape.
+    not a shape.  The grating carries no setpoint of its own: a scan's
+    tracking schedule decides where it is tuned at each point.
     """
 
-    center_setpoint_nm: float = 863.57
     fwhm_nm: float = 0.05
     peak_reflectance: float = 0.95
     tuning_range_nm: tuple = (850.0, 880.0)
@@ -73,11 +73,6 @@ class VbgState:
         lo, hi = self.tuning_range_nm
         if not (lo < hi):
             raise DomainError("VBG tuning range must be ordered (lo, hi)")
-        if not (lo <= self.center_setpoint_nm <= hi):
-            raise DomainError(
-                f"VBG setpoint {self.center_setpoint_nm} nm outside the "
-                f"tuning range [{lo}, {hi}] nm"
-            )
         if self.fwhm_nm <= 0:
             raise DomainError("VBG fwhm_nm must be positive")
         if not (0.0 < self.peak_reflectance <= 1.0):
@@ -113,15 +108,15 @@ def transmission(element, wavelength_nm):
     return float(out) if np.ndim(wavelength_nm) == 0 else out
 
 
-def vbg_transmission(vbg, wavelength_nm, center_nm=None):
+def vbg_transmission(vbg, wavelength_nm, center_nm):
     """Reflection-path transmission of the VBG (gaussian line, peak < 1).
 
-    center_nm overrides the setpoint, for evaluating tracking schedules
-    without rebuilding the VbgState; it must lie inside the tuning range.
+    center_nm is the grating's setpoint, a scalar or an array broadcasting
+    against wavelength_nm (one setpoint per scan point, as a tracking
+    schedule gives); every setpoint must lie inside the tuning range.
     """
-    center = vbg.center_setpoint_nm if center_nm is None else center_nm
     lo, hi = vbg.tuning_range_nm
-    c_arr = np.asarray(center, dtype=float)
+    c_arr = np.asarray(center_nm, dtype=float)
     if np.any(c_arr < lo) or np.any(c_arr > hi):
         bad = c_arr if c_arr.ndim == 0 else c_arr[(c_arr < lo) | (c_arr > hi)][0]
         raise DomainError(
@@ -136,4 +131,4 @@ def vbg_transmission(vbg, wavelength_nm, center_nm=None):
         rise = 0.5 * (1.0 + erf((lam - (c_arr - half)) / w))
         fall = 0.5 * (1.0 + erf(((c_arr + half) - lam) / w))
         out = vbg.peak_reflectance * rise * fall
-    return float(out) if np.ndim(wavelength_nm) == 0 and np.ndim(center) == 0 else out
+    return float(out) if np.ndim(wavelength_nm) == 0 and c_arr.ndim == 0 else out

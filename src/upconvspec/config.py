@@ -39,26 +39,30 @@ class ExperimentConfig:
     scan: ScanPlan
     nep_convention: str
     fom_signal_nm: float
-    quoted_usable_span_nm: float
     raw: dict = field(repr=False, default_factory=dict)
 
 
 def _need(mapping, key, path):
-    if not isinstance(mapping, dict) or key not in mapping:
+    if key not in mapping:
         raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
     return mapping[key]
 
 
+def _mapping(value, path):
+    if not isinstance(value, dict):
+        raise ConfigError(path, "expected a mapping")
+    return value
+
+
 def _known(mapping, keys, path):
     """Reject a field the schema does not define, naming it by dotted path."""
-    if isinstance(mapping, dict):
-        for key in mapping:
-            if key not in keys:
-                raise ConfigError(f"{path}.{key}" if path else str(key), "unknown field")
+    for key in mapping:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}" if path else str(key), "unknown field")
 
 
 def _num(mapping, key, path, default=None):
-    if default is not None and (not isinstance(mapping, dict) or key not in mapping):
+    if default is not None and key not in mapping:
         return float(default)
     v = _need(mapping, key, path)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -78,10 +82,8 @@ def _pairs(raw, path, n_min=1):
 
 
 def _build_filter(raw, path):
-    if not isinstance(raw, dict):
-        raise ConfigError(path, "filter entries must be mappings")
-    _known(raw, ("kind", "center_nm", "edge_nm", "fwhm_nm", "peak", "edge_width_nm",
-                 "lineshape", "label"), path)
+    _known(_mapping(raw, path), ("kind", "center_nm", "edge_nm", "fwhm_nm", "peak",
+                                 "edge_width_nm", "lineshape", "label"), path)
     kind = _need(raw, "kind", path)
     try:
         return FilterElement(
@@ -104,9 +106,9 @@ def parse_config(doc):
         raise ConfigError("", "config root must be a mapping")
     _known(doc, ("sellmeier", "waveguide", "tuning_anchors", "filters", "vbg",
                  "conversion_points", "noise_points", "noise_floor_cps", "scan",
-                 "nep_convention", "fom_signal_nm", "quoted_usable_span_nm"), "")
+                 "nep_convention", "fom_signal_nm"), "")
 
-    s = _need(doc, "sellmeier", "")
+    s = _mapping(_need(doc, "sellmeier", ""), "sellmeier")
     _known(s, ("name", "a", "b", "t_ref_c", "t_offset_c"), "sellmeier")
     try:
         medium = SellmeierMedium(
@@ -119,7 +121,7 @@ def parse_config(doc):
     except (TypeError, ValueError) as exc:
         raise ConfigError("sellmeier", str(exc)) from exc
 
-    w = _need(doc, "waveguide", "")
+    w = _mapping(_need(doc, "waveguide", ""), "waveguide")
     _known(w, ("length_mm", "qpm_period_um", "temperature_c"), "waveguide")
     try:
         wg = WaveguideSpec(
@@ -138,12 +140,10 @@ def parse_config(doc):
         raise ConfigError("filters", "expected a list of filter mappings")
     filters = tuple(_build_filter(f, f"filters[{i}]") for i, f in enumerate(filters_raw))
 
-    v = _need(doc, "vbg", "")
-    _known(v, ("center_setpoint_nm", "fwhm_nm", "peak_reflectance", "tuning_range_nm",
-               "lineshape"), "vbg")
+    v = _mapping(_need(doc, "vbg", ""), "vbg")
+    _known(v, ("fwhm_nm", "peak_reflectance", "tuning_range_nm", "lineshape"), "vbg")
     try:
         vbg = VbgState(
-            center_setpoint_nm=_num(v, "center_setpoint_nm", "vbg"),
             fwhm_nm=_num(v, "fwhm_nm", "vbg", default=0.05),
             peak_reflectance=_num(v, "peak_reflectance", "vbg", default=0.95),
             tuning_range_nm=tuple(float(x) for x in v.get("tuning_range_nm", (850.0, 880.0))),
@@ -158,7 +158,7 @@ def parse_config(doc):
     if noise_floor < 0:
         raise ConfigError("noise_floor_cps", "must be nonnegative")
 
-    sc = doc.get("scan", {})
+    sc = _mapping(doc.get("scan", {}), "scan")
     _known(sc, ("pump_start_nm", "pump_stop_nm", "pump_step_nm", "dwell_s",
                 "pump_power_mw", "vbg_tracking", "seed"), "scan")
     try:
@@ -183,7 +183,6 @@ def parse_config(doc):
         vbg=vbg, conversion_points=conv_pts, noise_points=noise_pts,
         noise_floor_cps=noise_floor, scan=scan, nep_convention=convention,
         fom_signal_nm=_num(doc, "fom_signal_nm", "", default=1550.0),
-        quoted_usable_span_nm=_num(doc, "quoted_usable_span_nm", "", default=3.09),
         raw=doc,
     )
 
@@ -215,7 +214,13 @@ def calibrated_waveguide(cfg, anchors=None):
 
 
 def pinned_models(cfg):
-    """(ConversionModel, NoiseModel) pinned from the config's points."""
-    conv, _ = fit_conversion(cfg.conversion_points)
-    noise, _ = fit_noise(cfg.noise_points, cfg.noise_floor_cps)
+    """(ConversionModel, NoiseModel) pinned from the config's points.
+
+    A degenerate fit over three or more points is a ConfigError, never used.
+    """
+    conv, conv_fit = fit_conversion(cfg.conversion_points)
+    noise, noise_fit = fit_noise(cfg.noise_points, cfg.noise_floor_cps)
+    for path, fit in (("conversion_points", conv_fit), ("noise_points", noise_fit)):
+        if fit.degenerate:
+            raise ConfigError(path, fit.note)
     return conv, noise

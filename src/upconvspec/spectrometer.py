@@ -62,17 +62,24 @@ class ScanPlan:
 
 @dataclass(frozen=True)
 class TrackingSchedule:
-    """Per-point VBG setpoints plus the fixed-mode feasibility numbers."""
+    """A scan's tuning map and VBG setpoints, solved once per plan."""
 
-    centers_nm: np.ndarray
-    tracking_required: bool
-    fixed_center_nm: float
+    signal_nm: np.ndarray         # phase-matched signal at each scan point
+    centers_nm: np.ndarray        # VBG setpoint at each scan point
+    tracking_required: bool       # SFG drifts by more than the VBG FWHM
+    fixed_center_nm: float        # where a fixed VBG is parked
     sfg_drift_nm: float           # full phase-matched SFG drift across the scan
-    usable_span_nm: float         # fixed-VBG signal span (SFG within +-FWHM/2)
     mode: str
 
 
-def fixed_vbg_usable_span(plan, wg, vbg, n_probe=601):
+def _fixed_setpoint(plan, wg):
+    """(scan-center pump, SFG setpoint [nm]) where a fixed VBG is parked."""
+    center_pump = 0.5 * (plan.pump_start_nm + plan.pump_stop_nm)
+    center_sig = dispersion.phase_matched_signal(center_pump, wg)
+    return center_pump, float(dispersion.sfg_wavelength(center_sig, center_pump))
+
+
+def fixed_vbg_usable_span(plan, wg, vbg):
     """Signal span [nm] a fixed VBG covers at >= half the tracked sensitivity.
 
     For a line at each probe signal wavelength, the detected peak rate with
@@ -82,13 +89,12 @@ def fixed_vbg_usable_span(plan, wg, vbg, n_probe=601):
     scan center where the fixed/tracked sensitivity ratio stays >= 1/2.
     The QPM acceptance width matters here: the upconverted line is several
     times wider than the VBG, so a line stays usable well after its nominal
-    center has left the VBG passband.
+    center has left the VBG passband.  Returns (span, fixed setpoint).
+    A feasibility report: building a kernel does not need it.
     """
-    probe_pump = np.linspace(plan.pump_start_nm, plan.pump_stop_nm, n_probe)
+    probe_pump = np.linspace(plan.pump_start_nm, plan.pump_stop_nm, 601)
     probe_sig = dispersion.phase_matched_signal(probe_pump, wg)
-    center_pump = 0.5 * (plan.pump_start_nm + plan.pump_stop_nm)
-    center_sig = dispersion.phase_matched_signal(center_pump, wg)
-    fixed_center = dispersion.sfg_wavelength(center_sig, center_pump)
+    center_pump, fixed_center = _fixed_setpoint(plan, wg)
 
     # maximize the line x gate product over pump detuning around each probe
     off = np.linspace(-3.0, 3.0, 241)
@@ -102,31 +108,30 @@ def fixed_vbg_usable_span(plan, wg, vbg, n_probe=601):
     ok = ratio >= 0.5
     i0 = int(np.argmin(np.abs(probe_pump - center_pump)))
     if not ok[i0]:
-        return 0.0, float(fixed_center)
+        return 0.0, fixed_center
     lo = i0
     while lo > 0 and ok[lo - 1]:
         lo -= 1
     hi = i0
     while hi < ok.size - 1 and ok[hi + 1]:
         hi += 1
-    return float(abs(probe_sig[hi] - probe_sig[lo])), float(fixed_center)
+    return float(abs(probe_sig[hi] - probe_sig[lo])), fixed_center
 
 
 def vbg_tracking_schedule(plan, wg, vbg):
-    """VBG setpoints for a scan; reports whether a fixed VBG could cope.
+    """Solve the scan's tuning map and decide the VBG setpoint at each point.
 
     tracked: each point's setpoint is the phase-matched SFG wavelength.
     fixed: one setpoint at the scan-center SFG wavelength for every point.
-    Either way the schedule reports the phase-matched SFG drift over the
-    scan and the fixed-VBG usable span (see fixed_vbg_usable_span).
+    This is the one tuning-map solve a kernel build makes; the fixed-VBG
+    usable span is a separate report (fixed_vbg_usable_span).
     """
     pump = plan.pump_grid_nm()
     sig = dispersion.phase_matched_signal(pump, wg)
     sfg = dispersion.sfg_wavelength(sig, pump)
 
     drift = float(np.max(sfg) - np.min(sfg))
-    tracking_required = drift > vbg.fwhm_nm
-    usable, fixed_center = fixed_vbg_usable_span(plan, wg, vbg)
+    _, fixed_center = _fixed_setpoint(plan, wg)
 
     centers = sfg if plan.vbg_tracking == "tracked" else np.full_like(pump, fixed_center)
     lo_nm, hi_nm = vbg.tuning_range_nm
@@ -136,9 +141,8 @@ def vbg_tracking_schedule(plan, wg, vbg):
             f"VBG setpoint {bad[0]:.3f} nm outside tuning range [{lo_nm}, {hi_nm}] nm"
         )
     return TrackingSchedule(
-        centers_nm=centers, tracking_required=bool(tracking_required),
-        fixed_center_nm=fixed_center, sfg_drift_nm=drift,
-        usable_span_nm=usable, mode=plan.vbg_tracking,
+        signal_nm=sig, centers_nm=centers, tracking_required=bool(drift > vbg.fwhm_nm),
+        fixed_center_nm=fixed_center, sfg_drift_nm=drift, mode=plan.vbg_tracking,
     )
 
 
@@ -177,14 +181,13 @@ class ResponseKernel:
         return sparse.csr_matrix((m[keep], np.nonzero(keep)[1], indptr), shape=m.shape)
 
 
-def default_signal_grid(wg, plan, step_nm=SIGNAL_GRID_STEP_NM, pad_nm=_GRID_PAD_NM):
-    """Ascending grid covering the scan's mapped signal range plus tails."""
-    pump = plan.pump_grid_nm()
-    mapped = dispersion.phase_matched_signal(np.array([pump[0], pump[-1]]), wg)
-    lo = float(np.min(mapped)) - pad_nm
-    hi = float(np.max(mapped)) + pad_nm
-    n = int(np.ceil((hi - lo) / step_nm))
-    return lo + step_nm * np.arange(n + 1)
+def default_signal_grid(mapped):
+    """Ascending grid over a tuning map's end points plus tails."""
+    ends = mapped[[0, -1]]
+    lo = float(np.min(ends)) - _GRID_PAD_NM
+    hi = float(np.max(ends)) + _GRID_PAD_NM
+    n = int(np.ceil((hi - lo) / SIGNAL_GRID_STEP_NM))
+    return lo + SIGNAL_GRID_STEP_NM * np.arange(n + 1)
 
 
 def build_kernel(wg, chain, vbg, conv_model, plan, signal_grid_nm=None):
@@ -192,14 +195,16 @@ def build_kernel(wg, chain, vbg, conv_model, plan, signal_grid_nm=None):
 
     chain holds the fixed FilterElements (edge, band-pass, broadband loss);
     the VBG is passed separately because its center follows the tracking
-    schedule.  Normalization: peak response with tracked VBG equals
-    eta(P)/h-nu counts/s per W, so the chain contributes lineshape only --
-    its absolute throughput is already inside the pinned eta.
+    schedule, which also carries the tuning map: a build solves it once.
+    Normalization: peak response with tracked VBG equals eta(P)/h-nu
+    counts/s per W, so the chain contributes lineshape only -- its absolute
+    throughput is already inside the pinned eta.
     """
     pump = plan.pump_grid_nm()
-    mapped = dispersion.phase_matched_signal(pump, wg)
+    schedule = vbg_tracking_schedule(plan, wg, vbg)
+    mapped = schedule.signal_nm
     if signal_grid_nm is None:
-        grid = default_signal_grid(wg, plan)
+        grid = default_signal_grid(mapped)
     else:
         grid = np.asarray(signal_grid_nm, dtype=float)
         if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -217,7 +222,6 @@ def build_kernel(wg, chain, vbg, conv_model, plan, signal_grid_nm=None):
                 ", ".join(f"[{a:.3f}, {b:.3f}]" for a, b in gaps)
             )
 
-    schedule = vbg_tracking_schedule(plan, wg, vbg)
     eta = conv_model.efficiency(plan.pump_power_mw)
 
     lam_s = grid[None, :]

@@ -14,7 +14,7 @@ import yaml
 import upconvspec
 from upconvspec import cli, config, dispersion, io as uio, spectra
 
-CONFIG_HASH = "a80ad5fe68f3439e"
+CONFIG_HASH = "e39ceeba231a8ed9"
 
 
 def run_cli(argv):
@@ -183,6 +183,40 @@ def test_removed_config_field_is_a_config_error(tmp_path, capsys):
     code, _ = run_cli(["--config", str(path), "fom", "--pump-power", "30"])
     assert code == 3
     assert "waveguide.pigtail_loss_db: unknown field" in capsys.readouterr().err
+
+
+def test_config_section_that_is_not_a_mapping_is_a_config_error(tmp_path, capsys):
+    raw = config.load_config().raw
+    raw["scan"] = "fast"
+    path = tmp_path / "flat.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    code, _ = run_cli(["--config", str(path), "fom", "--pump-power", "30"])
+    assert code == 3
+    assert "scan: expected a mapping" in capsys.readouterr().err
+
+
+def test_fom_rejects_a_degenerate_conversion_fit(tmp_path, capsys):
+    raw = config.load_config().raw
+    raw["conversion_points"] = [[20.0, 0.15], [40.0, 0.05], [58.0, 0.286]]
+    path = tmp_path / "degenerate.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    code, _ = run_cli(["--config", str(path), "fom", "--pump-power", "30"])
+    assert code == 3
+    assert "conversion_points: residuals exceed 2%" in capsys.readouterr().err
+
+
+def test_deconvolve_model_kernel_for_uneven_scan_grid(scan_workdir):
+    # the rebuilt kernel's uniform grid cannot match a scan missing a point
+    work, _ = scan_workdir
+    raw, meta = uio.read_scan_csv(work / "scan.csv")
+    keep = np.arange(raw.pump_grid_nm.size) != 60
+    gapped = replace(raw, **{f: getattr(raw, f)[keep] for f in (
+        "pump_grid_nm", "signal_nm_mapped", "expected_rate_cps", "sampled_counts",
+        "vbg_centers_nm")})
+    uio.write_scan_csv(work / "scan_gapped.csv", gapped, meta=meta)
+    code, _ = run_cli(["deconvolve", "--raw", str(work / "scan_gapped.csv"),
+                       "--kernel", "model", "--out", str(work / "est_gapped.csv")])
+    assert code == 4
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -21,19 +21,20 @@ def test_gaussian_band_half_max_and_symmetry():
 
 def test_vbg_half_max_at_quoted_fwhm(cfg):
     vbg = cfg.vbg
-    c = vbg.center_setpoint_nm
+    c = 863.571
     half = vbg.peak_reflectance / 2.0
-    assert vbg_transmission(vbg, c) == pytest.approx(vbg.peak_reflectance, rel=1e-12)
-    assert vbg_transmission(vbg, c + vbg.fwhm_nm / 2) == pytest.approx(half, abs=1e-9)
-    assert vbg_transmission(vbg, c - vbg.fwhm_nm / 2) == pytest.approx(half, abs=1e-9)
+    assert vbg_transmission(vbg, c, c) == pytest.approx(vbg.peak_reflectance, rel=1e-12)
+    assert vbg_transmission(vbg, c + vbg.fwhm_nm / 2, c) == pytest.approx(half, abs=1e-9)
+    assert vbg_transmission(vbg, c - vbg.fwhm_nm / 2, c) == pytest.approx(half, abs=1e-9)
 
 
 def test_vbg_top_hat_shape():
-    th = VbgState(center_setpoint_nm=863.57, lineshape="top_hat")
-    assert vbg_transmission(th, 863.57) == pytest.approx(0.95, abs=1e-9)
+    th = VbgState(lineshape="top_hat")
+    c = 863.57
+    assert vbg_transmission(th, c, c) == pytest.approx(0.95, abs=1e-9)
     # erf edges put the half point at the same +-fwhm/2 as the gaussian
-    assert vbg_transmission(th, 863.57 + 0.025) == pytest.approx(0.475, abs=1e-9)
-    assert vbg_transmission(th, 863.57 + 0.015) > 0.94
+    assert vbg_transmission(th, c + 0.025, c) == pytest.approx(0.475, abs=1e-9)
+    assert vbg_transmission(th, c + 0.015, c) > 0.94
 
 
 def test_short_pass_edge_and_stopband(cfg):
@@ -74,7 +75,7 @@ def test_all_transmissions_bounded_under_fuzz(cfg):
         assert np.all(t >= 0.0) and np.all(t <= 1.0), el.kind
     for shape in ("gaussian", "top_hat"):
         vbg = VbgState(lineshape=shape)
-        t = vbg_transmission(vbg, lam)
+        t = vbg_transmission(vbg, lam, center_nm=863.57)
         assert np.all(t >= 0.0) and np.all(t <= vbg.peak_reflectance + 1e-12)
 
 
@@ -92,8 +93,6 @@ def test_filter_element_validation():
 
 
 def test_vbg_validation():
-    with pytest.raises(DomainError):
-        VbgState(center_setpoint_nm=900.0)  # outside its own tuning range
     with pytest.raises(DomainError):
         vbg_transmission(VbgState(), 863.0, center_nm=900.0)
     with pytest.raises(DomainError):

@@ -12,7 +12,6 @@ def test_default_instrument_values(cfg):
     assert (wg.length_mm, wg.qpm_period_um, wg.temperature_c) == (52.0, 19.6, 56.0)
     assert wg.dispersion_correction == ()
     assert cfg.anchors == ((1920.0, 1570.9), (1950.0, 1550.0), (1980.0, 1532.9))
-    assert cfg.vbg.center_setpoint_nm == 863.571
     assert cfg.vbg.fwhm_nm == 0.05
     assert cfg.vbg.peak_reflectance == 0.95
     assert cfg.vbg.tuning_range_nm == (850.0, 880.0)
@@ -27,14 +26,13 @@ def test_default_instrument_values(cfg):
     assert cfg.scan.seed == 20240901
     assert cfg.nep_convention == "background_sqrt_d"
     assert cfg.fom_signal_nm == 1550.0
-    assert cfg.quoted_usable_span_nm == 3.09
     assert [f.kind for f in cfg.filters] == ["short_pass", "band_pass",
                                              "broadband_loss"]
     assert "Jundt" in cfg.sellmeier.name
 
 
 def test_config_hash_is_stable(cfg):
-    assert config.config_hash(cfg) == "a80ad5fe68f3439e"
+    assert config.config_hash(cfg) == "e39ceeba231a8ed9"
     assert config.config_hash(config.load_config()) == config.config_hash(cfg)
 
 
@@ -57,6 +55,16 @@ def _parse_mutated(cfg, mutate):
     (lambda r: r["vbg"].update(fwhm=0.05), "vbg.fwhm"),
     (lambda r: r["scan"].update(dwell=1.0), "scan.dwell"),
     (lambda r: r["filters"][1].update(centre_nm=857.0), "filters[1].centre_nm"),
+    (lambda r: r["vbg"].update(center_setpoint_nm=863.571), "vbg.center_setpoint_nm"),
+    (lambda r: r.update(quoted_usable_span_nm=3.09), "quoted_usable_span_nm"),
+    pytest.param(lambda r: r.update(sellmeier=3), "sellmeier", id="sellmeier-not-mapping"),
+    pytest.param(lambda r: r.update(waveguide=[52.0]), "waveguide",
+                 id="waveguide-not-mapping"),
+    pytest.param(lambda r: r.update(vbg="x"), "vbg", id="vbg-not-mapping"),
+    pytest.param(lambda r: r.update(scan="fast"), "scan", id="scan-not-mapping"),
+    pytest.param(lambda r: r.update(scan=None), "scan", id="scan-empty"),
+    pytest.param(lambda r: r["filters"].__setitem__(2, "collection"), "filters[2]",
+                 id="filter-not-mapping"),
 ])
 def test_parse_rejections_carry_field_path(cfg, mutate, field_path):
     with pytest.raises(ConfigError) as err:
@@ -94,6 +102,25 @@ def test_pinned_models_match_direct_fits(cfg, models):
     assert noise2.floor_cps == noise.floor_cps
     assert noise2.amplitude_cps == pytest.approx(noise.amplitude_cps, rel=1e-12)
     assert noise2.exponent == pytest.approx(noise.exponent, rel=1e-12)
+
+
+@pytest.mark.parametrize("mutate,field_path", [
+    (lambda r: r.update(conversion_points=[[20.0, 0.15], [40.0, 0.05], [58.0, 0.286]]),
+     "conversion_points"),
+    (lambda r: r.update(noise_points=[[20.0, 25.0], [40.0, 200.0], [58.0, 100.0]],
+                        noise_floor_cps=0.0), "noise_points"),
+])
+def test_pinned_models_reject_degenerate_fits(cfg, mutate, field_path):
+    with pytest.raises(ConfigError) as err:
+        config.pinned_models(_parse_mutated(cfg, mutate))
+    assert err.value.field_path == field_path
+
+
+def test_pinned_models_accept_a_consistent_three_point_fit(cfg):
+    three = _parse_mutated(cfg, lambda r: r.update(
+        conversion_points=[[20.0, 0.15], [40.0, 0.24], [58.0, 0.286]]))
+    conv, _ = config.pinned_models(three)
+    assert conv.efficiency(40.0) == pytest.approx(0.24, abs=0.002)
 
 
 def test_calibrated_waveguide_anchor_override(cfg, wg1):

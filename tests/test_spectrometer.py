@@ -30,9 +30,12 @@ def test_tracking_schedule_tracked(cfg, wg3):
     assert sched.tracking_required  # drift is ~9x the VBG linewidth
     assert sched.sfg_drift_nm == pytest.approx(0.43139403230463813, abs=1e-9)
     assert sched.fixed_center_nm == pytest.approx(863.5714285714264, abs=1e-9)
-    assert sched.usable_span_nm == pytest.approx(18.280619242535522, abs=1e-6)
+    span, center = spectrometer.fixed_vbg_usable_span(cfg.scan, wg3, cfg.vbg)
+    assert span == pytest.approx(18.280619242535522, abs=1e-6)
+    assert center == sched.fixed_center_nm
     pump = cfg.scan.pump_grid_nm()
     sig = dispersion.phase_matched_signal(pump, wg3)
+    assert np.array_equal(sched.signal_nm, sig)
     assert np.allclose(sched.centers_nm, dispersion.sfg_wavelength(sig, pump), atol=1e-12)
 
 
@@ -41,8 +44,29 @@ def test_tracking_schedule_single_anchor_drifts_more(cfg, wg1, wg3):
     s3 = spectrometer.vbg_tracking_schedule(cfg.scan, wg3, cfg.vbg)
     assert s1.sfg_drift_nm == pytest.approx(1.4447909579038196, abs=1e-9)
     assert s1.sfg_drift_nm > s3.sfg_drift_nm
-    assert s1.usable_span_nm == pytest.approx(4.378835983633053, abs=1e-6)
+    span1, _ = spectrometer.fixed_vbg_usable_span(cfg.scan, wg1, cfg.vbg)
+    assert span1 == pytest.approx(4.378835983633053, abs=1e-6)
     assert s1.tracking_required
+
+
+def test_kernel_build_solves_the_tuning_map_once(cfg, wg3, models, monkeypatch):
+    # one solve over the scan grid plus the scalar fixed-VBG setpoint; the
+    # usable-span study is a separate report, never part of a build
+    sizes = []
+    solve = dispersion.phase_matched_signal
+
+    def counted(pump_nm, *args, **kwargs):
+        sizes.append(np.size(pump_nm))
+        return solve(pump_nm, *args, **kwargs)
+
+    def span_study(*args, **kwargs):
+        raise AssertionError("build_kernel ran fixed_vbg_usable_span")
+
+    monkeypatch.setattr(dispersion, "phase_matched_signal", counted)
+    monkeypatch.setattr(spectrometer, "fixed_vbg_usable_span", span_study)
+    conv, _ = models
+    spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, conv, cfg.scan)
+    assert sizes == [1201, 1]
 
 
 def test_tracking_schedule_fixed_mode(cfg, wg3):
@@ -54,8 +78,8 @@ def test_tracking_schedule_fixed_mode(cfg, wg3):
 
 
 def test_tracking_beyond_tuning_range_raises(cfg, wg3, small_plan):
-    narrow = VbgState(center_setpoint_nm=863.57, fwhm_nm=0.05,
-                      peak_reflectance=0.95, tuning_range_nm=(863.5, 863.6))
+    narrow = VbgState(fwhm_nm=0.05, peak_reflectance=0.95,
+                      tuning_range_nm=(863.5, 863.6))
     with pytest.raises(TuningError):
         spectrometer.vbg_tracking_schedule(small_plan, wg3, narrow)
 
