@@ -16,8 +16,9 @@ import yaml
 
 from .components import FilterElement, VbgState
 from .conversion import fit_conversion, fit_noise
+from .counting import validate_seed
 from .dispersion import SellmeierMedium, WaveguideSpec, calibrate_operating_point
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .fom import CONVENTIONS
 from .spectrometer import ScanPlan
 
@@ -77,7 +78,10 @@ def _pairs(raw, path, n_min=1):
     for i, item in enumerate(raw):
         if (not isinstance(item, list)) or len(item) != 2:
             raise ConfigError(f"{path}[{i}]", "expected a two-element [x, y] pair")
-        out.append((float(item[0]), float(item[1])))
+        try:
+            out.append((float(item[0]), float(item[1])))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}[{i}]", f"expected two numbers, got {item!r}") from exc
     return tuple(out)
 
 
@@ -142,11 +146,17 @@ def parse_config(doc):
 
     v = _mapping(_need(doc, "vbg", ""), "vbg")
     _known(v, ("fwhm_nm", "peak_reflectance", "tuning_range_nm", "lineshape"), "vbg")
+    tuning_raw = v.get("tuning_range_nm", [850.0, 880.0])
+    try:
+        tuning_range = tuple(float(x) for x in tuning_raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("vbg.tuning_range_nm",
+                          f"expected a [low, high] pair of numbers, got {tuning_raw!r}") from exc
     try:
         vbg = VbgState(
             fwhm_nm=_num(v, "fwhm_nm", "vbg", default=0.05),
             peak_reflectance=_num(v, "peak_reflectance", "vbg", default=0.95),
-            tuning_range_nm=tuple(float(x) for x in v.get("tuning_range_nm", (850.0, 880.0))),
+            tuning_range_nm=tuning_range,
             lineshape=str(v.get("lineshape", "gaussian")),
         )
     except ValueError as exc:
@@ -162,6 +172,10 @@ def parse_config(doc):
     _known(sc, ("pump_start_nm", "pump_stop_nm", "pump_step_nm", "dwell_s",
                 "pump_power_mw", "vbg_tracking", "seed"), "scan")
     try:
+        seed = validate_seed(sc.get("seed", 20240901))
+    except DomainError as exc:
+        raise ConfigError("scan.seed", str(exc)) from exc
+    try:
         scan = ScanPlan(
             pump_start_nm=_num(sc, "pump_start_nm", "scan", default=1920.0),
             pump_stop_nm=_num(sc, "pump_stop_nm", "scan", default=1980.0),
@@ -169,7 +183,7 @@ def parse_config(doc):
             dwell_s=_num(sc, "dwell_s", "scan", default=1.0),
             pump_power_mw=_num(sc, "pump_power_mw", "scan", default=30.0),
             vbg_tracking=str(sc.get("vbg_tracking", "tracked")),
-            seed=int(sc.get("seed", 20240901)),
+            seed=seed,
         )
     except ValueError as exc:
         raise ConfigError("scan", str(exc)) from exc

@@ -1,17 +1,23 @@
 """Photon-counting statistics: rates, Poisson draws, detectability.
 
-The Poisson sampler is implemented here rather than taken from numpy's
-Generator so that draws are bit-reproducible across numpy versions from a
-documented algorithm pair:
+Stream contract: scan point i draws from its own stream, the PCG64 stream
+that numpy seeds from SeedSequence(seed, spawn_key=(i,)).  Point i's counts
+therefore depend only on the seed, i and its own mean, never on how many
+points precede it or on the order of evaluation.  The streams are built
+here rather than by numpy's objects: the SeedSequence entropy mixing
+(O'Neill's seed_seq_fe hashmix/mix, as numpy implements it) is done once
+per seed for the seed's own words and then in one uint32 numpy pass for
+every point's spawn word, and PCG64 (128-bit LCG, XSL-RR output) runs on
+Python ints.  numpy's SeedSequence/PCG64/Generator are the test oracle:
+raw outputs and random() must agree with them bit for bit.
+
+The Poisson sampler is implemented here too, so that draws are
+bit-reproducible across numpy versions from a documented algorithm pair:
 
 * mean < 30: sequential search on the CDF by inversion of one uniform;
 * mean >= 30: transformed rejection with squeeze (PTRS, Hoermann 1993,
   "The transformed rejection method for generating Poisson random
   variables"), which needs ~1.1 uniforms per draw at any mean.
-
-Reproducibility contract: every scan point gets its own child stream via
-numpy SeedSequence spawn keys, so point i's counts do not depend on how many
-points precede it or on the order of evaluation.
 """
 from dataclasses import dataclass
 import math
@@ -22,17 +28,133 @@ from .errors import DomainError
 from .units import photon_energy_j, dbm_to_watts
 
 _PTRS_SWITCH = 30.0
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+# SeedSequence constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG_DEFAULT_MULTIPLIER_128
+
+
+def validate_seed(seed):
+    """A seed or spawn-key entry as an int; DomainError unless one >= 0."""
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
+
+
+def _words(n):
+    """Little-endian uint32 words of a nonnegative int; [0] for zero."""
+    out = [n & _MASK32]
+    n >>= 32
+    while n:
+        out.append(n & _MASK32)
+        n >>= 32
+    return out
+
+
+# hashmix and mix work on Python ints and on uint32 arrays alike: the mask
+# is exact for ints and a no-op for arrays, which wrap on their own.
+def _hashmix(value, hash_const, mult=_MULT_A):
+    value = value ^ hash_const
+    hash_const = (hash_const * mult) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x, y):
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _seed_pool(seed, spawned):
+    """SeedSequence pool after the seed's own entropy, and the hash constant.
+
+    A spawned sequence pads the seed's words with zeros to the pool size.
+    """
+    words = _words(seed)
+    if spawned:
+        words += [0] * (_POOL_SIZE - len(words))
+    hc = _INIT_A
+    pool = []
+    for i in range(_POOL_SIZE):
+        v, hc = _hashmix(words[i] if i < len(words) else 0, hc)
+        pool.append(v)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                h, hc = _hashmix(pool[src], hc)
+                pool[dst] = _mix(pool[dst], h)
+    for w in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            h, hc = _hashmix(w, hc)
+            pool[dst] = _mix(pool[dst], h)
+    return pool, hc
+
+
+class Pcg64Stream:
+    """PCG64 (XSL-RR 128/64) stream with numpy's random_raw/random outputs."""
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, initstate, initseq):
+        # pcg_setseq_128_srandom_r: step from 0, add initstate, step again
+        self._inc = ((initseq << 1) | 1) & _MASK128
+        self._state = ((self._inc + initstate) * _PCG_MULT + self._inc) & _MASK128
+
+    def random_raw(self):
+        """Next 64-bit output, as PCG64.random_raw."""
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        x = ((s >> 64) ^ s) & _MASK64
+        rot = s >> 122
+        return ((x >> rot) | (x << (-rot & 63))) & _MASK64
+
+    def random(self):
+        """Uniform double in [0, 1), as Generator.random."""
+        return (self.random_raw() >> 11) * 2.0 ** -53
+
+
+def _streams(seed, key_words, n):
+    """Streams of SeedSequence(seed, spawn_key) for n spawn keys at once.
+
+    key_words lists the keys' uint32 words in order, each a scalar or an
+    array over the n keys; no words means the unspawned root sequence.
+    """
+    pool, hc = _seed_pool(validate_seed(seed), spawned=bool(key_words))
+    pool = [np.full(n, p, dtype=np.uint32) for p in pool]
+    for w in key_words:
+        w = np.full(n, w, dtype=np.uint32)
+        for dst in range(_POOL_SIZE):
+            h, hc = _hashmix(w, hc)
+            pool[dst] = _mix(pool[dst], h)
+    # generate_state(4, np.uint64): eight words, paired little-endian
+    hc = _INIT_B
+    half = []
+    for k in range(2 * _POOL_SIZE):
+        v, hc = _hashmix(pool[k % _POOL_SIZE], hc, _MULT_B)
+        half.append(v.astype(np.uint64))
+    s0, s1, i0, i1 = ((half[2 * j] | (half[2 * j + 1] << 32)).tolist() for j in range(4))
+    return [Pcg64Stream((a << 64) | b, (c << 64) | d)
+            for a, b, c, d in zip(s0, s1, i0, i1)]
 
 
 def rng_from_path(seed, path=()):
-    """Generator for a root seed plus an integer spawn path.
+    """Stream for a root seed plus an integer spawn path.
 
-    (seed, (i,)) and (seed, (j,)) are statistically independent streams for
+    Bit-identical to PCG64(SeedSequence(seed, spawn_key=path)).  (seed,
+    (i,)) and (seed, (j,)) are statistically independent streams for
     i != j; the empty path is the root stream itself.
     """
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.PCG64(ss))
+    words = [w for p in path for w in _words(validate_seed(p))]
+    return _streams(seed, words, 1)[0]
 
 
 def _log_factorial(k):
@@ -76,30 +198,50 @@ def _poisson_ptrs(mean, rng):
             return int(k)
 
 
-def sample_poisson(mean, rng, size=None):
-    """Poisson draws with the documented inversion/PTRS algorithm pair."""
+def _checked_means(mean):
     m = np.asarray(mean, dtype=float)
     if np.any(m < 0) or not np.all(np.isfinite(m)):
         raise DomainError("Poisson mean must be finite and nonnegative")
+    return m
+
+
+def _draw(mu, rng):
+    """One Poisson draw for a checked float mean; none is taken at mu == 0."""
+    if mu == 0.0:
+        return 0
+    if mu < _PTRS_SWITCH:
+        return _poisson_inversion(mu, rng)
+    return _poisson_ptrs(mu, rng)
+
+
+def sample_poisson(mean, rng, size=None):
+    """Poisson draws with the documented inversion/PTRS algorithm pair."""
+    m = _checked_means(mean)
     if size is None and m.ndim == 0:
-        mu = float(m)
-        if mu == 0.0:
-            return 0
-        if mu < _PTRS_SWITCH:
-            return _poisson_inversion(mu, rng)
-        return _poisson_ptrs(mu, rng)
+        return _draw(float(m), rng)
     shape = (m.shape if size is None else
              ((size,) if np.ndim(size) == 0 else tuple(size)))
     means = np.broadcast_to(m, shape).ravel()
     out = np.empty(means.size, dtype=np.int64)
-    for i, mu in enumerate(means):
-        if mu == 0.0:
-            out[i] = 0
-        elif mu < _PTRS_SWITCH:
-            out[i] = _poisson_inversion(float(mu), rng)
-        else:
-            out[i] = _poisson_ptrs(float(mu), rng)
+    for i, mu in enumerate(means.tolist()):
+        out[i] = _draw(mu, rng)
     return out.reshape(shape)
+
+
+def poisson_counts(means, seed):
+    """One Poisson count per point, point i drawn from rng_from_path(seed, (i,)).
+
+    Equal, point for point, to sample_poisson(means[i], rng_from_path(seed,
+    (i,))); the means are checked once, before any draw, and every point's
+    stream is derived in one pass.
+    """
+    m = _checked_means(means)
+    if m.ndim != 1:
+        raise DomainError("poisson_counts takes a 1-D array of means")
+    # spawn keys below 2**32 are one uint32 word each
+    streams = _streams(seed, [np.arange(m.size, dtype=np.uint32)], m.size)
+    return np.array([_draw(mu, rng) for mu, rng in zip(m.tolist(), streams)],
+                    dtype=np.int64)
 
 
 def photon_rate(power_dbm, wavelength_nm):

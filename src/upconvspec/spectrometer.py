@@ -24,7 +24,7 @@ from scipy import sparse
 
 from . import dispersion
 from .components import VbgState, transmission, vbg_transmission
-from .counting import rng_from_path, sample_poisson
+from .counting import poisson_counts, validate_seed
 from .errors import CoverageError, DomainError, TuningError
 from .units import photon_energy_j
 
@@ -54,6 +54,7 @@ class ScanPlan:
             raise DomainError("scan pump power must be positive")
         if self.vbg_tracking not in ("tracked", "fixed"):
             raise DomainError(f"vbg_tracking must be tracked|fixed, got {self.vbg_tracking!r}")
+        validate_seed(self.seed)
 
     def pump_grid_nm(self):
         n = int(round((self.pump_stop_nm - self.pump_start_nm) / self.pump_step_nm))
@@ -287,9 +288,9 @@ def expected_rates(spectrum, kernel, noise_model, pump_power_mw):
 def forward_scan(spectrum, kernel, noise_model, plan, sample=True):
     """Run the forward model: expected rates plus per-point Poisson counts.
 
-    Sampling uses one child RNG stream per scan point, split from the plan
-    seed by point index, so counts are independent of evaluation order and
-    reproducible point-by-point.
+    Sampling uses one child stream per scan point, split from the plan seed
+    by point index (counting.poisson_counts), so counts are independent of
+    evaluation order and reproducible point-by-point.
     """
     if spectrum.unit != "w_per_nm":
         raise DomainError("forward_scan expects a spectral density in w_per_nm")
@@ -299,11 +300,8 @@ def forward_scan(spectrum, kernel, noise_model, plan, sample=True):
             f"{kernel.pump_power_mw} mW; rebuild the kernel"
         )
     rates = expected_rates(spectrum, kernel, noise_model, plan.pump_power_mw)
-    counts = np.zeros(rates.size, dtype=np.int64)
-    if sample:
-        for i in range(rates.size):
-            rng = rng_from_path(plan.seed, (i,))
-            counts[i] = sample_poisson(rates[i] * plan.dwell_s, rng)
+    counts = (poisson_counts(rates * plan.dwell_s, plan.seed) if sample
+              else np.zeros(rates.size, dtype=np.int64))
     return ScanResult(
         pump_grid_nm=kernel.pump_grid_nm,
         signal_nm_mapped=kernel.mapped_signal_nm,

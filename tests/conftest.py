@@ -3,12 +3,21 @@
 The default kernel is the expensive object (1201 x 2052); building it once
 keeps the whole suite comfortably inside the runtime budget.
 """
+import os
 from dataclasses import replace
 
 import pytest
+from hypothesis import settings
 
 from upconvspec import config as config_mod
 from upconvspec import spectrometer
+
+# On CI (the CI variable is set, as GitHub Actions does) property tests run
+# derandomized and without a deadline: reproducible, and no timing flakes on
+# slow runners.  Local runs keep Hypothesis's default profile.
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

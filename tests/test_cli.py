@@ -175,6 +175,15 @@ def test_exit_codes(tmp_path):
     assert code == 3
 
 
+def test_scan_with_a_negative_seed_is_a_domain_error(tmp_path, capsys):
+    s = spectra.multimode_ld_spectrum(np.arange(1544.0, 1556.0, 0.02), n_modes=1)
+    uio.write_spectrum_csv(tmp_path / "input.csv", s)
+    code, _ = run_cli(["scan", "--input", str(tmp_path / "input.csv"),
+                       "--out", str(tmp_path / "scan.csv"), "--seed", "-1"])
+    assert code == 4
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+
 def test_removed_config_field_is_a_config_error(tmp_path, capsys):
     raw = config.load_config().raw
     raw["waveguide"]["pigtail_loss_db"] = 0.7

@@ -65,6 +65,14 @@ def _parse_mutated(cfg, mutate):
     pytest.param(lambda r: r.update(scan=None), "scan", id="scan-empty"),
     pytest.param(lambda r: r["filters"].__setitem__(2, "collection"), "filters[2]",
                  id="filter-not-mapping"),
+    pytest.param(lambda r: r["scan"].update(seed=-5), "scan.seed", id="seed-negative"),
+    pytest.param(lambda r: r["scan"].update(seed=1.7), "scan.seed", id="seed-float"),
+    pytest.param(lambda r: r["scan"].update(seed=[1]), "scan.seed", id="seed-list"),
+    pytest.param(lambda r: r["scan"].update(seed=True), "scan.seed", id="seed-bool"),
+    pytest.param(lambda r: r["vbg"].update(tuning_range_nm=5), "vbg.tuning_range_nm",
+                 id="tuning-range-not-a-pair"),
+    pytest.param(lambda r: r["conversion_points"].__setitem__(0, ["a", 0.1]),
+                 "conversion_points[0]", id="conversion-point-not-numeric"),
 ])
 def test_parse_rejections_carry_field_path(cfg, mutate, field_path):
     with pytest.raises(ConfigError) as err:

@@ -1,9 +1,72 @@
 """Poisson sampler statistics, stream splitting, photon budgets, detection."""
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from upconvspec import counting
+from upconvspec import counting, spectra, spectrometer
 from upconvspec.errors import DomainError
+
+ORACLE_SEEDS = (0, 1, 2**32 - 1, 2**32 + 5, 2**70 + 3)
+ORACLE_PATHS = ((), (0,), (7,), (2**32 - 1,), (3, 5))
+
+
+@pytest.mark.parametrize("path", ORACLE_PATHS)
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_stream_matches_numpy_oracle(seed, path):
+    def oracle():
+        return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=path))
+
+    stream = counting.rng_from_path(seed, path)
+    assert [stream.random_raw() for _ in range(64)] == oracle().random_raw(64).tolist()
+    stream = counting.rng_from_path(seed, path)
+    uniforms = np.random.Generator(oracle()).random(64)
+    assert [stream.random() for _ in range(64)] == uniforms.tolist()
+
+
+def test_bad_seeds_and_spawn_keys_are_rejected():
+    for bad in (-1, 1.7, True, None, "7", [1]):
+        with pytest.raises(DomainError):
+            counting.rng_from_path(bad)
+        with pytest.raises(DomainError):
+            counting.rng_from_path(1, (bad,))
+        with pytest.raises(DomainError):
+            counting.poisson_counts(np.ones(3), bad)
+    assert counting.validate_seed(np.int64(5)) == 5
+
+
+@given(means=st.lists(st.sampled_from([0.0, 1e-3, 29.999, 30.0, 30.001, 1e4]),
+                      min_size=1, max_size=12),
+       seed=st.integers(min_value=0, max_value=2**80))
+def test_poisson_counts_equal_per_point_sampler(means, seed):
+    counts = counting.poisson_counts(np.array(means), seed)
+    assert counts.dtype == np.int64 and counts.shape == (len(means),)
+    for i, mu in enumerate(means):
+        assert counts[i] == counting.sample_poisson(
+            mu, counting.rng_from_path(seed, (i,)))
+
+
+def test_default_scan_counts_are_pinned(cfg, models, kernel):
+    # the values numpy's own SeedSequence/PCG64 Generator gave, point by point
+    _, noise = models
+    source = spectra.multimode_ld_spectrum(kernel.signal_grid_nm)
+    counts = spectrometer.forward_scan(source, kernel, noise, cfg.scan).sampled_counts
+    assert int(counts.sum()) == 1131311
+    assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == \
+        "68c97b66f7eab7a689be987bb370fb638ec19bcb7d6ea50518b498d9421d6d98"
+
+
+@pytest.mark.parametrize("means", [[50.0, 5.0, np.nan], [50.0, 5.0, -1.0],
+                                   [50.0, np.inf], [[5.0, 5.0], [5.0, 5.0]]])
+def test_poisson_counts_check_means_before_any_draw(monkeypatch, means):
+    def no_draw(mu, rng):
+        raise AssertionError("drew before the means were checked")
+
+    monkeypatch.setattr(counting, "_draw", no_draw)
+    with pytest.raises(DomainError):
+        counting.poisson_counts(np.array(means), 3)
 
 
 def test_rng_paths_are_reproducible_and_distinct():

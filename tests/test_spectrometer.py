@@ -22,6 +22,9 @@ def test_scan_plan_grid_and_validation():
         ScanPlan(pump_step_nm=0.0)
     with pytest.raises(DomainError):
         ScanPlan(vbg_tracking="sometimes")
+    for seed in (-1, 1.7, True):
+        with pytest.raises(DomainError):
+            ScanPlan(seed=seed)
 
 
 def test_tracking_schedule_tracked(cfg, wg3):
