@@ -14,7 +14,7 @@ import numpy as np
 
 from . import dispersion, io
 from .config import calibrated_waveguide, config_hash, load_config, pinned_models
-from .errors import ConfigError, UpconvError
+from .errors import ConfigError, DomainError, UpconvError
 from .fom import CONVENTIONS, OperatingPoint, nep
 from .inverse import deconvolve
 from .spectrometer import ScanPlan, build_kernel, forward_scan, resolution
@@ -160,6 +160,9 @@ def _cmd_scan(cfg, args, out):
 def _cmd_deconvolve(cfg, args, out):
     raw, raw_meta = io.read_scan_csv(args.raw)
     if args.kernel == "model":
+        if "vbg_tracking" not in raw_meta:
+            raise DomainError(f"{args.raw}: missing '# vbg_tracking:' header, which "
+                              "--kernel model needs to rebuild the kernel")
         pump = raw.pump_grid_nm
         step = float(np.median(np.diff(pump)))
         plan = replace(
@@ -167,14 +170,18 @@ def _cmd_deconvolve(cfg, args, out):
             pump_start_nm=float(pump[0]), pump_stop_nm=float(pump[-1]),
             pump_step_nm=step,
             dwell_s=raw.dwell_s,
-            pump_power_mw=raw.pump_power_mw or cfg.scan.pump_power_mw,
-            vbg_tracking=raw_meta.get("vbg_tracking", cfg.scan.vbg_tracking),
+            pump_power_mw=raw.pump_power_mw,
+            vbg_tracking=raw_meta["vbg_tracking"],
         )
         wg = calibrated_waveguide(cfg)
         conv, _ = pinned_models(cfg)
         kernel = build_kernel(wg, cfg.filters, cfg.vbg, conv, plan)
     else:
-        kernel, _ = io.read_kernel_csv(args.kernel)
+        kernel, kernel_meta = io.read_kernel_csv(args.kernel)
+        scan_hash, kernel_hash = raw_meta.get("config_hash"), kernel_meta.get("config_hash")
+        if scan_hash != kernel_hash:
+            raise DomainError(f"scan config_hash {scan_hash} differs from the kernel's "
+                              f"{kernel_hash}; use the kernel built with the scan's config")
     _, noise = pinned_models(cfg)
     result = deconvolve(
         raw, kernel,

@@ -108,6 +108,18 @@ def transmission(element, wavelength_nm):
     return float(out) if np.ndim(wavelength_nm) == 0 else out
 
 
+def vbg_half_extent_nm(vbg):
+    """Distance [nm] from the setpoint beyond which the VBG line is negligible.
+
+    Past it the reflection is below 1e-19 of its peak: 4 FWHM for the
+    gaussian (2**-64), and for the top-hat FWHM/2 plus 7 of its FWHM/10
+    edge scales (erfc(7)/2 ~ 2e-23).
+    """
+    if vbg.lineshape == "gaussian":
+        return 4.0 * vbg.fwhm_nm
+    return 0.5 * vbg.fwhm_nm + 7.0 * (vbg.fwhm_nm / 10.0)
+
+
 def vbg_transmission(vbg, wavelength_nm, center_nm):
     """Reflection-path transmission of the VBG (gaussian line, peak < 1).
 

@@ -19,6 +19,7 @@ from .spectra import Spectrum
 _CLIP_SIGMA = 3.5
 _MIN_BASELINE_POINTS = 5
 _GRID_REL_TOL = 1e-6  # scan/kernel pump grids must agree to this x the step
+_CENTER_TOL_NM = 1e-9  # scan/kernel VBG setpoints must agree to this
 
 
 def estimate_background(result, noise_model=None):
@@ -92,7 +93,9 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
                background_cps=None, noise_model=None, support_nm=None):
     """Richardson-Lucy estimate of the input spectral density [W/nm].
 
-    raw/kernel must share the pump grid (to 1e-6 of a pump step).  A sampled
+    raw/kernel must belong together: the same pump grid (to 1e-6 of a pump
+    step), pump power (to a relative 1e-12) and VBG setpoints (to 1e-9 nm,
+    which also tells a fixed-VBG kernel from a tracked scan).  A sampled
     scan is read from its counts, an unsampled one from its expected rates,
     the same rule estimate_background follows.  Background (model, explicit
     value, or estimated off-band baseline) is subtracted first, clamped at
@@ -120,6 +123,18 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
         )
     if np.any(d < 0):
         raise DomainError("negative counts in scan")
+    if not np.isclose(raw.pump_power_mw, kernel.pump_power_mw, rtol=1e-12, atol=0.0):
+        raise DomainError(
+            f"scan pump power {raw.pump_power_mw} mW differs from the kernel's "
+            f"{kernel.pump_power_mw} mW; use the kernel built for this scan"
+        )
+    center_off = float(np.max(np.abs(np.asarray(raw.vbg_centers_nm, dtype=float)
+                                      - kernel.vbg_centers_nm)))
+    if not center_off <= _CENTER_TOL_NM:
+        raise DomainError(
+            f"scan VBG setpoints are off the {kernel.vbg_tracking}-VBG kernel's by up "
+            f"to {center_off:.6g} nm; use the kernel built for this scan"
+        )
     if max_iters < 1:
         raise DomainError("max_iters must be at least 1")
 

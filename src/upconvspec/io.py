@@ -77,51 +77,86 @@ def read_spectrum_csv(path):
     return Spectrum(grid_nm=data[:, 0], values=data[:, 1], unit=unit), meta
 
 
+def _header(meta, key, path, parse=str):
+    """A required '# key:' header, parsed; DomainError naming it otherwise."""
+    if key not in meta:
+        raise DomainError(f"{path}: missing '# {key}:' header")
+    try:
+        return parse(meta[key])
+    except ValueError as exc:
+        raise DomainError(f"{path}: malformed '# {key}:' header ({exc})") from exc
+
+
+def _floats(text):
+    return np.array([float(v) for v in text.split()])
+
+
+_BAND_COLUMNS = "pump_nm,band_start,band_values"
+
+
 def write_kernel_csv(path, kernel, meta=None):
-    """First data row = signal grid, first column = pump grid."""
-    full_meta = dict(meta or {})
+    """Band format: one row per pump point, its first band column and W values.
+
+    The signal grid and the per-point arrays go in the header; a row reads
+    pump_nm, band_start, then the W entries at columns band_start ...
+    band_start + W - 1 of the signal grid.
+    """
+    full_meta = {"format": "band"}  # the first header line; meta cannot override it
+    full_meta.update(meta or {})
     full_meta.update({
+        "format": "band",
         "pump_power_mw": repr(float(kernel.pump_power_mw)),
         "efficiency": repr(float(kernel.efficiency)),
         "vbg_tracking": kernel.vbg_tracking,
+        "signal_grid_nm": kernel.signal_grid_nm,
         "mapped_signal_nm": kernel.mapped_signal_nm,
         "vbg_centers_nm": kernel.vbg_centers_nm,
     })
     with open(path, "w") as fh:
         _write_meta(fh, full_meta)
-        fh.write("pump_nm\\signal_nm," +
-                 ",".join(repr(float(v)) for v in kernel.signal_grid_nm) + "\n")
-        for p, row in zip(kernel.pump_grid_nm, kernel.matrix):
-            fh.write(repr(float(p)) + "," +
-                     ",".join(repr(float(v)) for v in row) + "\n")
+        fh.write(_BAND_COLUMNS + "\n")
+        for p, start, row in zip(kernel.pump_grid_nm.tolist(), kernel.band_start.tolist(),
+                                 kernel.band_values.tolist()):
+            fh.write(f"{p!r},{start}," + ",".join(map(repr, row)) + "\n")
 
 
 def read_kernel_csv(path):
-    """-> (ResponseKernel, meta dict)."""
+    """-> (ResponseKernel, meta dict).  Only the band format is read."""
     meta, rows = _read_lines(path)
-    header = rows[0].split(",")
-    try:
-        signal = np.array([float(v) for v in header[1:]])
-    except ValueError as exc:
-        raise DomainError(f"{path}: non-numeric signal grid ({exc})") from exc
+    if meta.get("format") != "band":
+        raise DomainError(
+            f"{path}: not a band-format kernel file (dense kernel CSVs are no "
+            "longer read); rebuild the kernel, e.g. with scan --write-kernel"
+        )
+    if rows[0] != _BAND_COLUMNS:
+        raise DomainError(f"{path}: expected header {_BAND_COLUMNS}")
     block = _parse_rows(rows[1:], path)
-    if block.ndim != 2 or block.shape[1] != signal.size + 1:
-        raise DomainError(f"{path}: kernel block is ragged")
+    if block.ndim != 2 or block.shape[1] < 3:
+        raise DomainError(f"{path}: kernel block is ragged or has no band values")
+    signal = _header(meta, "signal_grid_nm", path, _floats)
+    mapped = _header(meta, "mapped_signal_nm", path, _floats)
+    centers = _header(meta, "vbg_centers_nm", path, _floats)
     pump = block[:, 0]
-    matrix = block[:, 1:]
-    for key in ("mapped_signal_nm", "vbg_centers_nm"):
-        if key not in meta:
-            raise DomainError(f"{path}: missing '# {key}:' header")
-    mapped = np.array([float(v) for v in meta["mapped_signal_nm"].split()])
-    centers = np.array([float(v) for v in meta["vbg_centers_nm"].split()])
+    start = block[:, 1]
+    values = block[:, 2:]
     if mapped.size != pump.size or centers.size != pump.size:
         raise DomainError(f"{path}: per-point header lengths do not match the pump grid")
+    width = values.shape[1]
+    if (np.any(start != np.floor(start)) or np.any(start < 0)
+            or np.any(start > signal.size - width)):
+        raise DomainError(
+            f"{path}: band_start must be whole column numbers in [0, {signal.size - width}]"
+        )
+    tracking = _header(meta, "vbg_tracking", path)
+    if tracking not in ("tracked", "fixed"):
+        raise DomainError(f"{path}: vbg_tracking must be tracked|fixed, got {tracking!r}")
     kernel = ResponseKernel(
-        pump_grid_nm=pump, signal_grid_nm=signal, matrix=matrix,
+        pump_grid_nm=pump, signal_grid_nm=signal,
+        band_start=start.astype(np.int64), band_values=values,
         mapped_signal_nm=mapped, vbg_centers_nm=centers,
-        pump_power_mw=float(meta.get("pump_power_mw", "0") or 0.0),
-        efficiency=float(meta.get("efficiency", "0") or 0.0),
-        vbg_tracking=meta.get("vbg_tracking", "tracked"),
+        pump_power_mw=_header(meta, "pump_power_mw", path, float),
+        efficiency=_header(meta, "efficiency", path, float),
+        vbg_tracking=tracking,
     )
     return kernel, meta
 
@@ -159,10 +194,10 @@ def read_scan_csv(path):
     sampled = meta.get("sampled")
     if sampled not in ("true", "false"):
         raise DomainError(f"{path}: missing or malformed '# sampled: true|false' header")
-    if "vbg_centers_nm" in meta:
-        centers = np.array([float(v) for v in meta["vbg_centers_nm"].split()])
-    else:
-        centers = np.zeros(data.shape[0])
+    centers = _header(meta, "vbg_centers_nm", path, _floats)
+    if centers.size != data.shape[0]:
+        raise DomainError(f"{path}: vbg_centers_nm has {centers.size} values for "
+                          f"{data.shape[0]} scan points")
     result = ScanResult(
         pump_grid_nm=data[:, 0],
         signal_nm_mapped=data[:, 1],
@@ -170,9 +205,9 @@ def read_scan_csv(path):
         sampled_counts=data[:, 3].astype(np.int64),
         dwell_s=dwell,
         vbg_centers_nm=centers,
-        seed=int(meta.get("seed", "0") or 0),
-        pump_power_mw=float(meta.get("pump_power_mw", "0") or 0.0),
-        noise_rate_cps=float(meta.get("noise_rate_cps", "0") or 0.0),
+        seed=_header(meta, "seed", path, int),
+        pump_power_mw=_header(meta, "pump_power_mw", path, float),
+        noise_rate_cps=_header(meta, "noise_rate_cps", path, float),
         sampled=sampled == "true",
     )
     return result, meta

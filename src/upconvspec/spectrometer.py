@@ -12,9 +12,10 @@ sinc^2 lineshape, the filter-chain transmission at the upconverted
 wavelength (VBG tracked or fixed), and the pinned conversion efficiency,
 normalized so a phase-matched monochromatic input of power W with a tracked
 VBG produces eta(P) * W / (h nu) counts/s.  Each row is sharp around its
-phase-matched signal, so K is banded: the kernel is built and stored as a
-dense matrix, and ResponseKernel.band holds the sparse copy of the entries
-that matter, which Richardson-Lucy runs on.
+phase-matched signal, so K is banded: a row is evaluated, stored and
+written only over a fixed-width window of columns around its VBG setpoint
+(ResponseKernel.band_start, band_values), and Richardson-Lucy runs on the
+sparse copy of that band.
 """
 import functools
 from dataclasses import dataclass, replace
@@ -23,7 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from . import dispersion
-from .components import VbgState, transmission, vbg_transmission
+from .components import transmission, vbg_half_extent_nm, vbg_transmission
 from .counting import poisson_counts, validate_seed
 from .errors import CoverageError, DomainError, TuningError
 from .units import photon_energy_j
@@ -149,17 +150,19 @@ def vbg_tracking_schedule(plan, wg, vbg):
 
 @dataclass(frozen=True)
 class ResponseKernel:
-    """Instrument response: counts/s per W of monochromatic input.
+    """Instrument response: counts/s per W of monochromatic input, as a band.
 
-    matrix[i][j] is the expected count rate at scan point i per watt of
-    input at signal_grid_nm[j], stored dense.  mapped_signal_nm[i] is scan
-    point i's phase-matched signal wavelength (the scan's native abscissa).
-    band is a sparse copy of matrix without its negligible entries.
+    Row i is the expected count rate at scan point i per watt of input at
+    each signal_grid_nm column.  Only its W-column window is stored:
+    band_values[i, k] is the entry at column band_start[i] + k, and every
+    entry outside the window is zero.  mapped_signal_nm[i] is scan point
+    i's phase-matched signal wavelength (the scan's native abscissa).
     """
 
     pump_grid_nm: np.ndarray
     signal_grid_nm: np.ndarray
-    matrix: np.ndarray
+    band_start: np.ndarray        # first column of each row's window (int)
+    band_values: np.ndarray       # n_pump x W entries of the windows
     mapped_signal_nm: np.ndarray
     vbg_centers_nm: np.ndarray
     pump_power_mw: float
@@ -167,19 +170,34 @@ class ResponseKernel:
     vbg_tracking: str
 
     @functools.cached_property
-    def band(self):
-        """CSR copy of the entries above BAND_REL_TOL x their own row's peak.
+    def band_columns(self):
+        """Column index of every band_values entry (n_pump x W)."""
+        return self.band_start[:, None] + np.arange(self.band_values.shape[1])
 
-        The tolerance is per row, not global: in fixed-VBG mode rows far
-        from the VBG center have small peaks, and a per-row cut keeps their
-        shape.  The dropped mass is below 1e-12 of each row's sum on the
-        default kernels.  Built once per kernel on first use; a kernel made
-        with dataclasses.replace is a new instance and gets its own band.
+    @functools.cached_property
+    def band(self):
+        """CSR copy of the band without its explicit zeros, which RL runs on.
+
+        Built once per kernel on first use; a kernel made with
+        dataclasses.replace is a new instance and gets its own band.
         """
-        m = self.matrix
-        keep = m > BAND_REL_TOL * m.max(axis=1, keepdims=True)
+        keep = self.band_values != 0.0
         indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
-        return sparse.csr_matrix((m[keep], np.nonzero(keep)[1], indptr), shape=m.shape)
+        shape = (self.pump_grid_nm.size, self.signal_grid_nm.size)
+        return sparse.csr_matrix((self.band_values[keep], self.band_columns[keep], indptr),
+                                 shape=shape)
+
+    @functools.cached_property
+    def matrix(self):
+        """Read-only dense view: the band scattered into n_pump x n_signal zeros.
+
+        For callers outside the package that want the full matrix; nothing
+        in the package reads it.
+        """
+        m = np.zeros((self.pump_grid_nm.size, self.signal_grid_nm.size))
+        np.put_along_axis(m, self.band_columns, self.band_values, axis=1)
+        m.flags.writeable = False
+        return m
 
 
 def default_signal_grid(mapped):
@@ -191,12 +209,34 @@ def default_signal_grid(mapped):
     return lo + SIGNAL_GRID_STEP_NM * np.arange(n + 1)
 
 
+def _band_window(grid, pump, centers, half_nm):
+    """(start, W): each row's first column and the rows' common band width.
+
+    Row i's window holds the columns whose SFG wavelength at pump[i] lies
+    within half_nm of its VBG setpoint, 1/l_s = 1/l_sfg - 1/l_p, widened by
+    one column on each side so a grid coarser than the window still gives
+    the row its nearest columns.  The grid need not be uniform.  W is the
+    widest window, and each start is clipped so its W columns fit the grid.
+    """
+    lo = 1.0 / (1.0 / (centers - half_nm) - 1.0 / pump)
+    hi = 1.0 / (1.0 / (centers + half_nm) - 1.0 / pump)
+    first = np.maximum(np.searchsorted(grid, lo, side="left") - 1, 0)
+    stop = np.minimum(np.searchsorted(grid, hi, side="right") + 1, grid.size)
+    width = int(np.max(stop - first))
+    return np.minimum(first, grid.size - width), width
+
+
 def build_kernel(wg, chain, vbg, conv_model, plan, signal_grid_nm=None):
-    """Response kernel for a calibrated waveguide, filter chain, and plan.
+    """Banded response kernel for a calibrated waveguide, filter chain, and plan.
 
     chain holds the fixed FilterElements (edge, band-pass, broadband loss);
     the VBG is passed separately because its center follows the tracking
     schedule, which also carries the tuning map: a build solves it once.
+    Each row is evaluated only on its window around the VBG setpoint
+    (outside it the VBG line is below 1e-19 of its peak), and entries at or
+    below BAND_REL_TOL x their row's peak are set to zero.  The tolerance is
+    per row, not global: in fixed-VBG mode rows far from the VBG center have
+    small peaks, and a per-row cut keeps their shape.
     Normalization: peak response with tracked VBG equals eta(P)/h-nu
     counts/s per W, so the chain contributes lineshape only -- its absolute
     throughput is already inside the pinned eta.
@@ -225,7 +265,9 @@ def build_kernel(wg, chain, vbg, conv_model, plan, signal_grid_nm=None):
 
     eta = conv_model.efficiency(plan.pump_power_mw)
 
-    lam_s = grid[None, :]
+    start, width = _band_window(grid, pump, schedule.centers_nm, vbg_half_extent_nm(vbg))
+    cols = start[:, None] + np.arange(width)
+    lam_s = grid[cols]
     lam_p = pump[:, None]
     qpm = dispersion.efficiency_factor(dispersion.qpm_mismatch(lam_s, lam_p, wg),
                                        wg.length_mm)
@@ -247,9 +289,10 @@ def build_kernel(wg, chain, vbg, conv_model, plan, signal_grid_nm=None):
         )
 
     per_photon = photon_energy_j(grid)  # J per photon at each signal bin
-    matrix = eta * qpm * (t_actual / t_ref[:, None]) / per_photon[None, :]
+    values = eta * qpm * (t_actual / t_ref[:, None]) / per_photon[cols]
+    values[values <= BAND_REL_TOL * values.max(axis=1, keepdims=True)] = 0.0
     return ResponseKernel(
-        pump_grid_nm=pump, signal_grid_nm=grid, matrix=matrix,
+        pump_grid_nm=pump, signal_grid_nm=grid, band_start=start, band_values=values,
         mapped_signal_nm=mapped, vbg_centers_nm=schedule.centers_nm,
         pump_power_mw=plan.pump_power_mw, efficiency=float(eta),
         vbg_tracking=plan.vbg_tracking,
@@ -278,10 +321,14 @@ class ScanResult:
 
 
 def expected_rates(spectrum, kernel, noise_model, pump_power_mw):
-    """Noise-floor-added expected count rate per scan point (no sampling)."""
+    """Noise-floor-added expected count rate per scan point (no sampling).
+
+    Each row's rate is its band entries times the input flux per signal
+    bin gathered at their columns, summed over the band.
+    """
     dens = spectrum.interpolated(kernel.signal_grid_nm)
-    weights = np.gradient(kernel.signal_grid_nm)
-    rates = kernel.matrix @ (dens.values * weights)
+    flux = dens.values * np.gradient(kernel.signal_grid_nm)
+    rates = np.sum(kernel.band_values * flux[kernel.band_columns], axis=1)
     return rates + noise_model.rate(pump_power_mw)
 
 
@@ -353,8 +400,9 @@ def resolution(kernel, vbg, signal_nm=None):
     band at fixed pump, fwhm_s = fwhm_vbg * (lambda_s / lambda_sfg)^2.
     Numeric: FWHM of the kernel column nearest signal_nm -- the measured
     response to a monochromatic input as the pump scans -- on the mapped
-    signal axis.  The numeric width also feels the QPM acceptance, so it
-    reads slightly below the analytic value.
+    signal axis, read from the rows whose band holds that column.  The
+    numeric width also feels the QPM acceptance, so it reads slightly below
+    the analytic value.
     """
     mapped = kernel.mapped_signal_nm
     if signal_nm is None:
@@ -365,7 +413,10 @@ def resolution(kernel, vbg, signal_nm=None):
     analytic = vbg.fwhm_nm * (signal_nm / sfg_nm) ** 2
 
     j = int(np.argmin(np.abs(kernel.signal_grid_nm - signal_nm)))
-    column = kernel.matrix[:, j]
+    k = j - kernel.band_start
+    inside = (k >= 0) & (k < kernel.band_values.shape[1])
+    column = np.zeros(mapped.size)
+    column[inside] = kernel.band_values[inside, k[inside]]
     order = np.argsort(mapped)
     numeric = _fwhm_interp(mapped[order], column[order])
     note = ""

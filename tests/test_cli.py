@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import yaml
+from dense_kernel import write_dense_kernel_csv
 
 import upconvspec
 from upconvspec import cli, config, dispersion, io as uio, spectra
@@ -163,6 +164,69 @@ def test_deconvolve_rejects_kernel_for_another_pump_range(scan_workdir):
                        "--kernel", str(work / "kernel_shifted.csv"),
                        "--out", str(work / "est_shifted.csv")])
     assert code == 4
+
+
+def _scan_with_kernel(work, name, *extra):
+    code, _ = run_cli(["scan", "--input", str(work / "input.csv"),
+                       "--out", str(work / f"scan_{name}.csv"),
+                       "--pump-start", "1944", "--pump-stop", "1956",
+                       "--pump-step", "0.1", "--seed", "7",
+                       "--write-kernel", str(work / f"kernel_{name}.csv"), *extra])
+    assert code == 0
+    return work / f"scan_{name}.csv", work / f"kernel_{name}.csv"
+
+
+@pytest.mark.parametrize("extra,message", [
+    (("--power", "20"), "pump power 20.0 mW differs from the kernel's 30.0 mW"),
+    (("--tracking", "fixed"), "VBG setpoints are off the tracked-VBG kernel's"),
+])
+def test_deconvolve_rejects_a_kernel_from_another_scan(scan_workdir, capsys, extra,
+                                                       message):
+    # same config hash and pump grid; the kernel belongs to the default scan
+    work, _ = scan_workdir
+    scan, _ = _scan_with_kernel(work, extra[1], *extra)
+    capsys.readouterr()
+    code, _ = run_cli(["deconvolve", "--raw", str(scan),
+                       "--kernel", str(work / "kernel.csv"),
+                       "--out", str(work / "est_other.csv")])
+    assert code == 4
+    assert message in capsys.readouterr().err
+
+
+def test_deconvolve_rejects_a_kernel_with_another_config_hash(scan_workdir, capsys):
+    work, _ = scan_workdir
+    text = (work / "kernel.csv").read_text()
+    (work / "kernel_rehashed.csv").write_text(
+        text.replace(f"# config_hash: {CONFIG_HASH}", "# config_hash: 0123456789abcdef"))
+    code, _ = run_cli(["deconvolve", "--raw", str(work / "scan.csv"),
+                       "--kernel", str(work / "kernel_rehashed.csv"),
+                       "--out", str(work / "est_rehashed.csv")])
+    assert code == 4
+    assert (f"scan config_hash {CONFIG_HASH} differs from the kernel's 0123456789abcdef"
+            in capsys.readouterr().err)
+
+
+def test_deconvolve_rejects_a_dense_kernel_file(scan_workdir, capsys):
+    work, _ = scan_workdir
+    kern, _ = uio.read_kernel_csv(work / "kernel.csv")
+    write_dense_kernel_csv(work / "kernel_dense.csv", kern,
+                           meta={"config_hash": CONFIG_HASH})
+    code, _ = run_cli(["deconvolve", "--raw", str(work / "scan.csv"),
+                       "--kernel", str(work / "kernel_dense.csv"),
+                       "--out", str(work / "est_dense.csv")])
+    assert code == 4
+    assert "rebuild the kernel" in capsys.readouterr().err
+
+
+def test_deconvolve_model_kernel_needs_the_tracking_header(scan_workdir, capsys):
+    work, _ = scan_workdir
+    lines = (work / "scan.csv").read_text().splitlines(keepends=True)
+    (work / "scan_untracked.csv").write_text(
+        "".join(l for l in lines if not l.startswith("# vbg_tracking:")))
+    code, _ = run_cli(["deconvolve", "--raw", str(work / "scan_untracked.csv"),
+                       "--kernel", "model", "--out", str(work / "est_untracked.csv")])
+    assert code == 4
+    assert "missing '# vbg_tracking:' header" in capsys.readouterr().err
 
 
 def test_exit_codes(tmp_path):

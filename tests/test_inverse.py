@@ -134,16 +134,37 @@ def test_estimate_background_fallbacks(noise):
 def test_dead_columns_raise_unrecoverable_band(small_kernel, delta_scan):
     _, scan = delta_scan
     grid = small_kernel.signal_grid_nm
-    blocked = small_kernel.matrix.copy()
     j0 = int(np.searchsorted(grid, 1549.0))
     j1 = int(np.searchsorted(grid, 1549.3))
-    blocked[:, j0:j1] = 0.0
-    broken = replace(small_kernel, matrix=blocked)
+    cols = small_kernel.band_columns
+    blocked = np.where((cols >= j0) & (cols < j1), 0.0, small_kernel.band_values)
+    broken = replace(small_kernel, band_values=blocked)
     with pytest.raises(UnrecoverableBandError) as err:
         inverse.deconvolve(scan, broken, background_cps=PEDESTAL_CPS)
     (lo, hi), = err.value.bands_nm
     assert lo == pytest.approx(1549.0119857371326, abs=1e-9)
     assert hi == pytest.approx(1549.2919857371326, abs=1e-9)
+
+
+def test_deconvolve_rejects_a_kernel_for_another_power_or_vbg_mode(
+        cfg, wg3, models, small_plan, small_kernel, noise):
+    # a 30 mW kernel on a 20 mW scan recovered 74 % of the power, silently
+    conv, _ = models
+    s = spectra.monochromatic_spectrum(small_kernel.signal_grid_nm, 1550.0, 1e-12)
+    plan20 = replace(small_plan, pump_power_mw=20.0)
+    kernel20 = spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, conv, plan20)
+    scan20 = spectrometer.forward_scan(s, kernel20, noise, plan20, sample=False)
+    with pytest.raises(DomainError, match="pump power 20.0 mW differs"):
+        inverse.deconvolve(scan20, small_kernel, background_cps=PEDESTAL_CPS)
+    assert inverse.deconvolve(scan20, kernel20, background_cps=PEDESTAL_CPS,
+                              max_iters=5).iterations_used >= 1
+
+    fixed = replace(small_plan, vbg_tracking="fixed")
+    kernel_fixed = spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, conv, fixed)
+    scan_tracked = spectrometer.forward_scan(s, small_kernel, noise, small_plan,
+                                             sample=False)
+    with pytest.raises(DomainError, match="VBG setpoints are off the fixed-VBG kernel's"):
+        inverse.deconvolve(scan_tracked, kernel_fixed, background_cps=PEDESTAL_CPS)
 
 
 def test_support_restricts_estimate(small_kernel, delta_scan):

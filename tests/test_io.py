@@ -3,10 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from dense_kernel import write_dense_kernel_csv
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from upconvspec import io as uio
 from upconvspec import spectra, spectrometer
 from upconvspec.errors import DomainError
+from upconvspec.spectrometer import ResponseKernel, ScanResult
 
 
 @pytest.fixture()
@@ -34,7 +38,9 @@ def test_kernel_round_trip(tmp_path, scan_and_kernel):
     path = tmp_path / "k.csv"
     uio.write_kernel_csv(path, kern)
     back, _ = uio.read_kernel_csv(path)
-    assert np.array_equal(back.matrix, kern.matrix)
+    assert np.array_equal(back.band_start, kern.band_start)
+    assert back.band_start.dtype.kind == "i"
+    assert np.array_equal(back.band_values, kern.band_values)
     assert np.array_equal(back.pump_grid_nm, kern.pump_grid_nm)
     assert np.array_equal(back.signal_grid_nm, kern.signal_grid_nm)
     assert np.array_equal(back.mapped_signal_nm, kern.mapped_signal_nm)
@@ -71,6 +77,137 @@ def test_scan_csv_needs_sampled_header(tmp_path, scan_and_kernel):
     path.write_text("".join(l for l in lines if not l.startswith("# sampled:")))
     with pytest.raises(DomainError, match="sampled"):
         uio.read_scan_csv(path)
+
+
+def _without_header(path, key):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(l for l in lines if not l.startswith(f"# {key}:")))
+
+
+@pytest.mark.parametrize("header", ["seed", "pump_power_mw", "noise_rate_cps",
+                                    "vbg_centers_nm"])
+def test_scan_csv_requires_its_headers(tmp_path, scan_and_kernel, header):
+    _, result, _ = scan_and_kernel
+    path = tmp_path / "r.csv"
+    uio.write_scan_csv(path, result)
+    _without_header(path, header)
+    with pytest.raises(DomainError, match=f"missing '# {header}:' header"):
+        uio.read_scan_csv(path)
+
+
+@pytest.mark.parametrize("header", ["pump_power_mw", "efficiency", "vbg_tracking",
+                                    "signal_grid_nm"])
+def test_kernel_csv_requires_its_headers(tmp_path, scan_and_kernel, header):
+    _, _, kern = scan_and_kernel
+    path = tmp_path / "k.csv"
+    uio.write_kernel_csv(path, kern)
+    _without_header(path, header)
+    with pytest.raises(DomainError, match=f"missing '# {header}:' header"):
+        uio.read_kernel_csv(path)
+
+
+def test_dense_kernel_csv_is_rejected(tmp_path, scan_and_kernel):
+    _, _, kern = scan_and_kernel
+    path = tmp_path / "dense.csv"
+    write_dense_kernel_csv(path, kern)
+    with pytest.raises(DomainError, match="rebuild the kernel"):
+        uio.read_kernel_csv(path)
+
+
+def test_kernel_csv_band_start_must_fit_the_grid(tmp_path, scan_and_kernel):
+    _, _, kern = scan_and_kernel
+    path = tmp_path / "k.csv"
+    for start in (-1, kern.signal_grid_nm.size - kern.band_values.shape[1] + 1):
+        bad = replace(kern, band_start=np.full(kern.band_start.size, start))
+        uio.write_kernel_csv(path, bad)
+        with pytest.raises(DomainError, match="band_start"):
+            uio.read_kernel_csv(path)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# zeros, subnormals, ordinary values and values near the top of the range
+_ENTRY = st.one_of(st.just(0.0), st.floats(0.0, 2.2250738585072014e-308),
+                   st.floats(0.0, 1e300), st.floats(1e300, 1.7976931348623157e308))
+
+
+@st.composite
+def band_kernels(draw):
+    n_pump = draw(st.integers(1, 6))
+    n_cols = draw(st.integers(1, 10))
+    width = draw(st.integers(1, n_cols))
+
+    def floats(n):
+        return np.array(draw(st.lists(_FINITE, min_size=n, max_size=n)))
+
+    return ResponseKernel(
+        pump_grid_nm=floats(n_pump),
+        signal_grid_nm=np.sort(floats(n_cols)),
+        band_start=np.array(draw(st.lists(st.integers(0, n_cols - width),
+                                          min_size=n_pump, max_size=n_pump)),
+                            dtype=np.int64),
+        band_values=np.array(draw(st.lists(_ENTRY, min_size=n_pump * width,
+                                           max_size=n_pump * width))).reshape(n_pump, width),
+        mapped_signal_nm=floats(n_pump),
+        vbg_centers_nm=floats(n_pump),
+        pump_power_mw=draw(_FINITE),
+        efficiency=draw(_FINITE),
+        vbg_tracking=draw(st.sampled_from(["tracked", "fixed"])),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(kern=band_kernels())
+def test_kernel_csv_round_trip_is_bit_exact(tmp_path_factory, kern):
+    path = tmp_path_factory.mktemp("kernel") / "k.csv"
+    uio.write_kernel_csv(path, kern, meta={"config_hash": "abc"})
+    back, meta = uio.read_kernel_csv(path)
+    assert meta["config_hash"] == "abc" and meta["format"] == "band"
+    for field in ("pump_grid_nm", "signal_grid_nm", "band_start", "band_values",
+                  "mapped_signal_nm", "vbg_centers_nm"):
+        assert np.array_equal(getattr(back, field), getattr(kern, field)), field
+        assert np.array_equal(np.signbit(getattr(back, field)),
+                              np.signbit(getattr(kern, field))), field
+    assert back.pump_power_mw == kern.pump_power_mw
+    assert back.efficiency == kern.efficiency
+    assert back.vbg_tracking == kern.vbg_tracking
+
+
+@st.composite
+def scan_results(draw):
+    n = draw(st.integers(1, 8))
+
+    def floats(elements=_FINITE):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    return ScanResult(
+        pump_grid_nm=floats(),
+        signal_nm_mapped=floats(),
+        expected_rate_cps=floats(st.one_of(_ENTRY, _FINITE)),
+        # counts are parsed through a float64 column: exact up to 2**53
+        sampled_counts=np.array(draw(st.lists(st.integers(0, 2**53), min_size=n,
+                                              max_size=n)), dtype=np.int64),
+        dwell_s=draw(st.floats(1e-300, 1e300)),
+        vbg_centers_nm=floats(),
+        seed=draw(st.integers(0, 2**80)),
+        pump_power_mw=draw(_FINITE),
+        noise_rate_cps=draw(_FINITE),
+        sampled=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(result=scan_results())
+def test_scan_csv_round_trip_is_bit_exact(tmp_path_factory, result):
+    path = tmp_path_factory.mktemp("scan") / "r.csv"
+    uio.write_scan_csv(path, result)
+    back, _ = uio.read_scan_csv(path)
+    for field in ("pump_grid_nm", "signal_nm_mapped", "expected_rate_cps",
+                  "sampled_counts", "vbg_centers_nm"):
+        assert np.array_equal(getattr(back, field), getattr(result, field)), field
+        assert np.array_equal(np.signbit(getattr(back, field)),
+                              np.signbit(getattr(result, field))), field
+    for field in ("dwell_s", "seed", "pump_power_mw", "noise_rate_cps", "sampled"):
+        assert getattr(back, field) == getattr(result, field), field
 
 
 def test_identical_writes_are_byte_identical(tmp_path, scan_and_kernel):

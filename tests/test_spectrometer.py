@@ -3,11 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from dense_kernel import dense_kernel, thresholded
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from upconvspec import dispersion, spectra, spectrometer
+from upconvspec import dispersion, inverse, spectra, spectrometer
+from upconvspec import io as uio
 from upconvspec.components import VbgState
+from upconvspec.conversion import NoiseModel
 from upconvspec.errors import CoverageError, DomainError, TuningError
-from upconvspec.spectrometer import ScanPlan
+from upconvspec.spectrometer import ResponseKernel, ScanPlan
 from upconvspec.units import photon_energy_j
 
 
@@ -72,6 +77,115 @@ def test_kernel_build_solves_the_tuning_map_once(cfg, wg3, models, monkeypatch):
     assert sizes == [1201, 1]
 
 
+def test_kernel_build_evaluates_only_the_band(cfg, wg3, models, monkeypatch):
+    # beyond the schedule's tuning-map solve, dk is evaluated on the band's
+    # 1201 x W cells, never on the dense 1201 x 2052 grid
+    cells = []
+    mismatch = dispersion.qpm_mismatch
+
+    def counted(signal_nm, pump_nm, wg):
+        dk = mismatch(signal_nm, pump_nm, wg)
+        cells.append(np.size(dk))
+        return dk
+
+    monkeypatch.setattr(dispersion, "qpm_mismatch", counted)
+    spectrometer.vbg_tracking_schedule(cfg.scan, wg3, cfg.vbg)
+    schedule_cells = sum(cells)
+    cells.clear()
+    kern = spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, models[0], cfg.scan)
+    width = kern.band_values.shape[1]
+    assert width <= 71
+    assert sum(cells) - schedule_cells <= 1201 * width
+
+
+def test_package_never_reads_the_dense_view(cfg, wg3, models, small_plan, tmp_path,
+                                            monkeypatch):
+    def refuse(self):
+        raise AssertionError("package code read ResponseKernel.matrix")
+
+    monkeypatch.setattr(ResponseKernel, "matrix", property(refuse))
+    conv, noise = models
+    kern = spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, conv, small_plan)
+    s = spectra.multimode_ld_spectrum(kern.signal_grid_nm, n_modes=1, total_dbm=-110.0)
+    spectrometer.expected_rates(s, kern, noise, small_plan.pump_power_mw)
+    scan = spectrometer.forward_scan(s, kern, noise, small_plan)
+    spectrometer.resolution(kern, cfg.vbg)
+    uio.write_kernel_csv(tmp_path / "k.csv", kern)
+    back, _ = uio.read_kernel_csv(tmp_path / "k.csv")
+    res = inverse.deconvolve(scan, back, noise_model=noise)
+    assert res.iterations_used >= 1
+    with pytest.raises(AssertionError, match="ResponseKernel.matrix"):
+        kern.matrix
+
+
+ORACLE_CASES = ("tracked", "fixed", "small_plan", "fixed_off_grid_center", "top_hat_vbg",
+                "clipped_grid")
+
+
+@pytest.fixture(scope="module", params=ORACLE_CASES)
+def band_and_oracle(request, cfg, wg3, models, small_plan):
+    conv, _ = models
+    vbg, grid = cfg.vbg, None
+    plan = {
+        "tracked": cfg.scan,
+        "fixed": replace(cfg.scan, vbg_tracking="fixed"),
+        "small_plan": small_plan,
+        # the scan-centre pump 1938.225 nm falls between grid points
+        "fixed_off_grid_center": replace(cfg.scan, pump_start_nm=1931.37,
+                                         pump_stop_nm=1945.08, pump_step_nm=0.02,
+                                         vbg_tracking="fixed"),
+        "top_hat_vbg": cfg.scan,
+        "clipped_grid": small_plan,
+    }[request.param]
+    if request.param == "top_hat_vbg":
+        vbg = replace(cfg.vbg, lineshape="top_hat")
+    if request.param == "clipped_grid":
+        # a caller grid ending at the mapped range: the edge rows' windows run off it
+        grid = np.sort(dispersion.phase_matched_signal(plan.pump_grid_nm(), wg3))
+    kern = spectrometer.build_kernel(wg3, cfg.filters, vbg, conv, plan, signal_grid_nm=grid)
+    dense, dense_grid = dense_kernel(wg3, cfg.filters, vbg, conv, plan, signal_grid_nm=grid)
+    assert np.array_equal(kern.signal_grid_nm, dense_grid)
+    if request.param == "clipped_grid":
+        width = kern.band_values.shape[1]
+        assert kern.band_start.min() == 0
+        assert kern.band_start.max() == grid.size - width
+    return request.param, kern, dense
+
+
+def test_band_matches_the_dense_oracle(band_and_oracle):
+    _, kern, dense = band_and_oracle
+    oracle, cut = thresholded(dense)
+    band = kern.matrix
+    # an entry within an ulp of its row's cut may fall on either side
+    near_cut = np.abs(dense - cut) <= np.spacing(cut)
+    assert np.all((np.abs(band - oracle) <= 1e-12 * oracle) | near_cut)
+    row_sum = dense.sum(axis=1)
+    assert np.all(row_sum > 0)
+    assert np.all(row_sum - band.sum(axis=1) <= 1e-10 * row_sum)
+
+
+def test_expected_rates_match_the_dense_oracle(band_and_oracle):
+    _, kern, dense = band_and_oracle
+    grid = kern.signal_grid_nm
+    values = np.random.default_rng(20240918).uniform(0.0, 1e-12, grid.size)
+    silent = NoiseModel(floor_cps=0.0, amplitude_cps=0.0, exponent=1.0)
+    rates = spectrometer.expected_rates(spectra.Spectrum(grid, values), kern, silent,
+                                        kern.pump_power_mw)
+    want = thresholded(dense)[0] @ (values * np.gradient(grid))
+    assert np.allclose(rates, want, rtol=1e-12, atol=0.0)
+
+
+def test_dense_view_scatters_the_band(small_kernel):
+    m = small_kernel.matrix
+    assert m.shape == (small_kernel.pump_grid_nm.size, small_kernel.signal_grid_nm.size)
+    rows = np.arange(m.shape[0])[:, None]
+    assert np.array_equal(m[rows, small_kernel.band_columns], small_kernel.band_values)
+    assert np.count_nonzero(m) == np.count_nonzero(small_kernel.band_values)
+    assert small_kernel.matrix is m
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
+
+
 def test_tracking_schedule_fixed_mode(cfg, wg3):
     plan = replace(cfg.scan, vbg_tracking="fixed")
     sched = spectrometer.vbg_tracking_schedule(plan, wg3, cfg.vbg)
@@ -90,8 +204,13 @@ def test_tracking_beyond_tuning_range_raises(cfg, wg3, small_plan):
 def test_kernel_shape_and_axes(kernel):
     assert kernel.matrix.shape == (1201, 2052)
     assert kernel.matrix.shape == (kernel.pump_grid_nm.size, kernel.signal_grid_nm.size)
+    width = kernel.band_values.shape[1]
+    assert kernel.band_values.shape == (1201, width) and width <= 71
+    assert kernel.band_start.dtype.kind == "i"
+    assert np.all((kernel.band_start >= 0) & (kernel.band_start <= 2052 - width))
     assert np.all(np.diff(kernel.signal_grid_nm) > 0)
-    assert np.all(kernel.matrix >= 0.0)
+    assert np.all(kernel.band_values >= 0.0)
+    assert not kernel.matrix.flags.writeable
     assert kernel.vbg_tracking == "tracked"
     assert kernel.efficiency == pytest.approx(0.20221549041225295, rel=1e-12)
 
@@ -106,15 +225,16 @@ def test_kernel_peak_value_is_eta_over_photon_energy(cfg, wg3, models):
     for i in range(0, kern.pump_grid_nm.size, 97):
         lam = kern.mapped_signal_nm[i]
         j = int(np.searchsorted(kern.signal_grid_nm, lam))
-        value = kern.matrix[i, j] * photon_energy_j(lam)
+        value = kern.band_values[i, j - kern.band_start[i]] * photon_energy_j(lam)
         assert value == pytest.approx(kern.efficiency, rel=1e-12)
 
 
 def test_kernel_rows_peak_at_mapped_wavelength(kernel):
     for i in range(0, kernel.pump_grid_nm.size, 53):
-        j = int(np.argmax(kernel.matrix[i]))
+        k = int(np.argmax(kernel.band_values[i]))
+        j = kernel.band_start[i] + k
         assert abs(kernel.signal_grid_nm[j] - kernel.mapped_signal_nm[i]) <= 0.03
-        peak = kernel.matrix[i, j] * photon_energy_j(kernel.signal_grid_nm[j])
+        peak = kernel.band_values[i, k] * photon_energy_j(kernel.signal_grid_nm[j])
         assert 0.8 * kernel.efficiency < peak <= kernel.efficiency * (1 + 1e-9)
 
 
@@ -129,9 +249,9 @@ def test_fixed_vbg_kernel_attenuates_scan_edges(cfg, wg3, models):
     conv, _ = models
     plan = replace(cfg.scan, vbg_tracking="fixed")
     kern = spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, conv, plan)
-    mid = kern.matrix[kern.pump_grid_nm.size // 2].max()
-    assert kern.matrix[0].max() / mid < 0.1
-    assert kern.matrix[-1].max() / mid < 0.1
+    mid = kern.band_values[kern.pump_grid_nm.size // 2].max()
+    assert kern.band_values[0].max() / mid < 0.1
+    assert kern.band_values[-1].max() / mid < 0.1
     note = spectrometer.resolution(kern, cfg.vbg).note
     assert "fixed" in note
 
@@ -149,6 +269,36 @@ def test_expected_rates_are_linear(cfg, models, small_kernel):
     r2 = spectrometer.expected_rates(s2, small_kernel, noise, small_kernel.pump_power_mw) - base
     rmix = spectrometer.expected_rates(mix, small_kernel, noise, small_kernel.pump_power_mw) - base
     assert np.allclose(rmix, a * r1 + b * r2, rtol=1e-12, atol=1e-12 * rmix.max())
+
+
+@pytest.fixture(scope="module")
+def fixed_small_kernel(cfg, wg3, models, small_plan):
+    plan = replace(small_plan, vbg_tracking="fixed")
+    return spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, models[0], plan)
+
+
+_COEFF = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(mode=st.sampled_from(["tracked", "fixed"]), seed=st.integers(0, 2**32 - 1),
+       log_scales=st.tuples(st.floats(-16.0, -9.0), st.floats(-16.0, -9.0)),
+       zero_frac=st.floats(0.0, 0.9), a=_COEFF, b=_COEFF)
+def test_expected_rates_are_linear_on_band_kernels(small_kernel, fixed_small_kernel, mode,
+                                                   seed, log_scales, zero_frac, a, b):
+    kern = small_kernel if mode == "tracked" else fixed_small_kernel
+    grid = kern.signal_grid_nm
+    rng = np.random.default_rng(seed)
+    v1, v2 = (10.0 ** scale * rng.uniform(0.0, 1.0, grid.size)
+              * (rng.uniform(size=grid.size) >= zero_frac) for scale in log_scales)
+    silent = NoiseModel(floor_cps=0.0, amplitude_cps=0.0, exponent=1.0)
+
+    def rates(values):
+        return spectrometer.expected_rates(spectra.Spectrum(grid, values), kern, silent,
+                                           kern.pump_power_mw)
+
+    r1, r2, rmix = rates(v1), rates(v2), rates(a * v1 + b * v2)
+    assert np.allclose(rmix, a * r1 + b * r2, rtol=1e-12, atol=0.0)
 
 
 def test_forward_scan_is_deterministic(cfg, models, small_plan, small_kernel):
