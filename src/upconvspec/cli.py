@@ -157,9 +157,20 @@ def _cmd_scan(cfg, args, out):
     return EXIT_OK
 
 
+def _config_hash_of(meta, path):
+    if "config_hash" not in meta:
+        raise DomainError(f"{path}: missing '# config_hash:' header, which deconvolve "
+                          "needs to match the scan with its kernel")
+    return meta["config_hash"]
+
+
 def _cmd_deconvolve(cfg, args, out):
     raw, raw_meta = io.read_scan_csv(args.raw)
+    scan_hash, cfg_hash = _config_hash_of(raw_meta, args.raw), config_hash(cfg)
     if args.kernel == "model":
+        if scan_hash != cfg_hash:
+            raise DomainError(f"scan config_hash {scan_hash} differs from the config's "
+                              f"{cfg_hash}; use the config the scan was made with")
         if "vbg_tracking" not in raw_meta:
             raise DomainError(f"{args.raw}: missing '# vbg_tracking:' header, which "
                               "--kernel model needs to rebuild the kernel")
@@ -178,7 +189,7 @@ def _cmd_deconvolve(cfg, args, out):
         kernel = build_kernel(wg, cfg.filters, cfg.vbg, conv, plan)
     else:
         kernel, kernel_meta = io.read_kernel_csv(args.kernel)
-        scan_hash, kernel_hash = raw_meta.get("config_hash"), kernel_meta.get("config_hash")
+        kernel_hash = _config_hash_of(kernel_meta, args.kernel)
         if scan_hash != kernel_hash:
             raise DomainError(f"scan config_hash {scan_hash} differs from the kernel's "
                               f"{kernel_hash}; use the kernel built with the scan's config")
@@ -190,7 +201,7 @@ def _cmd_deconvolve(cfg, args, out):
         background_cps=args.noise_floor_cps,
         noise_model=noise,
     )
-    meta = {"config_hash": config_hash(cfg), "seed": raw.seed,
+    meta = {"config_hash": cfg_hash, "seed": raw.seed,
             "dwell_s": raw.dwell_s, "iterations_used": result.iterations_used,
             "stop_reason": result.stop_reason}
     io.write_spectrum_csv(args.out, result.estimate, meta=meta)
@@ -200,7 +211,7 @@ def _cmd_deconvolve(cfg, args, out):
         "residual_norm": result.residual_norm,
         "stop_reason": result.stop_reason,
         "background_cps": result.background_cps,
-        "config_hash": config_hash(cfg),
+        "config_hash": cfg_hash,
         "seed": raw.seed,
         "dwell_s": raw.dwell_s,
     }

@@ -190,7 +190,10 @@ def read_scan_csv(path):
     data = _parse_rows(rows[1:], path)
     if data.ndim != 2 or data.shape[1] != 5:
         raise DomainError(f"{path}: malformed data rows")
-    dwell = float(data[0, 4])
+    dwell = _header(meta, "dwell_s", path, float)
+    if np.any(data[:, 4] != dwell):
+        raise DomainError(f"{path}: dwell_s column differs from the "
+                          f"'# dwell_s: {meta['dwell_s']}' header")
     sampled = meta.get("sampled")
     if sampled not in ("true", "false"):
         raise DomainError(f"{path}: missing or malformed '# sampled: true|false' header")

@@ -21,7 +21,6 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 
 from . import dispersion
 from .components import transmission, vbg_half_extent_nm, vbg_transmission
@@ -180,7 +179,10 @@ class ResponseKernel:
 
         Built once per kernel on first use; a kernel made with
         dataclasses.replace is a new instance and gets its own band.
+        scipy.sparse is imported here, so only deconvolution loads it.
         """
+        from scipy import sparse
+
         keep = self.band_values != 0.0
         indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
         shape = (self.pump_grid_nm.size, self.signal_grid_nm.size)

@@ -229,6 +229,36 @@ def test_deconvolve_model_kernel_needs_the_tracking_header(scan_workdir, capsys)
     assert "missing '# vbg_tracking:' header" in capsys.readouterr().err
 
 
+def test_deconvolve_model_kernel_rejects_another_config(scan_workdir, tmp_path, capsys):
+    work, _ = scan_workdir
+    raw = config.load_config().raw
+    raw["vbg"]["fwhm_nm"] = 0.2
+    path = tmp_path / "wide_vbg.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    code, _ = run_cli(["--config", str(path), "deconvolve", "--raw", str(work / "scan.csv"),
+                       "--kernel", "model", "--out", str(tmp_path / "est.csv")])
+    assert code == 4
+    assert (f"scan config_hash {CONFIG_HASH} differs from the config's "
+            f"{config.config_hash(config.load_config(path))}" in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("unhashed,kernel", [("scan", "model"), ("scan", "file"),
+                                             ("kernel", "file")])
+def test_deconvolve_needs_config_hash_headers(scan_workdir, tmp_path, capsys, unhashed,
+                                              kernel):
+    work, _ = scan_workdir
+    files = {"scan": work / "scan.csv", "kernel": work / "kernel.csv"}
+    lines = files[unhashed].read_text().splitlines(keepends=True)
+    files[unhashed] = tmp_path / f"{unhashed}.csv"
+    files[unhashed].write_text("".join(l for l in lines if not l.startswith("# config_hash:")))
+    code, _ = run_cli(["deconvolve", "--raw", str(files["scan"]),
+                       "--kernel", "model" if kernel == "model" else str(files["kernel"]),
+                       "--out", str(tmp_path / "est.csv")])
+    assert code == 4
+    assert (f"{files[unhashed]}: missing '# config_hash:' header"
+            in capsys.readouterr().err)
+
+
 def test_exit_codes(tmp_path):
     code, _ = run_cli(["scan", "--input", str(tmp_path / "missing.csv"),
                        "--out", str(tmp_path / "out.csv")])
@@ -301,3 +331,45 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr or "scipy.optimize was imported"
+
+
+_LIST_SCIPY = "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+_RUN_CLI = ("import io, sys\nfrom upconvspec import cli\n"
+            "assert cli.main(sys.argv[1:], out=io.StringIO()) == 0\n")
+
+
+def _scipy_modules_after(code, *argv):
+    """The scipy modules a fresh interpreter holds after running code with argv."""
+    src = os.path.dirname(os.path.dirname(upconvspec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", f"import sys\n{code}\n{_LIST_SCIPY}",
+                           *map(str, argv)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("case", ["import upconvspec", "import upconvspec.cli", "scan",
+                                  "fom", "design-qpm"])
+def test_import_and_forward_commands_load_no_scipy(scan_workdir, tmp_path, case):
+    work, _ = scan_workdir
+    argv = {
+        "scan": ["scan", "--input", work / "input.csv", "--out", tmp_path / "scan.csv",
+                 "--pump-start", "1944", "--pump-stop", "1956", "--pump-step", "0.1",
+                 "--write-kernel", tmp_path / "kernel.csv"],
+        "fom": ["fom", "--pump-power", "30"],
+        "design-qpm": ["design-qpm", "--signal", "1550", "--pump", "1950"],
+    }
+    code = case if case.startswith("import") else _RUN_CLI
+    assert _scipy_modules_after(code, *argv.get(case, [])) == []
+
+
+@pytest.mark.parametrize("kernel", ["file", "model"])
+def test_deconvolve_loads_scipy_sparse_alone(scan_workdir, tmp_path, kernel):
+    work, _ = scan_workdir
+    loaded = _scipy_modules_after(
+        _RUN_CLI, "deconvolve", "--raw", work / "scan.csv",
+        "--kernel", "model" if kernel == "model" else work / "kernel.csv",
+        "--out", tmp_path / "est.csv")
+    assert "scipy.sparse" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.special", "scipy.optimize"))]

@@ -85,13 +85,24 @@ def _without_header(path, key):
 
 
 @pytest.mark.parametrize("header", ["seed", "pump_power_mw", "noise_rate_cps",
-                                    "vbg_centers_nm"])
+                                    "vbg_centers_nm", "dwell_s"])
 def test_scan_csv_requires_its_headers(tmp_path, scan_and_kernel, header):
     _, result, _ = scan_and_kernel
     path = tmp_path / "r.csv"
     uio.write_scan_csv(path, result)
     _without_header(path, header)
     with pytest.raises(DomainError, match=f"missing '# {header}:' header"):
+        uio.read_scan_csv(path)
+
+
+def test_scan_csv_dwell_column_must_match_its_header(tmp_path, scan_and_kernel):
+    # a 100 s header over 1 s rows used to read as 1 s, from row 0 alone
+    _, result, _ = scan_and_kernel
+    path = tmp_path / "r.csv"
+    uio.write_scan_csv(path, result)
+    path.write_text(path.read_text().replace(f"# dwell_s: {result.dwell_s!r}",
+                                             "# dwell_s: 100.0"))
+    with pytest.raises(DomainError, match="dwell_s column differs"):
         uio.read_scan_csv(path)
 
 
@@ -170,6 +181,23 @@ def test_kernel_csv_round_trip_is_bit_exact(tmp_path_factory, kern):
     assert back.pump_power_mw == kern.pump_power_mw
     assert back.efficiency == kern.efficiency
     assert back.vbg_tracking == kern.vbg_tracking
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.lists(_FINITE, min_size=1, max_size=8, unique=True),
+       data=st.data(), unit=st.sampled_from(spectra.UNIT_TAGS))
+def test_spectrum_csv_round_trip_is_bit_exact(tmp_path_factory, grid, data, unit):
+    values = data.draw(st.lists(st.one_of(_ENTRY, st.just(-0.0)), min_size=len(grid),
+                                max_size=len(grid)))
+    s = spectra.Spectrum(grid_nm=np.sort(grid), values=np.array(values), unit=unit)
+    path = tmp_path_factory.mktemp("spectrum") / "s.csv"
+    uio.write_spectrum_csv(path, s, meta={"seed": 7})
+    back, meta = uio.read_spectrum_csv(path)
+    for field in ("grid_nm", "values"):
+        assert np.array_equal(getattr(back, field), getattr(s, field)), field
+        assert np.array_equal(np.signbit(getattr(back, field)),
+                              np.signbit(getattr(s, field))), field
+    assert back.unit == unit and meta["seed"] == "7"
 
 
 @st.composite

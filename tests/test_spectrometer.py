@@ -6,8 +6,9 @@ import pytest
 from dense_kernel import dense_kernel, thresholded
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
-from upconvspec import dispersion, inverse, spectra, spectrometer
+from upconvspec import components, dispersion, inverse, spectra, spectrometer
 from upconvspec import io as uio
 from upconvspec.components import VbgState
 from upconvspec.conversion import NoiseModel
@@ -162,6 +163,25 @@ def test_band_matches_the_dense_oracle(band_and_oracle):
     row_sum = dense.sum(axis=1)
     assert np.all(row_sum > 0)
     assert np.all(row_sum - band.sum(axis=1) <= 1e-10 * row_sum)
+
+
+@pytest.mark.parametrize("shape", ["top_hat_vbg", "top_hat_band_pass"])
+def test_top_hat_kernels_match_a_scipy_erf_build(cfg, wg3, models, monkeypatch, shape):
+    # the top-hat edges 0.5 (1 + erf) are where erf's accuracy shows in a kernel
+    conv, _ = models
+    vbg, chain = cfg.vbg, cfg.filters
+    if shape == "top_hat_vbg":
+        vbg = replace(vbg, lineshape="top_hat")
+    else:
+        chain = [replace(f, lineshape="top_hat") if f.kind == "band_pass" else f
+                 for f in chain]
+    ours = spectrometer.build_kernel(wg3, chain, vbg, conv, cfg.scan)
+    monkeypatch.setattr(components, "erf", special.erf)
+    monkeypatch.setattr(components, "erfc", special.erfc)
+    ref = spectrometer.build_kernel(wg3, chain, vbg, conv, cfg.scan)
+    assert np.array_equal(ours.band_start, ref.band_start)
+    assert np.count_nonzero(ref.band_values) > 10_000
+    assert np.allclose(ours.band_values, ref.band_values, rtol=1e-12, atol=0.0)
 
 
 def test_expected_rates_match_the_dense_oracle(band_and_oracle):
