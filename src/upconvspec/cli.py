@@ -167,10 +167,10 @@ def _config_hash_of(meta, path):
 def _cmd_deconvolve(cfg, args, out):
     raw, raw_meta = io.read_scan_csv(args.raw)
     scan_hash, cfg_hash = _config_hash_of(raw_meta, args.raw), config_hash(cfg)
+    if scan_hash != cfg_hash:
+        raise DomainError(f"scan config_hash {scan_hash} differs from the config's "
+                          f"{cfg_hash}; use the config the scan was made with")
     if args.kernel == "model":
-        if scan_hash != cfg_hash:
-            raise DomainError(f"scan config_hash {scan_hash} differs from the config's "
-                              f"{cfg_hash}; use the config the scan was made with")
         if "vbg_tracking" not in raw_meta:
             raise DomainError(f"{args.raw}: missing '# vbg_tracking:' header, which "
                               "--kernel model needs to rebuild the kernel")

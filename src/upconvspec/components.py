@@ -9,15 +9,16 @@ left to the lumped end-to-end efficiency calibration (see conversion module),
 so only the spectral *shape* of the chain matters downstream.
 
 The erf edges (edge filters, top-hat lineshapes) use this module's own
-vectorised erf/erfc, so building a kernel loads no SciPy.  erfc for
+vectorised erfc, so building a kernel loads no SciPy.  A top-hat edge is
+0.5 erfc(-u), not 0.5 (1 + erf(u)): the latter cancels in the tail, 0.4 %
+off at u = -5.5, while erfc keeps its relative accuracy there.  erfc for
 |x| > 0.46875 is W. J. Cody's rational Chebyshev approximation (Math. Comp.
 23, 631, 1969), with exp(-x^2) split as Cody does so the tail keeps its
 relative accuracy down to underflow.  erf for |x| <= 1 is cephes's
 x T(x^2)/U(x^2), the form SciPy evaluates there: 1 - erfc loses up to two
-ulp on 0.47 < |x| < 1, and the top-hat edges 0.5 (1 + erf) magnify such
-differences in their tails.  Saturated arguments take the exact limit
-without evaluating anything; the default short-pass edge sits there on
-every kernel cell.
+ulp on 0.47 < |x| < 1.  Saturated arguments take the exact limit without
+evaluating anything; the default short-pass edge sits there on every
+kernel cell.
 """
 from dataclasses import dataclass
 
@@ -206,8 +207,8 @@ def transmission(element, wavelength_nm):
         else:  # top_hat with erf edges
             half = element.fwhm_nm / 2.0
             w = element.edge_width_nm
-            rise = 0.5 * (1.0 + erf((lam - (element.center_nm - half)) / w))
-            fall = 0.5 * (1.0 + erf(((element.center_nm + half) - lam) / w))
+            rise = 0.5 * erfc(((element.center_nm - half) - lam) / w)
+            fall = 0.5 * erfc((lam - (element.center_nm + half)) / w)
             out = element.peak * rise * fall
     elif element.kind == "short_pass":
         out = element.peak * 0.5 * erfc((lam - element.edge_nm) / element.edge_width_nm)
@@ -248,7 +249,7 @@ def vbg_transmission(vbg, wavelength_nm, center_nm):
         lam = np.asarray(wavelength_nm, dtype=float)
         half = vbg.fwhm_nm / 2.0
         w = vbg.fwhm_nm / 10.0
-        rise = 0.5 * (1.0 + erf((lam - (c_arr - half)) / w))
-        fall = 0.5 * (1.0 + erf(((c_arr + half) - lam) / w))
+        rise = 0.5 * erfc(((c_arr - half) - lam) / w)
+        fall = 0.5 * erfc((lam - (c_arr + half)) / w)
         out = vbg.peak_reflectance * rise * fall
     return float(out) if np.ndim(wavelength_nm) == 0 and c_arr.ndim == 0 else out

@@ -92,15 +92,35 @@ class WaveguideSpec:
             )
 
 
-def _correction_poly(correction, lam_um):
-    """Evaluate ascending-coefficient index-offset polynomial at lam [um]."""
-    if not len(correction):
-        return np.zeros_like(np.asarray(lam_um, dtype=float))
-    return np.polynomial.polynomial.polyval(np.asarray(lam_um, dtype=float), correction)
+def _bulk_index(lam_um, temperature_c, medium):
+    """Bulk Sellmeier index at lam [um], without the validity checks."""
+    a1, a2, a3, a4, a5, a6 = medium.a
+    b1, b2, b3, b4 = medium.b
+    f = (temperature_c - medium.t_ref_c) * (temperature_c + medium.t_offset_c)
+    l2 = lam_um ** 2
+    n2 = (a1 + b1 * f
+          + (a2 + b2 * f) / (l2 - (a3 + b3 * f) ** 2)
+          + (a4 + b4 * f) / (l2 - a5 ** 2)
+          - a6 * l2)
+    return np.sqrt(n2)
+
+
+def _index(lam_um, temperature_c, correction, medium):
+    """Bulk index plus the correction polynomial, without the validity checks."""
+    n = _bulk_index(lam_um, temperature_c, medium)
+    if len(correction):
+        n = n + np.polynomial.polynomial.polyval(lam_um, correction)
+    return n
 
 
 def refractive_index(wavelength_nm, temperature_c, correction=(), medium=CONGRUENT_LN_E):
     """Extraordinary refractive index at wavelength [nm] and temperature [C].
+
+    Checks the wavelength and temperature against the medium's validity
+    windows, then evaluates the Sellmeier equation plus the correction
+    polynomial (skipped when there is none).  The tuning-map bisection calls
+    the unchecked evaluator directly: its points lie between coarse-scan
+    nodes that were checked here.
 
     Parameters
     ----------
@@ -129,15 +149,7 @@ def refractive_index(wavelength_nm, temperature_c, correction=(), medium=CONGRUE
         raise DomainError(
             f"temperature {temperature_c} C outside validity window [{tlo}, {thi}] C"
         )
-    a1, a2, a3, a4, a5, a6 = medium.a
-    b1, b2, b3, b4 = medium.b
-    f = (temperature_c - medium.t_ref_c) * (temperature_c + medium.t_offset_c)
-    l2 = lam_um ** 2
-    n2 = (a1 + b1 * f
-          + (a2 + b2 * f) / (l2 - (a3 + b3 * f) ** 2)
-          + (a4 + b4 * f) / (l2 - a5 ** 2)
-          - a6 * l2)
-    n = np.sqrt(n2) + _correction_poly(correction, lam_um)
+    n = _index(lam_um, temperature_c, correction, medium)
     return float(n) if np.ndim(wavelength_nm) == 0 else n
 
 
@@ -183,7 +195,14 @@ def efficiency_factor(delta_k_per_um, length_mm):
 
 def _bisect_roots(f, lo, hi, iterations=80):
     """Vectorized bisection; elementwise, f must change sign on [lo, hi]
-    or vanish at lo."""
+    or vanish at lo.
+
+    The state (lo, hi, f(lo)) is a function of itself alone, so once a step
+    leaves every lo and hi bit for bit as it was, each later step repeats
+    it.  The loop stops there, returning the bits all `iterations` steps
+    would give.  A 1 nm bracket near 1550 nm reaches adjacent floats after
+    about 42 halvings; `iterations` is only a cap.
+    """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
     flo = f(lo)
@@ -191,10 +210,45 @@ def _bisect_roots(f, lo, hi, iterations=80):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         take_lo = flo * fmid <= 0.0
-        hi = np.where(take_lo, mid, hi)
-        lo = np.where(take_lo, lo, mid)
+        new_hi = np.where(take_lo, mid, hi)
+        new_lo = np.where(take_lo, lo, mid)
+        if _same_bits(new_lo, lo) and _same_bits(new_hi, hi):
+            break
+        hi, lo = new_hi, new_lo
         flo = np.where(take_lo, flo, fmid)
     return 0.5 * (lo + hi)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _mismatch_against(known, wg, solve_for):
+    """dk(x) for the unknown wavelengths x [nm] against fixed known ones.
+
+    Gives qpm_mismatch's bits with the known wave's index term computed once
+    and no validity checks: the bisection only evaluates points between
+    coarse-scan nodes that qpm_mismatch checked, and the SFG wavelength is
+    monotone between them.
+    """
+    k_um = known * 1e-3
+    correction = wg.dispersion_correction if solve_for == "pump" else ()
+    known_term = _index(k_um, wg.temperature_c, correction, wg.medium) / k_um
+    inv_period = 1.0 / wg.qpm_period_um
+
+    def dk(x):
+        x_um = x * 1e-3
+        f_um = (x * known / (x + known)) * 1e-3
+        a = _bulk_index(f_um, wg.temperature_c, wg.medium) / f_um
+        if solve_for == "signal":
+            b = _index(x_um, wg.temperature_c, wg.dispersion_correction, wg.medium) / x_um
+            c = known_term
+        else:
+            b = known_term
+            c = _bulk_index(x_um, wg.temperature_c, wg.medium) / x_um
+        return TWO_PI * (a - b - c - inv_period)
+
+    return dk
 
 
 def _solve_matched(known_nm, wg, solve_for, window_nm, guess_nm=None, bracket_nm=20.0):
@@ -240,13 +294,11 @@ def _solve_matched(known_nm, wg, solve_for, window_nm, guess_nm=None, bracket_nm
     lo = np.where(at_node, node, grid[idx])
     hi = np.where(at_node, node, grid[idx + 1])
 
-    def dk_elementwise(x):
-        if solve_for == "signal":
-            return qpm_mismatch(x, known, wg)
-        return qpm_mismatch(known, x, wg)
-
-    root = _bisect_roots(dk_elementwise, lo, hi)
-    resid = np.abs(dk_elementwise(root))
+    root = _bisect_roots(_mismatch_against(known, wg, solve_for), lo, hi)
+    if solve_for == "signal":
+        resid = np.abs(qpm_mismatch(root, known, wg))
+    else:
+        resid = np.abs(qpm_mismatch(known, root, wg))
     if np.any(resid > DK_TOLERANCE_PER_UM):
         raise TuningError(
             f"bisection failed to reach |dk| < {DK_TOLERANCE_PER_UM} rad/um "

@@ -73,11 +73,18 @@ class TrackingSchedule:
     mode: str
 
 
-def _fixed_setpoint(plan, wg):
-    """(scan-center pump, SFG setpoint [nm]) where a fixed VBG is parked."""
+def _map_and_setpoint(pump, plan, wg):
+    """(phase-matched signal at each pump, scan-center pump, fixed VBG setpoint).
+
+    The scan-center pump, where a fixed VBG is parked at the phase-matched
+    SFG wavelength, is solved as one more point of the same tuning-map
+    solve; the solve is elementwise, so its root is the one a solve of its
+    own would give.
+    """
     center_pump = 0.5 * (plan.pump_start_nm + plan.pump_stop_nm)
-    center_sig = dispersion.phase_matched_signal(center_pump, wg)
-    return center_pump, float(dispersion.sfg_wavelength(center_sig, center_pump))
+    sig = dispersion.phase_matched_signal(np.append(pump, center_pump), wg)
+    fixed_center = float(dispersion.sfg_wavelength(sig[-1], center_pump))
+    return sig[:-1], center_pump, fixed_center
 
 
 def fixed_vbg_usable_span(plan, wg, vbg):
@@ -90,12 +97,13 @@ def fixed_vbg_usable_span(plan, wg, vbg):
     scan center where the fixed/tracked sensitivity ratio stays >= 1/2.
     The QPM acceptance width matters here: the upconverted line is several
     times wider than the VBG, so a line stays usable well after its nominal
-    center has left the VBG passband.  Returns (span, fixed setpoint).
-    A feasibility report: building a kernel does not need it.
+    center has left the VBG passband.  The 601 probe pumps and the
+    scan-center pump are solved in one tuning-map solve.  Returns (span,
+    fixed setpoint).  A feasibility report: building a kernel does not
+    need it.
     """
     probe_pump = np.linspace(plan.pump_start_nm, plan.pump_stop_nm, 601)
-    probe_sig = dispersion.phase_matched_signal(probe_pump, wg)
-    center_pump, fixed_center = _fixed_setpoint(plan, wg)
+    probe_sig, center_pump, fixed_center = _map_and_setpoint(probe_pump, plan, wg)
 
     # maximize the line x gate product over pump detuning around each probe
     off = np.linspace(-3.0, 3.0, 241)
@@ -124,15 +132,16 @@ def vbg_tracking_schedule(plan, wg, vbg):
 
     tracked: each point's setpoint is the phase-matched SFG wavelength.
     fixed: one setpoint at the scan-center SFG wavelength for every point.
-    This is the one tuning-map solve a kernel build makes; the fixed-VBG
-    usable span is a separate report (fixed_vbg_usable_span).
+    This is the one tuning-map solve a kernel build makes: the scan's n
+    pumps and the scan-center pump (for the fixed setpoint) are solved
+    together on n + 1 points.  The fixed-VBG usable span is a separate
+    report (fixed_vbg_usable_span).
     """
     pump = plan.pump_grid_nm()
-    sig = dispersion.phase_matched_signal(pump, wg)
+    sig, _, fixed_center = _map_and_setpoint(pump, plan, wg)
     sfg = dispersion.sfg_wavelength(sig, pump)
 
     drift = float(np.max(sfg) - np.min(sfg))
-    _, fixed_center = _fixed_setpoint(plan, wg)
 
     centers = sfg if plan.vbg_tracking == "tracked" else np.full_like(pump, fixed_center)
     lo_nm, hi_nm = vbg.tuning_range_nm

@@ -242,6 +242,24 @@ def test_deconvolve_model_kernel_rejects_another_config(scan_workdir, tmp_path, 
             f"{config.config_hash(config.load_config(path))}" in capsys.readouterr().err)
 
 
+def test_deconvolve_kernel_file_rejects_another_config(scan_workdir, tmp_path, capsys):
+    # a config with other noise points would lend the estimate its noise model
+    # and its hash, although the scan and the kernel carry the scan's
+    work, _ = scan_workdir
+    raw = config.load_config().raw
+    raw["noise_points"] = [[p, 2.0 * r] for p, r in raw["noise_points"]]
+    path = tmp_path / "noisier.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    other = config.config_hash(config.load_config(path))
+    assert other != CONFIG_HASH
+    code, _ = run_cli(["--config", str(path), "deconvolve", "--raw", str(work / "scan.csv"),
+                       "--kernel", str(work / "kernel.csv"), "--out", str(tmp_path / "est.csv")])
+    assert code == 4
+    assert (f"scan config_hash {CONFIG_HASH} differs from the config's {other}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "est.csv").exists()
+
+
 @pytest.mark.parametrize("unhashed,kernel", [("scan", "model"), ("scan", "file"),
                                              ("kernel", "file")])
 def test_deconvolve_needs_config_hash_headers(scan_workdir, tmp_path, capsys, unhashed,

@@ -65,6 +65,22 @@ def test_long_pass_and_top_hat_band():
     assert transmission(hat, 865.0) == pytest.approx(0.4, abs=1e-9)
 
 
+@pytest.mark.parametrize("u", [-3.0, -4.5, -5.5])
+def test_top_hat_edges_keep_their_tails(u):
+    # 0.5 erfc(-u) against mpmath; 0.5 (1 + erf(u)) is 0.4 % off at u = -5.5.
+    # Centre 860 nm, FWHM 1.25 nm and edge scale 0.125 nm make every edge
+    # argument exact, and the far edge sits at erfc = 2 exactly.
+    mpmath = pytest.importorskip("mpmath")
+    want = float(mpmath.erfc(-mpmath.mpf(u)) / 2)
+    hat = FilterElement(kind="band_pass", center_nm=860.0, fwhm_nm=1.25, peak=1.0,
+                        lineshape="top_hat", edge_width_nm=0.125)
+    vbg = VbgState(fwhm_nm=1.25, peak_reflectance=1.0, lineshape="top_hat")
+    below, above = 859.375 + 0.125 * u, 860.625 - 0.125 * u
+    got = [transmission(hat, below), transmission(hat, above),
+           vbg_transmission(vbg, below, 860.0), vbg_transmission(vbg, above, 860.0)]
+    assert np.all(np.abs(np.array(got) - want) <= 1e-14 * want), got
+
+
 def test_all_transmissions_bounded_under_fuzz(cfg):
     rng = np.random.default_rng(20240903)
     lam = rng.uniform(300.0, 2500.0, size=4000)

@@ -1,6 +1,9 @@
 """Sellmeier index, QPM mismatch, tuning-curve calibration and bandwidth."""
 import numpy as np
 import pytest
+import tuning_oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from upconvspec import dispersion
 from upconvspec.errors import CalibrationError, DomainError, TuningError
@@ -78,6 +81,62 @@ def test_phase_match_state_at_anchor(wg3):
     dk = dispersion.qpm_mismatch(1550.0, 1950.0, wg3)
     assert abs(dk) < 1e-12
     assert dispersion.efficiency_factor(dk, wg3.length_mm) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_phase_matched_pump_matches_the_oracle_bisection(wg3, monkeypatch):
+    signal = np.linspace(1530.0, 1575.0, 91)
+    got = dispersion.phase_matched_pump(signal, wg3)
+
+    # the reference: 80 steps, each through the checked qpm_mismatch
+    def checked(known, wg, solve_for):
+        return lambda x: dispersion.qpm_mismatch(known, x, wg)
+
+    monkeypatch.setattr(dispersion, "_bisect_roots", tuning_oracle.bisect_roots)
+    monkeypatch.setattr(dispersion, "_mismatch_against", checked)
+    assert np.array_equal(got, dispersion.phase_matched_pump(signal, wg3))
+
+
+def test_tuning_solve_stops_at_the_fixed_point(cfg, wg3, monkeypatch):
+    # 1 nm coarse brackets near 1550 nm reach adjacent floats in ~42 halvings;
+    # one more step finds nothing left to change
+    calls = []
+    bisect = dispersion._bisect_roots
+
+    def counted(f, lo, hi, iterations=80):
+        def g(x):
+            calls.append(np.size(x))
+            return f(x)
+        return bisect(g, lo, hi, iterations)
+
+    monkeypatch.setattr(dispersion, "_bisect_roots", counted)
+    dispersion.phase_matched_signal(cfg.scan.pump_grid_nm(), wg3)
+    assert 40 <= len(calls) - 1 <= 46 and set(calls) == {1201}
+
+
+_EDGES = st.tuples(st.floats(1400.0, 1700.0), st.floats(0.0, 2.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(brackets=st.lists(_EDGES, min_size=1, max_size=8), slope=st.floats(-3.0, 3.0),
+       tuning=st.booleans())
+@example(brackets=[(1550.0, 1.0, 0.0), (1551.0, 0.0, 0.5), (1449.5, 1.0, 0.3)], slope=1.0,
+         tuning=False)
+@example(brackets=[(1560.0, 1.0, 0.0), (1561.0, 0.0, 0.0)], slope=0.0, tuning=True)
+def test_early_exit_bisection_gives_the_bits_of_80_steps(wg3, brackets, slope, tuning):
+    # (lo, width, frac): frac = 0 puts the root on lo, so f(lo) == 0, and
+    # width = 0 makes lo == hi, a root on a coarse node
+    lo = np.array([b[0] for b in brackets])
+    hi = lo + np.array([b[1] for b in brackets])
+    if tuning:
+        pump = np.linspace(1920.0, 1980.0, lo.size)
+        f = dispersion._mismatch_against(pump, wg3, "signal")
+    else:
+        root = lo + np.array([b[1] * b[2] for b in brackets])
+        def f(x):
+            return slope * (x - root)
+    got = dispersion._bisect_roots(f, lo, hi)
+    want = tuning_oracle.bisect_roots(f, lo, hi)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_efficiency_factor_peak_and_nulls(wg3):

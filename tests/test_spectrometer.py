@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import tuning_oracle
 from dense_kernel import dense_kernel, thresholded
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,8 +60,9 @@ def test_tracking_schedule_single_anchor_drifts_more(cfg, wg1, wg3):
 
 
 def test_kernel_build_solves_the_tuning_map_once(cfg, wg3, models, monkeypatch):
-    # one solve over the scan grid plus the scalar fixed-VBG setpoint; the
-    # usable-span study is a separate report, never part of a build
+    # one solve over the 1201 scan points with the scan-centre pump of the
+    # fixed-VBG setpoint appended; the usable-span study is a separate report,
+    # never part of a build
     sizes = []
     solve = dispersion.phase_matched_signal
 
@@ -75,7 +77,7 @@ def test_kernel_build_solves_the_tuning_map_once(cfg, wg3, models, monkeypatch):
     monkeypatch.setattr(spectrometer, "fixed_vbg_usable_span", span_study)
     conv, _ = models
     spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, conv, cfg.scan)
-    assert sizes == [1201, 1]
+    assert sizes == [1202]
 
 
 def test_kernel_build_evaluates_only_the_band(cfg, wg3, models, monkeypatch):
@@ -97,6 +99,52 @@ def test_kernel_build_evaluates_only_the_band(cfg, wg3, models, monkeypatch):
     width = kern.band_values.shape[1]
     assert width <= 71
     assert sum(cells) - schedule_cells <= 1201 * width
+
+
+TUNING_ORACLE_CASES = ("tracked", "fixed", "small_plan", "fine_3001", "fixed_off_grid_center",
+                       "top_hat_vbg")
+
+
+@pytest.mark.parametrize("case", TUNING_ORACLE_CASES)
+def test_schedule_and_band_match_the_tuning_oracle(cfg, wg3, models, small_plan, monkeypatch,
+                                                   case):
+    # the one-pass solve gives the bits of 80 full bisection steps and a
+    # separate scalar solve for the scan-centre pump
+    vbg = replace(cfg.vbg, lineshape="top_hat") if case == "top_hat_vbg" else cfg.vbg
+    plan = {
+        "tracked": cfg.scan,
+        "fixed": replace(cfg.scan, vbg_tracking="fixed"),
+        "small_plan": small_plan,
+        "fine_3001": replace(cfg.scan, pump_step_nm=0.02),
+        "fixed_off_grid_center": replace(cfg.scan, pump_start_nm=1931.37,
+                                         pump_stop_nm=1945.08, pump_step_nm=0.02,
+                                         vbg_tracking="fixed"),
+        "top_hat_vbg": cfg.scan,
+    }[case]
+    got = spectrometer.vbg_tracking_schedule(plan, wg3, vbg)
+    want = tuning_oracle.vbg_tracking_schedule(plan, wg3, vbg)
+    assert got.signal_nm.size == plan.pump_grid_nm().size
+    for name in ("signal_nm", "centers_nm"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("fixed_center_nm", "sfg_drift_nm", "tracking_required", "mode"):
+        assert getattr(got, name) == getattr(want, name), name
+
+    conv, _ = models
+    kern = spectrometer.build_kernel(wg3, cfg.filters, vbg, conv, plan)
+    monkeypatch.setattr(spectrometer, "vbg_tracking_schedule",
+                        tuning_oracle.vbg_tracking_schedule)
+    ref = spectrometer.build_kernel(wg3, cfg.filters, vbg, conv, plan)
+    for name in ("band_start", "band_values", "mapped_signal_nm", "vbg_centers_nm",
+                 "signal_grid_nm"):
+        assert np.array_equal(getattr(kern, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("anchors", ["wg1", "wg3"])
+def test_usable_span_matches_the_tuning_oracle(cfg, wg1, wg3, anchors):
+    wg = {"wg1": wg1, "wg3": wg3}[anchors]
+    got = spectrometer.fixed_vbg_usable_span(cfg.scan, wg, cfg.vbg)
+    assert got == tuning_oracle.fixed_vbg_usable_span(cfg.scan, wg, cfg.vbg)
+    assert got[0] > 0.0
 
 
 def test_package_never_reads_the_dense_view(cfg, wg3, models, small_plan, tmp_path,
