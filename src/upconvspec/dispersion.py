@@ -92,8 +92,9 @@ class WaveguideSpec:
             )
 
 
-def _bulk_index(lam_um, temperature_c, medium):
-    """Bulk Sellmeier index at lam [um], without the validity checks."""
+def _index(lam_um, temperature_c, correction, medium):
+    """Sellmeier index at lam [um] plus the correction polynomial (skipped
+    when there is none), without the validity checks."""
     a1, a2, a3, a4, a5, a6 = medium.a
     b1, b2, b3, b4 = medium.b
     f = (temperature_c - medium.t_ref_c) * (temperature_c + medium.t_offset_c)
@@ -102,15 +103,25 @@ def _bulk_index(lam_um, temperature_c, medium):
           + (a2 + b2 * f) / (l2 - (a3 + b3 * f) ** 2)
           + (a4 + b4 * f) / (l2 - a5 ** 2)
           - a6 * l2)
-    return np.sqrt(n2)
-
-
-def _index(lam_um, temperature_c, correction, medium):
-    """Bulk index plus the correction polynomial, without the validity checks."""
-    n = _bulk_index(lam_um, temperature_c, medium)
+    n = np.sqrt(n2)
     if len(correction):
         n = n + np.polynomial.polynomial.polyval(lam_um, correction)
     return n
+
+
+def _check_window(lam_um, temperature_c, medium):
+    """Raise DomainError outside the medium's wavelength or temperature window."""
+    lo, hi = medium.valid_um
+    if np.any(lam_um < lo) or np.any(lam_um > hi):
+        raise DomainError(
+            f"wavelength outside Sellmeier validity window [{lo}, {hi}] um "
+            f"for {medium.name}"
+        )
+    tlo, thi = medium.valid_temp_c
+    if not (tlo <= temperature_c <= thi):
+        raise DomainError(
+            f"temperature {temperature_c} C outside validity window [{tlo}, {thi}] C"
+        )
 
 
 def refractive_index(wavelength_nm, temperature_c, correction=(), medium=CONGRUENT_LN_E):
@@ -138,17 +149,7 @@ def refractive_index(wavelength_nm, temperature_c, correction=(), medium=CONGRUE
     float or ndarray
     """
     lam_um = np.asarray(wavelength_nm, dtype=float) * 1e-3
-    lo, hi = medium.valid_um
-    if np.any(lam_um < lo) or np.any(lam_um > hi):
-        raise DomainError(
-            f"wavelength outside Sellmeier validity window [{lo}, {hi}] um "
-            f"for {medium.name}"
-        )
-    tlo, thi = medium.valid_temp_c
-    if not (tlo <= temperature_c <= thi):
-        raise DomainError(
-            f"temperature {temperature_c} C outside validity window [{tlo}, {thi}] C"
-        )
+    _check_window(lam_um, temperature_c, medium)
     n = _index(lam_um, temperature_c, correction, medium)
     return float(n) if np.ndim(wavelength_nm) == 0 else n
 
@@ -170,19 +171,47 @@ def qpm_mismatch(signal_nm, pump_nm, wg):
 
     The waveguide's dispersion_correction polynomial is applied to the
     signal-band index only (net modal correction, see module docstring);
-    pump and SFG waves use the bulk Sellmeier index.
+    pump and SFG waves use the bulk Sellmeier index.  All three waves are
+    checked against the medium's validity windows, then dk is evaluated by
+    the same unchecked formula the tuning-map bisection uses.
     """
-    s_um = np.asarray(signal_nm, dtype=float) * 1e-3
-    p_um = np.asarray(pump_nm, dtype=float) * 1e-3
-    f_nm = sfg_wavelength(signal_nm, pump_nm)
-    n_f = refractive_index(f_nm, wg.temperature_c, medium=wg.medium)
-    n_s = refractive_index(signal_nm, wg.temperature_c,
-                           correction=wg.dispersion_correction, medium=wg.medium)
-    n_p = refractive_index(pump_nm, wg.temperature_c, medium=wg.medium)
-    dk = TWO_PI * (n_f / (np.asarray(f_nm, dtype=float) * 1e-3)
-                   - n_s / s_um - n_p / p_um - 1.0 / wg.qpm_period_um)
+    s = np.asarray(signal_nm, dtype=float)
+    p = np.asarray(pump_nm, dtype=float)
+    f_nm = sfg_wavelength(s, p)
+    for lam_nm in (f_nm, s, p):
+        _check_window(np.asarray(lam_nm) * 1e-3, wg.temperature_c, wg.medium)
+    dk = _mismatch_against(p, wg, "signal")(s)
     if np.ndim(signal_nm) == 0 and np.ndim(pump_nm) == 0:
         return float(dk)
+    return dk
+
+
+def _mismatch_against(known, wg, solve_for):
+    """dk(x) [rad/um] for the unknown wavelengths x [nm] against the known
+    ones (pump for solve_for="signal", signal for "pump"), broadcast.
+
+    The one dk formula: qpm_mismatch is its checks plus this.  The known
+    wave's index term is computed once, and nothing is checked: the
+    bisection only evaluates points between coarse-scan nodes that
+    qpm_mismatch checked, and the SFG wavelength is monotone between them.
+    """
+    k_um = known * 1e-3
+    correction = wg.dispersion_correction if solve_for == "pump" else ()
+    known_term = _index(k_um, wg.temperature_c, correction, wg.medium) / k_um
+    inv_period = 1.0 / wg.qpm_period_um
+
+    def dk(x):
+        x_um = x * 1e-3
+        f_um = (x * known / (x + known)) * 1e-3
+        a = _index(f_um, wg.temperature_c, (), wg.medium) / f_um
+        if solve_for == "signal":
+            b = _index(x_um, wg.temperature_c, wg.dispersion_correction, wg.medium) / x_um
+            c = known_term
+        else:
+            b = known_term
+            c = _index(x_um, wg.temperature_c, (), wg.medium) / x_um
+        return TWO_PI * (a - b - c - inv_period)
+
     return dk
 
 
@@ -221,34 +250,6 @@ def _bisect_roots(f, lo, hi, iterations=80):
 
 def _same_bits(a, b):
     return np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
-def _mismatch_against(known, wg, solve_for):
-    """dk(x) for the unknown wavelengths x [nm] against fixed known ones.
-
-    Gives qpm_mismatch's bits with the known wave's index term computed once
-    and no validity checks: the bisection only evaluates points between
-    coarse-scan nodes that qpm_mismatch checked, and the SFG wavelength is
-    monotone between them.
-    """
-    k_um = known * 1e-3
-    correction = wg.dispersion_correction if solve_for == "pump" else ()
-    known_term = _index(k_um, wg.temperature_c, correction, wg.medium) / k_um
-    inv_period = 1.0 / wg.qpm_period_um
-
-    def dk(x):
-        x_um = x * 1e-3
-        f_um = (x * known / (x + known)) * 1e-3
-        a = _bulk_index(f_um, wg.temperature_c, wg.medium) / f_um
-        if solve_for == "signal":
-            b = _index(x_um, wg.temperature_c, wg.dispersion_correction, wg.medium) / x_um
-            c = known_term
-        else:
-            b = known_term
-            c = _bulk_index(x_um, wg.temperature_c, wg.medium) / x_um
-        return TWO_PI * (a - b - c - inv_period)
-
-    return dk
 
 
 def _solve_matched(known_nm, wg, solve_for, window_nm, guess_nm=None, bracket_nm=20.0):

@@ -83,17 +83,41 @@ def test_phase_match_state_at_anchor(wg3):
     assert dispersion.efficiency_factor(dk, wg3.length_mm) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_phase_matched_pump_matches_the_oracle_bisection(wg3, monkeypatch):
+def test_qpm_mismatch_matches_the_oracle_formula(wg1, wg3):
+    # qpm_mismatch is its checks plus the bisection's own dk evaluator; the
+    # oracle writes dk out term by term through the checked refractive_index
+    sig = np.linspace(1450.0, 1650.0, 201)
+    pump = np.linspace(1820.0, 2080.0, 53)
+    for wg in (wg1, wg3):
+        got = dispersion.qpm_mismatch(sig[None, :], pump[:, None], wg)
+        want = tuning_oracle.qpm_mismatch(sig[None, :], pump[:, None], wg)
+        assert np.array_equal(got, want)
+        assert np.array_equal(dispersion.qpm_mismatch(sig[:, None], pump[None, :], wg),
+                              tuning_oracle.qpm_mismatch(sig[:, None], pump[None, :], wg))
+        got = dispersion.qpm_mismatch(1550.0, 1950.0, wg)
+        assert type(got) is float and got == tuning_oracle.qpm_mismatch(1550.0, 1950.0, wg)
+
+
+@pytest.mark.parametrize("signal_nm, pump_nm", [
+    (500.0, 520.0),     # SFG below the Sellmeier window
+    (6000.0, 1950.0),   # signal above it
+    (1550.0, 6000.0),   # pump above it
+    (np.array([1550.0, -1.0]), 1950.0),
+])
+def test_qpm_mismatch_checks_every_wave(wg3, signal_nm, pump_nm):
+    with pytest.raises(DomainError):
+        dispersion.qpm_mismatch(signal_nm, pump_nm, wg3)
+
+
+def test_phase_matched_solves_match_the_oracle_bisection(wg3):
     signal = np.linspace(1530.0, 1575.0, 91)
-    got = dispersion.phase_matched_pump(signal, wg3)
-
-    # the reference: 80 steps, each through the checked qpm_mismatch
-    def checked(known, wg, solve_for):
-        return lambda x: dispersion.qpm_mismatch(known, x, wg)
-
-    monkeypatch.setattr(dispersion, "_bisect_roots", tuning_oracle.bisect_roots)
-    monkeypatch.setattr(dispersion, "_mismatch_against", checked)
-    assert np.array_equal(got, dispersion.phase_matched_pump(signal, wg3))
+    assert np.array_equal(dispersion.phase_matched_pump(signal, wg3),
+                          tuning_oracle.phase_matched_pump(signal, wg3))
+    pump = np.linspace(1900.0, 2000.0, 77)
+    assert np.array_equal(dispersion.phase_matched_signal(pump, wg3),
+                          tuning_oracle.phase_matched_signal(pump, wg3))
+    assert (dispersion.phase_matched_signal(1950.0, wg3)
+            == tuning_oracle.phase_matched_signal(1950.0, wg3))
 
 
 def test_tuning_solve_stops_at_the_fixed_point(cfg, wg3, monkeypatch):

@@ -1,16 +1,33 @@
 """Reference tuning-map solver, the oracle for the one-pass solve.
 
 It solves the map the way the package did before its solve stopped at the
-bisection's fixed point: every one of the 80 bisection steps evaluates the
-checked dispersion.qpm_mismatch, and the scan-center pump of the fixed VBG
-setpoint is a scalar solve of its own.  vbg_tracking_schedule and
-fixed_vbg_usable_span here must give the package's bits.
+bisection's fixed point: every one of the 80 bisection steps evaluates dk
+through the checked refractive_index, with dk written out term by term as
+qpm_mismatch had it, and the scan-center pump of the fixed VBG setpoint is a
+scalar solve of its own.  The solvers and schedules here must give the
+package's bits.
 """
 import numpy as np
 
 from upconvspec import dispersion, spectrometer
 from upconvspec.components import vbg_transmission
 from upconvspec.errors import TuningError
+
+
+def qpm_mismatch(signal_nm, pump_nm, wg):
+    """dk [rad/um], each wave's index from the checked refractive_index."""
+    s_um = np.asarray(signal_nm, dtype=float) * 1e-3
+    p_um = np.asarray(pump_nm, dtype=float) * 1e-3
+    f_nm = dispersion.sfg_wavelength(signal_nm, pump_nm)
+    n_f = dispersion.refractive_index(f_nm, wg.temperature_c, medium=wg.medium)
+    n_s = dispersion.refractive_index(signal_nm, wg.temperature_c,
+                                      correction=wg.dispersion_correction, medium=wg.medium)
+    n_p = dispersion.refractive_index(pump_nm, wg.temperature_c, medium=wg.medium)
+    dk = dispersion.TWO_PI * (n_f / (np.asarray(f_nm, dtype=float) * 1e-3)
+                              - n_s / s_um - n_p / p_um - 1.0 / wg.qpm_period_um)
+    if np.ndim(signal_nm) == 0 and np.ndim(pump_nm) == 0:
+        return float(dk)
+    return dk
 
 
 def bisect_roots(f, lo, hi, iterations=80):
@@ -28,24 +45,39 @@ def bisect_roots(f, lo, hi, iterations=80):
     return 0.5 * (lo + hi)
 
 
-def phase_matched_signal(pump_nm, wg):
-    """Signal [nm] phase matched to pump_nm over the default search window."""
-    known = np.atleast_1d(np.asarray(pump_nm, dtype=float))
-    grid = np.arange(dispersion.SIGNAL_SEARCH_NM[0],
-                     dispersion.SIGNAL_SEARCH_NM[1] + dispersion._COARSE_STEP_NM,
+def _solve(known_nm, wg, solve_for, window_nm):
+    known = np.atleast_1d(np.asarray(known_nm, dtype=float))
+    grid = np.arange(window_nm[0], window_nm[1] + dispersion._COARSE_STEP_NM,
                      dispersion._COARSE_STEP_NM)
-    dk_grid = dispersion.qpm_mismatch(grid[None, :], known[:, None], wg)
+    if solve_for == "signal":
+        def dk(x):
+            return qpm_mismatch(x, known, wg)
+        dk_grid = qpm_mismatch(grid[None, :], known[:, None], wg)
+    else:
+        def dk(x):
+            return qpm_mismatch(known, x, wg)
+        dk_grid = qpm_mismatch(known[:, None], grid[None, :], wg)
     on_node = dk_grid == 0.0
     sign_flip = dk_grid[:, :-1] * dk_grid[:, 1:] < 0.0
     if np.any(on_node.sum(axis=1) + sign_flip.sum(axis=1) != 1):
-        raise TuningError("oracle needs exactly one root per pump")
+        raise TuningError("oracle needs exactly one root per known wavelength")
     at_node = on_node.any(axis=1)
     node = grid[np.argmax(on_node, axis=1)]
     idx = np.argmax(sign_flip, axis=1)
     lo = np.where(at_node, node, grid[idx])
     hi = np.where(at_node, node, grid[idx + 1])
-    root = bisect_roots(lambda x: dispersion.qpm_mismatch(x, known, wg), lo, hi)
-    return float(root[0]) if np.ndim(pump_nm) == 0 else root
+    root = bisect_roots(dk, lo, hi)
+    return float(root[0]) if np.ndim(known_nm) == 0 else root
+
+
+def phase_matched_signal(pump_nm, wg):
+    """Signal [nm] phase matched to pump_nm over the default search window."""
+    return _solve(pump_nm, wg, "signal", dispersion.SIGNAL_SEARCH_NM)
+
+
+def phase_matched_pump(signal_nm, wg):
+    """Pump [nm] phase matched to signal_nm over the default search window."""
+    return _solve(signal_nm, wg, "pump", dispersion.PUMP_SEARCH_NM)
 
 
 def fixed_setpoint(plan, wg):
@@ -74,7 +106,7 @@ def fixed_vbg_usable_span(plan, wg, vbg):
     center_pump, fixed_center = fixed_setpoint(plan, wg)
     off = np.linspace(-3.0, 3.0, 241)
     q = probe_pump[:, None] + off[None, :]
-    dk = dispersion.qpm_mismatch(probe_sig[:, None], q, wg)
+    dk = qpm_mismatch(probe_sig[:, None], q, wg)
     line = dispersion.efficiency_factor(dk, wg.length_mm)
     gate = vbg_transmission(vbg, dispersion.sfg_wavelength(probe_sig[:, None], q),
                             center_nm=fixed_center)
