@@ -7,6 +7,7 @@ failures.
 """
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -118,8 +119,10 @@ def _cmd_design_qpm(cfg, args, out):
 def _cmd_fom(cfg, args, out):
     conv, noise = pinned_models(cfg)
     power = args.pump_power
-    eff = conv.efficiency(power) if power > 0 else 0.0
-    rate = noise.rate(power) if power >= 0 else 0.0
+    if not (math.isfinite(power) and power > 0):
+        raise DomainError(f"pump power must be finite and positive, got {power} mW")
+    eff = conv.efficiency(power)
+    rate = noise.rate(power)
     out.write(f"pump_power_mw        {power:.3f}\n")
     out.write(f"efficiency           {eff:.6f}\n")
     out.write(f"noise_rate_cps       {rate:.6f}\n")

@@ -7,9 +7,12 @@ points precede it or on the order of evaluation.  The streams are built
 here rather than by numpy's objects: the SeedSequence entropy mixing
 (O'Neill's seed_seq_fe hashmix/mix, as numpy implements it) is done once
 per seed for the seed's own words and then in one uint32 numpy pass for
-every point's spawn word, and PCG64 (128-bit LCG, XSL-RR output) runs on
-Python ints.  numpy's SeedSequence/PCG64/Generator are the test oracle:
-raw outputs and random() must agree with them bit for bit.
+every point's spawn word.  PCG64 (128-bit LCG, XSL-RR output) runs in two
+forms: poisson_counts steps every point's stream together as a lane of
+uint64 arrays (_Lanes, the 128-bit state in 64-bit halves), and
+sample_poisson draws in sequence from one scalar stream on Python ints
+(Pcg64Stream).  numpy's SeedSequence/PCG64/Generator are the test oracle:
+raw outputs and random() of both forms must agree with them bit for bit.
 
 The Poisson sampler is implemented here too, so that draws are
 bit-reproducible across numpy versions from a documented algorithm pair:
@@ -18,6 +21,10 @@ bit-reproducible across numpy versions from a documented algorithm pair:
 * mean >= 30: transformed rejection with squeeze (PTRS, Hoermann 1993,
   "The transformed rejection method for generating Poisson random
   variables"), which needs ~1.1 uniforms per draw at any mean.
+
+poisson_counts runs PTRS on all its lanes at once, in rounds, and gives the
+counts the scalar sampler gives point by point: numpy's + - * /, sqrt, abs
+and floor round as Python's do, and the log test runs on Python floats.
 """
 from dataclasses import dataclass
 import math
@@ -28,6 +35,7 @@ from .errors import DomainError
 from .units import photon_energy_j, dbm_to_watts
 
 _PTRS_SWITCH = 30.0
+_MAX_MEAN = 2.0 ** 62
 
 # SeedSequence constants (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
@@ -41,6 +49,12 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG_DEFAULT_MULTIPLIER_128
+# the multiplier's 64-bit halves and the low half's 32-bit limbs, for _Lanes
+_M_HI = np.uint64(_PCG_MULT >> 64)
+_M_LO = np.uint64(_PCG_MULT & _MASK64)
+_M_LO0 = np.uint64(_PCG_MULT & _MASK32)
+_M_LO1 = np.uint64((_PCG_MULT >> 32) & _MASK32)
+_LOW32 = np.uint64(_MASK32)
 
 
 def validate_seed(seed):
@@ -101,14 +115,17 @@ def _seed_pool(seed, spawned):
 
 
 class Pcg64Stream:
-    """PCG64 (XSL-RR 128/64) stream with numpy's random_raw/random outputs."""
+    """PCG64 (XSL-RR 128/64) stream with numpy's random_raw/random outputs.
+
+    Starts from a seeded 128-bit state and odd increment, as _Lanes.stream
+    hands them over.
+    """
 
     __slots__ = ("_state", "_inc")
 
-    def __init__(self, initstate, initseq):
-        # pcg_setseq_128_srandom_r: step from 0, add initstate, step again
-        self._inc = ((initseq << 1) | 1) & _MASK128
-        self._state = ((self._inc + initstate) * _PCG_MULT + self._inc) & _MASK128
+    def __init__(self, state, inc):
+        self._state = state
+        self._inc = inc
 
     def random_raw(self):
         """Next 64-bit output, as PCG64.random_raw."""
@@ -122,8 +139,69 @@ class Pcg64Stream:
         return (self.random_raw() >> 11) * 2.0 ** -53
 
 
+class _Lanes:
+    """Many PCG64 streams held as uint64 arrays and stepped together.
+
+    Lane j's 128-bit state is (hi[j] << 64) | lo[j] and its increment
+    (inc_hi[j] << 64) | inc_lo[j].  Each random_raw/random call steps every
+    lane once and gives what Pcg64Stream gives on that lane's state.
+    """
+
+    __slots__ = ("hi", "lo", "inc_hi", "inc_lo")
+
+    def __init__(self, hi, lo, inc_hi, inc_lo):
+        self.hi, self.lo, self.inc_hi, self.inc_lo = hi, lo, inc_hi, inc_lo
+
+    @classmethod
+    def seeded(cls, state_hi, state_lo, seq_hi, seq_lo):
+        """pcg_setseq_128_srandom_r: inc = 2 initseq + 1, state = step(inc + initstate)."""
+        inc_hi = (seq_hi << 1) | (seq_lo >> 63)
+        inc_lo = (seq_lo << 1) | 1
+        lo = inc_lo + state_lo
+        lanes = cls(inc_hi + state_hi + (lo < state_lo), lo, inc_hi, inc_lo)
+        lanes._step()
+        return lanes
+
+    def _step(self):
+        # state * M + inc mod 2**128 on 64-bit halves: the high half is the
+        # high 64 bits of lo * M_lo (from 32-bit limbs, which cannot
+        # overflow) plus the cross terms and inc_hi, plus the carry of the
+        # low half's increment add.
+        lo = self.lo
+        a0, a1 = lo & _LOW32, lo >> 32
+        p01, p10 = a0 * _M_LO1, a1 * _M_LO0
+        mid = ((a0 * _M_LO0) >> 32) + (p01 & _LOW32) + (p10 & _LOW32)
+        hi = (a1 * _M_LO1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+              + self.hi * _M_LO + lo * _M_HI + self.inc_hi)
+        lo = lo * _M_LO + self.inc_lo
+        self.hi = hi + (lo < self.inc_lo)
+        self.lo = lo
+
+    def random_raw(self):
+        """Next 64-bit output of every lane, as PCG64.random_raw."""
+        self._step()
+        x = self.hi ^ self.lo
+        rot = self.hi >> 58
+        # (64 - rot) & 63 keeps a rot of 0 from shifting by 64
+        return (x >> rot) | (x << ((64 - rot) & 63))
+
+    def random(self):
+        """Uniform double in [0, 1) per lane, as Generator.random."""
+        return (self.random_raw() >> 11) * 2.0 ** -53
+
+    def take(self, index):
+        """The lanes picked by an index or boolean mask, in that order."""
+        return _Lanes(self.hi[index], self.lo[index],
+                      self.inc_hi[index], self.inc_lo[index])
+
+    def stream(self, j):
+        """Lane j's current state as a scalar stream."""
+        return Pcg64Stream((int(self.hi[j]) << 64) | int(self.lo[j]),
+                           (int(self.inc_hi[j]) << 64) | int(self.inc_lo[j]))
+
+
 def _streams(seed, key_words, n):
-    """Streams of SeedSequence(seed, spawn_key) for n spawn keys at once.
+    """Lanes of SeedSequence(seed, spawn_key) for n spawn keys at once.
 
     key_words lists the keys' uint32 words in order, each a scalar or an
     array over the n keys; no words means the unspawned root sequence.
@@ -135,15 +213,14 @@ def _streams(seed, key_words, n):
         for dst in range(_POOL_SIZE):
             h, hc = _hashmix(w, hc)
             pool[dst] = _mix(pool[dst], h)
-    # generate_state(4, np.uint64): eight words, paired little-endian
+    # generate_state(4, np.uint64): eight words, paired little-endian into
+    # initstate (hi, lo) and initseq (hi, lo)
     hc = _INIT_B
     half = []
     for k in range(2 * _POOL_SIZE):
         v, hc = _hashmix(pool[k % _POOL_SIZE], hc, _MULT_B)
         half.append(v.astype(np.uint64))
-    s0, s1, i0, i1 = ((half[2 * j] | (half[2 * j + 1] << 32)).tolist() for j in range(4))
-    return [Pcg64Stream((a << 64) | b, (c << 64) | d)
-            for a, b, c, d in zip(s0, s1, i0, i1)]
+    return _Lanes.seeded(*(half[2 * j] | (half[2 * j + 1] << 32) for j in range(4)))
 
 
 def rng_from_path(seed, path=()):
@@ -154,7 +231,7 @@ def rng_from_path(seed, path=()):
     i != j; the empty path is the root stream itself.
     """
     words = [w for p in path for w in _words(validate_seed(p))]
-    return _streams(seed, words, 1)[0]
+    return _streams(seed, words, 1).stream(0)
 
 
 def _log_factorial(k):
@@ -177,12 +254,29 @@ def _poisson_inversion(mean, rng):
     return k
 
 
+def _ptrs_constants(mean, root):
+    """PTRS's (a, b, 1/alpha, v_r) from the mean and its square root.
+
+    Only + - * /, so floats and float arrays give the same bits.
+    """
+    b = 0.931 + 2.53 * root
+    a = -0.059 + 0.02483 * b
+    return a, b, 1.1239 + 1.1328 / (b - 3.4), 0.9277 - 3.6224 / (b - 2.0)
+
+
+def _ptrs_log_accept(k, us, v, mean, a, b, inv_alpha):
+    """PTRS's final acceptance test, on Python floats.
+
+    math.log and math.lgamma are libm's; numpy's log need not give the same
+    bits, so this test never runs on arrays.
+    """
+    return (math.log(v * inv_alpha / (a / (us * us) + b))
+            <= k * math.log(mean) - mean - _log_factorial(k))
+
+
 def _poisson_ptrs(mean, rng):
     """Transformed rejection with squeeze (PTRS); ~1.1 uniforms per draw."""
-    b = 0.931 + 2.53 * math.sqrt(mean)
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
+    a, b, inv_alpha, v_r = _ptrs_constants(mean, math.sqrt(mean))
     while True:
         u = rng.random() - 0.5
         v = rng.random()
@@ -192,16 +286,44 @@ def _poisson_ptrs(mean, rng):
             return int(k)
         if k < 0 or (us < 0.013 and v > us):
             continue
-        log_mean = math.log(mean)
-        if (math.log(v * inv_alpha / (a / (us * us) + b))
-                <= k * log_mean - mean - _log_factorial(k)):
+        if _ptrs_log_accept(k, us, v, mean, a, b, inv_alpha):
             return int(k)
 
 
+def _ptrs_lanes(means, lanes):
+    """One PTRS draw per lane (every mean >= 30), all lanes in rounds.
+
+    Each round every open lane takes the (u, v) pair _poisson_ptrs would
+    take from its stream.  The squeeze and the cheap rejections are + - * /,
+    sqrt, abs and floor, which numpy rounds as Python does; only the lanes
+    they leave undecided take the log test, one by one.
+    """
+    out = np.empty(means.size, dtype=np.int64)
+    a, b, inv_alpha, v_r = _ptrs_constants(means, np.sqrt(means))
+    where = np.arange(means.size)
+    while where.size:
+        u = lanes.random() - 0.5
+        v = lanes.random()
+        us = 0.5 - np.abs(u)
+        k = np.floor((2.0 * a / us + b) * u + means + 0.43)
+        accept = (us >= 0.07) & (v <= v_r)
+        test = np.flatnonzero(~accept & (k >= 0) & ((us >= 0.013) | (v <= us)))
+        accept[test] = [_ptrs_log_accept(*args) for args in zip(
+            *(x[test].tolist() for x in (k, us, v, means, a, b, inv_alpha)))]
+        out[where[accept]] = k[accept]
+        left = ~accept
+        where, means, a, b, inv_alpha, v_r = (
+            x[left] for x in (where, means, a, b, inv_alpha, v_r))
+        lanes = lanes.take(left)
+    return out
+
+
 def _checked_means(mean):
+    # counts are int64, and a float count cast past 2**63 wraps silently;
+    # a mean of at most 2**62 keeps every count below that
     m = np.asarray(mean, dtype=float)
-    if np.any(m < 0) or not np.all(np.isfinite(m)):
-        raise DomainError("Poisson mean must be finite and nonnegative")
+    if np.any(m < 0) or not np.all(m <= _MAX_MEAN):
+        raise DomainError("Poisson mean must be finite, nonnegative and at most 2**62")
     return m
 
 
@@ -232,16 +354,23 @@ def poisson_counts(means, seed):
     """One Poisson count per point, point i drawn from rng_from_path(seed, (i,)).
 
     Equal, point for point, to sample_poisson(means[i], rng_from_path(seed,
-    (i,))); the means are checked once, before any draw, and every point's
-    stream is derived in one pass.
+    (i,))).  The means are checked once, before any draw.  Every point's
+    stream is then seeded in one pass as a lane of a _Lanes, and the
+    PTRS points (mean >= 30) draw together, in rounds; a point with
+    0 < mean < 30 draws by inversion from its lane's state as a scalar
+    stream, and a zero mean takes no draw.
     """
     m = _checked_means(means)
     if m.ndim != 1:
         raise DomainError("poisson_counts takes a 1-D array of means")
     # spawn keys below 2**32 are one uint32 word each
-    streams = _streams(seed, [np.arange(m.size, dtype=np.uint32)], m.size)
-    return np.array([_draw(mu, rng) for mu, rng in zip(m.tolist(), streams)],
-                    dtype=np.int64)
+    lanes = _streams(seed, [np.arange(m.size, dtype=np.uint32)], m.size)
+    counts = np.zeros(m.size, dtype=np.int64)
+    ptrs = m >= _PTRS_SWITCH
+    counts[ptrs] = _ptrs_lanes(m[ptrs], lanes.take(ptrs))
+    for j in np.flatnonzero((m > 0) & ~ptrs).tolist():
+        counts[j] = _poisson_inversion(float(m[j]), lanes.stream(j))
+    return counts
 
 
 def photon_rate(power_dbm, wavelength_nm):

@@ -46,6 +46,11 @@ class ScanPlan:
     seed: int = 20240901
 
     def __post_init__(self):
+        for name in ("pump_start_nm", "pump_stop_nm", "pump_step_nm", "dwell_s",
+                     "pump_power_mw"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise DomainError(f"scan {name} must be finite, got {value}")
         if not (self.pump_start_nm < self.pump_stop_nm):
             raise DomainError("scan needs pump_start_nm < pump_stop_nm")
         if self.pump_step_nm <= 0 or self.dwell_s <= 0:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -96,12 +97,21 @@ def test_fom_convention_override():
     assert alt - base == pytest.approx(5.0 * math.log10(2.0), abs=1e-3)
 
 
-def test_fom_zero_power_is_solver_error():
+def test_fom_zero_power_is_solver_error(capsys):
     code, text = run_cli(["fom", "--pump-power", "0"])
     assert code == 4
-    assert get_field(text, "efficiency") == "0.000000"
-    assert get_field(text, "noise_rate_cps") == "0.000000"
-    assert "nep_dbm" not in text
+    assert text == ""
+    assert "pump power must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("power", ["-5", "nan", "inf"])
+def test_fom_checks_the_power_before_writing(power, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(["fom", "--pump-power", power])
+    assert code == 4
+    assert text == ""
+    assert "pump power must be finite and positive" in capsys.readouterr().err
 
 
 def test_scan_summary_and_reproducibility(scan_workdir):
@@ -294,6 +304,27 @@ def test_scan_with_a_negative_seed_is_a_domain_error(tmp_path, capsys):
                        "--out", str(tmp_path / "scan.csv"), "--seed", "-1"])
     assert code == 4
     assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,field", [("--dwell", "dwell_s"),
+                                        ("--pump-step", "pump_step_nm"),
+                                        ("--power", "pump_power_mw")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_scan_plan_values_must_be_finite(scan_workdir, tmp_path, capsys, flag, field,
+                                         value):
+    work, _ = scan_workdir
+    argv = ["scan", "--input", str(work / "input.csv"), "--out", str(tmp_path / "scan.csv")]
+    code, text = run_cli(argv + ["--no-sample", flag, value])
+    assert code == 4 and text == ""
+    assert f"scan {field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
+    raw = config.load_config().raw
+    raw["scan"][field] = float(value)
+    path = tmp_path / "nonfinite.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    code, text = run_cli(["--config", str(path)] + argv)
+    assert code == 3 and text == ""
+    assert f"config error: scan: scan {field} must be finite" in capsys.readouterr().err
 
 
 def test_removed_config_field_is_a_config_error(tmp_path, capsys):

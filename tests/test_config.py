@@ -65,6 +65,9 @@ def _parse_mutated(cfg, mutate):
     pytest.param(lambda r: r.update(scan=None), "scan", id="scan-empty"),
     pytest.param(lambda r: r["filters"].__setitem__(2, "collection"), "filters[2]",
                  id="filter-not-mapping"),
+    pytest.param(lambda r: r["scan"].update(dwell_s=float("nan")), "scan", id="dwell-nan"),
+    pytest.param(lambda r: r["scan"].update(pump_start_nm=-float("inf")), "scan",
+                 id="start-minus-inf"),
     pytest.param(lambda r: r["scan"].update(seed=-5), "scan.seed", id="seed-negative"),
     pytest.param(lambda r: r["scan"].update(seed=1.7), "scan.seed", id="seed-float"),
     pytest.param(lambda r: r["scan"].update(seed=[1]), "scan.seed", id="seed-list"),

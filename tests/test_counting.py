@@ -3,7 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upconvspec import counting, spectra, spectrometer
@@ -24,6 +24,24 @@ def test_stream_matches_numpy_oracle(seed, path):
     stream = counting.rng_from_path(seed, path)
     uniforms = np.random.Generator(oracle()).random(64)
     assert [stream.random() for _ in range(64)] == uniforms.tolist()
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_lanes_match_numpy_oracle(seed):
+    # 8 steps on 64 lanes, the first and last spawn keys among them, take
+    # the 128-bit step through its carries between the 64-bit halves
+    keys = np.concatenate([[0, 2**31, 2**32 - 1], np.arange(1, 62)]).astype(np.uint32)
+
+    def oracle(key):
+        return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,)))
+
+    lanes = counting._streams(seed, [keys], keys.size)
+    raw = np.column_stack([lanes.random_raw() for _ in range(8)])
+    lanes = counting._streams(seed, [keys], keys.size)
+    uniforms = np.column_stack([lanes.random() for _ in range(8)])
+    for key, lane_raw, lane_uniforms in zip(keys.tolist(), raw, uniforms):
+        assert lane_raw.tolist() == oracle(key).random_raw(8).tolist()
+        assert lane_uniforms.tolist() == np.random.Generator(oracle(key)).random(8).tolist()
 
 
 def test_bad_seeds_and_spawn_keys_are_rejected():
@@ -48,6 +66,24 @@ def test_poisson_counts_equal_per_point_sampler(means, seed):
             mu, counting.rng_from_path(seed, (i,)))
 
 
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(min_value=1, max_value=2000),
+       means_seed=st.integers(min_value=0, max_value=2**32 - 1),
+       seed=st.integers(min_value=0, max_value=2**80))
+def test_poisson_counts_equal_per_point_sampler_on_many_lanes(n, means_seed, seed):
+    # log-uniform means from 1e-3 to 1e9 with zeros and the branch switch
+    # mixed in: PTRS lanes reject for several rounds, and inversion lanes
+    # hand their state to a scalar stream
+    gen = np.random.default_rng(means_seed)
+    means = 10.0 ** gen.uniform(-3.0, 9.0, n)
+    special = gen.random(n) < 0.1
+    means[special] = gen.choice([0.0, 29.999, 30.0, 30.001], int(special.sum()))
+    counts = counting.poisson_counts(means, seed)
+    assert counts.tolist() == [
+        counting.sample_poisson(mu, counting.rng_from_path(seed, (i,)))
+        for i, mu in enumerate(means.tolist())]
+
+
 def test_default_scan_counts_are_pinned(cfg, models, kernel):
     # the values numpy's own SeedSequence/PCG64 Generator gave, point by point
     _, noise = models
@@ -59,12 +95,14 @@ def test_default_scan_counts_are_pinned(cfg, models, kernel):
 
 
 @pytest.mark.parametrize("means", [[50.0, 5.0, np.nan], [50.0, 5.0, -1.0],
-                                   [50.0, np.inf], [[5.0, 5.0], [5.0, 5.0]]])
+                                   [50.0, np.inf], [[5.0, 5.0], [5.0, 5.0]],
+                                   [50.0, 1e19]])
 def test_poisson_counts_check_means_before_any_draw(monkeypatch, means):
-    def no_draw(mu, rng):
-        raise AssertionError("drew before the means were checked")
+    # every draw starts from the lanes _streams seeds
+    def no_lanes(seed, key_words, n):
+        raise AssertionError("seeded lanes before the means were checked")
 
-    monkeypatch.setattr(counting, "_draw", no_draw)
+    monkeypatch.setattr(counting, "_streams", no_lanes)
     with pytest.raises(DomainError):
         counting.poisson_counts(np.array(means), 3)
 

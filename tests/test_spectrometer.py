@@ -27,6 +27,11 @@ def test_scan_plan_grid_and_validation():
         ScanPlan(pump_start_nm=1980.0, pump_stop_nm=1920.0)
     with pytest.raises(DomainError):
         ScanPlan(pump_step_nm=0.0)
+    for field in ("pump_start_nm", "pump_stop_nm", "pump_step_nm", "dwell_s",
+                  "pump_power_mw"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(DomainError, match=f"scan {field} must be finite"):
+                ScanPlan(**{field: value})
     with pytest.raises(DomainError):
         ScanPlan(vbg_tracking="sometimes")
     for seed in (-1, 1.7, True):
