@@ -7,24 +7,25 @@ points precede it or on the order of evaluation.  The streams are built
 here rather than by numpy's objects: the SeedSequence entropy mixing
 (O'Neill's seed_seq_fe hashmix/mix, as numpy implements it) is done once
 per seed for the seed's own words and then in one uint32 numpy pass for
-every point's spawn word.  PCG64 (128-bit LCG, XSL-RR output) runs in two
-forms: poisson_counts steps every point's stream together as a lane of
-uint64 arrays (_Lanes, the 128-bit state in 64-bit halves), and
-sample_poisson draws in sequence from one scalar stream on Python ints
-(Pcg64Stream).  numpy's SeedSequence/PCG64/Generator are the test oracle:
-raw outputs and random() of both forms must agree with them bit for bit.
+every point's spawn word.  There is one stream type, _Lanes: many PCG64
+streams (128-bit LCG, XSL-RR output) held as uint64 arrays, the 128-bit
+state in 64-bit halves, and stepped together.  rng_from_path gives a
+single lane.  numpy's SeedSequence/PCG64/Generator are the test oracle:
+raw outputs and random() of every lane must agree with them bit for bit.
 
-The Poisson sampler is implemented here too, so that draws are
-bit-reproducible across numpy versions from a documented algorithm pair:
+There is one Poisson sampler, sample_poisson, with one draw per lane.  It
+is implemented here, so that draws are bit-reproducible across numpy
+versions from a documented algorithm pair:
 
-* mean < 30: sequential search on the CDF by inversion of one uniform;
+* 0 < mean < 30: sequential search on the CDF by inversion of one uniform;
 * mean >= 30: transformed rejection with squeeze (PTRS, Hoermann 1993,
   "The transformed rejection method for generating Poisson random
   variables"), which needs ~1.1 uniforms per draw at any mean.
 
-poisson_counts runs PTRS on all its lanes at once, in rounds, and gives the
-counts the scalar sampler gives point by point: numpy's + - * /, sqrt, abs
-and floor round as Python's do, and the log test runs on Python floats.
+Both run on all their lanes at once and give the counts a scalar sampler
+gives lane by lane (tests/poisson_oracle.py): numpy's + - * /, sqrt, abs
+and floor round as Python's do, while exp, log and lgamma, which numpy
+need not round as libm does, run per lane on Python floats.
 """
 from dataclasses import dataclass
 import math
@@ -47,7 +48,6 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG_DEFAULT_MULTIPLIER_128
 # the multiplier's 64-bit halves and the low half's 32-bit limbs, for _Lanes
 _M_HI = np.uint64(_PCG_MULT >> 64)
@@ -114,37 +114,12 @@ def _seed_pool(seed, spawned):
     return pool, hc
 
 
-class Pcg64Stream:
-    """PCG64 (XSL-RR 128/64) stream with numpy's random_raw/random outputs.
-
-    Starts from a seeded 128-bit state and odd increment, as _Lanes.stream
-    hands them over.
-    """
-
-    __slots__ = ("_state", "_inc")
-
-    def __init__(self, state, inc):
-        self._state = state
-        self._inc = inc
-
-    def random_raw(self):
-        """Next 64-bit output, as PCG64.random_raw."""
-        s = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
-        x = ((s >> 64) ^ s) & _MASK64
-        rot = s >> 122
-        return ((x >> rot) | (x << (-rot & 63))) & _MASK64
-
-    def random(self):
-        """Uniform double in [0, 1), as Generator.random."""
-        return (self.random_raw() >> 11) * 2.0 ** -53
-
-
 class _Lanes:
     """Many PCG64 streams held as uint64 arrays and stepped together.
 
     Lane j's 128-bit state is (hi[j] << 64) | lo[j] and its increment
     (inc_hi[j] << 64) | inc_lo[j].  Each random_raw/random call steps every
-    lane once and gives what Pcg64Stream gives on that lane's state.
+    lane once and gives what numpy's PCG64 gives on that lane's state.
     """
 
     __slots__ = ("hi", "lo", "inc_hi", "inc_lo")
@@ -194,11 +169,6 @@ class _Lanes:
         return _Lanes(self.hi[index], self.lo[index],
                       self.inc_hi[index], self.inc_lo[index])
 
-    def stream(self, j):
-        """Lane j's current state as a scalar stream."""
-        return Pcg64Stream((int(self.hi[j]) << 64) | int(self.lo[j]),
-                           (int(self.inc_hi[j]) << 64) | int(self.inc_lo[j]))
-
 
 def _streams(seed, key_words, n):
     """Lanes of SeedSequence(seed, spawn_key) for n spawn keys at once.
@@ -224,44 +194,42 @@ def _streams(seed, key_words, n):
 
 
 def rng_from_path(seed, path=()):
-    """Stream for a root seed plus an integer spawn path.
+    """One lane for a root seed plus an integer spawn path.
 
     Bit-identical to PCG64(SeedSequence(seed, spawn_key=path)).  (seed,
     (i,)) and (seed, (j,)) are statistically independent streams for
     i != j; the empty path is the root stream itself.
     """
     words = [w for p in path for w in _words(validate_seed(p))]
-    return _streams(seed, words, 1).stream(0)
+    return _streams(seed, words, 1)
 
 
-def _log_factorial(k):
-    return math.lgamma(k + 1.0)
+def _inversion_lanes(means, lanes):
+    """One inversion draw per lane (every 0 < mean < 30), all lanes at once.
 
-
-def _poisson_inversion(mean, rng):
-    """Sequential-search inversion; exact, O(mean) per draw."""
-    u = rng.random()
-    p = math.exp(-mean)
-    cdf = p
-    k = 0
-    # mean < 30 keeps the loop short; the 10-sigma cap only guards against
-    # floating-point stall when u lands on accumulated rounding error.
-    cap = int(mean + 10.0 * math.sqrt(mean) + 20.0)
-    while u > cdf and k < cap:
-        k += 1
-        p *= mean / k
-        cdf += p
-    return k
-
-
-def _ptrs_constants(mean, root):
-    """PTRS's (a, b, 1/alpha, v_r) from the mean and its square root.
-
-    Only + - * /, so floats and float arrays give the same bits.
+    Each lane takes one uniform u and walks its CDF from p = exp(-mean),
+    p *= mean / k and cdf += p, until u <= cdf.  The walk is * / + only, so
+    it rounds as on Python floats; exp comes from libm, lane by lane.  The
+    10-sigma cap only guards against a stall when u lands on accumulated
+    rounding error.
     """
-    b = 0.931 + 2.53 * root
-    a = -0.059 + 0.02483 * b
-    return a, b, 1.1239 + 1.1328 / (b - 3.4), 0.9277 - 3.6224 / (b - 2.0)
+    u = lanes.random()
+    p = np.array([math.exp(-mu) for mu in means.tolist()])
+    cdf = p.copy()
+    cap = (means + 10.0 * np.sqrt(means) + 20.0).astype(np.int64)
+    k = np.zeros(means.size, dtype=np.int64)
+    out = np.empty(means.size, dtype=np.int64)
+    where = np.arange(means.size)
+    while where.size:
+        done = (u <= cdf) | (k >= cap)
+        out[where[done]] = k[done]
+        left = ~done
+        where, means, u, p, cdf, cap, k = (
+            x[left] for x in (where, means, u, p, cdf, cap, k))
+        k += 1
+        p *= means / k
+        cdf += p
+    return out
 
 
 def _ptrs_log_accept(k, us, v, mean, a, b, inv_alpha):
@@ -271,35 +239,22 @@ def _ptrs_log_accept(k, us, v, mean, a, b, inv_alpha):
     bits, so this test never runs on arrays.
     """
     return (math.log(v * inv_alpha / (a / (us * us) + b))
-            <= k * math.log(mean) - mean - _log_factorial(k))
-
-
-def _poisson_ptrs(mean, rng):
-    """Transformed rejection with squeeze (PTRS); ~1.1 uniforms per draw."""
-    a, b, inv_alpha, v_r = _ptrs_constants(mean, math.sqrt(mean))
-    while True:
-        u = rng.random() - 0.5
-        v = rng.random()
-        us = 0.5 - abs(u)
-        k = math.floor((2.0 * a / us + b) * u + mean + 0.43)
-        if us >= 0.07 and v <= v_r:
-            return int(k)
-        if k < 0 or (us < 0.013 and v > us):
-            continue
-        if _ptrs_log_accept(k, us, v, mean, a, b, inv_alpha):
-            return int(k)
+            <= k * math.log(mean) - mean - math.lgamma(k + 1.0))
 
 
 def _ptrs_lanes(means, lanes):
     """One PTRS draw per lane (every mean >= 30), all lanes in rounds.
 
-    Each round every open lane takes the (u, v) pair _poisson_ptrs would
-    take from its stream.  The squeeze and the cheap rejections are + - * /,
-    sqrt, abs and floor, which numpy rounds as Python does; only the lanes
-    they leave undecided take the log test, one by one.
+    Each round every open lane takes a (u, v) pair from its stream.  The
+    constants, the squeeze and the cheap rejections are + - * /, sqrt, abs
+    and floor, which numpy rounds as Python does; only the lanes they leave
+    undecided take the log test, one by one.
     """
     out = np.empty(means.size, dtype=np.int64)
-    a, b, inv_alpha, v_r = _ptrs_constants(means, np.sqrt(means))
+    b = 0.931 + 2.53 * np.sqrt(means)
+    a = -0.059 + 0.02483 * b
+    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
     where = np.arange(means.size)
     while where.size:
         u = lanes.random() - 0.5
@@ -327,50 +282,42 @@ def _checked_means(mean):
     return m
 
 
-def _draw(mu, rng):
-    """One Poisson draw for a checked float mean; none is taken at mu == 0."""
-    if mu == 0.0:
-        return 0
-    if mu < _PTRS_SWITCH:
-        return _poisson_inversion(mu, rng)
-    return _poisson_ptrs(mu, rng)
+def sample_poisson(means, lanes):
+    """One Poisson draw per lane of a _Lanes, as an int64 array.
 
-
-def sample_poisson(mean, rng, size=None):
-    """Poisson draws with the documented inversion/PTRS algorithm pair."""
-    m = _checked_means(mean)
-    if size is None and m.ndim == 0:
-        return _draw(float(m), rng)
-    shape = (m.shape if size is None else
-             ((size,) if np.ndim(size) == 0 else tuple(size)))
-    means = np.broadcast_to(m, shape).ravel()
-    out = np.empty(means.size, dtype=np.int64)
-    for i, mu in enumerate(means.tolist()):
-        out[i] = _draw(mu, rng)
-    return out.reshape(shape)
+    means is one mean for every lane or one per lane.  The means, and that
+    they fit the lanes, are checked before any lane steps.  A zero mean
+    takes no draw, a mean below 30 draws by inversion and a larger one by
+    PTRS.  The draws step copies of the lanes, never the lanes passed in:
+    the same lanes give the same draws.
+    """
+    m = _checked_means(means)
+    n = lanes.lo.size
+    try:
+        m = np.broadcast_to(m, (n,))
+    except ValueError:
+        raise DomainError(
+            f"Poisson means of shape {m.shape} do not fit {n} lanes") from None
+    counts = np.zeros(n, dtype=np.int64)
+    ptrs = m >= _PTRS_SWITCH
+    for draw, pick in ((_inversion_lanes, (m > 0) & ~ptrs), (_ptrs_lanes, ptrs)):
+        if pick.any():
+            counts[pick] = draw(m[pick], lanes.take(pick))
+    return counts
 
 
 def poisson_counts(means, seed):
     """One Poisson count per point, point i drawn from rng_from_path(seed, (i,)).
 
-    Equal, point for point, to sample_poisson(means[i], rng_from_path(seed,
-    (i,))).  The means are checked once, before any draw.  Every point's
-    stream is then seeded in one pass as a lane of a _Lanes, and the
-    PTRS points (mean >= 30) draw together, in rounds; a point with
-    0 < mean < 30 draws by inversion from its lane's state as a scalar
-    stream, and a zero mean takes no draw.
+    The means are checked before any stream is seeded.  Every point's stream
+    is then seeded in one pass, as a lane of a _Lanes, and sample_poisson
+    draws all the points' counts at once.
     """
     m = _checked_means(means)
     if m.ndim != 1:
         raise DomainError("poisson_counts takes a 1-D array of means")
     # spawn keys below 2**32 are one uint32 word each
-    lanes = _streams(seed, [np.arange(m.size, dtype=np.uint32)], m.size)
-    counts = np.zeros(m.size, dtype=np.int64)
-    ptrs = m >= _PTRS_SWITCH
-    counts[ptrs] = _ptrs_lanes(m[ptrs], lanes.take(ptrs))
-    for j in np.flatnonzero((m > 0) & ~ptrs).tolist():
-        counts[j] = _poisson_inversion(float(m[j]), lanes.stream(j))
-    return counts
+    return sample_poisson(m, _streams(seed, [np.arange(m.size, dtype=np.uint32)], m.size))
 
 
 def photon_rate(power_dbm, wavelength_nm):
@@ -403,12 +350,21 @@ def detectability(scan_nm, rate_cps, dwell_s, truth_nm, resolution_nm,
     rate = np.asarray(rate_cps, dtype=float)
     if lam.shape != rate.shape or lam.ndim != 1 or lam.size < 3:
         raise DomainError("scan axis and rates must be matching 1-D arrays")
-    if resolution_nm <= 0 or dwell_s <= 0:
-        raise DomainError("need positive resolution and dwell")
+    if not (np.all(np.isfinite(lam)) and np.all(np.diff(lam) > 0)):
+        raise DomainError("scan axis must be finite and strictly increasing")
+    if not np.all(np.isfinite(rate)):
+        raise DomainError("rates must be finite")
+    if not (math.isfinite(resolution_nm) and resolution_nm > 0
+            and math.isfinite(dwell_s) and dwell_s > 0):
+        raise DomainError("need finite, positive resolution and dwell")
     step = float(np.median(np.diff(lam)))
-    if step <= 0:
-        raise DomainError("scan axis must be increasing")
     bg = float(np.median(rate)) if background_cps is None else float(background_cps)
+    # z divides by sqrt(bg): a zero or invalid background makes any window a line
+    if not (math.isfinite(bg) and bg > 0):
+        raise DomainError(
+            f"background must be finite and > 0, got {bg} cps"
+            + (" from the scan median; pass background_cps for a scan that"
+               " reads mostly zero counts" if background_cps is None else ""))
 
     half = max(1, int(round(resolution_nm / step / 2.0)))
     counts = rate * dwell_s

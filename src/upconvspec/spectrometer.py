@@ -351,9 +351,10 @@ def expected_rates(spectrum, kernel, noise_model, pump_power_mw):
 def forward_scan(spectrum, kernel, noise_model, plan, sample=True):
     """Run the forward model: expected rates plus per-point Poisson counts.
 
-    Sampling uses one child stream per scan point, split from the plan seed
-    by point index (counting.poisson_counts), so counts are independent of
-    evaluation order and reproducible point-by-point.
+    Sampling draws every point's count at once (counting.poisson_counts).
+    Point i draws from its own stream, spawned from the plan seed with key
+    (i,), so its count depends only on the seed, i and its expected count:
+    never on the other points or on the order of evaluation.
     """
     if spectrum.unit != "w_per_nm":
         raise DomainError("forward_scan expects a spectral density in w_per_nm")

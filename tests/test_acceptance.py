@@ -163,9 +163,8 @@ def test_a09_statistical_soundness(models, small_kernel, small_plan, tmp_path,
 
     n = 100_000
     stats = []
-    for mu, path in ((100.0, (0,)), (7.5, (1,))):
-        rng = counting.rng_from_path(12345, path)
-        draws = counting.sample_poisson(mu, rng, size=n)
+    for mu in (100.0, 7.5):
+        draws = counting.poisson_counts(np.full(n, mu), 12345)
         mean = float(np.mean(draws))
         fano = float(np.var(draws)) / mean
         mean_ok = abs(mean - mu) <= 3.0 * np.sqrt(mu / n)
@@ -185,7 +184,7 @@ def test_a09_statistical_soundness(models, small_kernel, small_plan, tmp_path,
     for i in reversed(range(reversed_counts.size)):
         rng = counting.rng_from_path(small_plan.seed, (i,))
         reversed_counts[i] = counting.sample_poisson(
-            scan_a.expected_rate_cps[i] * small_plan.dwell_s, rng)
+            scan_a.expected_rate_cps[i] * small_plan.dwell_s, rng)[0]
     order_ok = bool(np.array_equal(reversed_counts, scan_a.sampled_counts))
 
     ok = all(s[3] for s in stats) and bytes_ok and order_ok

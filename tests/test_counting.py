@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import poisson_oracle
 from upconvspec import counting, spectra, spectrometer
 from upconvspec.errors import DomainError
 
@@ -19,11 +20,14 @@ def test_stream_matches_numpy_oracle(seed, path):
     def oracle():
         return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=path))
 
-    stream = counting.rng_from_path(seed, path)
-    assert [stream.random_raw() for _ in range(64)] == oracle().random_raw(64).tolist()
-    stream = counting.rng_from_path(seed, path)
-    uniforms = np.random.Generator(oracle()).random(64)
-    assert [stream.random() for _ in range(64)] == uniforms.tolist()
+    # one lane, stepped 64 times: a call that gave more or fewer than one
+    # value would change the length of the concatenation
+    lane = counting.rng_from_path(seed, path)
+    raw = np.concatenate([lane.random_raw() for _ in range(64)])
+    assert raw.tolist() == oracle().random_raw(64).tolist()
+    lane = counting.rng_from_path(seed, path)
+    uniforms = np.concatenate([lane.random() for _ in range(64)])
+    assert uniforms.tolist() == np.random.Generator(oracle()).random(64).tolist()
 
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
@@ -55,15 +59,15 @@ def test_bad_seeds_and_spawn_keys_are_rejected():
     assert counting.validate_seed(np.int64(5)) == 5
 
 
-@given(means=st.lists(st.sampled_from([0.0, 1e-3, 29.999, 30.0, 30.001, 1e4]),
-                      min_size=1, max_size=12),
+SPECIAL_MEANS = [0.0, 5e-324, 1e-300, 1e-3, 29.999, 30.0, 30.001, 1e4]
+
+
+@given(means=st.lists(st.sampled_from(SPECIAL_MEANS), min_size=1, max_size=12),
        seed=st.integers(min_value=0, max_value=2**80))
 def test_poisson_counts_equal_per_point_sampler(means, seed):
     counts = counting.poisson_counts(np.array(means), seed)
     assert counts.dtype == np.int64 and counts.shape == (len(means),)
-    for i, mu in enumerate(means):
-        assert counts[i] == counting.sample_poisson(
-            mu, counting.rng_from_path(seed, (i,)))
+    assert counts.tolist() == poisson_oracle.poisson_counts(means, seed)
 
 
 @settings(max_examples=10, deadline=None)
@@ -71,17 +75,15 @@ def test_poisson_counts_equal_per_point_sampler(means, seed):
        means_seed=st.integers(min_value=0, max_value=2**32 - 1),
        seed=st.integers(min_value=0, max_value=2**80))
 def test_poisson_counts_equal_per_point_sampler_on_many_lanes(n, means_seed, seed):
-    # log-uniform means from 1e-3 to 1e9 with zeros and the branch switch
-    # mixed in: PTRS lanes reject for several rounds, and inversion lanes
-    # hand their state to a scalar stream
+    # log-uniform means from 1e-3 to 1e9 with the special means mixed in:
+    # PTRS lanes reject for several rounds, and inversion lanes walk their
+    # CDFs for different numbers of steps
     gen = np.random.default_rng(means_seed)
     means = 10.0 ** gen.uniform(-3.0, 9.0, n)
     special = gen.random(n) < 0.1
-    means[special] = gen.choice([0.0, 29.999, 30.0, 30.001], int(special.sum()))
+    means[special] = gen.choice(SPECIAL_MEANS, int(special.sum()))
     counts = counting.poisson_counts(means, seed)
-    assert counts.tolist() == [
-        counting.sample_poisson(mu, counting.rng_from_path(seed, (i,)))
-        for i, mu in enumerate(means.tolist())]
+    assert counts.tolist() == poisson_oracle.poisson_counts(means.tolist(), seed)
 
 
 def test_default_scan_counts_are_pinned(cfg, models, kernel):
@@ -107,19 +109,44 @@ def test_poisson_counts_check_means_before_any_draw(monkeypatch, means):
         counting.poisson_counts(np.array(means), 3)
 
 
+def lanes_under(seed, head, n):
+    """n lanes, lane j on the spawn path (head, j)."""
+    return counting._streams(seed, [head, np.arange(n, dtype=np.uint32)], n)
+
+
+@pytest.mark.parametrize("means", [np.nan, -1.0, np.inf, 2.0**62 * 1.5, 1e19,
+                                   [5.0, 5.0, 5.0], [[5.0, 5.0], [5.0, 5.0]]])
+def test_sample_poisson_checks_means_before_any_step(monkeypatch, means):
+    lanes = lanes_under(3, 0, 2)
+    state = [x.copy() for x in (lanes.hi, lanes.lo, lanes.inc_hi, lanes.inc_lo)]
+
+    def no_step(self):
+        raise AssertionError("stepped a lane before the means were checked")
+
+    monkeypatch.setattr(counting._Lanes, "_step", no_step)
+    with pytest.raises(DomainError):
+        counting.sample_poisson(means, lanes)
+    for before, after in zip(state, (lanes.hi, lanes.lo, lanes.inc_hi, lanes.inc_lo)):
+        assert after.tolist() == before.tolist()
+
+
 def test_rng_paths_are_reproducible_and_distinct():
-    a = counting.sample_poisson(50.0, counting.rng_from_path(11, (3,)), size=100)
-    b = counting.sample_poisson(50.0, counting.rng_from_path(11, (3,)), size=100)
-    c = counting.sample_poisson(50.0, counting.rng_from_path(11, (4,)), size=100)
-    d = counting.sample_poisson(50.0, counting.rng_from_path(12, (3,)), size=100)
+    lanes = lanes_under(11, 3, 100)
+    a = counting.sample_poisson(50.0, lanes)
+    b = counting.sample_poisson(50.0, lanes_under(11, 3, 100))
+    c = counting.sample_poisson(50.0, lanes_under(11, 4, 100))
+    d = counting.sample_poisson(50.0, lanes_under(12, 3, 100))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+    # the draws step copies of the lanes: the same lanes give the same draws
+    assert np.array_equal(counting.sample_poisson(50.0, lanes), a)
+    assert int(counting.sample_poisson(50.0, counting.rng_from_path(11, (3, 7)))[0]) == a[7]
 
 
 def test_sampling_order_does_not_matter():
     def draw(i):
-        return counting.sample_poisson(1000.0, counting.rng_from_path(42, (i,)))
+        return int(counting.sample_poisson(1000.0, counting.rng_from_path(42, (i,)))[0])
 
     fwd = [draw(i) for i in range(20)]
     rev = [draw(i) for i in reversed(range(20))]
@@ -129,7 +156,7 @@ def test_sampling_order_does_not_matter():
 def test_poisson_mean_and_fano_large_mu():
     # mu = 100 exercises the transformed-rejection branch
     n = 100_000
-    s = counting.sample_poisson(100.0, counting.rng_from_path(12345, (0,)), size=n)
+    s = counting.sample_poisson(100.0, lanes_under(12345, 0, n))
     mean = float(np.mean(s))
     fano = float(np.var(s) / np.mean(s))
     assert abs(mean - 100.0) <= 3.0 * np.sqrt(100.0 / n)
@@ -140,7 +167,7 @@ def test_poisson_mean_and_fano_large_mu():
 def test_poisson_mean_and_fano_small_mu():
     # mu = 7.5 exercises the CDF-inversion branch
     n = 100_000
-    s = counting.sample_poisson(7.5, counting.rng_from_path(12345, (1,)), size=n)
+    s = counting.sample_poisson(7.5, lanes_under(12345, 1, n))
     mean = float(np.mean(s))
     fano = float(np.var(s) / np.mean(s))
     assert abs(mean - 7.5) <= 3.0 * np.sqrt(7.5 / n)
@@ -149,17 +176,17 @@ def test_poisson_mean_and_fano_small_mu():
 
 def test_poisson_branches_agree_across_cut():
     n = 20_000
-    lo = counting.sample_poisson(29.9, counting.rng_from_path(99, (0,)), size=n)
-    hi = counting.sample_poisson(30.1, counting.rng_from_path(99, (1,)), size=n)
+    lo = counting.sample_poisson(29.9, lanes_under(99, 0, n))
+    hi = counting.sample_poisson(30.1, lanes_under(99, 1, n))
     assert abs(np.mean(lo) - 29.9) <= 3.0 * np.sqrt(29.9 / n)
     assert abs(np.mean(hi) - 30.1) <= 3.0 * np.sqrt(30.1 / n)
 
 
 def test_poisson_edge_cases():
     rng = counting.rng_from_path(1, (0,))
-    assert counting.sample_poisson(0.0, rng) == 0
-    arr = counting.sample_poisson(5.0, counting.rng_from_path(1, (2,)), size=(3, 4))
-    assert arr.shape == (3, 4) and arr.dtype == np.int64
+    assert counting.sample_poisson(0.0, rng).tolist() == [0]
+    arr = counting.sample_poisson(5.0, lanes_under(1, 2, 12))
+    assert arr.shape == (12,) and arr.dtype == np.int64
     with pytest.raises(DomainError):
         counting.sample_poisson(-1.0, rng)
 
@@ -204,3 +231,32 @@ def test_detectability_validation():
         counting.detectability(lam, np.ones(50), 1.0, 1550.0, 0.0)
     with pytest.raises(DomainError):
         counting.detectability(lam, np.ones(50), 0.0, 1550.0, 0.16)
+    bad_axis = lam.copy()
+    bad_axis[[10, 11]] = bad_axis[[11, 10]]  # median step still positive
+    nan_rates = np.ones(50)
+    nan_rates[7] = np.nan
+    for args, kwargs in [((bad_axis, np.ones(50), 1.0, 1550.0, 0.16), {}),
+                         ((np.append(lam[:-1], np.inf), np.ones(50), 1.0, 1550.0, 0.16), {}),
+                         ((lam, nan_rates, 1.0, 1550.0, 0.16), {}),
+                         ((lam, np.ones(50), np.nan, 1550.0, 0.16), {}),
+                         ((lam, np.ones(50), np.inf, 1550.0, 0.16), {}),
+                         ((lam, np.ones(50), 1.0, 1550.0, np.nan), {}),
+                         ((lam, np.ones(50), 1.0, 1550.0, np.inf), {}),
+                         ((lam, np.ones(50), 1.0, 1550.0, 0.16), {"background_cps": np.nan}),
+                         ((lam, np.ones(50), 1.0, 1550.0, 0.16), {"background_cps": -1.0}),
+                         ((lam, np.ones(50), 1.0, 1550.0, 0.16), {"background_cps": 0.0})]:
+        with pytest.raises(DomainError):
+            counting.detectability(*args, **kwargs)
+
+
+def test_detectability_needs_a_background_for_a_dark_scan():
+    # 60 cps at 10 ms dwell is 0.6 counts per point: most points read 0, so
+    # the median background is 0 and would make every window a line
+    rng = np.random.default_rng(7)
+    lam = 1540.0 + 0.02 * np.arange(1001)
+    rate = rng.poisson(0.6, size=lam.size) / 0.01
+    assert np.median(rate) == 0.0
+    with pytest.raises(DomainError, match="background_cps"):
+        counting.detectability(lam, rate, 0.01, 1550.0, 0.16)
+    rep = counting.detectability(lam, rate, 0.01, 1550.0, 0.16, background_cps=60.0)
+    assert not rep.detected and rep.z_score < 5.0
