@@ -79,24 +79,15 @@ def _build_parser():
     return parser
 
 
+# scan flag dest -> the ScanPlan field it overrides
+_PLAN_FLAGS = {"pump_start": "pump_start_nm", "pump_stop": "pump_stop_nm",
+               "pump_step": "pump_step_nm", "dwell": "dwell_s", "power": "pump_power_mw",
+               "tracking": "vbg_tracking", "seed": "seed"}
+
+
 def _plan_from_args(cfg, args):
-    plan = cfg.scan
-    overrides = {}
-    if args.pump_start is not None:
-        overrides["pump_start_nm"] = args.pump_start
-    if args.pump_stop is not None:
-        overrides["pump_stop_nm"] = args.pump_stop
-    if args.pump_step is not None:
-        overrides["pump_step_nm"] = args.pump_step
-    if args.dwell is not None:
-        overrides["dwell_s"] = args.dwell
-    if args.power is not None:
-        overrides["pump_power_mw"] = args.power
-    if args.tracking is not None:
-        overrides["vbg_tracking"] = args.tracking
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return replace(plan, **overrides) if overrides else plan
+    return replace(cfg.scan, **{name: getattr(args, dest) for dest, name in _PLAN_FLAGS.items()
+                                if getattr(args, dest) is not None})
 
 
 def _cmd_design_qpm(cfg, args, out):
@@ -121,15 +112,13 @@ def _cmd_fom(cfg, args, out):
     power = args.pump_power
     if not (math.isfinite(power) and power > 0):
         raise DomainError(f"pump power must be finite and positive, got {power} mW")
-    eff = conv.efficiency(power)
-    rate = noise.rate(power)
-    out.write(f"pump_power_mw        {power:.3f}\n")
-    out.write(f"efficiency           {eff:.6f}\n")
-    out.write(f"noise_rate_cps       {rate:.6f}\n")
     signal_nm = args.signal if args.signal is not None else cfg.fom_signal_nm
-    convention = args.nep_convention or cfg.nep_convention
-    point = OperatingPoint(signal_nm=signal_nm, efficiency=eff, background_cps=rate)
-    result = nep(point, convention=convention)
+    point = OperatingPoint(signal_nm=signal_nm, efficiency=conv.efficiency(power),
+                           background_cps=noise.rate(power))
+    result = nep(point, convention=args.nep_convention or cfg.nep_convention)
+    out.write(f"pump_power_mw        {power:.3f}\n")
+    out.write(f"efficiency           {point.efficiency:.6f}\n")
+    out.write(f"noise_rate_cps       {point.background_cps:.6f}\n")
     out.write(f"nep_w_per_sqrt_hz    {result.nep_w_per_sqrt_hz:.6e}\n")
     out.write(f"nep_dbm              {result.nep_dbm:.4f}\n")
     out.write(f"nep_convention       {result.convention}\n")

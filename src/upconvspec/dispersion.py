@@ -42,9 +42,9 @@ class SellmeierMedium:
     f = (T - t_ref)*(T + t_offset), l in um, T in deg C.
     """
 
-    name: str
     a: tuple  # (a1..a6)
     b: tuple  # (b1..b4)
+    name: str = "custom"
     t_ref_c: float = 24.5
     t_offset_c: float = 570.82
     valid_um: tuple = (0.4, 5.0)

@@ -34,12 +34,14 @@ class OperatingPoint:
     background_cps: float
 
     def __post_init__(self):
-        if self.signal_nm <= 0:
-            raise DomainError("signal wavelength must be positive")
+        if not (np.isfinite(self.signal_nm) and self.signal_nm > 0):
+            raise DomainError(
+                f"signal wavelength must be finite and positive, got {self.signal_nm}")
         if not (0.0 < self.efficiency <= 1.0):
             raise DomainError(f"efficiency {self.efficiency} outside (0, 1]")
-        if self.background_cps < 0:
-            raise DomainError("background rate must be nonnegative")
+        if not (np.isfinite(self.background_cps) and self.background_cps >= 0):
+            raise DomainError(
+                f"background rate must be finite and nonnegative, got {self.background_cps}")
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,10 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
     scan's mapped signal range); columns with no band entry inside the
     support make those bands unrecoverable and raise UnrecoverableBandError.
     """
+    for name, value in (("background_cps", background_cps),
+                        ("discrepancy_target", discrepancy_target)):
+        if value is not None and not (np.isfinite(value) and value >= 0):
+            raise DomainError(f"{name} must be finite and nonnegative, got {value}")
     if raw.sampled:
         d = np.asarray(raw.sampled_counts, dtype=float)
     else:
@@ -140,8 +144,6 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
 
     if background_cps is None:
         background_cps = estimate_background(raw, noise_model=noise_model)
-    if background_cps < 0:
-        raise DomainError("background rate must be nonnegative")
     bg_counts = background_cps * raw.dwell_s
     d_sig = np.maximum(d - bg_counts, 0.0)
 

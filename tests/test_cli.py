@@ -114,6 +114,24 @@ def test_fom_checks_the_power_before_writing(power, capsys):
     assert "pump power must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("signal", ["-5", "nan", "inf"])
+def test_fom_checks_the_signal_before_writing(signal, capsys):
+    code, text = run_cli(["fom", "--pump-power", "30", "--signal", signal])
+    assert code == 4 and text == ""
+    assert "signal wavelength must be finite and positive" in capsys.readouterr().err
+
+
+def test_fom_rejects_a_non_finite_conversion_point(tmp_path, capsys):
+    raw = config.load_config().raw
+    raw["conversion_points"][0] = [20.0, float("nan")]
+    path = tmp_path / "nan.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    code, text = run_cli(["--config", str(path), "fom", "--pump-power", "30"])
+    assert code == 3 and text == ""
+    assert ("config error: conversion_points[0]: expected a finite number"
+            in capsys.readouterr().err)
+
+
 def test_scan_summary_and_reproducibility(scan_workdir):
     work, text = scan_workdir
     assert get_field(text, "points") == "121"
@@ -149,6 +167,21 @@ def test_deconvolve_with_saved_kernel(scan_workdir):
     peak_nm = float(est.grid_nm[np.argmax(est.values)])
     assert peak_nm == pytest.approx(1550.0119857371326, abs=1e-9)
     assert emeta["config_hash"] == CONFIG_HASH
+
+
+@pytest.mark.parametrize("flag,value", [("--noise-floor-cps", "inf"),
+                                        ("--noise-floor-cps", "nan"),
+                                        ("--discrepancy", "nan")])
+def test_deconvolve_checks_its_scalars_before_writing(scan_workdir, tmp_path, capsys,
+                                                      flag, value):
+    work, _ = scan_workdir
+    out = tmp_path / "est.csv"
+    code, text = run_cli(["deconvolve", "--raw", str(work / "scan.csv"),
+                          "--kernel", str(work / "kernel.csv"), "--out", str(out),
+                          flag, value])
+    assert code == 4 and text == ""
+    assert "must be finite and nonnegative" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_deconvolve_model_kernel_matches_saved(scan_workdir):
@@ -324,7 +357,7 @@ def test_scan_plan_values_must_be_finite(scan_workdir, tmp_path, capsys, flag, f
     path.write_text(yaml.safe_dump(raw))
     code, text = run_cli(["--config", str(path)] + argv)
     assert code == 3 and text == ""
-    assert f"config error: scan: scan {field} must be finite" in capsys.readouterr().err
+    assert f"config error: scan.{field}: expected a finite number" in capsys.readouterr().err
 
 
 def test_removed_config_field_is_a_config_error(tmp_path, capsys):

@@ -28,7 +28,7 @@ def test_default_instrument_values(cfg):
     assert cfg.fom_signal_nm == 1550.0
     assert [f.kind for f in cfg.filters] == ["short_pass", "band_pass",
                                              "broadband_loss"]
-    assert "Jundt" in cfg.sellmeier.name
+    assert "Jundt" in cfg.waveguide.medium.name
 
 
 def test_config_hash_is_stable(cfg):
@@ -65,8 +65,9 @@ def _parse_mutated(cfg, mutate):
     pytest.param(lambda r: r.update(scan=None), "scan", id="scan-empty"),
     pytest.param(lambda r: r["filters"].__setitem__(2, "collection"), "filters[2]",
                  id="filter-not-mapping"),
-    pytest.param(lambda r: r["scan"].update(dwell_s=float("nan")), "scan", id="dwell-nan"),
-    pytest.param(lambda r: r["scan"].update(pump_start_nm=-float("inf")), "scan",
+    pytest.param(lambda r: r["scan"].update(dwell_s=float("nan")), "scan.dwell_s",
+                 id="dwell-nan"),
+    pytest.param(lambda r: r["scan"].update(pump_start_nm=-float("inf")), "scan.pump_start_nm",
                  id="start-minus-inf"),
     pytest.param(lambda r: r["scan"].update(seed=-5), "scan.seed", id="seed-negative"),
     pytest.param(lambda r: r["scan"].update(seed=1.7), "scan.seed", id="seed-float"),
@@ -81,6 +82,48 @@ def test_parse_rejections_carry_field_path(cfg, mutate, field_path):
     with pytest.raises(ConfigError) as err:
         _parse_mutated(cfg, mutate)
     assert err.value.field_path == field_path
+
+
+def _numeric_leaves(node, keys=(), path=""):
+    """(keys to the value, field path) for each number in a config document.
+
+    A number in a list of numbers is named by its list (sellmeier.a); a
+    list item that is itself a list or mapping is named by its index.
+    """
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(node, dict):
+            sub = f"{path}.{key}" if path else key
+        else:
+            sub = f"{path}[{key}]" if isinstance(value, (dict, list)) else path
+        if isinstance(value, (dict, list)):
+            yield from _numeric_leaves(value, keys + (key,), sub)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield keys + (key,), sub
+
+
+_LEAVES = list(_numeric_leaves(config.load_config().raw))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("keys,field_path", _LEAVES,
+                         ids=[".".join(map(str, keys)) for keys, _ in _LEAVES])
+def test_every_numeric_field_must_be_finite(cfg, keys, field_path, value):
+    def mutate(raw):
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+
+    with pytest.raises(ConfigError) as err:
+        _parse_mutated(cfg, mutate)
+    assert err.value.field_path == field_path
+
+
+def test_sellmeier_without_a_name_loads_as_custom(cfg):
+    medium = _parse_mutated(cfg, lambda r: r["sellmeier"].pop("name")).waveguide.medium
+    assert medium.name == "custom"
+    assert medium.a == cfg.waveguide.medium.a and medium.b == cfg.waveguide.medium.b
 
 
 def test_load_config_from_file(cfg, tmp_path):

@@ -1,4 +1,6 @@
 """Noise-equivalent power conventions and operating-point assembly."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,3 +42,10 @@ def test_nep_error_paths():
         fom.OperatingPoint(signal_nm=1550.0, efficiency=1.5, background_cps=60.0)
     with pytest.raises(DomainError):
         fom.OperatingPoint(signal_nm=-1.0, efficiency=0.2, background_cps=60.0)
+
+
+@pytest.mark.parametrize("name", ["signal_nm", "background_cps"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_operating_point_rejects_non_finite_values(name, value):
+    with pytest.raises(DomainError, match="must be finite"):
+        replace(POINT, **{name: value})

@@ -215,6 +215,15 @@ def test_shifted_kernel_grid_is_rejected(cfg, wg3, models, small_plan, delta_sca
         inverse.deconvolve(scan, kern, background_cps=PEDESTAL_CPS)
 
 
+@pytest.mark.parametrize("name", ["background_cps", "discrepancy_target"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_deconvolve_checks_its_scalars_first(kernel, delta_scan, name, value):
+    _, scan = delta_scan
+    # `kernel` is not this scan's: the scalar check comes before that one
+    with pytest.raises(DomainError, match=f"{name} must be finite and nonnegative"):
+        inverse.deconvolve(scan, kernel, **{name: value})
+
+
 def test_deconvolve_validation(kernel, small_kernel, delta_scan):
     _, scan = delta_scan
     with pytest.raises(DomainError):
