@@ -14,21 +14,20 @@ vectorised erfc, so building a kernel loads no SciPy.  A top-hat edge is
 off at u = -5.5, while erfc keeps its relative accuracy there.  erfc for
 |x| > 0.46875 is W. J. Cody's rational Chebyshev approximation (Math. Comp.
 23, 631, 1969), with exp(-x^2) split as Cody does so the tail keeps its
-relative accuracy down to underflow.  erf for |x| <= 1 is cephes's
-x T(x^2)/U(x^2), the form SciPy evaluates there: 1 - erfc loses up to two
-ulp on 0.47 < |x| < 1.  Saturated arguments take the exact limit without
-evaluating anything; the default short-pass edge sits there on every
-kernel cell.
+relative accuracy down to underflow; for |x| <= 0.46875 it is 1 - erf(x),
+with erf(x) cephes's x T(x^2)/U(x^2), the form SciPy evaluates there.
+Saturated arguments take the exact limit without evaluating anything; the
+default short-pass edge sits there on every kernel cell.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_finite
 
 LN2_4 = 4.0 * np.log(2.0)
 
-# Coefficients, highest degree first.  |x| <= 1: erf(x) = x T(x^2) / U(x^2),
+# Coefficients, highest degree first.  |x| <= 0.46875: erf(x) = x T(x^2) / U(x^2),
 # cephes's form, which SciPy evaluates there too.  Cody's erfc for |y| > 0.46875:
 # erfc(y) = exp(-y^2) R2(y) up to y = 4 and exp(-y^2) (1/sqrt(pi) - z R3(z)) / y
 # beyond, with z = 1/y^2.
@@ -47,9 +46,8 @@ _R3 = ((1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
        (1.0, 2.56852019228982242e0, 1.87295284992346725e0, 5.27905102951428412e-1,
         6.05183413124413191e-2, 2.33520497626869185e-3))
 _SQRT_1_PI = 5.6418958354775628695e-1
-_ERF_DIRECT = 1.0       # erf is x T/U up to here and 1 - erfc beyond
 _ERFC_DIRECT = 0.46875  # erfc is 1 - erf up to here and Cody's beyond
-_ERF_ONE = 6.0          # |x| >= 6: erf(x) rounds to +-1 and erfc(-|x|) to 2
+_ERFC_TWO = 6.0         # x <= -6: erfc(x) rounds to 2
 _ERFC_ZERO = 27.3       # x >= 27.3: erfc(x) is below the smallest subnormal
 
 
@@ -84,47 +82,30 @@ def _erfc_abs(y):
     return np.exp(-q * q) * np.exp(-(y - q) * (y + q)) * out
 
 
-def _erf_or_erfc(x, complement):
-    """erf(x), or erfc(x) when complement, elementwise.
+def erfc(x):
+    """Complementary error function 1 - erf(x), elementwise, keeping its
+    relative accuracy down to the underflow limit.
 
     Saturated arguments take the exact limit without evaluating anything:
-    erf = +-1 for |x| >= 6, erfc = 2 for x <= -6 and 0 for x >= 27.3.
+    erfc = 2 for x <= -6 and 0 for x >= 27.3.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
-    if complement:
-        out = np.where(flat < 0.0, 2.0, 0.0)
-        work = ~((flat <= -_ERF_ONE) | (flat >= _ERFC_ZERO))
-    else:
-        out = np.copysign(1.0, flat)
-        work = ~(np.abs(flat) >= _ERF_ONE)
+    out = np.where(flat < 0.0, 2.0, 0.0)
     # NaN compares false, so it lands in work and comes out NaN
+    work = ~((flat <= -_ERFC_TWO) | (flat >= _ERFC_ZERO))
     if work.any():
         xw = flat[work]
         yw = np.abs(xw)
         res = np.empty_like(xw)
-        near = yw <= (_ERFC_DIRECT if complement else _ERF_DIRECT)
+        near = yw <= _ERFC_DIRECT
         xn = xw[near]
-        rn = xn * _rational(_ERF_TU, xn * xn)
-        res[near] = 1.0 - rn if complement else rn
+        res[near] = 1.0 - xn * _rational(_ERF_TU, xn * xn)
         far = ~near
-        xf = xw[far]
         r = _erfc_abs(yw[far])
-        res[far] = (np.where(xf < 0.0, 2.0 - r, r) if complement
-                    else np.copysign(1.0 - r, xf))
+        res[far] = np.where(xw[far] < 0.0, 2.0 - r, r)
         out[work] = res
     return out.reshape(x.shape)[()]
-
-
-def erf(x):
-    """Error function, elementwise, within a few ulp of SciPy's."""
-    return _erf_or_erfc(x, complement=False)
-
-
-def erfc(x):
-    """Complementary error function 1 - erf(x), elementwise, keeping its
-    relative accuracy down to the underflow limit."""
-    return _erf_or_erfc(x, complement=True)
 
 
 @dataclass(frozen=True)
@@ -148,6 +129,7 @@ class FilterElement:
     label: str = ""
 
     def __post_init__(self):
+        check_finite("filter", self, "center_nm", "edge_nm", "fwhm_nm", "edge_width_nm")
         if self.kind not in ("band_pass", "short_pass", "long_pass", "broadband_loss"):
             raise DomainError(f"unknown filter kind {self.kind!r}")
         if not (0.0 <= self.peak <= 1.0):
@@ -182,6 +164,7 @@ class VbgState:
         lo, hi = self.tuning_range_nm
         if not (lo < hi):
             raise DomainError("VBG tuning range must be ordered (lo, hi)")
+        check_finite("VBG", self, "fwhm_nm")
         if self.fwhm_nm <= 0:
             raise DomainError("VBG fwhm_nm must be positive")
         if not (0.0 < self.peak_reflectance <= 1.0):

@@ -180,9 +180,9 @@ def config_hash(cfg):
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def calibrated_waveguide(cfg, anchors=None):
+def calibrated_waveguide(cfg):
     """The config's waveguide with its tuning-map correction fitted in."""
-    return calibrate_operating_point(cfg.waveguide, anchors or cfg.anchors)
+    return calibrate_operating_point(cfg.waveguide, cfg.anchors)
 
 
 def pinned_models(cfg):

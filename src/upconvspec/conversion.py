@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, FitError
+from .errors import DomainError, FitError, check_finite
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,7 @@ class ConversionModel:
     def __post_init__(self):
         if not (0.0 < self.eta_max <= 1.0):
             raise DomainError(f"eta_max {self.eta_max} outside (0, 1]")
+        check_finite("conversion", self, "u_per_sqrt_mw")
         if self.u_per_sqrt_mw <= 0:
             raise DomainError("u must be positive")
 
@@ -47,11 +48,6 @@ class ConversionModel:
             raise DomainError("pump power must be nonnegative")
         out = self.eta_max * np.sin(self.u_per_sqrt_mw * np.sqrt(p)) ** 2
         return float(out) if np.ndim(power_mw) == 0 else out
-
-    @property
-    def saturation_power_mw(self):
-        """Power of the first sin^2 maximum (monotone below this)."""
-        return (np.pi / (2.0 * self.u_per_sqrt_mw)) ** 2
 
 
 @dataclass(frozen=True)
@@ -63,6 +59,7 @@ class NoiseModel:
     exponent: float
 
     def __post_init__(self):
+        check_finite("noise", self, "floor_cps", "amplitude_cps", "exponent")
         if self.floor_cps < 0 or self.amplitude_cps < 0:
             raise DomainError("noise floor and amplitude must be nonnegative")
         if self.exponent <= 0:

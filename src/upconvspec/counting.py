@@ -325,6 +325,9 @@ def photon_rate(power_dbm, wavelength_nm):
     return dbm_to_watts(power_dbm) / photon_energy_j(wavelength_nm)
 
 
+_DETECTION_Z = 5.0  # a line is detected at a Poisson z-score of 5 or more
+
+
 @dataclass(frozen=True)
 class DetectabilityReport:
     detected: bool
@@ -337,14 +340,14 @@ class DetectabilityReport:
 
 
 def detectability(scan_nm, rate_cps, dwell_s, truth_nm, resolution_nm,
-                  background_cps=None, z_threshold=5.0):
+                  background_cps=None):
     """Is a line at truth_nm detected in a scan of measured rates?
 
     Boxcar-sums the counts in a window of one resolution width around each
     scan point, finds the maximum-excess window, and tests its Poisson
     z-score against the background estimate (given, or the scan median).
-    Detection requires z >= z_threshold AND the window center within two
-    resolution widths of the true line.
+    Detection requires z >= 5 AND the window center within two resolution
+    widths of the true line.
     """
     lam = np.asarray(scan_nm, dtype=float)
     rate = np.asarray(rate_cps, dtype=float)
@@ -378,7 +381,7 @@ def detectability(scan_nm, rate_cps, dwell_s, truth_nm, resolution_nm,
     i = int(np.argmax(z))
     found = float(lam[i])
     err = abs(found - truth_nm)
-    detected = bool(z[i] >= z_threshold and err <= 2.0 * resolution_nm)
+    detected = bool(z[i] >= _DETECTION_Z and err <= 2.0 * resolution_nm)
     return DetectabilityReport(
         detected=detected, z_score=float(z[i]), found_nm=found,
         expected_nm=float(truth_nm), position_error_nm=err,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CalibrationError, DomainError, TuningError
+from .errors import CalibrationError, DomainError, TuningError, check_finite
 
 TWO_PI = 2.0 * np.pi
 
@@ -31,6 +31,7 @@ HALF_MAX_ARG = 1.39155737825151
 SIGNAL_SEARCH_NM = (1450.0, 1650.0)
 PUMP_SEARCH_NM = (1820.0, 2080.0)
 _COARSE_STEP_NM = 1.0
+_GUESS_BRACKET_NM = 20.0  # a guessed root is searched for within +-20 nm of it
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,7 @@ class WaveguideSpec:
     medium: SellmeierMedium = field(default=CONGRUENT_LN_E)
 
     def __post_init__(self):
+        check_finite("waveguide", self, "length_mm", "qpm_period_um")
         if self.length_mm <= 0:
             raise DomainError("waveguide length must be positive")
         if self.qpm_period_um <= 0:
@@ -252,15 +254,16 @@ def _same_bits(a, b):
     return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def _solve_matched(known_nm, wg, solve_for, window_nm, guess_nm=None, bracket_nm=20.0):
+def _solve_matched(known_nm, wg, solve_for, window_nm, guess_nm=None):
     """Root-find dk = 0 over the unknown wavelength axis (vectorized).
 
-    solve_for: "signal" (known = pump) or "pump" (known = signal).
+    solve_for: "signal" (known = pump) or "pump" (known = signal).  The
+    coarse scan covers window_nm, or guess_nm +- 20 nm when a guess is given.
     """
     known = np.atleast_1d(np.asarray(known_nm, dtype=float))
 
     if guess_nm is not None:
-        grid = np.linspace(guess_nm - bracket_nm, guess_nm + bracket_nm, 81)
+        grid = np.linspace(guess_nm - _GUESS_BRACKET_NM, guess_nm + _GUESS_BRACKET_NM, 81)
     else:
         grid = np.arange(window_nm[0], window_nm[1] + _COARSE_STEP_NM, _COARSE_STEP_NM)
 
@@ -286,8 +289,7 @@ def _solve_matched(known_nm, wg, solve_for, window_nm, guess_nm=None, bracket_nm
         bad = known[n_roots > 1]
         raise TuningError(
             f"ambiguous phase matching: {int(n_roots.max())} roots inside "
-            f"[{grid[0]:.1f}, {grid[-1]:.1f}] nm for {bad[:3].tolist()} nm; "
-            "pass a guess with a tighter bracket"
+            f"[{grid[0]:.1f}, {grid[-1]:.1f}] nm for {bad[:3].tolist()} nm"
         )
     at_node = on_node.any(axis=1)
     node = grid[np.argmax(on_node, axis=1)]
@@ -308,20 +310,21 @@ def _solve_matched(known_nm, wg, solve_for, window_nm, guess_nm=None, bracket_nm
     return root
 
 
-def phase_matched_signal(pump_nm, wg, guess_nm=None, bracket_nm=20.0):
+def phase_matched_signal(pump_nm, wg, guess_nm=None):
     """Signal wavelength [nm] phase matched to the given pump wavelength(s).
 
-    Scans a coarse grid over the design signal band (or guess +- bracket) for
-    the sign change of dk, then bisects to |dk| < 1e-9 rad/um.  Raises
+    Scans a coarse grid over the design signal band (or guess_nm +- 20 nm)
+    for the sign change of dk, then bisects to |dk| < 1e-9 rad/um.  Raises
     TuningError when no root or more than one root lies in the window.
     """
-    root = _solve_matched(pump_nm, wg, "signal", SIGNAL_SEARCH_NM, guess_nm, bracket_nm)
+    root = _solve_matched(pump_nm, wg, "signal", SIGNAL_SEARCH_NM, guess_nm)
     return float(root[0]) if np.ndim(pump_nm) == 0 else root
 
 
-def phase_matched_pump(signal_nm, wg, guess_nm=None, bracket_nm=20.0):
-    """Pump wavelength [nm] phase matched to the given signal wavelength(s)."""
-    root = _solve_matched(signal_nm, wg, "pump", PUMP_SEARCH_NM, guess_nm, bracket_nm)
+def phase_matched_pump(signal_nm, wg):
+    """Pump wavelength [nm] phase matched to the given signal wavelength(s),
+    searched over the design pump band."""
+    root = _solve_matched(signal_nm, wg, "pump", PUMP_SEARCH_NM)
     return float(root[0]) if np.ndim(signal_nm) == 0 else root
 
 
@@ -430,8 +433,12 @@ def design_qpm_period(signal_nm, pump_nm, wg):
     """Poling period [um] that phase matches the given pair at wg temperature.
 
     Uses the waveguide's current dispersion correction; at a calibration
-    anchor this returns the calibrated instrument's own period.
+    anchor this returns the calibrated instrument's own period.  A signal or
+    pump that is not a finite positive wavelength is a DomainError naming it.
     """
+    for name, value in (("signal", signal_nm), ("pump", pump_nm)):
+        if not (np.isfinite(value) and value > 0):
+            raise DomainError(f"{name} wavelength must be finite and positive, got {value} nm")
     f_nm = sfg_wavelength(signal_nm, pump_nm)
     n_f = refractive_index(f_nm, wg.temperature_c, medium=wg.medium)
     n_s = refractive_index(signal_nm, wg.temperature_c,

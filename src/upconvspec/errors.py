@@ -1,4 +1,5 @@
 """Exception types. The CLI maps these onto process exit codes."""
+import math
 
 
 class UpconvError(Exception):
@@ -29,10 +30,6 @@ class FitError(UpconvError):
     """Model fit to calibration points failed (no solution in bracket, bad points)."""
 
 
-class CoverageError(UpconvError):
-    """A wavelength grid does not cover the requested band. Lists the gap."""
-
-
 class UnrecoverableBandError(UpconvError):
     """Deconvolution requested over a band the kernel cannot see."""
 
@@ -44,3 +41,11 @@ class UnrecoverableBandError(UpconvError):
 
 class BackgroundError(UpconvError):
     """Background rate could not be estimated from the scan."""
+
+
+def check_finite(what, obj, *names):
+    """Raise DomainError naming the first field of obj in names that is not finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise DomainError(f"{what} {name} must be finite, got {value}")

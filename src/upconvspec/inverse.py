@@ -90,7 +90,7 @@ class DeconvolutionResult:
 
 
 def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
-               background_cps=None, noise_model=None, support_nm=None):
+               background_cps=None, noise_model=None):
     """Richardson-Lucy estimate of the input spectral density [W/nm].
 
     raw/kernel must belong together: the same pump grid (to 1e-6 of a pump
@@ -102,9 +102,9 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
     zero.  Iterations run on the kernel's band (ResponseKernel.band) until
     the Pearson discrepancy chi^2/N drops to discrepancy_target (use 0 for
     noiseless rate data), the update stagnates, or max_iters.  The estimate
-    is supported on the kernel columns inside support_nm (default: the
-    scan's mapped signal range); columns with no band entry inside the
-    support make those bands unrecoverable and raise UnrecoverableBandError.
+    is supported on the kernel columns inside the scan's mapped signal
+    range; columns with no band entry there make those bands unrecoverable
+    and raise UnrecoverableBandError.
     """
     for name, value in (("background_cps", background_cps),
                         ("discrepancy_target", discrepancy_target)):
@@ -148,16 +148,10 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
     d_sig = np.maximum(d - bg_counts, 0.0)
 
     grid = kernel.signal_grid_nm
-    if support_nm is None:
-        lo = float(np.min(kernel.mapped_signal_nm))
-        hi = float(np.max(kernel.mapped_signal_nm))
-    else:
-        lo, hi = float(support_nm[0]), float(support_nm[1])
-        if not lo < hi:
-            raise DomainError("support_nm must be an ascending (lo, hi) pair")
-    in_support = (grid >= lo) & (grid <= hi)
+    mapped = kernel.mapped_signal_nm
+    in_support = (grid >= np.min(mapped)) & (grid <= np.max(mapped))
     if not np.any(in_support):
-        raise DomainError("requested support contains no signal-grid points")
+        raise DomainError("the scan's mapped signal range holds no signal-grid points")
 
     # Forward operator: density [W/nm] -> expected signal counts per point.
     weights = np.gradient(grid)
@@ -187,7 +181,7 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
     if total == 0.0:
         est = np.zeros(grid.size)
         return DeconvolutionResult(
-            estimate=Spectrum(grid, est, unit="w_per_nm"),
+            estimate=Spectrum(grid, est),
             iterations_used=0, residual_norm=_pearson(d, background_cps, raw, m, est),
             stop_reason="discrepancy_reached", background_cps=float(background_cps),
         )
@@ -217,7 +211,7 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
     est = np.zeros(grid.size)
     est[active] = x
     return DeconvolutionResult(
-        estimate=Spectrum(grid, est, unit="w_per_nm"),
+        estimate=Spectrum(grid, est),
         iterations_used=iters,
         residual_norm=_pearson(d, background_cps, raw, m, est),
         stop_reason=stop_reason,

@@ -10,13 +10,7 @@ from .errors import DomainError
 from .spectra import Spectrum
 from .spectrometer import ResponseKernel, ScanResult
 
-_UNIT_COLUMNS = {
-    "w_per_nm": "power_w_per_nm",
-    "counts_per_s": "rate_counts_per_s",
-    "photons_per_s_per_nm": "flux_photons_per_s_per_nm",
-    "dimensionless": "value",
-}
-_COLUMN_UNITS = {v: k for k, v in _UNIT_COLUMNS.items()}
+_SPECTRUM_COLUMNS = "wavelength_nm,power_w_per_nm"
 
 
 def _write_meta(fh, meta):
@@ -54,27 +48,22 @@ def _parse_rows(rows, path):
 
 
 def write_spectrum_csv(path, spectrum, meta=None):
-    col = _UNIT_COLUMNS[spectrum.unit]
     with open(path, "w") as fh:
         _write_meta(fh, meta)
-        fh.write(f"wavelength_nm,{col}\n")
+        fh.write(_SPECTRUM_COLUMNS + "\n")
         for x, y in zip(spectrum.grid_nm, spectrum.values):
             fh.write(f"{float(x)!r},{float(y)!r}\n")
 
 
 def read_spectrum_csv(path):
-    """-> (Spectrum, meta dict).  Unit recovered from the value column name."""
+    """-> (Spectrum, meta dict).  The columns must be wavelength_nm,power_w_per_nm."""
     meta, rows = _read_lines(path)
-    header = rows[0].split(",")
-    if len(header) != 2 or header[0] != "wavelength_nm":
-        raise DomainError(f"{path}: expected header 'wavelength_nm,<value column>'")
-    unit = _COLUMN_UNITS.get(header[1])
-    if unit is None:
-        raise DomainError(f"{path}: unknown value column {header[1]!r}")
+    if rows[0] != _SPECTRUM_COLUMNS:
+        raise DomainError(f"{path}: expected header {_SPECTRUM_COLUMNS}")
     data = _parse_rows(rows[1:], path)
     if data.ndim != 2 or data.shape[1] != 2:
         raise DomainError(f"{path}: malformed data rows")
-    return Spectrum(grid_nm=data[:, 0], values=data[:, 1], unit=unit), meta
+    return Spectrum(grid_nm=data[:, 0], values=data[:, 1]), meta
 
 
 def _header(meta, key, path, parse=str):

@@ -1,25 +1,20 @@
 """Spectral-density containers and synthetic test spectra."""
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .units import dbm_to_watts
 
-UNIT_TAGS = ("w_per_nm", "counts_per_s", "photons_per_s_per_nm", "dimensionless")
-
-
 @dataclass(frozen=True)
 class Spectrum:
-    """Values on an ascending wavelength grid, tagged with their unit.
+    """A spectral density [W/nm] on an ascending wavelength grid.
 
-    grid_nm strictly ascending; values nonnegative.  Input spectra are
-    spectral densities (w_per_nm); scan outputs are rates (counts_per_s).
+    grid_nm strictly ascending; values finite and nonnegative.
     """
 
     grid_nm: np.ndarray
     values: np.ndarray
-    unit: str = "w_per_nm"
 
     def __post_init__(self):
         grid = np.asarray(self.grid_nm, dtype=float)
@@ -30,13 +25,11 @@ class Spectrum:
             raise DomainError("spectrum grid must be strictly ascending")
         if np.any(vals < 0) or not np.all(np.isfinite(vals)):
             raise DomainError("spectrum values must be finite and nonnegative")
-        if self.unit not in UNIT_TAGS:
-            raise DomainError(f"unknown spectrum unit tag {self.unit!r}")
         object.__setattr__(self, "grid_nm", grid)
         object.__setattr__(self, "values", vals)
 
     def total_power_w(self):
-        """Trapezoid integral; meaningful for w_per_nm spectra."""
+        """Trapezoid integral [W]."""
         if self.grid_nm.size == 1:
             return float(self.values[0])
         return float(np.trapezoid(self.values, self.grid_nm))
@@ -45,12 +38,7 @@ class Spectrum:
         """Linear resample onto a new ascending grid, zero outside support."""
         new = np.asarray(grid_nm, dtype=float)
         vals = np.interp(new, self.grid_nm, self.values, left=0.0, right=0.0)
-        return Spectrum(grid_nm=new, values=vals, unit=self.unit)
-
-    def scaled(self, factor):
-        if factor < 0:
-            raise DomainError("scale factor must be nonnegative")
-        return Spectrum(self.grid_nm, self.values * factor, self.unit)
+        return Spectrum(grid_nm=new, values=vals)
 
 
 def multimode_ld_spectrum(grid_nm, center_nm=1550.0, n_modes=5, spacing_nm=0.5,
@@ -76,7 +64,7 @@ def multimode_ld_spectrum(grid_nm, center_nm=1550.0, n_modes=5, spacing_nm=0.5,
     if integral <= 0:
         raise DomainError("spectrum grid does not cover the requested modes")
     vals *= dbm_to_watts(total_dbm) / integral
-    return Spectrum(grid_nm=grid, values=vals, unit="w_per_nm")
+    return Spectrum(grid_nm=grid, values=vals)
 
 
 def monochromatic_spectrum(grid_nm, line_nm, power_w):
@@ -94,4 +82,4 @@ def monochromatic_spectrum(grid_nm, line_nm, power_w):
     widths = np.gradient(grid)
     vals = np.zeros_like(grid)
     vals[j] = power_w / widths[j]
-    return Spectrum(grid_nm=grid, values=vals, unit="w_per_nm")
+    return Spectrum(grid_nm=grid, values=vals)

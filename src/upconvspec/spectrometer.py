@@ -25,7 +25,7 @@ import numpy as np
 from . import dispersion
 from .components import transmission, vbg_half_extent_nm, vbg_transmission
 from .counting import poisson_counts, validate_seed
-from .errors import CoverageError, DomainError, TuningError
+from .errors import DomainError, TuningError, check_finite
 from .units import photon_energy_j
 
 SIGNAL_GRID_STEP_NM = 0.02
@@ -46,11 +46,8 @@ class ScanPlan:
     seed: int = 20240901
 
     def __post_init__(self):
-        for name in ("pump_start_nm", "pump_stop_nm", "pump_step_nm", "dwell_s",
-                     "pump_power_mw"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise DomainError(f"scan {name} must be finite, got {value}")
+        check_finite("scan", self, "pump_start_nm", "pump_stop_nm", "pump_step_nm",
+                     "dwell_s", "pump_power_mw")
         if not (self.pump_start_nm < self.pump_stop_nm):
             raise DomainError("scan needs pump_start_nm < pump_stop_nm")
         if self.pump_step_nm <= 0 or self.dwell_s <= 0:
@@ -228,11 +225,11 @@ def default_signal_grid(mapped):
 def _band_window(grid, pump, centers, half_nm):
     """(start, W): each row's first column and the rows' common band width.
 
-    Row i's window holds the columns whose SFG wavelength at pump[i] lies
-    within half_nm of its VBG setpoint, 1/l_s = 1/l_sfg - 1/l_p, widened by
-    one column on each side so a grid coarser than the window still gives
-    the row its nearest columns.  The grid need not be uniform.  W is the
-    widest window, and each start is clipped so its W columns fit the grid.
+    Row i's window holds the signal-grid columns whose SFG wavelength at
+    pump[i] lies within half_nm of its VBG setpoint, 1/l_s = 1/l_sfg - 1/l_p,
+    widened by one column on each side so a window narrower than a grid step
+    still gives the row its nearest columns.  W is the widest window, and
+    each start is clipped so its W columns fit the grid.
     """
     lo = 1.0 / (1.0 / (centers - half_nm) - 1.0 / pump)
     hi = 1.0 / (1.0 / (centers + half_nm) - 1.0 / pump)
@@ -242,12 +239,14 @@ def _band_window(grid, pump, centers, half_nm):
     return np.minimum(first, grid.size - width), width
 
 
-def build_kernel(wg, chain, vbg, conv_model, plan, signal_grid_nm=None):
+def build_kernel(wg, chain, vbg, conv_model, plan):
     """Banded response kernel for a calibrated waveguide, filter chain, and plan.
 
     chain holds the fixed FilterElements (edge, band-pass, broadband loss);
     the VBG is passed separately because its center follows the tracking
     schedule, which also carries the tuning map: a build solves it once.
+    The signal grid is default_signal_grid of that map: its mapped range
+    plus 1.5 nm tails, in 0.02 nm steps.
     Each row is evaluated only on its window around the VBG setpoint
     (outside it the VBG line is below 1e-19 of its peak), and entries at or
     below BAND_REL_TOL x their row's peak are set to zero.  The tolerance is
@@ -260,25 +259,7 @@ def build_kernel(wg, chain, vbg, conv_model, plan, signal_grid_nm=None):
     pump = plan.pump_grid_nm()
     schedule = vbg_tracking_schedule(plan, wg, vbg)
     mapped = schedule.signal_nm
-    if signal_grid_nm is None:
-        grid = default_signal_grid(mapped)
-    else:
-        grid = np.asarray(signal_grid_nm, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-            raise DomainError("signal grid must be 1-D strictly ascending")
-        lo_need, hi_need = float(np.min(mapped)), float(np.max(mapped))
-        if grid[0] > lo_need or grid[-1] < hi_need:
-            gaps = []
-            if grid[0] > lo_need:
-                gaps.append((lo_need, float(grid[0])))
-            if grid[-1] < hi_need:
-                gaps.append((float(grid[-1]), hi_need))
-            raise CoverageError(
-                "signal grid does not cover the scan's mapped range "
-                f"[{lo_need:.3f}, {hi_need:.3f}] nm; missing " +
-                ", ".join(f"[{a:.3f}, {b:.3f}]" for a, b in gaps)
-            )
-
+    grid = default_signal_grid(mapped)
     eta = conv_model.efficiency(plan.pump_power_mw)
 
     start, width = _band_window(grid, pump, schedule.centers_nm, vbg_half_extent_nm(vbg))
@@ -356,8 +337,6 @@ def forward_scan(spectrum, kernel, noise_model, plan, sample=True):
     (i,), so its count depends only on the seed, i and its expected count:
     never on the other points or on the order of evaluation.
     """
-    if spectrum.unit != "w_per_nm":
-        raise DomainError("forward_scan expects a spectral density in w_per_nm")
     if plan.pump_power_mw != kernel.pump_power_mw:
         raise DomainError(
             f"plan power {plan.pump_power_mw} mW differs from the kernel's "

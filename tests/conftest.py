@@ -10,7 +10,7 @@ import pytest
 from hypothesis import settings
 
 from upconvspec import config as config_mod
-from upconvspec import spectrometer
+from upconvspec import dispersion, spectrometer
 
 # On CI (the CI variable is set, as GitHub Actions does) property tests run
 # derandomized and without a deadline: reproducible, and no timing flakes on
@@ -34,7 +34,7 @@ def wg3(cfg):
 @pytest.fixture(scope="session")
 def wg1(cfg):
     """Single-anchor variant: bulk dispersion slope, constant index offset."""
-    return config_mod.calibrated_waveguide(cfg, anchors=[cfg.anchors[1]])
+    return dispersion.calibrate_operating_point(cfg.waveguide, [cfg.anchors[1]])
 
 
 @pytest.fixture(scope="session")

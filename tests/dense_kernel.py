@@ -13,13 +13,12 @@ from upconvspec.components import transmission, vbg_transmission
 from upconvspec.units import photon_energy_j
 
 
-def dense_kernel(wg, chain, vbg, conv_model, plan, signal_grid_nm=None):
+def dense_kernel(wg, chain, vbg, conv_model, plan):
     """-> (n_pump x n_signal matrix over every cell, signal grid)."""
     pump = plan.pump_grid_nm()
     schedule = spectrometer.vbg_tracking_schedule(plan, wg, vbg)
     mapped = schedule.signal_nm
-    grid = (spectrometer.default_signal_grid(mapped) if signal_grid_nm is None
-            else np.asarray(signal_grid_nm, dtype=float))
+    grid = spectrometer.default_signal_grid(mapped)
     eta = conv_model.efficiency(plan.pump_power_mw)
 
     lam_s = grid[None, :]

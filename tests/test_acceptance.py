@@ -6,7 +6,7 @@ whole checklist is visible in any pytest run, then asserts.
 import numpy as np
 import pytest
 
-from upconvspec import config, counting, dispersion, inverse, spectra, spectrometer
+from upconvspec import counting, dispersion, inverse, spectra, spectrometer
 from upconvspec.components import transmission, vbg_transmission
 from upconvspec.conversion import NoiseModel, fit_conversion, fit_noise
 from upconvspec.fom import OperatingPoint, nep
@@ -75,7 +75,7 @@ def test_a04_tuning_map(cfg, wg3, wg1, capsys):
     other_spans = []
     for anchor in (cfg.anchors[0], cfg.anchors[2]):
         other = dispersion.phase_matched_signal(
-            grid[[0, -1]], config.calibrated_waveguide(cfg, anchors=[anchor]))
+            grid[[0, -1]], dispersion.calibrate_operating_point(cfg.waveguide, [anchor]))
         other_spans.append(float(other[0] - other[1]))
     err1 = sig1[[0, -1]] - anchors_s[[0, -1]]
     ok1 = (abs(anchor_err1) <= 1e-6 and monotone1

@@ -76,6 +76,19 @@ def test_design_qpm_off_curve_pair(wg3):
         1551.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--signal", "nan", "--pump", "1950"], "signal wavelength must be finite and positive, got nan"),
+    (["--signal", "1550", "--pump", "inf"], "pump wavelength must be finite and positive, got inf"),
+    (["--signal", "1550", "--pump", "1950", "--temp", "nan"], "temperature nan C"),
+], ids=["signal-nan", "pump-inf", "temp-nan"])
+def test_design_qpm_rejects_non_finite_inputs(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(["design-qpm", *argv])
+    assert code == 4 and text == ""
+    assert message in capsys.readouterr().err
+
+
 def test_fom_at_operating_power():
     code, text = run_cli(["fom", "--pump-power", "30"])
     assert code == 0
@@ -337,6 +350,15 @@ def test_scan_with_a_negative_seed_is_a_domain_error(tmp_path, capsys):
                        "--out", str(tmp_path / "scan.csv"), "--seed", "-1"])
     assert code == 4
     assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+
+def test_scan_rejects_an_input_that_is_not_w_per_nm(tmp_path, capsys):
+    src = tmp_path / "rates.csv"
+    src.write_text("wavelength_nm,rate_counts_per_s\n1549.0,1.0\n1550.0,2.0\n1551.0,1.0\n")
+    code, text = run_cli(["scan", "--input", str(src), "--out", str(tmp_path / "scan.csv")])
+    assert code == 4 and text == ""
+    assert "expected header wavelength_nm,power_w_per_nm" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
 
 
 @pytest.mark.parametrize("flag,field", [("--dwell", "dwell_s"),

@@ -176,9 +176,3 @@ def test_pinned_models_accept_a_consistent_three_point_fit(cfg):
     conv, _ = config.pinned_models(three)
     assert conv.efficiency(40.0) == pytest.approx(0.24, abs=0.002)
 
-
-def test_calibrated_waveguide_anchor_override(cfg, wg1):
-    direct = config.calibrated_waveguide(cfg, anchors=[cfg.anchors[1]])
-    assert direct.dispersion_correction == pytest.approx(
-        wg1.dispersion_correction, rel=1e-12)
-    assert len(direct.dispersion_correction) == 1

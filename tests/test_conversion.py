@@ -32,14 +32,6 @@ def test_efficiency_interpolates_between_points(models):
     assert conv.efficiency(0.0) == 0.0
 
 
-def test_saturation_power(models):
-    conv, _ = models
-    sat = conv.saturation_power_mw
-    assert sat == pytest.approx(81.2433825678786, rel=1e-9)
-    assert conv.efficiency(sat) == pytest.approx(conv.eta_max, rel=1e-12)
-    assert conv.efficiency(sat - 5.0) < conv.eta_max
-
-
 def test_fit_noise_reproduces_points_exactly(cfg):
     model, report = fit_noise(cfg.noise_points, cfg.noise_floor_cps)
     assert model.exponent == pytest.approx(GAMMA_PIN, rel=1e-12)

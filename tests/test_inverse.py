@@ -167,17 +167,6 @@ def test_deconvolve_rejects_a_kernel_for_another_power_or_vbg_mode(
         inverse.deconvolve(scan_tracked, kernel_fixed, background_cps=PEDESTAL_CPS)
 
 
-def test_support_restricts_estimate(small_kernel, delta_scan):
-    _, scan = delta_scan
-    res = inverse.deconvolve(scan, small_kernel, support_nm=(1549.5, 1550.5),
-                             max_iters=50, discrepancy_target=0.0,
-                             background_cps=PEDESTAL_CPS)
-    grid = small_kernel.signal_grid_nm
-    outside = (grid < 1549.5) | (grid > 1550.5)
-    assert np.all(res.estimate.values[outside] == 0.0)
-    assert grid[np.argmax(res.estimate.values)] == pytest.approx(DELTA_BIN_NM, abs=1e-9)
-
-
 def test_zero_signal_scan_yields_zero_estimate(small_kernel, small_plan, noise):
     grid = small_kernel.signal_grid_nm
     dark = spectra.Spectrum(grid, np.zeros(grid.size))
@@ -228,9 +217,6 @@ def test_deconvolve_validation(kernel, small_kernel, delta_scan):
     _, scan = delta_scan
     with pytest.raises(DomainError):
         inverse.deconvolve(scan, small_kernel, max_iters=0,
-                           background_cps=PEDESTAL_CPS)
-    with pytest.raises(DomainError):
-        inverse.deconvolve(scan, small_kernel, support_nm=(1552.0, 1550.0),
                            background_cps=PEDESTAL_CPS)
     with pytest.raises(DomainError):
         inverse.deconvolve(scan, small_kernel, background_cps=-5.0)

@@ -29,7 +29,6 @@ def test_spectrum_round_trip(tmp_path, scan_and_kernel):
     back, meta = uio.read_spectrum_csv(path)
     assert np.array_equal(back.grid_nm, s.grid_nm)
     assert np.array_equal(back.values, s.values)
-    assert back.unit == s.unit
     assert meta["seed"] == "7" or meta["seed"] == 7
 
 
@@ -185,11 +184,11 @@ def test_kernel_csv_round_trip_is_bit_exact(tmp_path_factory, kern):
 
 @settings(max_examples=60, deadline=None)
 @given(grid=st.lists(_FINITE, min_size=1, max_size=8, unique=True),
-       data=st.data(), unit=st.sampled_from(spectra.UNIT_TAGS))
-def test_spectrum_csv_round_trip_is_bit_exact(tmp_path_factory, grid, data, unit):
+       data=st.data())
+def test_spectrum_csv_round_trip_is_bit_exact(tmp_path_factory, grid, data):
     values = data.draw(st.lists(st.one_of(_ENTRY, st.just(-0.0)), min_size=len(grid),
                                 max_size=len(grid)))
-    s = spectra.Spectrum(grid_nm=np.sort(grid), values=np.array(values), unit=unit)
+    s = spectra.Spectrum(grid_nm=np.sort(grid), values=np.array(values))
     path = tmp_path_factory.mktemp("spectrum") / "s.csv"
     uio.write_spectrum_csv(path, s, meta={"seed": 7})
     back, meta = uio.read_spectrum_csv(path)
@@ -197,7 +196,7 @@ def test_spectrum_csv_round_trip_is_bit_exact(tmp_path_factory, grid, data, unit
         assert np.array_equal(getattr(back, field), getattr(s, field)), field
         assert np.array_equal(np.signbit(getattr(back, field)),
                               np.signbit(getattr(s, field))), field
-    assert back.unit == unit and meta["seed"] == "7"
+    assert meta["seed"] == "7"
 
 
 @st.composite
@@ -250,6 +249,14 @@ def test_corrupt_csv_raises_domain_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("wavelength_nm,power_w_per_nm\n1550.0,abc\n")
     with pytest.raises(DomainError):
+        uio.read_spectrum_csv(bad)
+
+
+@pytest.mark.parametrize("column", ["rate_counts_per_s", "value", "power_w"])
+def test_spectrum_csv_value_column_must_be_power_w_per_nm(tmp_path, column):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"wavelength_nm,{column}\n1550.0,1e-12\n1550.1,2e-12\n")
+    with pytest.raises(DomainError, match="expected header wavelength_nm,power_w_per_nm"):
         uio.read_spectrum_csv(bad)
 
 

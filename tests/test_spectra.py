@@ -19,7 +19,6 @@ def _local_maxima(values, floor):
 
 def test_multimode_spectrum_power_is_exact():
     s = spectra.multimode_ld_spectrum(GRID)
-    assert s.unit == "w_per_nm"
     assert s.total_power_w() == pytest.approx(dbm_to_watts(-98.9), rel=1e-14)
 
 
@@ -61,8 +60,6 @@ def test_spectrum_validation():
         spectra.Spectrum(GRID, np.full(GRID.size, -1.0))
     with pytest.raises(DomainError):
         spectra.Spectrum(GRID, np.full(GRID.size, np.nan))
-    with pytest.raises(DomainError):
-        spectra.Spectrum(GRID, np.ones(GRID.size), unit="joules")
 
 
 def test_interpolation_is_zero_outside_support():
@@ -74,10 +71,3 @@ def test_interpolation_is_zero_outside_support():
     # resampling onto the same grid is the identity
     same = s.interpolated(GRID)
     assert np.array_equal(same.values, s.values)
-
-
-def test_scaled():
-    s = spectra.multimode_ld_spectrum(GRID)
-    assert s.scaled(2.0).total_power_w() == pytest.approx(2 * s.total_power_w(), rel=1e-14)
-    with pytest.raises(DomainError):
-        s.scaled(-1.0)
