@@ -162,9 +162,9 @@ class VbgState:
 
     def __post_init__(self):
         lo, hi = self.tuning_range_nm
+        check_finite("VBG", self, "tuning_range_nm", "fwhm_nm")
         if not (lo < hi):
             raise DomainError("VBG tuning range must be ordered (lo, hi)")
-        check_finite("VBG", self, "fwhm_nm")
         if self.fwhm_nm <= 0:
             raise DomainError("VBG fwhm_nm must be positive")
         if not (0.0 < self.peak_reflectance <= 1.0):

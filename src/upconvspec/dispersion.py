@@ -54,6 +54,7 @@ class SellmeierMedium:
     def __post_init__(self):
         if len(self.a) != 6 or len(self.b) != 4:
             raise DomainError("SellmeierMedium needs 6 'a' and 4 'b' coefficients")
+        check_finite("Sellmeier", self, "a", "b", "t_ref_c", "t_offset_c")
 
 
 # Congruent LiNbO3, extraordinary axis: Jundt, Opt. Lett. 22, 1553 (1997).

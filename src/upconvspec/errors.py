@@ -44,8 +44,12 @@ class BackgroundError(UpconvError):
 
 
 def check_finite(what, obj, *names):
-    """Raise DomainError naming the first field of obj in names that is not finite."""
+    """Raise DomainError naming the first field of obj in names that is not finite.
+
+    A tuple or list field must be finite in every entry.
+    """
     for name in names:
         value = getattr(obj, name)
-        if not math.isfinite(value):
+        entries = value if isinstance(value, (tuple, list)) else (value,)
+        if not all(math.isfinite(v) for v in entries):
             raise DomainError(f"{what} {name} must be finite, got {value}")

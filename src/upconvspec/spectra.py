@@ -42,24 +42,20 @@ class Spectrum:
 
 
 def multimode_ld_spectrum(grid_nm, center_nm=1550.0, n_modes=5, spacing_nm=0.5,
-                          mode_fwhm_nm=0.35, total_dbm=-98.9, envelope_fwhm_nm=None):
+                          mode_fwhm_nm=0.35, total_dbm=-98.9):
     """Comb of gaussian longitudinal modes mimicking a Fabry-Perot diode.
 
-    Modes sit at center ± k*spacing; an optional gaussian envelope shapes
-    relative mode powers.  The result integrates to total_dbm exactly.
+    Equal-power modes sit at center ± k*spacing.  The result integrates to
+    total_dbm exactly.
     """
     if n_modes < 1 or spacing_nm <= 0 or mode_fwhm_nm <= 0:
         raise DomainError("need n_modes >= 1 and positive spacing/mode width")
     grid = np.asarray(grid_nm, dtype=float)
-    offsets = (np.arange(n_modes) - (n_modes - 1) / 2.0) * spacing_nm
-    centers = center_nm + offsets
-    weights = np.ones(n_modes)
-    if envelope_fwhm_nm is not None:
-        weights = np.exp(-4.0 * np.log(2.0) * (offsets / envelope_fwhm_nm) ** 2)
+    centers = center_nm + (np.arange(n_modes) - (n_modes - 1) / 2.0) * spacing_nm
     sigma = mode_fwhm_nm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
     vals = np.zeros_like(grid)
-    for c, w in zip(centers, weights):
-        vals += w * np.exp(-0.5 * ((grid - c) / sigma) ** 2)
+    for c in centers:
+        vals += np.exp(-0.5 * ((grid - c) / sigma) ** 2)
     integral = np.trapezoid(vals, grid)
     if integral <= 0:
         raise DomainError("spectrum grid does not cover the requested modes")

@@ -100,6 +100,32 @@ def test_rl_sampled_scan_stops_on_discrepancy(small_kernel, small_plan, noise,
     assert res.background_cps == pytest.approx(42.583333333333336, abs=1e-9)
 
 
+def _line_scan(cfg, kernel, noise, dwell_s):
+    """-100 dBm line at 1550.3 nm on the default kernel, sampled with seed 11."""
+    line = spectra.monochromatic_spectrum(kernel.signal_grid_nm, 1550.3, 1e-13)
+    return line, spectrometer.forward_scan(line, kernel, noise,
+                                           replace(cfg.scan, dwell_s=dwell_s, seed=11))
+
+
+@pytest.mark.parametrize("dwell_s", [1.0, 10.0, 100.0])
+def test_rl_line_reaches_its_discrepancy(cfg, kernel, noise, dwell_s):
+    line, scan = _line_scan(cfg, kernel, noise, dwell_s)
+    res = inverse.deconvolve(scan, kernel, noise_model=noise)
+    assert res.stop_reason == "discrepancy_reached"
+    assert res.iterations_used < 500
+    assert res.residual_norm <= 1.0
+    assert res.estimate.total_power_w() / line.total_power_w() == pytest.approx(1.0, abs=0.01)
+
+
+def test_rl_long_run_leaves_no_subnormals(cfg, kernel, noise):
+    _, scan = _line_scan(cfg, kernel, noise, 10.0)
+    res = inverse.deconvolve(scan, kernel, noise_model=noise, max_iters=2000,
+                             discrepancy_target=0.0)
+    est = res.estimate.values
+    assert np.count_nonzero((est != 0.0) & (np.abs(est) < np.finfo(float).tiny)) == 0
+    assert np.count_nonzero(est) > 0
+
+
 def test_estimate_background_flat_scan(small_kernel, small_plan):
     n60 = NoiseModel(floor_cps=60.0, amplitude_cps=0.0, exponent=1.0)
     grid = small_kernel.signal_grid_nm

@@ -30,13 +30,6 @@ def test_multimode_spectrum_has_requested_modes():
     assert np.allclose(centers, 1550.0 + (np.arange(5) - 2) * 0.5, atol=0.021)
 
 
-def test_multimode_envelope_weights_outer_modes_down():
-    s = spectra.multimode_ld_spectrum(GRID, envelope_fwhm_nm=1.0)
-    peaks = _local_maxima(s.values, 0.0)
-    heights = s.values[peaks]
-    assert heights[0] < heights[2] and heights[-1] < heights[2]
-
-
 def test_multimode_grid_must_cover_modes():
     with pytest.raises(DomainError):
         spectra.multimode_ld_spectrum(np.arange(1000.0, 1001.0, 0.02))
