@@ -96,7 +96,7 @@ def _cmd_design_qpm(cfg, args, out):
         wg = replace(wg, temperature_c=args.temp)
     period = dispersion.design_qpm_period(args.signal, args.pump, wg)
     probe = replace(wg, qpm_period_um=period)
-    bw = dispersion.acceptance_bandwidth(probe, args.pump, guess_nm=args.signal)
+    bw = dispersion.acceptance_bandwidth(probe, args.pump, args.signal)
     out.write(f"signal_nm            {args.signal:.3f}\n")
     out.write(f"pump_nm              {args.pump:.3f}\n")
     out.write(f"temperature_c        {wg.temperature_c:.2f}\n")

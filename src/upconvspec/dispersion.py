@@ -31,7 +31,6 @@ HALF_MAX_ARG = 1.39155737825151
 SIGNAL_SEARCH_NM = (1450.0, 1650.0)
 PUMP_SEARCH_NM = (1820.0, 2080.0)
 _COARSE_STEP_NM = 1.0
-_GUESS_BRACKET_NM = 20.0  # a guessed root is searched for within +-20 nm of it
 
 
 @dataclass(frozen=True)
@@ -255,27 +254,22 @@ def _same_bits(a, b):
     return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def _solve_matched(known_nm, wg, solve_for, window_nm, guess_nm=None):
+def _solve_matched(known_nm, wg, solve_for, window_nm):
     """Root-find dk = 0 over the unknown wavelength axis (vectorized).
 
     solve_for: "signal" (known = pump) or "pump" (known = signal).  The
-    coarse scan covers window_nm, or guess_nm +- 20 nm when a guess is given.
+    coarse scan covers window_nm in 1 nm steps.
     """
     known = np.atleast_1d(np.asarray(known_nm, dtype=float))
-
-    if guess_nm is not None:
-        grid = np.linspace(guess_nm - _GUESS_BRACKET_NM, guess_nm + _GUESS_BRACKET_NM, 81)
-    else:
-        grid = np.arange(window_nm[0], window_nm[1] + _COARSE_STEP_NM, _COARSE_STEP_NM)
+    grid = np.arange(window_nm[0], window_nm[1] + _COARSE_STEP_NM, _COARSE_STEP_NM)
 
     # coarse scan: locate the sign change for every known-wavelength point
     if solve_for == "signal":
         dk_grid = qpm_mismatch(grid[None, :], known[:, None], wg)
     else:
         dk_grid = qpm_mismatch(known[:, None], grid[None, :], wg)
-    # A root exactly on a grid node (a designed period puts one on the guess)
-    # counts once, as that node; a sign flip between nonzero nodes counts as
-    # one root inside its interval.
+    # A root exactly on a grid node counts once, as that node; a sign flip
+    # between nonzero nodes counts as one root inside its interval.
     on_node = dk_grid == 0.0
     sign_flip = dk_grid[:, :-1] * dk_grid[:, 1:] < 0.0
     n_roots = on_node.sum(axis=1) + sign_flip.sum(axis=1)
@@ -311,14 +305,14 @@ def _solve_matched(known_nm, wg, solve_for, window_nm, guess_nm=None):
     return root
 
 
-def phase_matched_signal(pump_nm, wg, guess_nm=None):
+def phase_matched_signal(pump_nm, wg):
     """Signal wavelength [nm] phase matched to the given pump wavelength(s).
 
-    Scans a coarse grid over the design signal band (or guess_nm +- 20 nm)
-    for the sign change of dk, then bisects to |dk| < 1e-9 rad/um.  Raises
-    TuningError when no root or more than one root lies in the window.
+    Scans a coarse grid over the design signal band for the sign change of
+    dk, then bisects to |dk| < 1e-9 rad/um.  Raises TuningError when no
+    root or more than one root lies in the window.
     """
-    root = _solve_matched(pump_nm, wg, "signal", SIGNAL_SEARCH_NM, guess_nm)
+    root = _solve_matched(pump_nm, wg, "signal", SIGNAL_SEARCH_NM)
     return float(root[0]) if np.ndim(pump_nm) == 0 else root
 
 
@@ -346,9 +340,15 @@ class BandwidthReport:
     sfg_band_fwhm_nm: float
 
 
-def acceptance_bandwidth(wg, pump_nm, guess_nm=None):
-    """FWHM of the conversion lineshape vs signal wavelength at fixed pump."""
-    center = phase_matched_signal(pump_nm, wg, guess_nm=guess_nm)
+def acceptance_bandwidth(wg, pump_nm, signal_nm):
+    """FWHM of the conversion lineshape vs signal wavelength at fixed pump,
+    around signal_nm, which must be phase matched to pump_nm (TuningError
+    when |dk| there exceeds DK_TOLERANCE_PER_UM)."""
+    center = float(signal_nm)
+    dk = abs(qpm_mismatch(center, pump_nm, wg))
+    if not dk <= DK_TOLERANCE_PER_UM:
+        raise TuningError(f"({center} nm, {pump_nm} nm) is not phase matched: "
+                          f"|dk| {dk:.3e} > {DK_TOLERANCE_PER_UM} rad/um")
     target = 2.0 * HALF_MAX_ARG / (wg.length_mm * 1e3)  # |dk| at half max
 
     def excess(x_nm):
@@ -440,12 +440,7 @@ def design_qpm_period(signal_nm, pump_nm, wg):
     for name, value in (("signal", signal_nm), ("pump", pump_nm)):
         if not (np.isfinite(value) and value > 0):
             raise DomainError(f"{name} wavelength must be finite and positive, got {value} nm")
-    f_nm = sfg_wavelength(signal_nm, pump_nm)
-    n_f = refractive_index(f_nm, wg.temperature_c, medium=wg.medium)
-    n_s = refractive_index(signal_nm, wg.temperature_c,
-                           correction=wg.dispersion_correction, medium=wg.medium)
-    n_p = refractive_index(pump_nm, wg.temperature_c, medium=wg.medium)
-    inv = (n_f / (f_nm * 1e-3) - n_s / (signal_nm * 1e-3) - n_p / (pump_nm * 1e-3))
+    inv = qpm_mismatch(signal_nm, pump_nm, wg) / TWO_PI + 1.0 / wg.qpm_period_um
     if inv <= 0:
         raise TuningError(
             "first-order QPM impossible: bulk mismatch has the wrong sign "

@@ -15,14 +15,15 @@ zero.  Entries that fall below 1e-16 x the largest (or below the smallest
 normal double) are set to zero after every step: RL cannot regrow them, and
 left alone they go subnormal and make every later step several times
 slower.  Once a fifth or more of the columns are zero they are dropped from
-the products.  RL works on the kernel's sparse band, so an iteration costs
-its nonzeros, not the dense matrix's cells.
+the products.  RL runs on count rates with the kernel's sparse, dwell-free
+operator (ResponseKernel.rl_operator, built once per kernel), so an
+iteration costs the band's nonzeros and a call builds nothing.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BackgroundError, DomainError, UnrecoverableBandError
+from .errors import BackgroundError, DomainError
 from .spectra import Spectrum
 
 _CLIP_SIGMA = 3.5
@@ -111,10 +112,11 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
     scan is read from its counts, an unsampled one from its expected rates,
     the same rule estimate_background follows.  Background (model, explicit
     value, or estimated off-band baseline) is subtracted first, clamped at
-    zero.  Iterations run on the kernel's band (ResponseKernel.band) until
-    the Pearson discrepancy chi^2/N drops to discrepancy_target (use 0 for
-    noiseless rate data), the update stagnates (|x_k - x_k-1| <= 1e-9 |x_k|),
-    or max_iters.
+    zero.  Iterations run on the signal rates (counts / dwell) with the
+    kernel's cached operator (ResponseKernel.rl_operator), until the Pearson
+    discrepancy chi^2/N on the counts, model x dwell + background, drops to
+    discrepancy_target (use 0 for noiseless rate data), the update stagnates
+    (|x_k - x_k-1| <= 1e-9 |x_k|), or max_iters.
 
     Each iteration is one RL step from y = x_k (x_k / x_k-1)^alpha.  With
     g_k = x_k+1 - y_k, alpha = g_k.g_k-1 / g_k-1.g_k-1 clipped to [0, 1];
@@ -126,7 +128,7 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
 
     The estimate is supported on the kernel columns inside the scan's mapped
     signal range; columns with no band entry there make those bands
-    unrecoverable and raise UnrecoverableBandError.
+    unrecoverable and raise UnrecoverableBandError (from rl_operator).
     """
     for name, value in (("background_cps", background_cps),
                         ("discrepancy_target", discrepancy_target)):
@@ -167,44 +169,19 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
     if background_cps is None:
         background_cps = estimate_background(raw, noise_model=noise_model)
     bg_counts = background_cps * raw.dwell_s
-    d_sig = np.maximum(d - bg_counts, 0.0)
-
+    rates = np.maximum(d - bg_counts, 0.0) / raw.dwell_s
+    support, back, norm = kernel.rl_operator
     grid = kernel.signal_grid_nm
-    mapped = kernel.mapped_signal_nm
-    in_support = (grid >= np.min(mapped)) & (grid <= np.max(mapped))
-    if not np.any(in_support):
-        raise DomainError("the scan's mapped signal range holds no signal-grid points")
-
-    # Forward operator: density [W/nm] -> expected signal counts per point,
-    # on the support columns (an interval of the ascending grid).
-    active = np.flatnonzero(in_support)
-    lo, hi = active[0], active[-1] + 1
-    m_act = kernel.band[:, lo:hi]
-    m_act.data *= (np.gradient(grid)[lo:hi] * raw.dwell_s)[m_act.indices]
-    m_t = m_act.T.tocsr()  # back-projection: one row per estimate column
-    norm = np.asarray(m_t.sum(axis=1)).ravel()
-    if np.any(norm <= 0.0):
-        bands = []
-        idx = active[norm <= 0.0]
-        start = idx[0]
-        prev = idx[0]
-        for k in idx[1:]:
-            if k != prev + 1:
-                bands.append((float(grid[start]), float(grid[prev])))
-                start = k
-            prev = k
-        bands.append((float(grid[start]), float(grid[prev])))
-        raise UnrecoverableBandError(bands)
 
     def discrepancy(model):
         # Pearson chi^2 per point on the raw counts against the full model
         # (signal + pedestal): at the Poisson noise level this sits at ~1.
-        full = model + bg_counts
+        full = model * raw.dwell_s + bg_counts
         resid = d - full
         return float(resid @ (resid / np.maximum(full, 1.0))) / d.size
 
     est = np.zeros(grid.size)
-    total = float(d_sig.sum())
+    total = float(rates.sum())
     if total == 0.0:
         return DeconvolutionResult(
             estimate=Spectrum(grid, est), iterations_used=0,
@@ -212,8 +189,8 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
             stop_reason="discrepancy_reached", background_cps=float(background_cps),
         )
 
-    x = np.full(active.size, total / norm.sum())
-    fwd = m_act  # forward operator on the live columns
+    x = np.full(support.size, total / norm.sum())
+    fwd = back.T  # forward operator on the live columns
     model = fwd @ x
     x_prev = g_prev = None
     alpha = 0.0
@@ -228,8 +205,8 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
             model_y = fwd @ y
         else:
             y, model_y = x, model
-        ratio = np.divide(d_sig, model_y, out=np.zeros_like(model_y), where=model_y > 0.0)
-        x_new = y * (m_t @ ratio) / norm
+        ratio = np.divide(rates, model_y, out=np.zeros_like(model_y), where=model_y > 0.0)
+        x_new = y * (back @ ratio) / norm
         flushed = x_new < max(_FLUSH_REL * x_new.max(initial=0.0), _TINY)
         x_new[flushed] = 0.0
         g = x_new - y
@@ -253,11 +230,11 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
             # Flushed columns stay zero: drop them from every product.
             live = ~flushed
             x, x_prev, g_prev, norm = x[live], x_prev[live], g_prev[live], norm[live]
-            active = active[live]
-            m_t = m_t[live]
-            fwd = m_t.T
+            support = support[live]
+            back = back[live]
+            fwd = back.T
 
-    est[active] = x
+    est[support] = x
     return DeconvolutionResult(
         estimate=Spectrum(grid, est),
         iterations_used=iters,

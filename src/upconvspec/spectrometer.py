@@ -14,8 +14,8 @@ normalized so a phase-matched monochromatic input of power W with a tracked
 VBG produces eta(P) * W / (h nu) counts/s.  Each row is sharp around its
 phase-matched signal, so K is banded: a row is evaluated, stored and
 written only over a fixed-width window of columns around its VBG setpoint
-(ResponseKernel.band_start, band_values), and Richardson-Lucy runs on the
-sparse copy of that band.
+(ResponseKernel.band_start, band_values), and Richardson-Lucy runs on a
+sparse operator built from that band once per kernel (rl_operator).
 """
 import functools
 from dataclasses import dataclass, replace
@@ -25,7 +25,7 @@ import numpy as np
 from . import dispersion
 from .components import transmission, vbg_half_extent_nm, vbg_transmission
 from .counting import poisson_counts, validate_seed
-from .errors import DomainError, TuningError, check_finite
+from .errors import DomainError, TuningError, UnrecoverableBandError, check_finite
 from .units import photon_energy_j
 
 SIGNAL_GRID_STEP_NM = 0.02
@@ -185,20 +185,39 @@ class ResponseKernel:
         return self.band_start[:, None] + np.arange(self.band_values.shape[1])
 
     @functools.cached_property
-    def band(self):
-        """CSR copy of the band without its explicit zeros, which RL runs on.
+    def rl_operator(self):
+        """(support, back, norm): the read-only operator Richardson-Lucy runs on.
 
-        Built once per kernel on first use; a kernel made with
-        dataclasses.replace is a new instance and gets its own band.
-        scipy.sparse is imported here, so only deconvolution loads it.
+        support: the signal-grid columns inside the mapped signal range.
+        back: CSR, one row per support column, of the band times the grid
+        weights np.gradient(signal_grid_nm), without explicit zeros; back.T
+        maps a density [W/nm] to count rates [cps].  norm: back's row sums.
+        Built once per kernel (dataclasses.replace makes a new one); only
+        deconvolution loads scipy.sparse.  Raises DomainError for an empty
+        support, UnrecoverableBandError naming each run of unreached columns.
         """
         from scipy import sparse
 
-        keep = self.band_values != 0.0
+        grid, mapped = self.signal_grid_nm, self.mapped_signal_nm
+        support = np.flatnonzero((grid >= np.min(mapped)) & (grid <= np.max(mapped)))
+        if support.size == 0:
+            raise DomainError("the scan's mapped signal range holds no signal-grid points")
+        cols = self.band_columns
+        keep = (self.band_values != 0.0) & (cols >= support[0]) & (cols <= support[-1])
+        kept = cols[keep]
         indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
-        shape = (self.pump_grid_nm.size, self.signal_grid_nm.size)
-        return sparse.csr_matrix((self.band_values[keep], self.band_columns[keep], indptr),
-                                 shape=shape)
+        fwd = sparse.csr_matrix(
+            (self.band_values[keep] * np.gradient(grid)[kept], kept - support[0], indptr),
+            shape=(self.pump_grid_nm.size, support.size))
+        back = fwd.T.tocsr()
+        norm = np.asarray(back.sum(axis=1)).ravel()
+        dead = support[norm <= 0.0]
+        if dead.size:
+            runs = np.split(dead, np.flatnonzero(np.diff(dead) > 1) + 1)
+            raise UnrecoverableBandError([(float(grid[r[0]]), float(grid[r[-1]])) for r in runs])
+        for array in (support, back.data, norm):
+            array.flags.writeable = False
+        return support, back, norm
 
     @functools.cached_property
     def matrix(self):

@@ -67,13 +67,13 @@ def test_design_qpm_temperature_override():
 
 
 def test_design_qpm_off_curve_pair(wg3):
-    # The designed period phase matches the pair exactly, so dk == 0 falls
-    # on the guess itself, a node of the root-search grid.
-    code, _ = run_cli(["design-qpm", "--signal", "1551", "--pump", "1950"])
+    # The designed period moves the tuning curve through the pair: the
+    # window solve finds the given signal, and the bandwidth peaks there.
+    code, text = run_cli(["design-qpm", "--signal", "1551", "--pump", "1950"])
     assert code == 0
+    assert get_field(text, "sfg_nm") == f"{dispersion.sfg_wavelength(1551.0, 1950.0):.6f}"
     probe = replace(wg3, qpm_period_um=dispersion.design_qpm_period(1551.0, 1950.0, wg3))
-    assert dispersion.phase_matched_signal(1950.0, probe, guess_nm=1551.0) == pytest.approx(
-        1551.0, abs=1e-6)
+    assert dispersion.phase_matched_signal(1950.0, probe) == pytest.approx(1551.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("argv,message", [

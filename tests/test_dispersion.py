@@ -171,12 +171,20 @@ def test_efficiency_factor_peak_and_nulls(wg3):
 
 
 def test_acceptance_bandwidth_values(wg3):
-    bw = dispersion.acceptance_bandwidth(wg3, 1950.0)
+    bw = dispersion.acceptance_bandwidth(wg3, 1950.0,
+                                         dispersion.phase_matched_signal(1950.0, wg3))
     assert bw.signal_nm == pytest.approx(1550.0, abs=1e-6)
     assert bw.signal_band_fwhm_nm == pytest.approx(0.588048416860147, abs=1e-6)
     assert bw.sfg_band_fwhm_nm == pytest.approx(0.18253498535750623, abs=1e-6)
     # the SFG-side width is the signal-side width compressed by the band map
     assert bw.sfg_band_fwhm_nm < bw.signal_band_fwhm_nm
+
+
+@pytest.mark.parametrize("signal_nm", [1551.0, 1550.0001, float("nan")])
+def test_acceptance_bandwidth_rejects_a_pair_off_the_tuning_curve(wg3, signal_nm):
+    # wg3 phase matches 1950 nm to 1550 nm: |dk| is 2e-15 rad/um there, 2e-8 at +1e-4 nm
+    with pytest.raises(TuningError, match="not phase matched"):
+        dispersion.acceptance_bandwidth(wg3, 1950.0, signal_nm)
 
 
 def test_design_period_round_trip(wg3):

@@ -160,16 +160,18 @@ def test_estimate_background_fallbacks(noise):
 def test_dead_columns_raise_unrecoverable_band(small_kernel, delta_scan):
     _, scan = delta_scan
     grid = small_kernel.signal_grid_nm
-    j0 = int(np.searchsorted(grid, 1549.0))
-    j1 = int(np.searchsorted(grid, 1549.3))
     cols = small_kernel.band_columns
-    blocked = np.where((cols >= j0) & (cols < j1), 0.0, small_kernel.band_values)
-    broken = replace(small_kernel, band_values=blocked)
+    dead = np.zeros(cols.shape, dtype=bool)
+    for lo_nm, hi_nm in ((1549.0, 1549.3), (1551.0, 1551.1)):
+        dead |= (cols >= np.searchsorted(grid, lo_nm)) & (cols < np.searchsorted(grid, hi_nm))
+    broken = replace(small_kernel, band_values=np.where(dead, 0.0, small_kernel.band_values))
     with pytest.raises(UnrecoverableBandError) as err:
         inverse.deconvolve(scan, broken, background_cps=PEDESTAL_CPS)
-    (lo, hi), = err.value.bands_nm
+    (lo, hi), (lo2, hi2) = err.value.bands_nm
     assert lo == pytest.approx(1549.0119857371326, abs=1e-9)
     assert hi == pytest.approx(1549.2919857371326, abs=1e-9)
+    assert lo2 == pytest.approx(1551.0119857371326, abs=1e-9)
+    assert hi2 == pytest.approx(1551.0919857371326, abs=1e-9)
 
 
 def test_deconvolve_rejects_a_kernel_for_another_power_or_vbg_mode(

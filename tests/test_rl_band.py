@@ -1,10 +1,13 @@
 """Richardson-Lucy on the kernel's band against the dense reference loop.
 
-deconvolve runs RL on ResponseKernel.band, a CSR copy of the kernel's
-stored band without its zeros.  dense_rl is the loop as it ran on a dense
-matrix, here the kernel's dense view; the two must agree in iteration count
-and stop reason, and in estimate and residual to a relative 1e-9.  The
-band's dropped mass is checked against the dense oracle build.
+deconvolve runs RL on count rates with ResponseKernel.rl_operator: the CSR
+back-projection of the band times the grid weights on the support columns,
+without zeros, built once per kernel.  dense_rl is the loop as it ran on a
+dense matrix in counts, here the kernel's dense view; the two must agree in
+iteration count and stop reason, and in estimate and residual to a relative
+1e-9.  The band's dropped mass is checked against the dense oracle build,
+the operator's form against the dense view, and its reuse across dwells
+against a fresh kernel's.
 """
 from dataclasses import replace
 
@@ -117,24 +120,62 @@ def test_band_rl_matches_dense_reference(kernel_and_plan, noise, kind, dwell_s):
 def test_band_drops_negligible_mass(kernel_and_plan, cfg, wg3, models):
     plan, kern = kernel_and_plan
     dense, _ = dense_kernel(wg3, cfg.filters, cfg.vbg, models[0], plan)
-    band = kern.band
-    assert band.shape == dense.shape
+    kept = kern.matrix
+    assert kept.shape == dense.shape
     row_sum = dense.sum(axis=1)
-    band_sum = np.asarray(band.sum(axis=1)).ravel()
+    band_sum = kern.band_values.sum(axis=1)
     assert np.all(row_sum > 0)
     assert np.all(row_sum - band_sum <= 1e-10 * row_sum)
-    kept = band.toarray()
     assert np.array_equal(kept[kept > 0], dense[kept > 0])
-    assert band.nnz < 0.1 * dense.size
-    assert band.nnz == np.count_nonzero(kern.band_values)
+    assert np.count_nonzero(kern.band_values) < 0.1 * dense.size
+
+
+def test_rl_operator_is_the_weighted_band_on_the_support(kernel_and_plan):
+    _, kern = kernel_and_plan
+    support, back, norm = kern.rl_operator
+    grid = kern.signal_grid_nm
+    mapped = kern.mapped_signal_nm
+    assert np.array_equal(support, np.flatnonzero((grid >= mapped.min())
+                                                  & (grid <= mapped.max())))
+    weighted = (kern.matrix * np.gradient(grid))[:, support]
+    assert back.format == "csr" and back.shape == (support.size, kern.pump_grid_nm.size)
+    assert np.array_equal(back.toarray(), weighted.T)
+    assert back.nnz == np.count_nonzero(weighted)  # no explicit zeros
+    assert np.array_equal(norm, np.asarray(back.sum(axis=1)).ravel())
+    assert np.all(norm > 0.0)
+    assert not any(a.flags.writeable for a in (support, back.data, norm))
 
 
 def test_band_is_rebuilt_for_a_replaced_kernel(small_kernel):
-    blocked = np.where(small_kernel.band_columns < 100, 0.0, small_kernel.band_values)
-    other = replace(small_kernel, band_values=blocked)
-    assert other.band is not small_kernel.band
-    assert other.band.nnz < small_kernel.band.nnz
-    assert other.band[:, :100].nnz == 0
+    values = small_kernel.band_values
+    tails = values < 1e-3 * values.max(axis=1, keepdims=True)
+    other = replace(small_kernel, band_values=np.where(tails, 0.0, values))
+    assert other.rl_operator is not small_kernel.rl_operator
+    (support, back, _), (_, other_back, _) = small_kernel.rl_operator, other.rl_operator
+    assert other_back.nnz < back.nnz
+    dropped = np.zeros(small_kernel.matrix.shape, dtype=bool)
+    np.put_along_axis(dropped, small_kernel.band_columns, tails, axis=1)
+    assert np.any(back.toarray()[dropped[:, support].T] > 0.0)
+    assert not np.any(other_back.toarray()[dropped[:, support].T])
+
+
+def test_rl_operator_is_built_once_and_serves_every_dwell(small_kernel, small_plan, noise):
+    kern = replace(small_kernel)
+    source = spectra.multimode_ld_spectrum(kern.signal_grid_nm, total_dbm=-100.0,
+                                           center_nm=1550.0)
+    scans = [spectrometer.forward_scan(source, kern, noise,
+                                       replace(small_plan, dwell_s=dwell_s, seed=11))
+             for dwell_s in (1.0, 100.0)]
+    assert "rl_operator" not in vars(kern)
+    inverse.deconvolve(scans[0], kern, noise_model=noise)
+    operator = vars(kern)["rl_operator"]
+    reused = inverse.deconvolve(scans[1], kern, noise_model=noise)
+    assert vars(kern)["rl_operator"] is operator
+    fresh = inverse.deconvolve(scans[1], replace(kern), noise_model=noise)
+    assert np.array_equal(reused.estimate.values, fresh.estimate.values)
+    assert reused.iterations_used == fresh.iterations_used
+    assert reused.stop_reason == fresh.stop_reason
+    assert reused.residual_norm == fresh.residual_norm
 
 
 @settings(max_examples=40, deadline=None)
