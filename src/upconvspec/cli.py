@@ -11,8 +11,6 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import dispersion, io
 from .config import calibrated_waveguide, config_hash, load_config, pinned_models
 from .errors import ConfigError, DomainError, UpconvError
@@ -66,8 +64,9 @@ def _build_parser():
 
     dc = sub.add_parser("deconvolve", help="recover the input spectrum from a scan")
     dc.add_argument("--raw", required=True, metavar="CSV", help="scan CSV")
-    dc.add_argument("--kernel", required=True, metavar="CSV|model",
-                    help="kernel CSV path, or 'model' to rebuild from config")
+    dc.add_argument("--kernel", default="model", metavar="CSV|model",
+                    help="kernel CSV path, or 'model' (the default) to rebuild the "
+                         "scan plan's kernel from the config")
     dc.add_argument("--out", required=True, metavar="CSV")
     dc.add_argument("--report", default=None, metavar="JSON",
                     help="default: <out>.report.json")
@@ -132,14 +131,13 @@ def _cmd_scan(cfg, args, out):
     conv, noise = pinned_models(cfg)
     kernel = build_kernel(wg, cfg.filters, cfg.vbg, conv, plan)
     result = forward_scan(spectrum, kernel, noise, plan, sample=not args.no_sample)
-    meta = {"config_hash": config_hash(cfg), "input": args.input,
-            "vbg_tracking": plan.vbg_tracking}
+    meta = {"config_hash": config_hash(cfg), "input": args.input}
     io.write_scan_csv(args.out, result, meta=meta)
     if args.write_kernel:
         io.write_kernel_csv(args.write_kernel, kernel,
                             meta={"config_hash": config_hash(cfg)})
     res = resolution(kernel, cfg.vbg)
-    out.write(f"points               {result.pump_grid_nm.size}\n")
+    out.write(f"points               {kernel.pump_grid_nm.size}\n")
     out.write(f"dwell_s              {plan.dwell_s}\n")
     out.write(f"total_counts         {int(result.sampled_counts.sum())}\n")
     out.write(f"noise_rate_cps       {result.noise_rate_cps:.4f}\n")
@@ -162,30 +160,16 @@ def _cmd_deconvolve(cfg, args, out):
     if scan_hash != cfg_hash:
         raise DomainError(f"scan config_hash {scan_hash} differs from the config's "
                           f"{cfg_hash}; use the config the scan was made with")
+    conv, noise = pinned_models(cfg)
     if args.kernel == "model":
-        if "vbg_tracking" not in raw_meta:
-            raise DomainError(f"{args.raw}: missing '# vbg_tracking:' header, which "
-                              "--kernel model needs to rebuild the kernel")
-        pump = raw.pump_grid_nm
-        step = float(np.median(np.diff(pump)))
-        plan = replace(
-            cfg.scan,
-            pump_start_nm=float(pump[0]), pump_stop_nm=float(pump[-1]),
-            pump_step_nm=step,
-            dwell_s=raw.dwell_s,
-            pump_power_mw=raw.pump_power_mw,
-            vbg_tracking=raw_meta["vbg_tracking"],
-        )
-        wg = calibrated_waveguide(cfg)
-        conv, _ = pinned_models(cfg)
-        kernel = build_kernel(wg, cfg.filters, cfg.vbg, conv, plan)
+        kernel = build_kernel(calibrated_waveguide(cfg), cfg.filters, cfg.vbg, conv,
+                              raw.plan)
     else:
         kernel, kernel_meta = io.read_kernel_csv(args.kernel)
         kernel_hash = _config_hash_of(kernel_meta, args.kernel)
         if scan_hash != kernel_hash:
             raise DomainError(f"scan config_hash {scan_hash} differs from the kernel's "
                               f"{kernel_hash}; use the kernel built with the scan's config")
-    _, noise = pinned_models(cfg)
     result = deconvolve(
         raw, kernel,
         max_iters=args.max_iters,
@@ -193,8 +177,8 @@ def _cmd_deconvolve(cfg, args, out):
         background_cps=args.noise_floor_cps,
         noise_model=noise,
     )
-    meta = {"config_hash": cfg_hash, "seed": raw.seed,
-            "dwell_s": raw.dwell_s, "iterations_used": result.iterations_used,
+    meta = {"config_hash": cfg_hash, "seed": raw.plan.seed,
+            "dwell_s": raw.plan.dwell_s, "iterations_used": result.iterations_used,
             "stop_reason": result.stop_reason}
     io.write_spectrum_csv(args.out, result.estimate, meta=meta)
     report_path = args.report or (args.out + ".report.json")
@@ -204,8 +188,8 @@ def _cmd_deconvolve(cfg, args, out):
         "stop_reason": result.stop_reason,
         "background_cps": result.background_cps,
         "config_hash": cfg_hash,
-        "seed": raw.seed,
-        "dwell_s": raw.dwell_s,
+        "seed": raw.plan.seed,
+        "dwell_s": raw.plan.dwell_s,
     }
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=2)

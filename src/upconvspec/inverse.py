@@ -25,11 +25,10 @@ import numpy as np
 
 from .errors import BackgroundError, DomainError
 from .spectra import Spectrum
+from .spectrometer import check_plan_fits
 
 _CLIP_SIGMA = 3.5
 _MIN_BASELINE_POINTS = 5
-_GRID_REL_TOL = 1e-6  # scan/kernel pump grids must agree to this x the step
-_CENTER_TOL_NM = 1e-9  # scan/kernel VBG setpoints must agree to this
 _FLUSH_REL = 1e-16  # RL entries below this x the largest are set to zero
 _TINY = np.finfo(float).tiny  # ... as is anything below the smallest normal
 _COMPACT_FRAC = 0.8  # drop zero columns once this share or fewer are live
@@ -42,15 +41,13 @@ def estimate_background(result, noise_model=None):
     of the kept set and a Poisson width sqrt(mean/dwell), dropping points
     more than 3.5 sigma away, until the kept set stabilizes.  Signal peaks
     are clipped from above; a two-sided clip at 3.5 sigma is bias-free at
-    the precision the Poisson standard error allows.  A sampled scan is
-    read from its counts, an unsampled one from its expected rates.  Falls
-    back to the noise model's rate if the scan has no usable baseline
-    (raises BackgroundError without one).
+    the precision the Poisson standard error allows.  The rates are the
+    scan's observed ones (ScanResult.observed).  Falls back to the noise
+    model's rate if the scan has no usable baseline (raises BackgroundError
+    without one).
     """
-    if result.sampled:
-        rates = np.asarray(result.sampled_counts, dtype=float) / result.dwell_s
-    else:
-        rates = np.asarray(result.expected_rate_cps, dtype=float)
+    _, rates = result.observed()
+    dwell = result.plan.dwell_s
     if rates.size < _MIN_BASELINE_POINTS:
         raise BackgroundError(
             f"scan has {rates.size} points; need at least {_MIN_BASELINE_POINTS}"
@@ -58,7 +55,7 @@ def estimate_background(result, noise_model=None):
 
     def _fallback(reason):
         if noise_model is not None:
-            return float(noise_model.rate(result.pump_power_mw))
+            return float(noise_model.rate(result.plan.pump_power_mw))
         raise BackgroundError(reason + " and no noise model was supplied")
 
     keep = np.ones(rates.size, dtype=bool)
@@ -66,7 +63,7 @@ def estimate_background(result, noise_model=None):
     for _ in range(50):
         if mu < 0:
             mu = 0.0
-        sigma = np.sqrt(max(mu / result.dwell_s, 1e-12))
+        sigma = np.sqrt(max(mu / dwell, 1e-12))
         new = np.abs(rates - mu) <= _CLIP_SIGMA * sigma
         if not np.any(new):
             return _fallback("sigma clip emptied the scan (no flat baseline)")
@@ -82,7 +79,7 @@ def estimate_background(result, noise_model=None):
             "scan looks saturated by signal"
         )
     # Baseline sanity: kept counts should be Poisson-flat (Fano near 1).
-    counts = rates[keep] * result.dwell_s
+    counts = rates[keep] * dwell
     mean_c = float(np.mean(counts))
     if mean_c > 0 and n_kept > 10:
         fano = float(np.var(counts)) / mean_c
@@ -106,17 +103,17 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
                background_cps=None, noise_model=None):
     """Richardson-Lucy estimate of the input spectral density [W/nm].
 
-    raw/kernel must belong together: the same pump grid (to 1e-6 of a pump
-    step), pump power (to a relative 1e-12) and VBG setpoints (to 1e-9 nm,
-    which also tells a fixed-VBG kernel from a tracked scan).  A sampled
-    scan is read from its counts, an unsampled one from its expected rates,
-    the same rule estimate_background follows.  Background (model, explicit
-    value, or estimated off-band baseline) is subtracted first, clamped at
-    zero.  Iterations run on the signal rates (counts / dwell) with the
-    kernel's cached operator (ResponseKernel.rl_operator), until the Pearson
-    discrepancy chi^2/N on the counts, model x dwell + background, drops to
-    discrepancy_target (use 0 for noiseless rate data), the update stagnates
-    (|x_k - x_k-1| <= 1e-9 |x_k|), or max_iters.
+    raw/kernel must belong together exactly: the kernel must be built for
+    the scan's plan (check_plan_fits: pump grid, power, tracking mode), and
+    the scan's VBG setpoints must be the kernel's, which a kernel built from
+    another config fails.  The scan is read from its observed counts
+    (ScanResult.observed), as estimate_background reads it.  Background
+    (model, explicit value, or estimated off-band baseline) is subtracted
+    first, clamped at zero.  Iterations run on the signal rates (counts /
+    dwell) with the kernel's cached operator (ResponseKernel.rl_operator),
+    until the Pearson discrepancy chi^2/N on the counts, model x dwell +
+    background, drops to discrepancy_target (use 0 for noiseless rate
+    data), the update stagnates (|x_k - x_k-1| <= 1e-9 |x_k|), or max_iters.
 
     Each iteration is one RL step from y = x_k (x_k / x_k-1)^alpha.  With
     g_k = x_k+1 - y_k, alpha = g_k.g_k-1 / g_k-1.g_k-1 clipped to [0, 1];
@@ -134,49 +131,35 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
                         ("discrepancy_target", discrepancy_target)):
         if value is not None and not (np.isfinite(value) and value >= 0):
             raise DomainError(f"{name} must be finite and nonnegative, got {value}")
-    if raw.sampled:
-        d = np.asarray(raw.sampled_counts, dtype=float)
-    else:
-        d = np.asarray(raw.expected_rate_cps, dtype=float) * raw.dwell_s
+    d, _ = raw.observed()
     if d.size < 3:
         raise DomainError("scan shorter than 3 points cannot be deconvolved")
-    pump = kernel.pump_grid_nm
-    if d.size != pump.size:
-        raise DomainError("scan length does not match the kernel's pump grid")
-    off = float(np.max(np.abs(np.asarray(raw.pump_grid_nm, dtype=float) - pump)))
-    if off > _GRID_REL_TOL * float(np.median(np.abs(np.diff(pump)))):
-        raise DomainError(
-            f"scan pump grid is off the kernel's by up to {off:.6g} nm; "
-            "use the kernel built for this scan"
-        )
     if np.any(d < 0):
         raise DomainError("negative counts in scan")
-    if not np.isclose(raw.pump_power_mw, kernel.pump_power_mw, rtol=1e-12, atol=0.0):
-        raise DomainError(
-            f"scan pump power {raw.pump_power_mw} mW differs from the kernel's "
-            f"{kernel.pump_power_mw} mW; use the kernel built for this scan"
-        )
-    center_off = float(np.max(np.abs(np.asarray(raw.vbg_centers_nm, dtype=float)
-                                      - kernel.vbg_centers_nm)))
-    if not center_off <= _CENTER_TOL_NM:
+    check_plan_fits(raw.plan, kernel, "scan")
+    if d.size != kernel.pump_grid_nm.size:
+        raise DomainError("scan length does not match the kernel's pump grid")
+    if not np.array_equal(raw.vbg_centers_nm, kernel.vbg_centers_nm):
+        off = float(np.max(np.abs(raw.vbg_centers_nm - kernel.vbg_centers_nm)))
         raise DomainError(
             f"scan VBG setpoints are off the {kernel.vbg_tracking}-VBG kernel's by up "
-            f"to {center_off:.6g} nm; use the kernel built for this scan"
+            f"to {off:.6g} nm; use the kernel built for this scan"
         )
     if max_iters < 1:
         raise DomainError("max_iters must be at least 1")
 
     if background_cps is None:
         background_cps = estimate_background(raw, noise_model=noise_model)
-    bg_counts = background_cps * raw.dwell_s
-    rates = np.maximum(d - bg_counts, 0.0) / raw.dwell_s
+    dwell = raw.plan.dwell_s
+    bg_counts = background_cps * dwell
+    rates = np.maximum(d - bg_counts, 0.0) / dwell
     support, back, norm = kernel.rl_operator
     grid = kernel.signal_grid_nm
 
     def discrepancy(model):
         # Pearson chi^2 per point on the raw counts against the full model
         # (signal + pedestal): at the Poisson noise level this sits at ~1.
-        full = model * raw.dwell_s + bg_counts
+        full = model * dwell + bg_counts
         resid = d - full
         return float(resid @ (resid / np.maximum(full, 1.0))) / d.size
 

@@ -1,14 +1,16 @@
 """CSV formats for spectra, kernels, and scans.
 
 All files are plain CSV with '#'-prefixed comment headers carrying the
-provenance a reader needs to reproduce the run (config hash, seed, dwell).
+provenance a reader needs to reproduce the run (config hash, a scan's plan).
 Floats are written with repr so write-then-read round-trips bit-exactly.
 """
+from dataclasses import fields
+
 import numpy as np
 
 from .errors import DomainError
 from .spectra import Spectrum
-from .spectrometer import ResponseKernel, ScanResult
+from .spectrometer import ResponseKernel, ScanPlan, ScanResult
 
 _SPECTRUM_COLUMNS = "wavelength_nm,power_w_per_nm"
 
@@ -150,39 +152,50 @@ def read_kernel_csv(path):
     return kernel, meta
 
 
+_SCAN_COLUMNS = "pump_nm,signal_nm_mapped,expected_rate_cps,counts,dwell_s"
+
+
 def write_scan_csv(path, result, meta=None):
+    """Headers: the plan's seven fields, noise rate, sampled flag, VBG setpoints."""
+    plan = result.plan
     full_meta = dict(meta or {})
+    for field in fields(ScanPlan):
+        value = getattr(plan, field.name)
+        full_meta[field.name] = repr(float(value)) if field.type is float else str(value)
     full_meta.update({
-        "seed": str(result.seed),
-        "dwell_s": repr(float(result.dwell_s)),
-        "pump_power_mw": repr(float(result.pump_power_mw)),
         "noise_rate_cps": repr(float(result.noise_rate_cps)),
         "sampled": "true" if result.sampled else "false",
         "vbg_centers_nm": result.vbg_centers_nm,
     })
+    dwell = repr(float(plan.dwell_s))
     with open(path, "w") as fh:
         _write_meta(fh, full_meta)
-        fh.write("pump_nm,signal_nm_mapped,expected_rate_cps,counts,dwell_s\n")
-        for p, s, r, c in zip(result.pump_grid_nm, result.signal_nm_mapped,
+        fh.write(_SCAN_COLUMNS + "\n")
+        for p, s, r, c in zip(plan.pump_grid_nm(), result.signal_nm_mapped,
                               result.expected_rate_cps, result.sampled_counts):
-            fh.write(f"{float(p)!r},{float(s)!r},{float(r)!r},"
-                     f"{int(c)},{float(result.dwell_s)!r}\n")
+            fh.write(f"{float(p)!r},{float(s)!r},{float(r)!r},{int(c)},{dwell}\n")
 
 
 def read_scan_csv(path):
-    """-> (ScanResult, meta dict)."""
+    """-> (ScanResult, meta dict).  ScanPlan validates the plan headers, and
+    the pump_nm column must be the plan's pump grid bit for bit."""
     meta, rows = _read_lines(path)
-    header = rows[0].split(",")
-    expect = ["pump_nm", "signal_nm_mapped", "expected_rate_cps", "counts", "dwell_s"]
-    if header != expect:
-        raise DomainError(f"{path}: expected header {','.join(expect)}")
+    if rows[0] != _SCAN_COLUMNS:
+        raise DomainError(f"{path}: expected header {_SCAN_COLUMNS}")
     data = _parse_rows(rows[1:], path)
     if data.ndim != 2 or data.shape[1] != 5:
         raise DomainError(f"{path}: malformed data rows")
-    dwell = _header(meta, "dwell_s", path, float)
-    if np.any(data[:, 4] != dwell):
+    values = {f.name: _header(meta, f.name, path, f.type) for f in fields(ScanPlan)}
+    try:
+        plan = ScanPlan(**values)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
+    if np.any(data[:, 4] != plan.dwell_s):
         raise DomainError(f"{path}: dwell_s column differs from the "
                           f"'# dwell_s: {meta['dwell_s']}' header")
+    if not np.array_equal(data[:, 0], plan.pump_grid_nm()):
+        raise DomainError(f"{path}: pump_nm column is not the pump grid of its "
+                          "pump_start_nm, pump_stop_nm and pump_step_nm headers")
     sampled = meta.get("sampled")
     if sampled not in ("true", "false"):
         raise DomainError(f"{path}: missing or malformed '# sampled: true|false' header")
@@ -191,14 +204,11 @@ def read_scan_csv(path):
         raise DomainError(f"{path}: vbg_centers_nm has {centers.size} values for "
                           f"{data.shape[0]} scan points")
     result = ScanResult(
-        pump_grid_nm=data[:, 0],
+        plan=plan,
         signal_nm_mapped=data[:, 1],
         expected_rate_cps=data[:, 2],
         sampled_counts=data[:, 3].astype(np.int64),
-        dwell_s=dwell,
         vbg_centers_nm=centers,
-        seed=_header(meta, "seed", path, int),
-        pump_power_mw=_header(meta, "pump_power_mw", path, float),
         noise_rate_cps=_header(meta, "noise_rate_cps", path, float),
         sampled=sampled == "true",
     )

@@ -317,23 +317,47 @@ def build_kernel(wg, chain, vbg, conv_model, plan):
 
 @dataclass(frozen=True)
 class ScanResult:
-    """One executed scan: expectations and the Poisson-sampled counts.
+    """One executed scan of a plan: expectations and the Poisson-sampled counts.
 
-    sampled says whether sampled_counts holds Poisson draws.  A sampled scan
-    is read from its counts alone, even when every count is zero; only an
-    unsampled (noiseless) scan stands on expected_rate_cps.
+    sampled says whether sampled_counts holds Poisson draws (see observed).
     """
 
-    pump_grid_nm: np.ndarray
+    plan: ScanPlan
     signal_nm_mapped: np.ndarray
     expected_rate_cps: np.ndarray
     sampled_counts: np.ndarray
-    dwell_s: float
     vbg_centers_nm: np.ndarray
-    seed: int
-    pump_power_mw: float
     noise_rate_cps: float
     sampled: bool
+
+    def observed(self):
+        """(counts, rates [cps]) the scan is read from: a sampled scan's counts,
+        even when every count is zero; only an unsampled one's expected rates."""
+        if self.sampled:
+            counts = np.asarray(self.sampled_counts, dtype=float)
+            return counts, counts / self.plan.dwell_s
+        rates = np.asarray(self.expected_rate_cps, dtype=float)
+        return rates * self.plan.dwell_s, rates
+
+
+def check_plan_fits(plan, kernel, what="plan"):
+    """DomainError unless kernel was built for plan: the same pump grid, pump
+    power and VBG tracking mode, compared exactly.  A kernel built from the
+    plan, and a kernel or plan read back from CSV, agree bit for bit.  what
+    ("plan" or "scan") names the plan's side in the message."""
+    pump, kernel_pump = plan.pump_grid_nm(), kernel.pump_grid_nm
+    fix = f"; use the kernel built for this {what}"
+    if not np.array_equal(pump, kernel_pump):
+        how = (f"is off the kernel's by up to {np.max(np.abs(pump - kernel_pump)):.6g} nm"
+               if pump.size == kernel_pump.size
+               else f"has {pump.size} points, the kernel's {kernel_pump.size}")
+        raise DomainError(f"{what} pump grid {how}{fix}")
+    if plan.pump_power_mw != kernel.pump_power_mw:
+        raise DomainError(f"{what} pump power {plan.pump_power_mw} mW differs from the "
+                          f"kernel's {kernel.pump_power_mw} mW{fix}")
+    if plan.vbg_tracking != kernel.vbg_tracking:
+        raise DomainError(f"{what} VBG setpoints are off the {kernel.vbg_tracking}-VBG "
+                          f"kernel's: the {what} is {plan.vbg_tracking}{fix}")
 
 
 def expected_rates(spectrum, kernel, noise_model, pump_power_mw):
@@ -354,25 +378,19 @@ def forward_scan(spectrum, kernel, noise_model, plan, sample=True):
     Sampling draws every point's count at once (counting.poisson_counts).
     Point i draws from its own stream, spawned from the plan seed with key
     (i,), so its count depends only on the seed, i and its expected count:
-    never on the other points or on the order of evaluation.
+    never on the other points or on the order of evaluation.  The kernel
+    must be the plan's (check_plan_fits); the scan carries the plan.
     """
-    if plan.pump_power_mw != kernel.pump_power_mw:
-        raise DomainError(
-            f"plan power {plan.pump_power_mw} mW differs from the kernel's "
-            f"{kernel.pump_power_mw} mW; rebuild the kernel"
-        )
+    check_plan_fits(plan, kernel)
     rates = expected_rates(spectrum, kernel, noise_model, plan.pump_power_mw)
     counts = (poisson_counts(rates * plan.dwell_s, plan.seed) if sample
               else np.zeros(rates.size, dtype=np.int64))
     return ScanResult(
-        pump_grid_nm=kernel.pump_grid_nm,
+        plan=plan,
         signal_nm_mapped=kernel.mapped_signal_nm,
         expected_rate_cps=rates,
         sampled_counts=counts,
-        dwell_s=plan.dwell_s,
         vbg_centers_nm=kernel.vbg_centers_nm,
-        seed=plan.seed,
-        pump_power_mw=plan.pump_power_mw,
         noise_rate_cps=float(noise_model.rate(plan.pump_power_mw)),
         sampled=bool(sample),
     )

@@ -144,12 +144,13 @@ def test_a08_minimum_detectable_power(cfg, kernel, capsys):
     scan = spectrometer.forward_scan(line, kernel, n60, cfg.scan)
     order = np.argsort(scan.signal_nm_mapped)
     axis = scan.signal_nm_mapped[order]
-    rep = counting.detectability(axis, scan.sampled_counts[order] / scan.dwell_s,
-                                 scan.dwell_s, 1550.0, RES_NM, background_cps=60.0)
+    dwell = cfg.scan.dwell_s
+    rep = counting.detectability(axis, scan.sampled_counts[order] / dwell,
+                                 dwell, 1550.0, RES_NM, background_cps=60.0)
     dark = spectra.Spectrum(grid, np.zeros(grid.size))
     scan0 = spectrometer.forward_scan(dark, kernel, n60, cfg.scan)
-    rep0 = counting.detectability(axis, scan0.sampled_counts[order] / scan0.dwell_s,
-                                  scan0.dwell_s, 1550.0, RES_NM, background_cps=60.0)
+    rep0 = counting.detectability(axis, scan0.sampled_counts[order] / dwell,
+                                  dwell, 1550.0, RES_NM, background_cps=60.0)
     ok = rep.detected and rep.z_score >= 5.0 and not rep0.detected
     _verdict(capsys, 8, "minimum detectable power",
              ok, f"-135 dBm line: z={rep.z_score:.2f} at "

@@ -274,15 +274,40 @@ def test_deconvolve_rejects_a_dense_kernel_file(scan_workdir, capsys):
     assert "rebuild the kernel" in capsys.readouterr().err
 
 
-def test_deconvolve_model_kernel_needs_the_tracking_header(scan_workdir, capsys):
+def _deconvolve_both_ways(work, scan, out, capsys):
+    """(exit code, stdout, stderr) of deconvolve on scan: --kernel model, then FILE."""
+    runs = []
+    for kernel in ("model", str(work / "kernel.csv")):
+        capsys.readouterr()
+        code, text = run_cli(["deconvolve", "--raw", str(scan), "--kernel", kernel,
+                              "--out", str(out)])
+        runs.append((code, text, capsys.readouterr().err))
+    return runs
+
+
+def test_deconvolve_model_kernel_needs_the_tracking_header(scan_workdir, tmp_path, capsys):
+    # vbg_tracking is a plan header: the scan fails to read, for either kernel
     work, _ = scan_workdir
     lines = (work / "scan.csv").read_text().splitlines(keepends=True)
     (work / "scan_untracked.csv").write_text(
         "".join(l for l in lines if not l.startswith("# vbg_tracking:")))
-    code, _ = run_cli(["deconvolve", "--raw", str(work / "scan_untracked.csv"),
-                       "--kernel", "model", "--out", str(work / "est_untracked.csv")])
-    assert code == 4
-    assert "missing '# vbg_tracking:' header" in capsys.readouterr().err
+    for code, text, err in _deconvolve_both_ways(work, work / "scan_untracked.csv",
+                                                 tmp_path / "est.csv", capsys):
+        assert code == 4 and text == ""
+        assert "missing '# vbg_tracking:' header" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("header", ["pump_start_nm", "pump_stop_nm", "pump_step_nm",
+                                    "dwell_s", "pump_power_mw", "seed"])
+def test_deconvolve_needs_every_plan_header(scan_workdir, tmp_path, capsys, header):
+    work, _ = scan_workdir
+    lines = (work / "scan.csv").read_text().splitlines(keepends=True)
+    scan = tmp_path / "scan.csv"
+    scan.write_text("".join(l for l in lines if not l.startswith(f"# {header}:")))
+    for code, text, err in _deconvolve_both_ways(work, scan, tmp_path / "est.csv", capsys):
+        assert code == 4 and text == ""
+        assert f"{scan}: missing '# {header}:' header" in err
 
 
 def test_deconvolve_model_kernel_rejects_another_config(scan_workdir, tmp_path, capsys):
@@ -412,18 +437,56 @@ def test_fom_rejects_a_degenerate_conversion_fit(tmp_path, capsys):
     assert "conversion_points: residuals exceed 2%" in capsys.readouterr().err
 
 
-def test_deconvolve_model_kernel_for_uneven_scan_grid(scan_workdir):
-    # the rebuilt kernel's uniform grid cannot match a scan missing a point
+def test_deconvolve_model_kernel_for_uneven_scan_grid(scan_workdir, tmp_path, capsys):
+    # a scan missing a point is not its plan's scan: it fails to read, for
+    # either kernel
     work, _ = scan_workdir
-    raw, meta = uio.read_scan_csv(work / "scan.csv")
-    keep = np.arange(raw.pump_grid_nm.size) != 60
-    gapped = replace(raw, **{f: getattr(raw, f)[keep] for f in (
-        "pump_grid_nm", "signal_nm_mapped", "expected_rate_cps", "sampled_counts",
-        "vbg_centers_nm")})
-    uio.write_scan_csv(work / "scan_gapped.csv", gapped, meta=meta)
-    code, _ = run_cli(["deconvolve", "--raw", str(work / "scan_gapped.csv"),
-                       "--kernel", "model", "--out", str(work / "est_gapped.csv")])
-    assert code == 4
+    lines = (work / "scan.csv").read_text().splitlines(keepends=True)
+    rows = [i for i, l in enumerate(lines) if l[0].isdigit()]
+    del lines[rows[60]]
+    # drop the point's setpoint too, so that only the pump column is off
+    centers = next(i for i, l in enumerate(lines) if l.startswith("# vbg_centers_nm:"))
+    values = lines[centers].split()
+    del values[2 + 60]  # after '#' and 'vbg_centers_nm:'
+    lines[centers] = " ".join(values) + "\n"
+    (work / "scan_gapped.csv").write_text("".join(lines))
+    for code, text, err in _deconvolve_both_ways(work, work / "scan_gapped.csv",
+                                                 tmp_path / "est.csv", capsys):
+        assert code == 4 and text == ""
+        assert "pump_nm column is not the pump grid" in err
+
+
+def _estimate_bytes(scan, out, *kernel):
+    """The estimate CSV and report deconvolve writes for scan, as bytes."""
+    code, _ = run_cli(["deconvolve", "--raw", str(scan), *kernel, "--out", str(out)])
+    assert code == 0
+    return out.read_bytes(), out.with_name(out.name + ".report.json").read_bytes()
+
+
+@pytest.mark.parametrize("extra", [
+    (),
+    ("--tracking", "fixed", "--pump-start", "1944", "--pump-stop", "1956",
+     "--pump-step", "0.1"),
+    ("--pump-step", "0.07"),
+], ids=["default", "fixed-vbg-window", "pump-step-0.07"])
+def test_deconvolve_model_and_kernel_file_write_the_same_bytes(scan_workdir, tmp_path,
+                                                               extra):
+    # The model path rebuilds the kernel from the scan's plan headers, so it
+    # is the kernel the scan wrote, and so are the estimate and the report.
+    work, _ = scan_workdir
+    scan, kernel = tmp_path / "scan.csv", tmp_path / "kernel.csv"
+    code, _ = run_cli(["scan", "--input", str(work / "input.csv"), "--out", str(scan),
+                       "--write-kernel", str(kernel), *extra])
+    assert code == 0
+    assert (_estimate_bytes(scan, tmp_path / "est_file.csv", "--kernel", str(kernel))
+            == _estimate_bytes(scan, tmp_path / "est_model.csv", "--kernel", "model"))
+
+
+def test_deconvolve_rebuilds_the_kernel_by_default(scan_workdir, tmp_path):
+    work, _ = scan_workdir
+    scan = work / "scan.csv"
+    assert (_estimate_bytes(scan, tmp_path / "est_default.csv")
+            == _estimate_bytes(scan, tmp_path / "est_model.csv", "--kernel", "model"))
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

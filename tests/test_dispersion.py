@@ -1,4 +1,6 @@
 """Sellmeier index, QPM mismatch, tuning-curve calibration and bandwidth."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import tuning_oracle
@@ -206,6 +208,27 @@ def test_design_period_rejects_unbuildable(wg3):
         dispersion.design_qpm_period(800.0, 1950.0, wg3)  # period below 5 um
     with pytest.raises(DomainError):
         dispersion.design_qpm_period(500.0, 520.0, wg3)  # SFG outside validity
+
+
+def test_tuning_solve_rejects_a_window_without_a_root(wg3):
+    # a 21 um period moves the 1950 nm pump's phase match out of 1450-1650 nm
+    with pytest.raises(TuningError, match=r"no phase-matched signal in \[1450.0, 1650.0\] "
+                                          r"nm for \[1950.0\] nm \(period 21.0 um"):
+        dispersion.phase_matched_signal(1950.0, replace(wg3, qpm_period_um=21.0))
+
+
+def test_tuning_solve_rejects_a_second_root(wg3):
+    # b (l - 1.55)^2 added to the correction bends dk back through zero: at
+    # b = 5 a second root appears in the window at 1950 nm
+    b = 5.0
+    c0, c1, c2 = wg3.dispersion_correction
+    bent = replace(wg3, dispersion_correction=(c0 + b * 1.55**2, c1 - 2 * b * 1.55, c2 + b))
+    with pytest.raises(TuningError, match=r"ambiguous phase matching: 2 roots inside "
+                                          r"\[1450.0, 1650.0\] nm for \[1950.0\] nm"):
+        dispersion.phase_matched_signal(1950.0, bent)
+    # the bend is zero at 1550 nm, so the calibrated anchor stays a root
+    assert dispersion.qpm_mismatch(1550.0, 1950.0, bent) == pytest.approx(
+        dispersion.qpm_mismatch(1550.0, 1950.0, wg3), abs=1e-12)
 
 
 def test_calibration_error_paths(cfg):

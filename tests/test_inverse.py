@@ -7,7 +7,7 @@ import pytest
 from upconvspec import inverse, spectra, spectrometer
 from upconvspec.conversion import NoiseModel
 from upconvspec.errors import BackgroundError, DomainError, UnrecoverableBandError
-from upconvspec.spectrometer import ScanResult
+from upconvspec.spectrometer import ScanPlan, ScanResult
 
 PEDESTAL_CPS = 42.385528808577135  # fitted noise model at 30 mW
 DELTA_BIN_NM = 1549.9919857371326  # signal-grid bin nearest 1550.0
@@ -36,15 +36,15 @@ def smooth_scan(small_kernel, small_plan, noise):
 def _synthetic_scan(rates, power_mw=30.0):
     rates = np.asarray(rates, dtype=float)
     n = rates.size
+    plan = ScanPlan(pump_start_nm=1944.0, pump_stop_nm=1956.0,
+                    pump_step_nm=12.0 / (n - 1), pump_power_mw=power_mw, seed=0)
+    assert plan.pump_grid_nm().size == n
     return ScanResult(
-        pump_grid_nm=np.linspace(1944.0, 1956.0, n),
+        plan=plan,
         signal_nm_mapped=np.linspace(1546.0, 1554.0, n),
         expected_rate_cps=rates,
         sampled_counts=np.zeros(n, dtype=np.int64),
-        dwell_s=1.0,
         vbg_centers_nm=np.full(n, 863.57),
-        seed=0,
-        pump_power_mw=power_mw,
         noise_rate_cps=42.0,
         sampled=False,
     )
@@ -227,7 +227,7 @@ def test_shifted_kernel_grid_is_rejected(cfg, wg3, models, small_plan, delta_sca
     shifted = replace(small_plan, pump_start_nm=small_plan.pump_start_nm + 1.0,
                       pump_stop_nm=small_plan.pump_stop_nm + 1.0)
     kern = spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, models[0], shifted)
-    assert kern.pump_grid_nm.size == scan.pump_grid_nm.size
+    assert kern.pump_grid_nm.size == scan.plan.pump_grid_nm().size
     with pytest.raises(DomainError, match="pump grid is off the kernel's by up to 1 nm"):
         inverse.deconvolve(scan, kern, background_cps=PEDESTAL_CPS)
 

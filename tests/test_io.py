@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from upconvspec import io as uio
 from upconvspec import spectra, spectrometer
 from upconvspec.errors import DomainError
-from upconvspec.spectrometer import ResponseKernel, ScanResult
+from upconvspec.spectrometer import ResponseKernel, ScanPlan, ScanResult
 
 
 @pytest.fixture()
@@ -56,11 +56,9 @@ def test_scan_round_trip(tmp_path, scan_and_kernel):
     back, _ = uio.read_scan_csv(path)
     assert np.array_equal(back.sampled_counts, result.sampled_counts)
     assert np.array_equal(back.expected_rate_cps, result.expected_rate_cps)
-    assert np.array_equal(back.pump_grid_nm, result.pump_grid_nm)
+    assert np.array_equal(back.plan.pump_grid_nm(), result.plan.pump_grid_nm())
     assert np.array_equal(back.signal_nm_mapped, result.signal_nm_mapped)
-    assert back.seed == result.seed
-    assert back.dwell_s == result.dwell_s
-    assert back.pump_power_mw == result.pump_power_mw
+    assert back.plan == result.plan
     assert back.noise_rate_cps == result.noise_rate_cps
     assert back.sampled is True
     quiet = replace(result, sampled=False)
@@ -84,7 +82,8 @@ def _without_header(path, key):
 
 
 @pytest.mark.parametrize("header", ["seed", "pump_power_mw", "noise_rate_cps",
-                                    "vbg_centers_nm", "dwell_s"])
+                                    "vbg_centers_nm", "dwell_s", "pump_start_nm",
+                                    "pump_stop_nm", "pump_step_nm", "vbg_tracking"])
 def test_scan_csv_requires_its_headers(tmp_path, scan_and_kernel, header):
     _, result, _ = scan_and_kernel
     path = tmp_path / "r.csv"
@@ -99,9 +98,38 @@ def test_scan_csv_dwell_column_must_match_its_header(tmp_path, scan_and_kernel):
     _, result, _ = scan_and_kernel
     path = tmp_path / "r.csv"
     uio.write_scan_csv(path, result)
-    path.write_text(path.read_text().replace(f"# dwell_s: {result.dwell_s!r}",
+    path.write_text(path.read_text().replace(f"# dwell_s: {result.plan.dwell_s!r}",
                                              "# dwell_s: 100.0"))
     with pytest.raises(DomainError, match="dwell_s column differs"):
+        uio.read_scan_csv(path)
+
+
+def test_scan_csv_plan_headers_are_validated_by_the_plan(tmp_path, scan_and_kernel):
+    _, result, _ = scan_and_kernel
+    path = tmp_path / "r.csv"
+    for old, new, message in (
+            ("# pump_step_nm: 0.1", "# pump_step_nm: nan", "scan pump_step_nm must be finite"),
+            ("# pump_step_nm: 0.1", "# pump_step_nm: -0.1", "must be positive"),
+            ("# vbg_tracking: tracked", "# vbg_tracking: both", "must be tracked|fixed"),
+            ("# seed: 7", "# seed: 7.5", "malformed '# seed:' header")):
+        uio.write_scan_csv(path, result)
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(DomainError, match=f"{path}: .*{message}"):
+            uio.read_scan_csv(path)
+
+
+@pytest.mark.parametrize("old,new", [("# pump_step_nm: 0.1", "# pump_step_nm: 0.05"),
+                                     ("# pump_start_nm: 1944.0", "# pump_start_nm: 1943.9"),
+                                     ("\n1944.1,", "\n1944.1000000000001,")],
+                         ids=["step", "start", "one-row"])
+def test_scan_csv_pump_column_must_be_the_plan_grid(tmp_path, scan_and_kernel, old, new):
+    _, result, _ = scan_and_kernel
+    path = tmp_path / "r.csv"
+    uio.write_scan_csv(path, result)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    with pytest.raises(DomainError, match="pump_nm column is not the pump grid"):
         uio.read_scan_csv(path)
 
 
@@ -200,23 +228,33 @@ def test_spectrum_csv_round_trip_is_bit_exact(tmp_path_factory, grid, data):
 
 
 @st.composite
+def scan_plans(draw):
+    start = draw(st.floats(-1e6, 1e6))
+    step = draw(st.floats(1e-6, 1e3))
+    n_steps = draw(st.integers(1, 7))
+    return ScanPlan(pump_start_nm=start, pump_stop_nm=start + n_steps * step,
+                    pump_step_nm=step, dwell_s=draw(st.floats(1e-300, 1e300)),
+                    pump_power_mw=draw(st.floats(1e-300, 1e300)),
+                    vbg_tracking=draw(st.sampled_from(["tracked", "fixed"])),
+                    seed=draw(st.integers(0, 2**80)))
+
+
+@st.composite
 def scan_results(draw):
-    n = draw(st.integers(1, 8))
+    plan = draw(scan_plans())
+    n = plan.pump_grid_nm().size
 
     def floats(elements=_FINITE):
         return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
 
     return ScanResult(
-        pump_grid_nm=floats(),
+        plan=plan,
         signal_nm_mapped=floats(),
         expected_rate_cps=floats(st.one_of(_ENTRY, _FINITE)),
         # counts are parsed through a float64 column: exact up to 2**53
         sampled_counts=np.array(draw(st.lists(st.integers(0, 2**53), min_size=n,
                                               max_size=n)), dtype=np.int64),
-        dwell_s=draw(st.floats(1e-300, 1e300)),
         vbg_centers_nm=floats(),
-        seed=draw(st.integers(0, 2**80)),
-        pump_power_mw=draw(_FINITE),
         noise_rate_cps=draw(_FINITE),
         sampled=draw(st.booleans()),
     )
@@ -228,13 +266,16 @@ def test_scan_csv_round_trip_is_bit_exact(tmp_path_factory, result):
     path = tmp_path_factory.mktemp("scan") / "r.csv"
     uio.write_scan_csv(path, result)
     back, _ = uio.read_scan_csv(path)
-    for field in ("pump_grid_nm", "signal_nm_mapped", "expected_rate_cps",
-                  "sampled_counts", "vbg_centers_nm"):
+    for field in ("signal_nm_mapped", "expected_rate_cps", "sampled_counts",
+                  "vbg_centers_nm"):
         assert np.array_equal(getattr(back, field), getattr(result, field)), field
         assert np.array_equal(np.signbit(getattr(back, field)),
                               np.signbit(getattr(result, field))), field
-    for field in ("dwell_s", "seed", "pump_power_mw", "noise_rate_cps", "sampled"):
+    for field in ("plan", "noise_rate_cps", "sampled"):
         assert getattr(back, field) == getattr(result, field), field
+    pump = back.plan.pump_grid_nm()
+    assert np.array_equal(pump, result.plan.pump_grid_nm())
+    assert np.array_equal(np.signbit(pump), np.signbit(result.plan.pump_grid_nm()))
 
 
 def test_identical_writes_are_byte_identical(tmp_path, scan_and_kernel):

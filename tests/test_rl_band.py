@@ -31,13 +31,13 @@ def dense_rl(raw, kernel, background_cps, max_iters=500, discrepancy_target=1.0)
     chi^2 rises.  Flushed columns stay in every product here.
     """
     d = np.asarray(raw.sampled_counts if raw.sampled
-                   else raw.expected_rate_cps * raw.dwell_s, dtype=float)
-    bg = background_cps * raw.dwell_s
+                   else raw.expected_rate_cps * raw.plan.dwell_s, dtype=float)
+    bg = background_cps * raw.plan.dwell_s
     d_sig = np.maximum(d - bg, 0.0)
     grid = kernel.signal_grid_nm
     active = ((grid >= kernel.mapped_signal_nm.min())
               & (grid <= kernel.mapped_signal_nm.max()))
-    m = kernel.matrix * (np.gradient(grid)[None, :] * raw.dwell_s)
+    m = kernel.matrix * (np.gradient(grid)[None, :] * raw.plan.dwell_s)
     m_act = m[:, active]
     norm = m_act.sum(axis=0)
     x = np.full(m_act.shape[1], d_sig.sum() / m_act.sum())
@@ -196,7 +196,7 @@ def test_rl_conserves_flux(small_kernel, small_plan, noise, lines, cap):
                              background_cps=PEDESTAL_CPS)
     est = res.estimate.values
     assert np.all(est >= 0.0)
-    d_sig = np.maximum(scan.expected_rate_cps * scan.dwell_s
-                       - PEDESTAL_CPS * scan.dwell_s, 0.0)
-    predicted = small_kernel.matrix @ (est * np.gradient(grid)) * scan.dwell_s
+    d_sig = np.maximum(scan.expected_rate_cps * scan.plan.dwell_s
+                       - PEDESTAL_CPS * scan.plan.dwell_s, 0.0)
+    predicted = small_kernel.matrix @ (est * np.gradient(grid)) * scan.plan.dwell_s
     assert predicted.sum() == pytest.approx(d_sig.sum(), rel=1e-9)

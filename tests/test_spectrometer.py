@@ -394,3 +394,55 @@ def test_resolution_values(cfg, kernel):
     assert rep.analytic_fwhm_nm == pytest.approx(
         cfg.vbg.fwhm_nm * (1550.0 / rep.sfg_nm) ** 2, rel=1e-9)
     assert rep.note == ""
+
+
+@pytest.mark.parametrize("change", [{}, {"vbg_tracking": "fixed"}, {"pump_step_nm": 0.07},
+                                    {"pump_power_mw": 20.0, "dwell_s": 10.0}],
+                         ids=["tracked", "fixed", "step-0.07", "20mW-10s"])
+def test_plan_fits_its_kernel_on_every_path(cfg, wg3, models, small_plan, tmp_path, change):
+    # in process, through both CSVs, and rebuilt from the plan a scan CSV
+    # carries: one kernel, bit for bit, and no tolerance needed
+    conv, noise = models
+    plan = replace(small_plan, **change)
+    kern = spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, conv, plan)
+    source = spectra.multimode_ld_spectrum(kern.signal_grid_nm, n_modes=1, total_dbm=-110.0)
+    scan = spectrometer.forward_scan(source, kern, noise, plan)
+    assert scan.plan is plan
+    uio.write_scan_csv(tmp_path / "scan.csv", scan)
+    uio.write_kernel_csv(tmp_path / "kernel.csv", kern)
+    read_scan, _ = uio.read_scan_csv(tmp_path / "scan.csv")
+    read_kern, _ = uio.read_kernel_csv(tmp_path / "kernel.csv")
+    assert read_scan.plan == plan
+    rebuilt = spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, conv, read_scan.plan)
+    for other in (read_kern, rebuilt):
+        for field in ("pump_grid_nm", "signal_grid_nm", "band_start", "band_values",
+                      "mapped_signal_nm", "vbg_centers_nm", "pump_power_mw", "efficiency",
+                      "vbg_tracking"):
+            assert np.array_equal(getattr(other, field), getattr(kern, field)), field
+    want = inverse.deconvolve(scan, kern, noise_model=noise)
+    for s, k in ((scan, read_kern), (read_scan, kern), (read_scan, rebuilt)):
+        spectrometer.check_plan_fits(s.plan, k)
+        got = inverse.deconvolve(s, k, noise_model=noise)
+        assert np.array_equal(got.estimate.values, want.estimate.values)
+        assert got.residual_norm == want.residual_norm
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"pump_start_nm": np.nextafter(1944.0, 2000.0)},
+     "plan pump grid is off the kernel's by up to 2.27374e-13 nm"),
+    ({"pump_stop_nm": 1956.1}, "plan pump grid has 122 points, the kernel's 121"),
+    ({"pump_power_mw": np.nextafter(30.0, 0.0)},
+     "plan pump power 29.999999999999996 mW differs from the kernel's 30.0 mW"),
+    ({"vbg_tracking": "fixed"},
+     "plan VBG setpoints are off the tracked-VBG kernel's: the plan is fixed"),
+], ids=["start-one-ulp", "one-point-more", "power-one-ulp", "fixed"])
+def test_check_plan_fits_is_exact(small_plan, small_kernel, models, change, message):
+    spectrometer.check_plan_fits(small_plan, small_kernel)
+    plan = replace(small_plan, **change)
+    with pytest.raises(DomainError, match=message) as err:
+        spectrometer.check_plan_fits(plan, small_kernel)
+    assert str(err.value).endswith("; use the kernel built for this plan")
+    source = spectra.Spectrum(small_kernel.signal_grid_nm,
+                              np.zeros(small_kernel.signal_grid_nm.size))
+    with pytest.raises(DomainError, match=message):
+        spectrometer.forward_scan(source, small_kernel, models[1], plan)
