@@ -231,6 +231,39 @@ def test_tuning_solve_rejects_a_second_root(wg3):
         dispersion.qpm_mismatch(1550.0, 1950.0, wg3), abs=1e-12)
 
 
+def test_tuning_solve_rejects_a_second_root_entering_between_strided_pumps(wg3):
+    # at b = 0.64 the bend's second root enters the window through its 1450 nm
+    # edge at a pump between 1951.62 and 1951.63 nm: inside the 1951-1952 nm
+    # pump stride, so the first pumps it reaches are not strided ones
+    b = 0.64
+    c0, c1, c2 = wg3.dispersion_correction
+    bent = replace(wg3, dispersion_correction=(c0 + b * 1.55**2, c1 - 2 * b * 1.55, c2 + b))
+    pump = np.round(1951.0 + 0.01 * np.arange(101), 2)
+    with pytest.raises(TuningError, match=r"ambiguous phase matching: 2 roots inside "
+                                          r"\[1450.0, 1650.0\] nm for "
+                                          r"\[1951.63, 1951.64, 1951.65\] nm$"):
+        dispersion.phase_matched_signal(pump, bent)
+
+
+def test_tuning_solve_rejects_a_fold_inside_one_pump_stride(wg3):
+    # w(l) = a (l - s0)^3 + b (l - s0) + d added to the signal index folds the
+    # tuning map around 1550.5 nm, with d chosen so the fold is centred on the
+    # 1950.5 nm pump: 1950.32-1950.71 nm phase match three signals a coarse
+    # node or more apart, while every pump on the 1 nm stride matches one
+    a, b, s0 = 730.0, -0.05, 1.5505
+    d = dispersion.qpm_mismatch(1550.5, 1950.5, wg3) * s0 / dispersion.TWO_PI
+    c0, c1, c2 = wg3.dispersion_correction
+    fold = replace(wg3, dispersion_correction=(
+        c0 - a * s0**3 - b * s0 + d, c1 + 3 * a * s0**2 + b, c2 - 3 * a * s0, a))
+    assert dispersion.phase_matched_signal(np.arange(1900.0, 2001.0, 1.0), fold).size == 101
+    # descending, so the first three in input order are the highest of the fold
+    pump = np.round(1951.0 - 0.01 * np.arange(101), 2)
+    with pytest.raises(TuningError, match=r"ambiguous phase matching: 3 roots inside "
+                                          r"\[1450.0, 1650.0\] nm for "
+                                          r"\[1950.71, 1950.7, 1950.69\] nm$"):
+        dispersion.phase_matched_signal(pump, fold)
+
+
 def test_calibration_error_paths(cfg):
     with pytest.raises(CalibrationError):
         dispersion.calibrate_operating_point(cfg.waveguide, [])
