@@ -11,6 +11,15 @@ accounted for by a low-order polynomial correction to the effective index.
 Because a correction applied identically to all three waves cancels out of dk
 (energy conservation: 1/l_sfg = 1/l_s + 1/l_p), the net modal correction is
 lumped onto the signal-band index, where the calibration anchors live.
+
+The tuning map is solved by a coarse 1 nm scan for dk's sign change, then
+bisection.  The scan evaluates dk on every node only for pumps on a 1 nm
+stride; a pump between two of them inherits their common sign on every node
+where dk falls strictly from one to the other without reaching zero.  That is
+exact: at fixed signal d(dk)/d(l_p) = 2 pi (n_g(l_p) - n_g(l_sfg)) / l_p^2,
+negative under normal dispersion and free of the period and of the signal-only
+correction.  Nodes where the neighbours disagree, vanish or are out of that
+order (the guard) are evaluated for every pump between them.
 """
 from dataclasses import dataclass, field, replace
 
@@ -107,7 +116,11 @@ def _index(lam_um, temperature_c, correction, medium):
           - a6 * l2)
     n = np.sqrt(n2)
     if len(correction):
-        n = n + np.polynomial.polynomial.polyval(lam_um, correction)
+        # Horner in numpy polyval's order, without its per-call overhead
+        acc = correction[-1]
+        for c in correction[-2::-1]:
+            acc = c + acc * lam_um
+        n = n + acc
     return n
 
 
@@ -132,8 +145,8 @@ def refractive_index(wavelength_nm, temperature_c, correction=(), medium=CONGRUE
     Checks the wavelength and temperature against the medium's validity
     windows, then evaluates the Sellmeier equation plus the correction
     polynomial (skipped when there is none).  The tuning-map bisection calls
-    the unchecked evaluator directly: its points lie between coarse-scan
-    nodes that were checked here.
+    the unchecked evaluator directly: its points lie inside the wavelength
+    range that the coarse scan checked through qpm_mismatch.
 
     Parameters
     ----------
@@ -193,9 +206,10 @@ def _mismatch_against(known, wg, solve_for):
     ones (pump for solve_for="signal", signal for "pump"), broadcast.
 
     The one dk formula: qpm_mismatch is its checks plus this.  The known
-    wave's index term is computed once, and nothing is checked: the
-    bisection only evaluates points between coarse-scan nodes that
-    qpm_mismatch checked, and the SFG wavelength is monotone between them.
+    wave's index term is computed once, and nothing is checked: the coarse
+    scan ran qpm_mismatch on every node at the smallest and the largest known
+    wavelength, the bisection only evaluates points between those nodes, and
+    the SFG wavelength is monotone in both waves.
     """
     k_um = known * 1e-3
     correction = wg.dispersion_correction if solve_for == "pump" else ()
@@ -254,25 +268,88 @@ def _same_bits(a, b):
     return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def _checked_mismatch(known, x, wg, solve_for):
+    """qpm_mismatch of the known wavelengths against the unknown ones x."""
+    return qpm_mismatch(x, known, wg) if solve_for == "signal" else qpm_mismatch(known, x, wg)
+
+
+def _coarse_signs(known, grid, wg, solve_for):
+    """sign(dk) on the coarse grid for known wavelengths sorted ascending and
+    distinct, as (signs, nodes): one row per known wavelength, one column
+    per node of grid that counts.
+
+    The first known wavelength of every 1 nm bin, and the last, are strided:
+    qpm_mismatch evaluates dk for them on every node, which also checks the
+    whole box of wavelengths the scan and its bisection can reach.  A known
+    wavelength between two strided neighbours is evaluated only on the nodes
+    where the neighbours' dk differ in sign, vanish, or are not strictly
+    ordered (dk lower at the higher neighbour); every other node takes the
+    neighbours' common sign (see _solve_matched for why that is exact).
+
+    A node that every row inherits with a nonzero sign (for a lone row:
+    where its dk is nonzero) has that sign in all rows.  It is dropped when
+    its grid neighbours are such nodes too, with the same sign: a run of
+    dropped nodes holds no root, so the nodes left give the full grid's
+    root counts, and every sign flip between them is between adjacent grid
+    nodes.
+    """
+    strided = np.diff(np.floor(known / _COARSE_STEP_NM), prepend=-np.inf) != 0.0
+    strided[-1:] = True
+    dk = _checked_mismatch(known[strided][:, None], grid[None, :], wg, solve_for)
+    lo, hi = dk[:-1], dk[1:]
+    inherit = (lo > hi) & ((hi > 0.0) | (lo < 0.0))
+
+    sign0 = np.sign(dk[0])
+    quiet = inherit.all(axis=0) & (sign0 != 0.0)
+    edge = ~quiet[:-1] | ~quiet[1:] | (sign0[:-1] != sign0[1:])
+    keep = ~quiet
+    keep[:-1] |= edge
+    keep[1:] |= edge
+    cols = np.flatnonzero(keep)
+
+    between = np.flatnonzero(~strided)
+    seg = np.cumsum(strided)[between] - 1
+    rows, at = np.nonzero(~inherit[:, cols][seg])
+    sign = np.empty((known.size, cols.size))
+    sign[strided] = np.sign(dk[:, cols])
+    sign[between] = np.sign(hi[:, cols][seg])
+    sign[between[rows], at] = np.sign(
+        _checked_mismatch(known[between[rows]], grid[cols[at]], wg, solve_for))
+    return sign, grid[cols]
+
+
 def _solve_matched(known_nm, wg, solve_for, window_nm):
     """Root-find dk = 0 over the unknown wavelength axis (vectorized).
 
     solve_for: "signal" (known = pump) or "pump" (known = signal).  The
-    coarse scan covers window_nm in 1 nm steps.
+    coarse scan covers window_nm in 1 nm steps.  It evaluates dk on every
+    node only for known wavelengths on a 1 nm stride; one between two
+    strided neighbours inherits their sign on every node where dk falls
+    strictly from the lower neighbour to the higher one without reaching
+    zero, and is evaluated on the other nodes (_coarse_signs).
+
+    That is exact for the signal solve.  At a fixed signal,
+    d(dk)/d(l_p) = 2 pi (n_g(l_p) - n_g(l_sfg)) / l_p^2 with n_g the group
+    index: negative under normal dispersion, and free of the QPM period and
+    of the correction polynomial, which acts on the signal index only.  So
+    dk falls monotonically from one strided pump to the next, and a node
+    whose sign agrees at both keeps it in between.  For the pump solve the
+    slope d(dk)/d(l_s) carries the correction's slope, and the ordering
+    guard is what holds it: where dk does not fall from one neighbour to
+    the next, the node is evaluated.  Root counts, brackets and errors are
+    those of a full scan, reported in input order.
     """
     known = np.atleast_1d(np.asarray(known_nm, dtype=float))
+    if known.size == 0:
+        return known
     grid = np.arange(window_nm[0], window_nm[1] + _COARSE_STEP_NM, _COARSE_STEP_NM)
-
-    # coarse scan: locate the sign change for every known-wavelength point
-    if solve_for == "signal":
-        dk_grid = qpm_mismatch(grid[None, :], known[:, None], wg)
-    else:
-        dk_grid = qpm_mismatch(known[:, None], grid[None, :], wg)
+    distinct, back = np.unique(known, return_inverse=True)
+    sign, nodes = _coarse_signs(distinct, grid, wg, solve_for)
     # A root exactly on a grid node counts once, as that node; a sign flip
     # between nonzero nodes counts as one root inside its interval.
-    on_node = dk_grid == 0.0
-    sign_flip = dk_grid[:, :-1] * dk_grid[:, 1:] < 0.0
-    n_roots = on_node.sum(axis=1) + sign_flip.sum(axis=1)
+    on_node = sign == 0.0
+    sign_flip = sign[:, :-1] * sign[:, 1:] < 0.0
+    n_roots = (on_node.sum(axis=1) + sign_flip.sum(axis=1))[back]
     if np.any(n_roots == 0):
         bad = known[n_roots == 0]
         raise TuningError(
@@ -287,30 +364,32 @@ def _solve_matched(known_nm, wg, solve_for, window_nm):
             f"[{grid[0]:.1f}, {grid[-1]:.1f}] nm for {bad[:3].tolist()} nm"
         )
     at_node = on_node.any(axis=1)
-    node = grid[np.argmax(on_node, axis=1)]
+    node = nodes[np.argmax(on_node, axis=1)]
     idx = np.argmax(sign_flip, axis=1)
-    lo = np.where(at_node, node, grid[idx])
-    hi = np.where(at_node, node, grid[idx + 1])
+    lo = np.where(at_node, node, nodes[idx])
+    hi = np.where(at_node, node, nodes[idx + 1])
 
-    root = _bisect_roots(_mismatch_against(known, wg, solve_for), lo, hi)
-    if solve_for == "signal":
-        resid = np.abs(qpm_mismatch(root, known, wg))
-    else:
-        resid = np.abs(qpm_mismatch(known, root, wg))
+    root = _bisect_roots(_mismatch_against(distinct, wg, solve_for), lo, hi)
+    resid = np.abs(_checked_mismatch(distinct, root, wg, solve_for))
     if np.any(resid > DK_TOLERANCE_PER_UM):
         raise TuningError(
             f"bisection failed to reach |dk| < {DK_TOLERANCE_PER_UM} rad/um "
             f"(worst {resid.max():.3e})"
         )
-    return root
+    return root[back]
 
 
 def phase_matched_signal(pump_nm, wg):
     """Signal wavelength [nm] phase matched to the given pump wavelength(s).
 
-    Scans a coarse grid over the design signal band for the sign change of
-    dk, then bisects to |dk| < 1e-9 rad/um.  Raises TuningError when no
-    root or more than one root lies in the window.
+    Scans a 1 nm grid over 1450-1650 nm for the sign change of dk, then
+    bisects to |dk| < 1e-9 rad/um.  Only pumps on a 1 nm stride are scanned
+    on every node.  A pump between two of them inherits their sign on every
+    node where dk falls strictly from the lower one to the higher one
+    without reaching zero (the ordering guard): at fixed signal dk falls
+    with the pump, so such a node keeps its sign in between.  Root counts
+    and roots are those of a full scan.  Raises TuningError when no root or
+    more than one root lies in the window.
     """
     root = _solve_matched(pump_nm, wg, "signal", SIGNAL_SEARCH_NM)
     return float(root[0]) if np.ndim(pump_nm) == 0 else root

@@ -1,4 +1,5 @@
 """Sellmeier index, QPM mismatch, tuning-curve calibration and bandwidth."""
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -70,6 +71,7 @@ def test_phase_matched_signal_vectorized(wg3):
     vec = dispersion.phase_matched_signal(pumps, wg3)
     for p, s in zip(pumps, vec):
         assert dispersion.phase_matched_signal(float(p), wg3) == pytest.approx(float(s), abs=1e-9)
+    assert dispersion.phase_matched_signal(np.array([]), wg3).shape == (0,)
 
 
 def test_phase_matched_pump_inverts_signal(wg3):
@@ -262,6 +264,89 @@ def test_tuning_solve_rejects_a_fold_inside_one_pump_stride(wg3):
                                           r"\[1450.0, 1650.0\] nm for "
                                           r"\[1950.71, 1950.7, 1950.69\] nm$"):
         dispersion.phase_matched_signal(pump, fold)
+
+
+
+def test_tuning_solve_sends_a_fifth_of_the_full_scan_through_qpm_mismatch(cfg, wg3,
+                                                                       monkeypatch):
+    # a full coarse scan sent 1201 x 201 cells through the checked dk, and the
+    # residual check 1201 more; the strided scan sends about 17 000
+    cells = []
+    mismatch = dispersion.qpm_mismatch
+
+    def counted(signal_nm, pump_nm, wg):
+        dk = mismatch(signal_nm, pump_nm, wg)
+        cells.append(np.size(dk))
+        return dk
+
+    monkeypatch.setattr(dispersion, "qpm_mismatch", counted)
+    dispersion.phase_matched_signal(cfg.scan.pump_grid_nm(), wg3)
+    assert sum(cells) <= (1201 * 201 + 1201) // 5
+
+
+_SIGNAL_NODES = np.arange(1450.0, 1651.0, 1.0)
+
+
+def _root_counts(dk):
+    """Roots per row as the coarse scan counts them: zero nodes plus sign flips."""
+    return (dk == 0.0).sum(axis=1) + (dk[:, :-1] * dk[:, 1:] < 0.0).sum(axis=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(start=st.floats(1890.0, 1960.0),
+       span=st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 100.0)),
+       size=st.integers(1, 300),
+       layout=st.sampled_from(["ascending", "descending", "shuffled", "uniform draw"]),
+       duplicates=st.integers(0, 20),
+       bend=st.one_of(st.floats(-0.7, 0.7), st.floats(-8.0, 8.0)),
+       period=st.floats(19.4, 20.2),
+       seed=st.integers(0, 2**32 - 1))
+@example(start=1951.0, span=1.0, size=101, layout="ascending", duplicates=0, bend=0.64,
+         period=19.6, seed=0)
+@example(start=1950.0, span=0.0, size=1, layout="ascending", duplicates=3, bend=0.0,
+         period=19.6, seed=0)
+def test_strided_scan_counts_and_solves_as_the_full_scan(wg3, start, span, size, layout,
+                                                        duplicates, bend, period, seed):
+    # b (l - 1.55)^2 on the correction bends dk: from no root through one to
+    # two in the window, depending on the pump, b and the period; most pumps
+    # keep a single root for |b| < 0.7, few beyond
+    rng = np.random.default_rng(seed)
+    if layout == "uniform draw":
+        pump = start + span * rng.random(size)
+    else:
+        pump = np.linspace(start, start + span, size)
+    pump = np.append(pump, rng.choice(pump, duplicates))
+    if layout == "descending":
+        pump = pump[::-1]
+    elif layout != "ascending":
+        pump = rng.permutation(pump)
+    c0, c1, c2 = wg3.dispersion_correction
+    wg = replace(wg3, qpm_period_um=period, dispersion_correction=(
+        c0 + bend * 1.55**2, c1 - 2 * bend * 1.55, c2 + bend))
+
+    full = dispersion.qpm_mismatch(_SIGNAL_NODES[None, :], pump[:, None], wg)
+    want = _root_counts(full)
+    distinct = np.unique(pump)
+    sign, nodes = dispersion._coarse_signs(distinct, _SIGNAL_NODES, wg, "signal")
+    row = np.searchsorted(distinct, pump)
+    assert np.array_equal(sign[row], np.sign(full[:, np.searchsorted(_SIGNAL_NODES, nodes)]))
+    assert np.array_equal(_root_counts(sign)[row], want)
+
+    one = want == 1
+    if one.any():
+        got = dispersion.phase_matched_signal(pump[one], wg)
+        assert np.array_equal(got.view(np.int64),
+                              tuning_oracle.phase_matched_signal(pump[one], wg).view(np.int64))
+    if np.any(want == 0):
+        message = (f"no phase-matched signal in [1450.0, 1650.0] nm "
+                   f"for {pump[want == 0][:3].tolist()} nm")
+    elif np.any(want > 1):
+        message = (f"ambiguous phase matching: {want.max()} roots inside [1450.0, 1650.0] nm "
+                   f"for {pump[want > 1][:3].tolist()} nm")
+    else:
+        return
+    with pytest.raises(TuningError, match=re.escape(message)):
+        dispersion.phase_matched_signal(pump, wg)
 
 
 def test_calibration_error_paths(cfg):
