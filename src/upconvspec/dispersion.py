@@ -12,6 +12,14 @@ Because a correction applied identically to all three waves cancels out of dk
 (energy conservation: 1/l_sfg = 1/l_s + 1/l_p), the net modal correction is
 lumped onto the signal-band index, where the calibration anchors live.
 
+dk is the difference of the three waves' n/l terms (_term, _dk), and each
+term is evaluated on the axis it depends on.  The tuning-map bisection
+computes the known wave's term once per known wavelength.  A kernel band
+(_band_mismatch) computes the signal term once per signal-grid column, the
+pump term once per row and only the SFG wavelength and its term per cell,
+and hands that SFG wavelength on to the filter chain.  Window checks compare
+an array's extremes, not every element.
+
 The tuning map is solved by a coarse 1 nm scan for dk's sign change, then
 bisection.  The scan evaluates dk on every node only for pumps on a 1 nm
 stride; a pump between two of them inherits their common sign on every node
@@ -124,10 +132,17 @@ def _index(lam_um, temperature_c, correction, medium):
     return n
 
 
-def _check_window(lam_um, temperature_c, medium):
-    """Raise DomainError outside the medium's wavelength or temperature window."""
+def _check_window(lam_nm, temperature_c, medium):
+    """Raise DomainError outside the medium's wavelength or temperature window.
+
+    Only the extremes of lam [nm] are scaled to um and compared: scaling by a
+    positive constant is monotone, so this is the elementwise check, and NaN
+    passes as it does there (fmin and fmax skip NaN unless all is NaN).
+    """
     lo, hi = medium.valid_um
-    if np.any(lam_um < lo) or np.any(lam_um > hi):
+    lam = np.asarray(lam_nm, dtype=float)
+    if lam.size and (np.fmin.reduce(lam, axis=None) * 1e-3 < lo
+                     or np.fmax.reduce(lam, axis=None) * 1e-3 > hi):
         raise DomainError(
             f"wavelength outside Sellmeier validity window [{lo}, {hi}] um "
             f"for {medium.name}"
@@ -163,8 +178,8 @@ def refractive_index(wavelength_nm, temperature_c, correction=(), medium=CONGRUE
     -------
     float or ndarray
     """
+    _check_window(wavelength_nm, temperature_c, medium)
     lam_um = np.asarray(wavelength_nm, dtype=float) * 1e-3
-    _check_window(lam_um, temperature_c, medium)
     n = _index(lam_um, temperature_c, correction, medium)
     return float(n) if np.ndim(wavelength_nm) == 0 else n
 
@@ -186,49 +201,77 @@ def qpm_mismatch(signal_nm, pump_nm, wg):
 
     The waveguide's dispersion_correction polynomial is applied to the
     signal-band index only (net modal correction, see module docstring);
-    pump and SFG waves use the bulk Sellmeier index.  All three waves are
-    checked against the medium's validity windows, then dk is evaluated by
-    the same unchecked formula the tuning-map bisection uses.
+    pump and SFG waves use the bulk Sellmeier index.  The SFG wavelength is
+    computed once; all three waves are checked against the medium's
+    validity windows, then dk is evaluated by the one unchecked formula
+    (_dk) the tuning-map bisection and the kernel band use too.
     """
     s = np.asarray(signal_nm, dtype=float)
     p = np.asarray(pump_nm, dtype=float)
     f_nm = sfg_wavelength(s, p)
     for lam_nm in (f_nm, s, p):
-        _check_window(np.asarray(lam_nm) * 1e-3, wg.temperature_c, wg.medium)
-    dk = _mismatch_against(p, wg, "signal")(s)
+        _check_window(lam_nm, wg.temperature_c, wg.medium)
+    dk = _dk(_term(f_nm, wg), _term(s, wg, wg.dispersion_correction), _term(p, wg), wg)
     if np.ndim(signal_nm) == 0 and np.ndim(pump_nm) == 0:
         return float(dk)
     return dk
+
+
+def _term(lam_nm, wg, correction=()):
+    """One wave's n(l)/l [1/um] at l [nm], unchecked (see _index)."""
+    lam_um = lam_nm * 1e-3
+    return _index(lam_um, wg.temperature_c, correction, wg.medium) / lam_um
+
+
+def _dk(sfg_term, signal_term, pump_term, wg):
+    """The one dk formula [rad/um] from the three waves' n/l terms."""
+    return TWO_PI * (sfg_term - signal_term - pump_term - 1.0 / wg.qpm_period_um)
 
 
 def _mismatch_against(known, wg, solve_for):
     """dk(x) [rad/um] for the unknown wavelengths x [nm] against the known
     ones (pump for solve_for="signal", signal for "pump"), broadcast.
 
-    The one dk formula: qpm_mismatch is its checks plus this.  The known
-    wave's index term is computed once, and nothing is checked: the coarse
-    scan ran qpm_mismatch on every node at the smallest and the largest known
-    wavelength, the bisection only evaluates points between those nodes, and
-    the SFG wavelength is monotone in both waves.
+    The known wave's term is computed once, and nothing is checked: the
+    coarse scan ran qpm_mismatch on every node at the smallest and the
+    largest known wavelength, the bisection only evaluates points between
+    those nodes, and the SFG wavelength is monotone in both waves.
     """
-    k_um = known * 1e-3
-    correction = wg.dispersion_correction if solve_for == "pump" else ()
-    known_term = _index(k_um, wg.temperature_c, correction, wg.medium) / k_um
-    inv_period = 1.0 / wg.qpm_period_um
+    correction = wg.dispersion_correction
+    known_term = _term(known, wg, correction if solve_for == "pump" else ())
 
     def dk(x):
-        x_um = x * 1e-3
-        f_um = (x * known / (x + known)) * 1e-3
-        a = _index(f_um, wg.temperature_c, (), wg.medium) / f_um
+        a = _term(x * known / (x + known), wg)
         if solve_for == "signal":
-            b = _index(x_um, wg.temperature_c, wg.dispersion_correction, wg.medium) / x_um
-            c = known_term
-        else:
-            b = known_term
-            c = _index(x_um, wg.temperature_c, (), wg.medium) / x_um
-        return TWO_PI * (a - b - c - inv_period)
+            return _dk(a, _term(x, wg, correction), known_term, wg)
+        return _dk(a, known_term, _term(x, wg), wg)
 
     return dk
+
+
+def _band_mismatch(signal_nm, cols, pump_nm, wg):
+    """(dk [rad/um], SFG wavelength [nm]) on a kernel band: entry [i, k]
+    pairs the signal signal_nm[cols[i, k]] with the pump pump_nm[i].
+
+    Bit for bit qpm_mismatch and sfg_wavelength of the gathered cells,
+    errors included, with each term evaluated on the axis it depends on:
+    the signal term once per signal_nm column, then gathered at cols; the
+    pump term once per row; the SFG wavelength and its term once per cell.
+    The checks compare extremes: the signal over signal_nm from the band's
+    first column to its last (the cells' own extremes on an ascending
+    grid), the pump over the rows and the SFG over the cells.
+    """
+    s = np.asarray(signal_nm, dtype=float)
+    p = np.asarray(pump_nm, dtype=float)[:, None]
+    span = s[cols.min():cols.max() + 1]
+    if np.fmin.reduce(span) <= 0 or np.fmin.reduce(p, axis=None) <= 0:
+        raise DomainError("wavelengths must be positive")
+    lam_s = s[cols]
+    f_nm = lam_s * p / (lam_s + p)
+    for lam_nm in (f_nm, span, p):
+        _check_window(lam_nm, wg.temperature_c, wg.medium)
+    b = _term(s, wg, wg.dispersion_correction)[cols]
+    return _dk(_term(f_nm, wg), b, _term(p, wg), wg), f_nm
 
 
 def efficiency_factor(delta_k_per_um, length_mm):
@@ -255,17 +298,14 @@ def _bisect_roots(f, lo, hi, iterations=80):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         take_lo = flo * fmid <= 0.0
-        new_hi = np.where(take_lo, mid, hi)
-        new_lo = np.where(take_lo, lo, mid)
-        if _same_bits(new_lo, lo) and _same_bits(new_hi, hi):
+        # mid replaces hi where take_lo and lo elsewhere: the step leaves the
+        # state as it was iff each replaced end already has mid's bits
+        if np.array_equal(np.where(take_lo, hi, lo).view(np.int64), mid.view(np.int64)):
             break
-        hi, lo = new_hi, new_lo
+        hi = np.where(take_lo, mid, hi)
+        lo = np.where(take_lo, lo, mid)
         flo = np.where(take_lo, flo, fmid)
     return 0.5 * (lo + hi)
-
-
-def _same_bits(a, b):
-    return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def _checked_mismatch(known, x, wg, solve_for):

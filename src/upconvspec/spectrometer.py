@@ -267,7 +267,10 @@ def build_kernel(wg, chain, vbg, conv_model, plan):
     The signal grid is default_signal_grid of that map: its mapped range
     plus 1.5 nm tails, in 0.02 nm steps.
     Each row is evaluated only on its window around the VBG setpoint
-    (outside it the VBG line is below 1e-19 of its peak), and entries at or
+    (outside it the VBG line is below 1e-19 of its peak).  On those cells
+    dispersion._band_mismatch gives dk and the SFG wavelength, with the
+    signal term evaluated once per grid column and the pump term once per
+    row; the SFG wavelength feeds the VBG and the filter chain.  Entries at or
     below BAND_REL_TOL x their row's peak are set to zero.  The tolerance is
     per row, not global: in fixed-VBG mode rows far from the VBG center have
     small peaks, and a per-row cut keeps their shape.
@@ -283,11 +286,8 @@ def build_kernel(wg, chain, vbg, conv_model, plan):
 
     start, width = _band_window(grid, pump, schedule.centers_nm, vbg_half_extent_nm(vbg))
     cols = start[:, None] + np.arange(width)
-    lam_s = grid[cols]
-    lam_p = pump[:, None]
-    qpm = dispersion.efficiency_factor(dispersion.qpm_mismatch(lam_s, lam_p, wg),
-                                       wg.length_mm)
-    sfg = dispersion.sfg_wavelength(lam_s, lam_p)
+    dk, sfg = dispersion._band_mismatch(grid, cols, pump, wg)
+    qpm = dispersion.efficiency_factor(dk, wg.length_mm)
 
     t_actual = vbg_transmission(vbg, sfg, center_nm=schedule.centers_nm[:, None])
     for el in chain:

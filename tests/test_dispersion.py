@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import tuning_oracle
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from upconvspec import dispersion
+from upconvspec import components, dispersion, spectrometer
 from upconvspec.errors import CalibrationError, DomainError, TuningError
 
 # extraordinary-index reference values (Jundt 1997 table gives 2.15580)
@@ -113,6 +113,80 @@ def test_qpm_mismatch_checks_every_wave(wg3, signal_nm, pump_nm):
         dispersion.qpm_mismatch(signal_nm, pump_nm, wg3)
 
 
+def _band_cells(plan, wg, vbg):
+    """(signal grid, band columns, pump grid) of plan's kernel band."""
+    pump = plan.pump_grid_nm()
+    schedule = spectrometer.vbg_tracking_schedule(plan, wg, vbg)
+    grid = spectrometer.default_signal_grid(schedule.signal_nm)
+    start, width = spectrometer._band_window(grid, pump, schedule.centers_nm,
+                                             components.vbg_half_extent_nm(vbg))
+    return grid, start[:, None] + np.arange(width), pump
+
+
+def _bent(wg, bend):
+    """wg with b (l - 1.55)^2 added to its correction polynomial."""
+    c0, c1, c2 = wg.dispersion_correction
+    return replace(wg, dispersion_correction=(
+        c0 + bend * 1.55**2, c1 - 2 * bend * 1.55, c2 + bend))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mode=st.sampled_from(["tracked", "fixed"]), width=st.floats(6.0, 60.0),
+       step=st.floats(0.02, 0.1), where=st.floats(0.0, 1.0), bend=st.floats(-0.5, 0.5))
+@example(mode="tracked", width=60.0, step=0.05, where=0.0, bend=0.0)
+@example(mode="fixed", width=60.0, step=0.02, where=0.0, bend=0.0)
+def test_band_mismatch_is_qpm_mismatch_on_the_gathered_cells(cfg, wg3, mode, width, step,
+                                                              where, bend):
+    # the band's per-column signal term and per-row pump term give the bits
+    # of qpm_mismatch and sfg_wavelength evaluated cell by cell
+    wg = _bent(wg3, bend)
+    start = 1920.0 + where * (60.0 - width)
+    plan = replace(cfg.scan, pump_start_nm=start, pump_stop_nm=start + width,
+                   pump_step_nm=step, vbg_tracking=mode)
+    try:
+        grid, cols, pump = _band_cells(plan, wg, cfg.vbg)
+    except TuningError:
+        assume(False)  # a second root, or a VBG setpoint out of its range
+    dk, sfg = dispersion._band_mismatch(grid, cols, pump, wg)
+    lam_s, lam_p = grid[cols], pump[:, None]
+    assert np.array_equal(_bits(dk), _bits(dispersion.qpm_mismatch(lam_s, lam_p, wg)))
+    assert np.array_equal(_bits(sfg), _bits(dispersion.sfg_wavelength(lam_s, lam_p)))
+
+
+def _domain_error(call):
+    try:
+        call()
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", ["sfg below", "pump above", "signal above", "pump not positive",
+                                  "nan signal", "nan and high signal"])
+def test_band_mismatch_raises_as_qpm_mismatch(cfg, wg3, small_plan, case):
+    grid, cols, pump = _band_cells(small_plan, wg3, cfg.vbg)
+    grid, pump = grid.copy(), pump.copy()
+    valid_um = {"sfg below": (0.8636, 5.0), "pump above": (0.4, 1.95)}.get(case, (0.4, 5.0))
+    wg = replace(wg3, medium=replace(wg3.medium, valid_um=valid_um))
+    if case in ("signal above", "nan and high signal"):
+        grid[cols.max()] = 5200.0  # SFG 1.42 um and pump stay inside
+    if case in ("nan signal", "nan and high signal"):
+        grid[cols[7, 2]] = np.nan  # NaN passes the checks, but hides no other wavelength
+    if case == "pump not positive":
+        pump[3] = -1.0
+    got = _domain_error(lambda: dispersion._band_mismatch(grid, cols, pump, wg))
+    want = _domain_error(lambda: dispersion.qpm_mismatch(grid[cols], pump[:, None], wg))
+    assert got == want
+    assert (want is None) == (case == "nan signal")
+    if want is None:
+        dk, _ = dispersion._band_mismatch(grid, cols, pump, wg)
+        assert np.array_equal(np.isnan(dk), np.isnan(grid[cols]))
+
+
 def test_phase_matched_solves_match_the_oracle_bisection(wg3):
     signal = np.linspace(1530.0, 1575.0, 91)
     assert np.array_equal(dispersion.phase_matched_pump(signal, wg3),
@@ -165,6 +239,56 @@ def test_early_exit_bisection_gives_the_bits_of_80_steps(wg3, brackets, slope, t
     got = dispersion._bisect_roots(f, lo, hi)
     want = tuning_oracle.bisect_roots(f, lo, hi)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _two_end_bisection(f, lo, hi, iterations=80):
+    """Early-exit bisection that compares lo and hi with their updates."""
+    lo = np.array(lo, dtype=float, copy=True)
+    hi = np.array(hi, dtype=float, copy=True)
+    flo = f(lo)
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        take_lo = flo * fmid <= 0.0
+        new_hi = np.where(take_lo, mid, hi)
+        new_lo = np.where(take_lo, lo, mid)
+        if (np.array_equal(new_lo.view(np.int64), lo.view(np.int64))
+                and np.array_equal(new_hi.view(np.int64), hi.view(np.int64))):
+            break
+        hi, lo = new_hi, new_lo
+        flo = np.where(take_lo, flo, fmid)
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(brackets=st.lists(_EDGES, min_size=1, max_size=8), slope=st.floats(-3.0, 3.0),
+       tuning=st.booleans(), iterations=st.sampled_from([80, 30, 3]))
+@example(brackets=[(1550.0, 1.0, 0.0), (1551.0, 0.0, 0.5), (1449.5, 1.0, 0.3)], slope=1.0,
+         tuning=False, iterations=80)
+def test_one_comparison_stops_where_both_ends_stopped(wg3, brackets, slope, tuning, iterations):
+    # mid replaces one end of each bracket, so "the replaced end already has
+    # mid's bits" is "no end changes": same bits, same number of steps
+    lo = np.array([b[0] for b in brackets])
+    hi = lo + np.array([b[1] for b in brackets])
+    if tuning:
+        pump = np.linspace(1920.0, 1980.0, lo.size)
+        f = dispersion._mismatch_against(pump, wg3, "signal")
+    else:
+        root = lo + np.array([b[1] * b[2] for b in brackets])
+        def f(x):
+            return slope * (x - root)
+    steps = {"got": 0, "want": 0}
+
+    def counted(key):
+        def g(x):
+            steps[key] += 1
+            return f(x)
+        return g
+
+    got = dispersion._bisect_roots(counted("got"), lo, hi, iterations)
+    want = _two_end_bisection(counted("want"), lo, hi, iterations)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert steps["got"] == steps["want"]
 
 
 def test_efficiency_factor_peak_and_nulls(wg3):

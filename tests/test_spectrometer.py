@@ -96,14 +96,72 @@ def test_kernel_build_evaluates_only_the_band(cfg, wg3, models, monkeypatch):
         cells.append(np.size(dk))
         return dk
 
+    band_cells = []
+    band = dispersion._band_mismatch
+
+    def band_counted(signal_nm, cols, pump_nm, wg):
+        dk, sfg = band(signal_nm, cols, pump_nm, wg)
+        band_cells.append(np.size(dk))
+        return dk, sfg
+
     monkeypatch.setattr(dispersion, "qpm_mismatch", counted)
+    monkeypatch.setattr(dispersion, "_band_mismatch", band_counted)
     spectrometer.vbg_tracking_schedule(cfg.scan, wg3, cfg.vbg)
     schedule_cells = sum(cells)
     cells.clear()
     kern = spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, models[0], cfg.scan)
     width = kern.band_values.shape[1]
     assert width <= 71
-    assert sum(cells) - schedule_cells <= 1201 * width
+    assert sum(cells) == schedule_cells
+    assert band_cells == [1201 * width]
+
+
+def _cellwise_build(wg, chain, vbg, conv_model, plan):
+    """build_kernel's band as it was evaluated cell by cell: qpm_mismatch and
+    sfg_wavelength on every gathered (pump, signal) cell."""
+    pump = plan.pump_grid_nm()
+    schedule = spectrometer.vbg_tracking_schedule(plan, wg, vbg)
+    mapped = schedule.signal_nm
+    grid = spectrometer.default_signal_grid(mapped)
+    eta = conv_model.efficiency(plan.pump_power_mw)
+
+    start, width = spectrometer._band_window(grid, pump, schedule.centers_nm,
+                                             components.vbg_half_extent_nm(vbg))
+    cols = start[:, None] + np.arange(width)
+    lam_s = grid[cols]
+    lam_p = pump[:, None]
+    qpm = dispersion.efficiency_factor(dispersion.qpm_mismatch(lam_s, lam_p, wg),
+                                       wg.length_mm)
+    sfg = dispersion.sfg_wavelength(lam_s, lam_p)
+
+    t_actual = components.vbg_transmission(vbg, sfg, center_nm=schedule.centers_nm[:, None])
+    for el in chain:
+        t_actual = t_actual * components.transmission(el, sfg)
+    sfg_pm = dispersion.sfg_wavelength(mapped, pump)
+    t_ref = np.full(pump.shape, vbg.peak_reflectance)
+    for el in chain:
+        t_ref = t_ref * components.transmission(el, sfg_pm)
+
+    values = eta * qpm * (t_actual / t_ref[:, None]) / photon_energy_j(grid)[cols]
+    values[values <= spectrometer.BAND_REL_TOL * values.max(axis=1, keepdims=True)] = 0.0
+    return start, values
+
+
+@pytest.mark.parametrize("case", ["tracked", "fixed", "step_0.07", "small_plan", "fine_3001_fixed",
+                                  "top_hat_vbg"])
+def test_band_build_gives_the_bits_of_the_cellwise_build(cfg, wg3, models, small_plan, case):
+    vbg = replace(cfg.vbg, lineshape="top_hat") if case == "top_hat_vbg" else cfg.vbg
+    plan = {
+        "fixed": replace(cfg.scan, vbg_tracking="fixed"),
+        "step_0.07": replace(cfg.scan, pump_step_nm=0.07),
+        "small_plan": small_plan,
+        "fine_3001_fixed": replace(cfg.scan, pump_step_nm=0.02, vbg_tracking="fixed"),
+    }.get(case, cfg.scan)
+    conv, _ = models
+    kern = spectrometer.build_kernel(wg3, cfg.filters, vbg, conv, plan)
+    start, values = _cellwise_build(wg3, cfg.filters, vbg, conv, plan)
+    assert np.array_equal(kern.band_start, start)
+    assert np.array_equal(kern.band_values.view(np.int64), values.view(np.int64))
 
 
 TUNING_ORACLE_CASES = ("tracked", "fixed", "small_plan", "fine_3001", "fixed_off_grid_center",
