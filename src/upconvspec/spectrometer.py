@@ -31,6 +31,7 @@ from .units import photon_energy_j
 SIGNAL_GRID_STEP_NM = 0.02
 BAND_REL_TOL = 1e-12  # band keeps entries above this x their row's peak
 _GRID_PAD_NM = 1.5  # sinc^2 tails beyond the mapped range worth keeping
+_GRID_COUNT_TOL = 1e-9  # pump steps a window may fall short of a whole count
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,16 @@ class ScanPlan:
         validate_seed(self.seed)
 
     def pump_grid_nm(self):
-        n = int(round((self.pump_stop_nm - self.pump_start_nm) / self.pump_step_nm))
+        """Scan points from pump_start_nm in pump_step_nm steps, none past
+        pump_stop_nm.
+
+        The step count is floored with a 1e-9-step tolerance, so a step that
+        divides the window, float noise in stop - start included, still ends
+        on the stop.  A fixed VBG is parked for the nominal scan centre
+        0.5 (start + stop) whether or not the last point reaches the stop.
+        """
+        n = int(np.floor((self.pump_stop_nm - self.pump_start_nm) / self.pump_step_nm
+                         + _GRID_COUNT_TOL))
         return self.pump_start_nm + self.pump_step_nm * np.arange(n + 1)
 
 
@@ -78,10 +88,11 @@ class TrackingSchedule:
 def _map_and_setpoint(pump, plan, wg):
     """(phase-matched signal at each pump, scan-center pump, fixed VBG setpoint).
 
-    The scan-center pump, where a fixed VBG is parked at the phase-matched
-    SFG wavelength, is solved as one more point of the same tuning-map
-    solve; the solve is elementwise, so its root is the one a solve of its
-    own would give.
+    The scan-center pump is the plan's nominal centre 0.5 (start + stop),
+    also when the step does not divide the window; a fixed VBG is parked at
+    its phase-matched SFG wavelength.  It is solved as one more point of the
+    same tuning-map solve; the solve is elementwise, so its root is the one
+    a solve of its own would give.
     """
     center_pump = 0.5 * (plan.pump_start_nm + plan.pump_stop_nm)
     sig = dispersion.phase_matched_signal(np.append(pump, center_pump), wg)

@@ -39,6 +39,38 @@ def test_scan_plan_grid_and_validation():
             ScanPlan(seed=seed)
 
 
+def _rounded_grid(plan):
+    """The pump grid with a rounded step count, which may pass the stop."""
+    n = int(round((plan.pump_stop_nm - plan.pump_start_nm) / plan.pump_step_nm))
+    return plan.pump_start_nm + plan.pump_step_nm * np.arange(n + 1)
+
+
+@pytest.mark.parametrize("step, last", [(0.7, 1979.5), (0.9, 1979.4), (7.0, 1976.0)])
+def test_pump_grid_stops_at_or_before_the_stop(step, last):
+    grid = ScanPlan(pump_step_nm=step).pump_grid_nm()
+    assert grid[-1] <= 1980.0 and grid[-1] + step > 1980.0
+    assert grid[-1] == pytest.approx(last, abs=1e-9)
+    assert np.all(np.diff(grid) > 0)
+
+
+@pytest.mark.parametrize("step", [0.05, 0.02, 0.1, 0.07])
+def test_pump_grid_keeps_every_point_of_a_fitting_step(step):
+    plan = ScanPlan(pump_step_nm=step)
+    assert np.array_equal(plan.pump_grid_nm(), _rounded_grid(plan))
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.floats(1900.0, 1990.0), width=st.sampled_from([6.0, 12.0, 30.0, 44.5, 60.0]),
+       step=st.sampled_from([0.02, 0.05, 0.1]))
+def test_pump_grid_ends_on_a_stop_the_step_divides(start, width, step):
+    # stop - start differs from width by float noise; the grid still ends on
+    # the stop, point for point as the rounded count gives
+    plan = ScanPlan(pump_start_nm=start, pump_stop_nm=start + width, pump_step_nm=step)
+    grid = plan.pump_grid_nm()
+    assert grid.size == round(width / step) + 1
+    assert np.array_equal(grid, _rounded_grid(plan))
+
+
 def test_tracking_schedule_tracked(cfg, wg3):
     sched = spectrometer.vbg_tracking_schedule(cfg.scan, wg3, cfg.vbg)
     assert sched.mode == "tracked"
