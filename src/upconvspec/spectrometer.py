@@ -88,11 +88,10 @@ class TrackingSchedule:
 def _map_and_setpoint(pump, plan, wg):
     """(phase-matched signal at each pump, scan-center pump, fixed VBG setpoint).
 
-    The scan-center pump is the plan's nominal centre 0.5 (start + stop),
-    also when the step does not divide the window; a fixed VBG is parked at
-    its phase-matched SFG wavelength.  It is solved as one more point of the
-    same tuning-map solve; the solve is elementwise, so its root is the one
-    a solve of its own would give.
+    The scan-center pump, where a fixed VBG is parked at the phase-matched
+    SFG wavelength, is solved as one more point of the same tuning-map
+    solve; the solve is elementwise, so its root is the one a solve of its
+    own would give.
     """
     center_pump = 0.5 * (plan.pump_start_nm + plan.pump_stop_nm)
     sig = dispersion.phase_matched_signal(np.append(pump, center_pump), wg)

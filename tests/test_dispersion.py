@@ -215,6 +215,26 @@ def test_tuning_solve_stops_at_the_fixed_point(cfg, wg3, monkeypatch):
     assert 40 <= len(calls) - 1 <= 46 and set(calls) == {1201}
 
 
+def _two_end_bisection(f, lo, hi, iterations=80):
+    """_bisect_roots with its earlier stop test, which compared both lo and
+    hi with their updates."""
+    lo = np.array(lo, dtype=float, copy=True)
+    hi = np.array(hi, dtype=float, copy=True)
+    flo = f(lo)
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        take_lo = flo * fmid <= 0.0
+        new_hi = np.where(take_lo, mid, hi)
+        new_lo = np.where(take_lo, lo, mid)
+        if (np.array_equal(new_lo.view(np.int64), lo.view(np.int64))
+                and np.array_equal(new_hi.view(np.int64), hi.view(np.int64))):
+            break
+        hi, lo = new_hi, new_lo
+        flo = np.where(take_lo, flo, fmid)
+    return 0.5 * (lo + hi)
+
+
 _EDGES = st.tuples(st.floats(1400.0, 1700.0), st.floats(0.0, 2.0), st.floats(0.0, 1.0))
 
 
@@ -236,48 +256,7 @@ def test_early_exit_bisection_gives_the_bits_of_80_steps(wg3, brackets, slope, t
         root = lo + np.array([b[1] * b[2] for b in brackets])
         def f(x):
             return slope * (x - root)
-    got = dispersion._bisect_roots(f, lo, hi)
-    want = tuning_oracle.bisect_roots(f, lo, hi)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-def _two_end_bisection(f, lo, hi, iterations=80):
-    """Early-exit bisection that compares lo and hi with their updates."""
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    flo = f(lo)
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        take_lo = flo * fmid <= 0.0
-        new_hi = np.where(take_lo, mid, hi)
-        new_lo = np.where(take_lo, lo, mid)
-        if (np.array_equal(new_lo.view(np.int64), lo.view(np.int64))
-                and np.array_equal(new_hi.view(np.int64), hi.view(np.int64))):
-            break
-        hi, lo = new_hi, new_lo
-        flo = np.where(take_lo, flo, fmid)
-    return 0.5 * (lo + hi)
-
-
-@settings(max_examples=150, deadline=None)
-@given(brackets=st.lists(_EDGES, min_size=1, max_size=8), slope=st.floats(-3.0, 3.0),
-       tuning=st.booleans(), iterations=st.sampled_from([80, 30, 3]))
-@example(brackets=[(1550.0, 1.0, 0.0), (1551.0, 0.0, 0.5), (1449.5, 1.0, 0.3)], slope=1.0,
-         tuning=False, iterations=80)
-def test_one_comparison_stops_where_both_ends_stopped(wg3, brackets, slope, tuning, iterations):
-    # mid replaces one end of each bracket, so "the replaced end already has
-    # mid's bits" is "no end changes": same bits, same number of steps
-    lo = np.array([b[0] for b in brackets])
-    hi = lo + np.array([b[1] for b in brackets])
-    if tuning:
-        pump = np.linspace(1920.0, 1980.0, lo.size)
-        f = dispersion._mismatch_against(pump, wg3, "signal")
-    else:
-        root = lo + np.array([b[1] * b[2] for b in brackets])
-        def f(x):
-            return slope * (x - root)
-    steps = {"got": 0, "want": 0}
+    steps = {"got": 0, "two ends": 0}
 
     def counted(key):
         def g(x):
@@ -285,10 +264,14 @@ def test_one_comparison_stops_where_both_ends_stopped(wg3, brackets, slope, tuni
             return f(x)
         return g
 
-    got = dispersion._bisect_roots(counted("got"), lo, hi, iterations)
-    want = _two_end_bisection(counted("want"), lo, hi, iterations)
-    assert np.array_equal(_bits(got), _bits(want))
-    assert steps["got"] == steps["want"]
+    got = dispersion._bisect_roots(counted("got"), lo, hi)
+    want = tuning_oracle.bisect_roots(f, lo, hi)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # mid replaces one end of each bracket, so "the replaced end already has
+    # mid's bits" is "no end changes": the same stop after as many steps
+    two_ends = _two_end_bisection(counted("two ends"), lo, hi)
+    assert np.array_equal(got.view(np.int64), two_ends.view(np.int64))
+    assert steps["got"] == steps["two ends"]
 
 
 def test_efficiency_factor_peak_and_nulls(wg3):
