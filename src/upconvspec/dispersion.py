@@ -275,9 +275,14 @@ def _band_mismatch(signal_nm, cols, pump_nm, wg):
 
 
 def efficiency_factor(delta_k_per_um, length_mm):
-    """Normalized conversion lineshape sinc^2(dk*L/2), peak 1 at dk = 0."""
+    """Normalized conversion lineshape sinc^2(dk*L/2), peak 1 at dk = 0.
+
+    sinc x = sin(x) / x, exactly 1 at x = 0 (np.sinc would take x / pi only
+    to multiply by pi again).
+    """
     x = np.asarray(delta_k_per_um, dtype=float) * (length_mm * 1e3) / 2.0
-    out = np.sinc(x / np.pi) ** 2
+    out = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+    out *= out
     return float(out) if np.ndim(delta_k_per_um) == 0 else out
 
 
