@@ -89,9 +89,10 @@ def _as_points(points, what):
         raise FitError(f"{what}: need at least two (power_mw, value) pairs")
     if np.any(pts[:, 0] < 0):
         raise FitError(f"{what}: negative pump power in calibration points")
-    if len(np.unique(pts[:, 0])) != len(pts):
+    pts = pts[np.argsort(pts[:, 0])]
+    if np.any(np.diff(pts[:, 0]) == 0):  # not np.unique: it loads numpy.ma
         raise FitError(f"{what}: duplicate pump powers in calibration points")
-    return pts[np.argsort(pts[:, 0])]
+    return pts
 
 
 def fit_conversion(points):

@@ -15,10 +15,14 @@ zero.  Entries that fall below 1e-16 x the largest (or below the smallest
 normal double) are set to zero after every step: RL cannot regrow them, and
 left alone they go subnormal and make every later step several times
 slower.  Once a fifth or more of the columns are zero they are dropped from
-the products.  RL runs on count rates with the kernel's sparse, dwell-free
-operator (ResponseKernel.rl_operator, built once per kernel), so an
-iteration costs the band's nonzeros and a call builds nothing.
+the products.  RL runs on count rates with the kernel's dwell-free operator
+(ResponseKernel.rl_operator, built once per kernel), so a call builds
+nothing: dense blocks of consecutive band rows while every column is live,
+and from the first compaction on the kernel's CSR of the same weights
+(RLOperator.csr, built by the first call that compacts), sliced to the live
+columns.  Only that CSR loads scipy.sparse.
 """
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +36,14 @@ _MIN_BASELINE_POINTS = 5
 _FLUSH_REL = 1e-16  # RL entries below this x the largest are set to zero
 _TINY = np.finfo(float).tiny  # ... as is anything below the smallest normal
 _COMPACT_FRAC = 0.8  # drop zero columns once this share or fewer are live
+
+
+def _median(values):
+    """np.median of a nonempty 1-D array, without the numpy.ma import that
+    np.median makes on its first call."""
+    s = np.sort(values)
+    mid = s.size // 2
+    return float(s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2)
 
 
 def estimate_background(result, noise_model=None):
@@ -59,7 +71,7 @@ def estimate_background(result, noise_model=None):
         raise BackgroundError(reason + " and no noise model was supplied")
 
     keep = np.ones(rates.size, dtype=bool)
-    mu = float(np.median(rates))
+    mu = _median(rates)
     for _ in range(50):
         if mu < 0:
             mu = 0.0
@@ -121,16 +133,23 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
     A step from y keeps the flux sum(M x) equal to the data's, as plain RL
     does.  Entries below max(1e-16 max(x), smallest normal double) are
     flushed to zero; once 80 % or fewer of the columns are nonzero, the
-    zero ones leave the forward and back products, which changes no result.
+    zero ones leave the forward and back products.  The products move from
+    the operator's row blocks to its CSR there, which sums in another order,
+    so results move at the last-bit level.
 
     The estimate is supported on the kernel columns inside the scan's mapped
     signal range; columns with no band entry there make those bands
     unrecoverable and raise UnrecoverableBandError (from rl_operator).
     """
-    for name, value in (("background_cps", background_cps),
-                        ("discrepancy_target", discrepancy_target)):
-        if value is not None and not (np.isfinite(value) and value >= 0):
+    scalars = {"discrepancy_target": discrepancy_target}
+    if background_cps is not None:  # None: estimated from the scan
+        scalars["background_cps"] = background_cps
+    for name, value in scalars.items():
+        if not (isinstance(value, numbers.Real) and np.isfinite(value) and value >= 0):
             raise DomainError(f"{name} must be finite and nonnegative, got {value}")
+    if (isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral)
+            or max_iters < 1):
+        raise DomainError(f"max_iters must be an integer of at least 1, got {max_iters}")
     d, _ = raw.observed()
     if d.size < 3:
         raise DomainError("scan shorter than 3 points cannot be deconvolved")
@@ -145,15 +164,16 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
             f"scan VBG setpoints are off the {kernel.vbg_tracking}-VBG kernel's by up "
             f"to {off:.6g} nm; use the kernel built for this scan"
         )
-    if max_iters < 1:
-        raise DomainError("max_iters must be at least 1")
 
     if background_cps is None:
         background_cps = estimate_background(raw, noise_model=noise_model)
     dwell = raw.plan.dwell_s
     bg_counts = background_cps * dwell
     rates = np.maximum(d - bg_counts, 0.0) / dwell
-    support, back, norm = kernel.rl_operator
+    op = kernel.rl_operator
+    support, norm = op.support, op.norm
+    fwd, back = op.forward, op.back  # row blocks while every column is live
+    csr = None
     grid = kernel.signal_grid_nm
 
     def discrepancy(model):
@@ -173,8 +193,7 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
         )
 
     x = np.full(support.size, total / norm.sum())
-    fwd = back.T  # forward operator on the live columns
-    model = fwd @ x
+    model = fwd(x)
     x_prev = g_prev = None
     alpha = 0.0
     chi2_prev = np.inf
@@ -185,17 +204,17 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
             # Log-space extrapolation along the last step: y stays positive
             # wherever x is, and a zero stays zero.
             y = x * np.divide(x, x_prev, out=np.ones_like(x), where=x > 0.0) ** alpha
-            model_y = fwd @ y
+            model_y = fwd(y)
         else:
             y, model_y = x, model
         ratio = np.divide(rates, model_y, out=np.zeros_like(model_y), where=model_y > 0.0)
-        x_new = y * (back @ ratio) / norm
+        x_new = y * back(ratio) / norm
         flushed = x_new < max(_FLUSH_REL * x_new.max(initial=0.0), _TINY)
         x_new[flushed] = 0.0
         g = x_new - y
         g[flushed] = 0.0
         dx = x_new - x
-        model = fwd @ x_new  # also the next iteration's model
+        model = fwd(x_new)  # also the next iteration's model
         chi2 = discrepancy(model)
         if g_prev is not None and chi2 <= chi2_prev:
             gg = float(g_prev @ g_prev)
@@ -210,12 +229,13 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
             stop_reason = "stagnation"
             break
         if np.count_nonzero(flushed) >= (1.0 - _COMPACT_FRAC) * x.size:
-            # Flushed columns stay zero: drop them from every product.
+            # Flushed columns stay zero: drop them from every product, which
+            # from here on run on the kernel's CSR, sliced to the live rows.
             live = ~flushed
             x, x_prev, g_prev, norm = x[live], x_prev[live], g_prev[live], norm[live]
             support = support[live]
-            back = back[live]
-            fwd = back.T
+            csr = (op.csr if csr is None else csr)[live]
+            fwd, back = csr.T.dot, csr.dot
 
     est[support] = x
     return DeconvolutionResult(

@@ -14,11 +14,13 @@ normalized so a phase-matched monochromatic input of power W with a tracked
 VBG produces eta(P) * W / (h nu) counts/s.  Each row is sharp around its
 phase-matched signal, so K is banded: a row is evaluated, stored and
 written only over a fixed-width window of columns around its VBG setpoint
-(ResponseKernel.band_start, band_values), and Richardson-Lucy runs on a
-sparse operator built from that band once per kernel (rl_operator).
+(ResponseKernel.band_start, band_values), and Richardson-Lucy runs on an
+operator built from that band once per kernel (rl_operator, an RLOperator):
+dense blocks of RL_BLOCK_ROWS consecutive rows, and a CSR of the same
+weights, built only when RL first drops columns.
 """
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,6 +34,7 @@ SIGNAL_GRID_STEP_NM = 0.02
 BAND_REL_TOL = 1e-12  # band keeps entries above this x their row's peak
 _GRID_PAD_NM = 1.5  # sinc^2 tails beyond the mapped range worth keeping
 _GRID_COUNT_TOL = 1e-9  # pump steps a window may fall short of a whole count
+RL_BLOCK_ROWS = 16  # kernel rows per dense block of the RL operator
 
 
 @dataclass(frozen=True)
@@ -169,6 +172,60 @@ def vbg_tracking_schedule(plan, wg, vbg):
 
 
 @dataclass(frozen=True)
+class RLOperator:
+    """A kernel's band as Richardson-Lucy applies it: count rates [cps] from
+    a density [W/nm] on the support columns, and back.
+
+    Block b holds kernel rows b*RL_BLOCK_ROWS onward (the last block is
+    padded with zero rows), dense over the consecutive support columns
+    columns[b], which cover every support column those rows reach.  Entries
+    are the band times the grid weights; the band's columns outside the
+    support are left out.  norm is the column sums, back(1).  The arrays
+    are read-only.  csr, the same weights as a CSR matrix with one row per
+    support column and no explicit zeros, is built on first use: only it
+    loads scipy.sparse.
+    """
+
+    support: np.ndarray           # signal-grid columns inside the mapped range
+    blocks: np.ndarray            # n_blocks x RL_BLOCK_ROWS x width
+    columns: np.ndarray           # n_blocks x width support-relative columns
+    n_rows: int
+    norm: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "norm", self.back(np.ones(self.n_rows)))
+        for array in (self.support, self.blocks, self.columns, self.norm):
+            array.flags.writeable = False
+
+    def forward(self, x):
+        """Per-row sums of the weights times x, one value per kernel row."""
+        model = np.matmul(self.blocks, np.take(x, self.columns)[..., None])
+        return model.reshape(-1)[:self.n_rows]
+
+    def back(self, r):
+        """Per-column sums of the weights times r (one value per kernel row)."""
+        padded = np.zeros(self.blocks.shape[:2])
+        padded.reshape(-1)[:self.n_rows] = r
+        sums = np.matmul(self.blocks.transpose(0, 2, 1), padded[..., None])
+        return np.bincount(self.columns.reshape(-1), weights=sums.reshape(-1),
+                           minlength=self.support.size)
+
+    @functools.cached_property
+    def csr(self):
+        """The weights as a CSR matrix, support columns x kernel rows."""
+        from scipy import sparse
+
+        rows = self.blocks.reshape(-1, self.blocks.shape[2])[:self.n_rows]
+        keep = rows != 0.0
+        cols = np.repeat(self.columns, RL_BLOCK_ROWS, axis=0)[:self.n_rows][keep]
+        indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
+        csr = sparse.csr_matrix((rows[keep], cols, indptr),
+                                shape=(self.n_rows, self.support.size)).T.tocsr()
+        csr.data.flags.writeable = False
+        return csr
+
+
+@dataclass(frozen=True)
 class ResponseKernel:
     """Instrument response: counts/s per W of monochromatic input, as a band.
 
@@ -196,38 +253,41 @@ class ResponseKernel:
 
     @functools.cached_property
     def rl_operator(self):
-        """(support, back, norm): the read-only operator Richardson-Lucy runs on.
+        """The read-only RLOperator Richardson-Lucy runs on, built once per kernel.
 
-        support: the signal-grid columns inside the mapped signal range.
-        back: CSR, one row per support column, of the band times the grid
-        weights np.gradient(signal_grid_nm), without explicit zeros; back.T
-        maps a density [W/nm] to count rates [cps].  norm: back's row sums.
-        Built once per kernel (dataclasses.replace makes a new one); only
-        deconvolution loads scipy.sparse.  Raises DomainError for an empty
+        Its support is the signal-grid columns inside the mapped signal
+        range, and it holds the band times the grid weights
+        np.gradient(signal_grid_nm) there, zero elsewhere, as dense blocks
+        of RL_BLOCK_ROWS consecutive rows (dataclasses.replace makes a new
+        kernel, and so a new operator).  Raises DomainError for an empty
         support, UnrecoverableBandError naming each run of unreached columns.
         """
-        from scipy import sparse
-
         grid, mapped = self.signal_grid_nm, self.mapped_signal_nm
         support = np.flatnonzero((grid >= np.min(mapped)) & (grid <= np.max(mapped)))
         if support.size == 0:
             raise DomainError("the scan's mapped signal range holds no signal-grid points")
-        cols = self.band_columns
-        keep = (self.band_values != 0.0) & (cols >= support[0]) & (cols <= support[-1])
-        kept = cols[keep]
-        indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
-        fwd = sparse.csr_matrix(
-            (self.band_values[keep] * np.gradient(grid)[kept], kept - support[0], indptr),
-            shape=(self.pump_grid_nm.size, support.size))
-        back = fwd.T.tocsr()
-        norm = np.asarray(back.sum(axis=1)).ravel()
-        dead = support[norm <= 0.0]
+        n_rows, n_support = self.band_values.shape[0], support.size
+        cols = self.band_columns - support[0]  # support-relative
+        # one width for every block: the most support columns a block's rows reach
+        heads = np.arange(0, n_rows, RL_BLOCK_ROWS)
+        lo = np.minimum.reduceat(np.clip(cols[:, 0], 0, n_support), heads)
+        hi = np.maximum.reduceat(np.clip(cols[:, -1] + 1, 0, n_support), heads)
+        width = max(int(np.max(hi - lo)), 1)
+        first = np.minimum(lo, n_support - width)
+        # Scatter each row into its block's columns, with one spare column on
+        # either side: entries off the support all land there, and are cut.
+        pos = np.clip(cols - np.repeat(first - 1, RL_BLOCK_ROWS)[:n_rows, None], 0, width + 1)
+        wide = np.zeros((heads.size * RL_BLOCK_ROWS, width + 2))
+        np.put_along_axis(wide[:n_rows], pos,
+                          self.band_values * np.gradient(grid)[self.band_columns], axis=1)
+        op = RLOperator(support=support,
+                        blocks=wide[:, 1:-1].copy().reshape(heads.size, RL_BLOCK_ROWS, width),
+                        columns=first[:, None] + np.arange(width), n_rows=n_rows)
+        dead = support[op.norm <= 0.0]
         if dead.size:
             runs = np.split(dead, np.flatnonzero(np.diff(dead) > 1) + 1)
             raise UnrecoverableBandError([(float(grid[r[0]]), float(grid[r[-1]])) for r in runs])
-        for array in (support, back.data, norm):
-            array.flags.writeable = False
-        return support, back, norm
+        return op
 
     @functools.cached_property
     def matrix(self):

@@ -255,3 +255,22 @@ def test_deconvolve_validation(kernel, small_kernel, delta_scan):
                        sampled_counts=np.array([5] + [-1] * 120, dtype=np.int64))
     with pytest.raises(DomainError, match="negative counts"):
         inverse.deconvolve(negative, small_kernel, background_cps=0.0)
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"discrepancy_target": None}, "discrepancy_target must be finite and nonnegative"),
+    ({"max_iters": 2.5}, "max_iters must be an integer of at least 1, got 2.5"),
+    ({"max_iters": True}, "max_iters must be an integer of at least 1, got True"),
+], ids=["discrepancy-none", "max-iters-float", "max-iters-bool"])
+def test_deconvolve_rejects_an_argument_of_the_wrong_kind(small_kernel, delta_scan, kwargs,
+                                                          match):
+    _, scan = delta_scan
+    with pytest.raises(DomainError, match=match):
+        inverse.deconvolve(scan, small_kernel, background_cps=PEDESTAL_CPS, **kwargs)
+
+
+def test_deconvolve_takes_a_numpy_integer_iteration_cap(small_kernel, delta_scan):
+    _, scan = delta_scan
+    res = inverse.deconvolve(scan, small_kernel, max_iters=np.int64(3),
+                             discrepancy_target=0.0, background_cps=PEDESTAL_CPS)
+    assert res.iterations_used == 3

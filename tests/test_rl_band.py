@@ -1,23 +1,24 @@
 """Richardson-Lucy on the kernel's band against the dense reference loop.
 
-deconvolve runs RL on count rates with ResponseKernel.rl_operator: the CSR
-back-projection of the band times the grid weights on the support columns,
-without zeros, built once per kernel.  dense_rl is the loop as it ran on a
-dense matrix in counts, here the kernel's dense view; the two must agree in
-iteration count and stop reason, and in estimate and residual to a relative
-1e-9.  The band's dropped mass is checked against the dense oracle build,
-the operator's form against the dense view, and its reuse across dwells
-against a fresh kernel's.
+deconvolve runs RL on count rates with ResponseKernel.rl_operator: the band
+times the grid weights on the support columns, built once per kernel as
+dense blocks of consecutive rows, and as a CSR once RL drops columns.
+dense_rl is the loop as it ran on a dense matrix in counts, here the
+kernel's dense view; the two must agree in iteration count and stop reason,
+and in estimate and residual to a relative 1e-9.  The band's dropped mass is checked against the dense oracle build,
+the operator's form against the dense view, its block products against
+its CSR, and its reuse across dwells and calls against a fresh kernel's.
 """
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from dense_kernel import dense_kernel
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from upconvspec import inverse, spectra, spectrometer
+from upconvspec.errors import UnrecoverableBandError
 
 PEDESTAL_CPS = 42.385528808577135  # fitted noise model at 30 mW
 
@@ -130,20 +131,45 @@ def test_band_drops_negligible_mass(kernel_and_plan, cfg, wg3, models):
     assert np.count_nonzero(kern.band_values) < 0.1 * dense.size
 
 
+def _scattered(op):
+    """The operator's blocks put back at their columns: padded rows x support."""
+    n_blocks, rows, width = op.blocks.shape
+    dense = np.zeros((n_blocks * rows, op.support.size))
+    np.put_along_axis(dense, np.repeat(op.columns, rows, axis=0),
+                      op.blocks.reshape(-1, width), axis=1)
+    return dense
+
+
 def test_rl_operator_is_the_weighted_band_on_the_support(kernel_and_plan):
     _, kern = kernel_and_plan
-    support, back, norm = kern.rl_operator
+    op = kern.rl_operator
     grid = kern.signal_grid_nm
     mapped = kern.mapped_signal_nm
-    assert np.array_equal(support, np.flatnonzero((grid >= mapped.min())
-                                                  & (grid <= mapped.max())))
-    weighted = (kern.matrix * np.gradient(grid))[:, support]
-    assert back.format == "csr" and back.shape == (support.size, kern.pump_grid_nm.size)
-    assert np.array_equal(back.toarray(), weighted.T)
-    assert back.nnz == np.count_nonzero(weighted)  # no explicit zeros
-    assert np.array_equal(norm, np.asarray(back.sum(axis=1)).ravel())
-    assert np.all(norm > 0.0)
-    assert not any(a.flags.writeable for a in (support, back.data, norm))
+    n = kern.pump_grid_nm.size
+    assert np.array_equal(op.support, np.flatnonzero((grid >= mapped.min())
+                                                     & (grid <= mapped.max())))
+    weighted = (kern.matrix * np.gradient(grid))[:, op.support]
+    n_blocks, rows, width = op.blocks.shape
+    assert rows == spectrometer.RL_BLOCK_ROWS and n_blocks == -(-n // rows)
+    assert op.columns.shape == (n_blocks, width) and width <= op.support.size
+    assert np.all(np.diff(op.columns, axis=1) == 1)  # consecutive columns
+    assert op.columns.min() >= 0 and op.columns.max() < op.support.size
+    # every block entry sits at its own cell of the weighted band, and every
+    # band entry on the support is in its rows' block: zeros everywhere else
+    dense = _scattered(op)
+    assert np.array_equal(dense[:n], weighted)
+    assert not np.any(dense[n:])
+    assert np.count_nonzero(op.blocks) == np.count_nonzero(weighted)
+    assert np.array_equal(op.norm, op.back(np.ones(n)))
+    assert np.allclose(op.norm, weighted.sum(axis=0), rtol=1e-14, atol=0.0)
+    assert np.all(op.norm > 0.0)
+    assert not any(a.flags.writeable for a in (op.support, op.blocks, op.columns, op.norm))
+    # the CSR form: the same weights, one row per support column, no explicit zeros
+    csr = op.csr
+    assert csr.format == "csr" and csr.shape == (op.support.size, n)
+    assert np.array_equal(csr.toarray(), weighted.T)
+    assert csr.nnz == np.count_nonzero(weighted)
+    assert not csr.data.flags.writeable
 
 
 def test_band_is_rebuilt_for_a_replaced_kernel(small_kernel):
@@ -151,12 +177,43 @@ def test_band_is_rebuilt_for_a_replaced_kernel(small_kernel):
     tails = values < 1e-3 * values.max(axis=1, keepdims=True)
     other = replace(small_kernel, band_values=np.where(tails, 0.0, values))
     assert other.rl_operator is not small_kernel.rl_operator
-    (support, back, _), (_, other_back, _) = small_kernel.rl_operator, other.rl_operator
-    assert other_back.nnz < back.nnz
+    op, other_op = small_kernel.rl_operator, other.rl_operator
+    assert np.count_nonzero(other_op.blocks) < np.count_nonzero(op.blocks)
+    n = small_kernel.pump_grid_nm.size
     dropped = np.zeros(small_kernel.matrix.shape, dtype=bool)
     np.put_along_axis(dropped, small_kernel.band_columns, tails, axis=1)
-    assert np.any(back.toarray()[dropped[:, support].T] > 0.0)
-    assert not np.any(other_back.toarray()[dropped[:, support].T])
+    dropped = dropped[:, op.support]
+    assert np.any(_scattered(op)[:n][dropped] > 0.0)
+    assert not np.any(_scattered(other_op)[:n][dropped])
+
+
+@settings(max_examples=30, deadline=None)
+@given(tracking=st.sampled_from(["tracked", "fixed"]),
+       width_nm=st.one_of(st.floats(6.0, 60.0), st.floats(0.2, 2.0)),
+       step_nm=st.floats(0.02, 0.1), where=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(tracking="tracked", width_nm=0.3, step_nm=0.1, where=0.5, seed=1)
+@example(tracking="fixed", width_nm=1.0, step_nm=0.1, where=0.2, seed=2)
+def test_block_products_agree_with_the_csr(cfg, wg3, models, tracking, width_nm, step_nm,
+                                           where, seed):
+    # Widths under 2 nm give supports narrower than a block's columns (10
+    # support columns at 0.3 nm).  A fixed VBG parked for a wide window
+    # leaves support columns no row reaches: RL rejects those kernels.
+    start = 1920.0 + where * (60.0 - width_nm)
+    plan = replace(cfg.scan, pump_start_nm=start, pump_stop_nm=start + width_nm,
+                   pump_step_nm=step_nm, vbg_tracking=tracking)
+    kern = spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, models[0], plan)
+    try:
+        op = kern.rl_operator
+    except UnrecoverableBandError:
+        reject()
+    assert op.blocks.shape[2] <= op.support.size
+    rng = np.random.default_rng(seed)
+    x, r = rng.uniform(0.5, 1.5, op.support.size), rng.uniform(0.5, 1.5, op.n_rows)
+    csr = op.csr
+    for block, exact in ((op.forward(x), csr.T @ x), (op.back(r), csr @ r),
+                         (op.norm, np.asarray(csr.sum(axis=1)).ravel())):
+        assert block.shape == exact.shape
+        assert np.all(np.abs(block - exact) <= 1e-14 * np.abs(exact))
 
 
 def test_rl_operator_is_built_once_and_serves_every_dwell(small_kernel, small_plan, noise):
@@ -176,6 +233,27 @@ def test_rl_operator_is_built_once_and_serves_every_dwell(small_kernel, small_pl
     assert reused.iterations_used == fresh.iterations_used
     assert reused.stop_reason == fresh.stop_reason
     assert reused.residual_norm == fresh.residual_norm
+
+
+def test_csr_is_built_by_the_first_compaction_and_kept(cfg, kernel, noise):
+    kern = replace(kernel)
+    op = kern.rl_operator
+    grid = kern.signal_grid_nm
+    broad = spectra.multimode_ld_spectrum(grid, total_dbm=-100.0, center_nm=1550.0)
+    line = spectra.monochromatic_spectrum(grid, 1550.3, 1e-13)
+    scan = spectrometer.forward_scan(broad, kern, noise, replace(cfg.scan, seed=11))
+    inverse.deconvolve(scan, kern, noise_model=noise)
+    assert "csr" not in vars(op)  # no column was dropped
+    for dwell_s in (10.0, 100.0):
+        scan = spectrometer.forward_scan(line, kern, noise,
+                                         replace(cfg.scan, dwell_s=dwell_s, seed=11))
+        res = inverse.deconvolve(scan, kern, noise_model=noise)
+        assert res.stop_reason == "discrepancy_reached"
+        assert np.count_nonzero(res.estimate.values) < 0.8 * op.support.size
+        if dwell_s == 10.0:
+            csr = vars(op)["csr"]
+        assert vars(op)["csr"] is csr
+    assert kern.rl_operator is op
 
 
 @settings(max_examples=40, deadline=None)
