@@ -230,7 +230,8 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
             break
         if np.count_nonzero(flushed) >= (1.0 - _COMPACT_FRAC) * x.size:
             # Flushed columns stay zero: drop them from every product, which
-            # from here on run on the kernel's CSR, sliced to the live rows.
+            # from here on run on the operator's CSR (a row per column),
+            # sliced to the live ones.
             live = ~flushed
             x, x_prev, g_prev, norm = x[live], x_prev[live], g_prev[live], norm[live]
             support = support[live]
