@@ -5,9 +5,10 @@ times the grid weights on the support columns, built once per kernel as
 dense blocks of consecutive rows, and as a CSR once RL drops columns.
 dense_rl is the loop as it ran on a dense matrix in counts, here the
 kernel's dense view; the two must agree in iteration count and stop reason,
-and in estimate and residual to a relative 1e-9.  The band's dropped mass is checked against the dense oracle build,
-the operator's form against the dense view, its block products against
-its CSR, and its reuse across dwells and calls against a fresh kernel's.
+and in estimate and residual to a relative 1e-9.  The band's dropped mass
+is checked against the dense oracle build, the operator's form against the
+dense view, its block products against its CSR, and its reuse across dwells
+and calls against a fresh kernel's.
 """
 from dataclasses import replace
 
@@ -244,15 +245,15 @@ def test_csr_is_built_by_the_first_compaction_and_kept(cfg, kernel, noise):
     scan = spectrometer.forward_scan(broad, kern, noise, replace(cfg.scan, seed=11))
     inverse.deconvolve(scan, kern, noise_model=noise)
     assert "csr" not in vars(op)  # no column was dropped
-    for dwell_s in (10.0, 100.0):
+    built = []
+    for dwell_s in (10.0, 100.0):  # each compacts: most columns end at zero
         scan = spectrometer.forward_scan(line, kern, noise,
                                          replace(cfg.scan, dwell_s=dwell_s, seed=11))
         res = inverse.deconvolve(scan, kern, noise_model=noise)
         assert res.stop_reason == "discrepancy_reached"
         assert np.count_nonzero(res.estimate.values) < 0.8 * op.support.size
-        if dwell_s == 10.0:
-            csr = vars(op)["csr"]
-        assert vars(op)["csr"] is csr
+        built.append(vars(op)["csr"])
+    assert built[1] is built[0]
     assert kern.rl_operator is op
 
 
