@@ -138,6 +138,8 @@ def read_kernel_csv(path):
         raise DomainError(
             f"{path}: band_start must be whole column numbers in [0, {signal.size - width}]"
         )
+    if not np.all(np.isfinite(values) & (values >= 0.0)):
+        raise DomainError(f"{path}: band_values must be finite and nonnegative")
     tracking = _header(meta, "vbg_tracking", path)
     if tracking not in ("tracked", "fixed"):
         raise DomainError(f"{path}: vbg_tracking must be tracked|fixed, got {tracking!r}")
@@ -196,6 +198,12 @@ def read_scan_csv(path):
     if not np.array_equal(data[:, 0], plan.pump_grid_nm()):
         raise DomainError(f"{path}: pump_nm column is not the pump grid of its "
                           "pump_start_nm, pump_stop_nm and pump_step_nm headers")
+    rates, counts = data[:, 2], data[:, 3]
+    if not np.all(np.isfinite(rates) & (rates >= 0.0)):
+        raise DomainError(f"{path}: expected_rate_cps column must be finite and nonnegative")
+    # 2**53: the largest count the float64 column holds exactly
+    if not np.all((counts >= 0.0) & (counts <= 2.0**53) & (counts == np.floor(counts))):
+        raise DomainError(f"{path}: counts column must hold whole numbers in [0, 2**53]")
     sampled = meta.get("sampled")
     if sampled not in ("true", "false"):
         raise DomainError(f"{path}: missing or malformed '# sampled: true|false' header")
@@ -206,8 +214,8 @@ def read_scan_csv(path):
     result = ScanResult(
         plan=plan,
         signal_nm_mapped=data[:, 1],
-        expected_rate_cps=data[:, 2],
-        sampled_counts=data[:, 3].astype(np.int64),
+        expected_rate_cps=rates,
+        sampled_counts=counts.astype(np.int64),
         vbg_centers_nm=centers,
         noise_rate_cps=_header(meta, "noise_rate_cps", path, float),
         sampled=sampled == "true",

@@ -18,6 +18,12 @@ written only over a fixed-width window of columns around its VBG setpoint
 operator built from that band once per kernel (rl_operator, an RLOperator):
 dense blocks of RL_BLOCK_ROWS consecutive rows, and a CSR of the same
 weights, built only when RL first drops columns.
+
+The kernel is also the one record of what a plan covers.  Each column's
+peak response (ResponseKernel.column_peak) decides whether every support
+column is reached (ResponseKernel.support, which forward_scan and
+rl_operator both check), and gives the fixed-VBG usable span, read from
+one plan's fixed- and tracked-VBG kernels (fixed_vbg_usable_span).
 """
 import functools
 from dataclasses import dataclass, field, replace
@@ -82,93 +88,55 @@ class TrackingSchedule:
 
     signal_nm: np.ndarray         # phase-matched signal at each scan point
     centers_nm: np.ndarray        # VBG setpoint at each scan point
-    tracking_required: bool       # SFG drifts by more than the VBG FWHM
-    fixed_center_nm: float        # where a fixed VBG is parked
-    sfg_drift_nm: float           # full phase-matched SFG drift across the scan
-    mode: str
-
-
-def _map_and_setpoint(pump, plan, wg):
-    """(phase-matched signal at each pump, scan-center pump, fixed VBG setpoint).
-
-    The scan-center pump, where a fixed VBG is parked at the phase-matched
-    SFG wavelength, is solved as one more point of the same tuning-map
-    solve; the solve is elementwise, so its root is the one a solve of its
-    own would give.
-    """
-    center_pump = 0.5 * (plan.pump_start_nm + plan.pump_stop_nm)
-    sig = dispersion.phase_matched_signal(np.append(pump, center_pump), wg)
-    fixed_center = float(dispersion.sfg_wavelength(sig[-1], center_pump))
-    return sig[:-1], center_pump, fixed_center
-
-
-def fixed_vbg_usable_span(plan, wg, vbg):
-    """Signal span [nm] a fixed VBG covers at >= half the tracked sensitivity.
-
-    For a line at each probe signal wavelength, the detected peak rate with
-    the VBG parked at the scan-center SFG wavelength is the maximum over
-    pump of sinc^2(dk L/2) x VBG(sfg); tracked operation scores the full VBG
-    peak there.  The usable span is the contiguous mapped-signal band around
-    scan center where the fixed/tracked sensitivity ratio stays >= 1/2.
-    The QPM acceptance width matters here: the upconverted line is several
-    times wider than the VBG, so a line stays usable well after its nominal
-    center has left the VBG passband.  The 601 probe pumps and the
-    scan-center pump are solved in one tuning-map solve.  Returns (span,
-    fixed setpoint).  A feasibility report: building a kernel does not
-    need it.
-    """
-    probe_pump = np.linspace(plan.pump_start_nm, plan.pump_stop_nm, 601)
-    probe_sig, center_pump, fixed_center = _map_and_setpoint(probe_pump, plan, wg)
-
-    # maximize the line x gate product over pump detuning around each probe
-    off = np.linspace(-3.0, 3.0, 241)
-    q = probe_pump[:, None] + off[None, :]
-    dk = dispersion.qpm_mismatch(probe_sig[:, None], q, wg)
-    line = dispersion.efficiency_factor(dk, wg.length_mm)
-    gate = vbg_transmission(vbg, dispersion.sfg_wavelength(probe_sig[:, None], q),
-                            center_nm=fixed_center)
-    ratio = np.max(line * gate, axis=1) / vbg.peak_reflectance
-
-    ok = ratio >= 0.5
-    i0 = int(np.argmin(np.abs(probe_pump - center_pump)))
-    if not ok[i0]:
-        return 0.0, fixed_center
-    lo = i0
-    while lo > 0 and ok[lo - 1]:
-        lo -= 1
-    hi = i0
-    while hi < ok.size - 1 and ok[hi + 1]:
-        hi += 1
-    return float(abs(probe_sig[hi] - probe_sig[lo])), fixed_center
 
 
 def vbg_tracking_schedule(plan, wg, vbg):
     """Solve the scan's tuning map and decide the VBG setpoint at each point.
 
     tracked: each point's setpoint is the phase-matched SFG wavelength.
-    fixed: one setpoint at the scan-center SFG wavelength for every point.
-    This is the one tuning-map solve a kernel build makes: the scan's n
-    pumps and the scan-center pump (for the fixed setpoint) are solved
-    together on n + 1 points.  The fixed-VBG usable span is a separate
-    report (fixed_vbg_usable_span).
+    fixed: one setpoint for every point, the phase-matched SFG wavelength at
+    the scan-centre pump 0.5 (start + stop).  This is the one tuning-map
+    solve a kernel build makes: the scan's n pumps and the scan-centre pump
+    are solved together on n + 1 points.  The solve is elementwise, so the
+    centre's root is the one a solve of its own would give.
     """
     pump = plan.pump_grid_nm()
-    sig, _, fixed_center = _map_and_setpoint(pump, plan, wg)
-    sfg = dispersion.sfg_wavelength(sig, pump)
-
-    drift = float(np.max(sfg) - np.min(sfg))
-
-    centers = sfg if plan.vbg_tracking == "tracked" else np.full_like(pump, fixed_center)
+    center_pump = 0.5 * (plan.pump_start_nm + plan.pump_stop_nm)
+    sig = dispersion.phase_matched_signal(np.append(pump, center_pump), wg)
+    if plan.vbg_tracking == "tracked":
+        centers = dispersion.sfg_wavelength(sig[:-1], pump)
+    else:
+        centers = np.full_like(pump, float(dispersion.sfg_wavelength(sig[-1], center_pump)))
     lo_nm, hi_nm = vbg.tuning_range_nm
     if np.any(centers < lo_nm) or np.any(centers > hi_nm):
         bad = centers[(centers < lo_nm) | (centers > hi_nm)]
         raise TuningError(
             f"VBG setpoint {bad[0]:.3f} nm outside tuning range [{lo_nm}, {hi_nm}] nm"
         )
-    return TrackingSchedule(
-        signal_nm=sig, centers_nm=centers, tracking_required=bool(drift > vbg.fwhm_nm),
-        fixed_center_nm=fixed_center, sfg_drift_nm=drift, mode=plan.vbg_tracking,
-    )
+    return TrackingSchedule(signal_nm=sig[:-1], centers_nm=centers)
+
+
+def fixed_vbg_usable_span(fixed, tracked):
+    """Signal span [nm] a fixed VBG covers at >= half the tracked sensitivity.
+
+    fixed and tracked are one plan's kernels in the two VBG modes.  The span
+    is the contiguous run of signal-grid columns, around the scan-centre
+    row's mapped signal, where the fixed kernel's column_peak is at least
+    half the tracked one's (0.0 if the centre column falls short).  The
+    upconverted line is several times wider than the VBG, so a line stays
+    usable after its centre has left the passband.  Solves nothing.
+    """
+    grid, peak, mapped = fixed.signal_grid_nm, fixed.column_peak, fixed.mapped_signal_nm
+    if ((fixed.vbg_tracking, tracked.vbg_tracking) != ("fixed", "tracked")
+            or not np.array_equal(grid, tracked.signal_grid_nm)):
+        raise DomainError("fixed_vbg_usable_span needs one plan's fixed- and tracked-VBG "
+                          "kernels, in that order")
+    ok = (peak > 0.0) & (peak >= 0.5 * tracked.column_peak)
+    j = int(np.argmin(np.abs(grid - mapped[mapped.size // 2])))
+    # columns that fall short, with sentinels at -1 and grid.size around the run
+    short = np.flatnonzero(~np.concatenate(([False], ok, [False]))) - 1
+    k = np.searchsorted(short, j)
+    return float(grid[short[k] - 1] - grid[short[k - 1] + 1]) if ok[j] else 0.0
 
 
 @dataclass(frozen=True)
@@ -252,20 +220,42 @@ class ResponseKernel:
         return self.band_start[:, None] + np.arange(self.band_values.shape[1])
 
     @functools.cached_property
-    def rl_operator(self):
-        """The read-only RLOperator Richardson-Lucy runs on, built once per kernel.
+    def column_peak(self):
+        """Read-only largest band entry of each signal-grid column: the peak
+        rate [cps/W] a line at that column gives as the pump scans."""
+        peak = np.zeros(self.signal_grid_nm.size)
+        np.maximum.at(peak, self.band_columns.ravel(), self.band_values.ravel())  # 1-D: fast path
+        peak.flags.writeable = False
+        return peak
 
-        Its support is the signal-grid columns inside the mapped signal
-        range, and it holds the band times the grid weights
-        np.gradient(signal_grid_nm) there, zero elsewhere, as dense blocks
-        of RL_BLOCK_ROWS consecutive rows (dataclasses.replace makes a new
-        kernel, and so a new operator).  Raises DomainError for an empty
+    @functools.cached_property
+    def support(self):
+        """The read-only signal-grid columns inside the mapped signal range,
+        each reached by some row's band (column_peak > 0), which rl_operator
+        and forward_scan both check.  Raises DomainError for an empty
         support, UnrecoverableBandError naming each run of unreached columns.
         """
         grid, mapped = self.signal_grid_nm, self.mapped_signal_nm
         support = np.flatnonzero((grid >= np.min(mapped)) & (grid <= np.max(mapped)))
         if support.size == 0:
             raise DomainError("the scan's mapped signal range holds no signal-grid points")
+        dead = support[self.column_peak[support] <= 0.0]
+        if dead.size:
+            runs = np.split(dead, np.flatnonzero(np.diff(dead) > 1) + 1)
+            raise UnrecoverableBandError([(float(grid[r[0]]), float(grid[r[-1]])) for r in runs])
+        support.flags.writeable = False
+        return support
+
+    @functools.cached_property
+    def rl_operator(self):
+        """The read-only RLOperator Richardson-Lucy runs on, built once per kernel.
+
+        It holds the band times the grid weights np.gradient(signal_grid_nm)
+        on the checked support (so it raises what support raises), zero
+        elsewhere, as dense blocks of RL_BLOCK_ROWS consecutive rows
+        (dataclasses.replace makes a new kernel, and so a new operator).
+        """
+        grid, support = self.signal_grid_nm, self.support
         n_rows, n_support = self.band_values.shape[0], support.size
         cols = self.band_columns - support[0]  # support-relative
         # one width for every block: the most support columns a block's rows reach
@@ -280,14 +270,9 @@ class ResponseKernel:
         wide = np.zeros((heads.size * RL_BLOCK_ROWS, width + 2))
         np.put_along_axis(wide[:n_rows], pos,
                           self.band_values * np.gradient(grid)[self.band_columns], axis=1)
-        op = RLOperator(support=support,
-                        blocks=wide[:, 1:-1].copy().reshape(heads.size, RL_BLOCK_ROWS, width),
-                        columns=first[:, None] + np.arange(width), n_rows=n_rows)
-        dead = support[op.norm <= 0.0]
-        if dead.size:
-            runs = np.split(dead, np.flatnonzero(np.diff(dead) > 1) + 1)
-            raise UnrecoverableBandError([(float(grid[r[0]]), float(grid[r[-1]])) for r in runs])
-        return op
+        return RLOperator(support=support,
+                          blocks=wide[:, 1:-1].copy().reshape(heads.size, RL_BLOCK_ROWS, width),
+                          columns=first[:, None] + np.arange(width), n_rows=n_rows)
 
     @functools.cached_property
     def matrix(self):
@@ -449,9 +434,12 @@ def forward_scan(spectrum, kernel, noise_model, plan, sample=True):
     Point i draws from its own stream, spawned from the plan seed with key
     (i,), so its count depends only on the seed, i and its expected count:
     never on the other points or on the order of evaluation.  The kernel
-    must be the plan's (check_plan_fits); the scan carries the plan.
+    must be the plan's (check_plan_fits), and it must reach every column of
+    its support (ResponseKernel.support), so no scan is made that
+    deconvolve cannot invert; the scan carries the plan.
     """
     check_plan_fits(plan, kernel)
+    kernel.support  # raises DomainError or UnrecoverableBandError
     rates = expected_rates(spectrum, kernel, noise_model, plan.pump_power_mw)
     counts = (poisson_counts(rates * plan.dwell_s, plan.seed) if sample
               else np.zeros(rates.size, dtype=np.int64))

@@ -377,6 +377,36 @@ def test_scan_with_a_negative_seed_is_a_domain_error(tmp_path, capsys):
     assert "seed must be a nonnegative integer" in capsys.readouterr().err
 
 
+def test_scan_refuses_a_plan_deconvolve_cannot_invert(scan_workdir, tmp_path, capsys):
+    # the bundled plan with the VBG parked leaves 45 support columns that no
+    # row reaches: the scan used to be written, and deconvolve of it exit 4
+    work, _ = scan_workdir
+    scan, kernel = tmp_path / "scan.csv", tmp_path / "kernel.csv"
+    code, text = run_cli(["scan", "--input", str(work / "input.csv"), "--out", str(scan),
+                          "--tracking", "fixed", "--write-kernel", str(kernel)])
+    assert code == 4 and text == ""
+    assert "kernel has no response in: [1570.020, 1570.900] nm" in capsys.readouterr().err
+    assert not scan.exists() and not kernel.exists()
+
+
+def test_deconvolve_rejects_a_kernel_file_with_a_negative_entry(scan_workdir, tmp_path,
+                                                                capsys):
+    # a -1e17 band entry used to read, and deconvolve exited 0 on it
+    work, _ = scan_workdir
+    lines = (work / "kernel.csv").read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if line.startswith("pump_nm,")) + 1
+    cells = lines[row].split(",")
+    cells[5] = "-1e+17"
+    lines[row] = ",".join(cells)
+    bad = tmp_path / "kernel_negative.csv"
+    bad.write_text("".join(lines))
+    capsys.readouterr()
+    code, _ = run_cli(["deconvolve", "--raw", str(work / "scan.csv"), "--kernel", str(bad),
+                       "--out", str(tmp_path / "est.csv")])
+    assert code == 4
+    assert f"{bad}: band_values must be finite and nonnegative" in capsys.readouterr().err
+
+
 def test_scan_rejects_an_input_that_is_not_w_per_nm(tmp_path, capsys):
     src = tmp_path / "rates.csv"
     src.write_text("wavelength_nm,rate_counts_per_s\n1549.0,1.0\n1550.0,2.0\n1551.0,1.0\n")

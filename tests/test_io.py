@@ -162,6 +162,53 @@ def test_kernel_csv_band_start_must_fit_the_grid(tmp_path, scan_and_kernel):
             uio.read_kernel_csv(path)
 
 
+@pytest.mark.parametrize("value", [-1e17, np.nan, np.inf], ids=["negative", "nan", "inf"])
+def test_kernel_csv_band_values_must_be_finite_and_nonnegative(tmp_path, scan_and_kernel,
+                                                               value):
+    # a -1e17 entry used to read, and deconvolve ran on it
+    _, _, kern = scan_and_kernel
+    values = kern.band_values.copy()
+    values[60, 30] = value
+    path = tmp_path / "k.csv"
+    uio.write_kernel_csv(path, replace(kern, band_values=values))
+    with pytest.raises(DomainError, match=f"{path}: band_values must be finite and nonnegative"):
+        uio.read_kernel_csv(path)
+
+
+def _set_scan_cell(path, column, text):
+    """Rewrite one cell of a scan CSV's first data row."""
+    lines = path.read_text().splitlines(keepends=True)
+    head = next(i for i, line in enumerate(lines) if line.startswith("pump_nm,"))
+    cells = lines[head + 1].rstrip("\n").split(",")
+    cells[lines[head].rstrip("\n").split(",").index(column)] = text
+    lines[head + 1] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("column,text,message", [
+    ("counts", "3.7", "counts column must hold whole numbers"),
+    ("counts", "nan", "counts column must hold whole numbers"),
+    ("counts", "-1", "counts column must hold whole numbers"),
+    ("counts", "inf", "counts column must hold whole numbers"),
+    ("counts", "1e19", "counts column must hold whole numbers"),
+    ("expected_rate_cps", "nan", "expected_rate_cps column must be finite and nonnegative"),
+    ("expected_rate_cps", "-0.5", "expected_rate_cps column must be finite and nonnegative"),
+    ("expected_rate_cps", "inf", "expected_rate_cps column must be finite and nonnegative"),
+])
+def test_scan_csv_counts_and_rates_are_checked_at_read(tmp_path, scan_and_kernel, column,
+                                                       text, message):
+    # 3.7 counts used to read as 3, a nan count to warn on the cast (an error
+    # under the suite's warning filter), and a nan rate to fail only in
+    # deconvolve, naming the estimate
+    _, result, _ = scan_and_kernel
+    path = tmp_path / "r.csv"
+    for sampled in (True, False):
+        uio.write_scan_csv(path, replace(result, sampled=sampled))
+        _set_scan_cell(path, column, text)
+        with pytest.raises(DomainError, match=f"{path}: {message}"):
+            uio.read_scan_csv(path)
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # zeros, subnormals, ordinary values and values near the top of the range
 _ENTRY = st.one_of(st.just(0.0), st.floats(0.0, 2.2250738585072014e-308),
@@ -250,7 +297,8 @@ def scan_results(draw):
     return ScanResult(
         plan=plan,
         signal_nm_mapped=floats(),
-        expected_rate_cps=floats(st.one_of(_ENTRY, _FINITE)),
+        # a rate is finite and nonnegative; -0.0 keeps the sign bit checked
+        expected_rate_cps=floats(st.one_of(_ENTRY, st.just(-0.0))),
         # counts are parsed through a float64 column: exact up to 2**53
         sampled_counts=np.array(draw(st.lists(st.integers(0, 2**53), min_size=n,
                                               max_size=n)), dtype=np.int64),

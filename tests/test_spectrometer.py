@@ -1,4 +1,5 @@
 """Kernel construction, VBG tracking schedules, forward scans, resolution."""
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from upconvspec import components, dispersion, inverse, spectra, spectrometer
 from upconvspec import io as uio
 from upconvspec.components import VbgState
 from upconvspec.conversion import NoiseModel
-from upconvspec.errors import DomainError, TuningError
+from upconvspec.errors import DomainError, TuningError, UnrecoverableBandError
 from upconvspec.spectrometer import ResponseKernel, ScanPlan
 from upconvspec.units import photon_energy_j
 
@@ -71,29 +72,74 @@ def test_pump_grid_ends_on_a_stop_the_step_divides(start, width, step):
     assert np.array_equal(grid, _rounded_grid(plan))
 
 
-def test_tracking_schedule_tracked(cfg, wg3):
+def _fixed_and_tracked(cfg, wg, models, plan=None):
+    """One plan's kernels with the VBG parked and tracked, in that order."""
+    plan = plan or cfg.scan
+    return tuple(spectrometer.build_kernel(wg, cfg.filters, cfg.vbg, models[0],
+                                           replace(plan, vbg_tracking=mode))
+                 for mode in ("fixed", "tracked"))
+
+
+def test_tracking_schedule_tracked(cfg, wg3, models):
+    # the drift, the parked setpoint and the span are kernel values
     sched = spectrometer.vbg_tracking_schedule(cfg.scan, wg3, cfg.vbg)
-    assert sched.mode == "tracked"
-    assert sched.tracking_required  # drift is ~9x the VBG linewidth
-    assert sched.sfg_drift_nm == pytest.approx(0.43139403230463813, abs=1e-9)
-    assert sched.fixed_center_nm == pytest.approx(863.5714285714264, abs=1e-9)
-    span, center = spectrometer.fixed_vbg_usable_span(cfg.scan, wg3, cfg.vbg)
-    assert span == pytest.approx(18.280619242535522, abs=1e-6)
-    assert center == sched.fixed_center_nm
+    fixed, tracked = _fixed_and_tracked(cfg, wg3, models)
+    assert tracked.vbg_tracking == "tracked"
+    assert np.array_equal(tracked.vbg_centers_nm, sched.centers_nm)
+    drift = np.ptp(tracked.vbg_centers_nm)
+    assert drift > cfg.vbg.fwhm_nm  # drift is ~9x the VBG linewidth
+    assert drift == pytest.approx(0.43139403230463813, abs=1e-9)
+    assert fixed.vbg_centers_nm[0] == pytest.approx(863.5714285714264, abs=1e-9)
+    span = spectrometer.fixed_vbg_usable_span(fixed, tracked)
+    assert span == pytest.approx(18.319999999999936, abs=1e-6)
     pump = cfg.scan.pump_grid_nm()
     sig = dispersion.phase_matched_signal(pump, wg3)
     assert np.array_equal(sched.signal_nm, sig)
     assert np.allclose(sched.centers_nm, dispersion.sfg_wavelength(sig, pump), atol=1e-12)
 
 
-def test_tracking_schedule_single_anchor_drifts_more(cfg, wg1, wg3):
-    s1 = spectrometer.vbg_tracking_schedule(cfg.scan, wg1, cfg.vbg)
-    s3 = spectrometer.vbg_tracking_schedule(cfg.scan, wg3, cfg.vbg)
-    assert s1.sfg_drift_nm == pytest.approx(1.4447909579038196, abs=1e-9)
-    assert s1.sfg_drift_nm > s3.sfg_drift_nm
-    span1, _ = spectrometer.fixed_vbg_usable_span(cfg.scan, wg1, cfg.vbg)
-    assert span1 == pytest.approx(4.378835983633053, abs=1e-6)
-    assert s1.tracking_required
+def test_tracking_schedule_single_anchor_drifts_more(cfg, wg1, wg3, models):
+    fixed1, tracked1 = _fixed_and_tracked(cfg, wg1, models)
+    _, tracked3 = _fixed_and_tracked(cfg, wg3, models)
+    drift1 = np.ptp(tracked1.vbg_centers_nm)
+    assert drift1 == pytest.approx(1.4447909579038196, abs=1e-9)
+    assert drift1 > np.ptp(tracked3.vbg_centers_nm)
+    span1 = spectrometer.fixed_vbg_usable_span(fixed1, tracked1)
+    assert span1 == pytest.approx(4.400000000000091, abs=1e-6)
+    assert drift1 > cfg.vbg.fwhm_nm
+
+
+def test_usable_span_reads_the_kernels_only(cfg, wg3, models, monkeypatch):
+    fixed, tracked = _fixed_and_tracked(cfg, wg3, models)
+    calls = []
+    solve = dispersion.phase_matched_signal
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dispersion, "phase_matched_signal", counted)
+    span = spectrometer.fixed_vbg_usable_span(fixed, tracked)
+    assert calls == [] and span > 0.0
+    # the run of columns where the fixed peak holds at least half the
+    # tracked one, walked out from the scan-centre row's mapped signal
+    grid = fixed.signal_grid_nm
+    ok = fixed.column_peak >= 0.5 * tracked.column_peak
+    centre_row = fixed.pump_grid_nm.size // 2
+    lo = hi = int(np.argmin(np.abs(grid - fixed.mapped_signal_nm[centre_row])))
+    while ok[lo - 1]:
+        lo -= 1
+    while ok[hi + 1]:
+        hi += 1
+    assert span == grid[hi] - grid[lo]
+
+
+def test_usable_span_needs_one_plans_fixed_and_tracked_kernels(cfg, wg3, models, small_plan):
+    fixed, tracked = _fixed_and_tracked(cfg, wg3, models)
+    small_fixed, _ = _fixed_and_tracked(cfg, wg3, models, small_plan)
+    for pair in ((tracked, fixed), (fixed, fixed), (small_fixed, tracked)):
+        with pytest.raises(DomainError, match="one plan's fixed- and tracked-VBG kernels"):
+            spectrometer.fixed_vbg_usable_span(*pair)
 
 
 def test_kernel_build_solves_the_tuning_map_once(cfg, wg3, models, monkeypatch):
@@ -221,8 +267,6 @@ def test_schedule_and_band_match_the_tuning_oracle(cfg, wg3, models, small_plan,
     assert got.signal_nm.size == plan.pump_grid_nm().size
     for name in ("signal_nm", "centers_nm"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    for name in ("fixed_center_nm", "sfg_drift_nm", "tracking_required", "mode"):
-        assert getattr(got, name) == getattr(want, name), name
 
     conv, _ = models
     kern = spectrometer.build_kernel(wg3, cfg.filters, vbg, conv, plan)
@@ -232,14 +276,6 @@ def test_schedule_and_band_match_the_tuning_oracle(cfg, wg3, models, small_plan,
     for name in ("band_start", "band_values", "mapped_signal_nm", "vbg_centers_nm",
                  "signal_grid_nm"):
         assert np.array_equal(getattr(kern, name), getattr(ref, name)), name
-
-
-@pytest.mark.parametrize("anchors", ["wg1", "wg3"])
-def test_usable_span_matches_the_tuning_oracle(cfg, wg1, wg3, anchors):
-    wg = {"wg1": wg1, "wg3": wg3}[anchors]
-    got = spectrometer.fixed_vbg_usable_span(cfg.scan, wg, cfg.vbg)
-    assert got == tuning_oracle.fixed_vbg_usable_span(cfg.scan, wg, cfg.vbg)
-    assert got[0] > 0.0
 
 
 def test_package_never_reads_the_dense_view(cfg, wg3, models, small_plan, tmp_path,
@@ -309,6 +345,63 @@ def test_band_matches_the_dense_oracle(band_and_oracle):
     assert np.all(row_sum - band.sum(axis=1) <= 1e-10 * row_sum)
 
 
+def test_column_peak_is_the_column_max_of_the_dense_oracle(band_and_oracle):
+    _, kern, dense = band_and_oracle
+    peak = kern.column_peak
+    assert np.array_equal(peak, kern.matrix.max(axis=0))
+    assert np.allclose(peak, thresholded(dense)[0].max(axis=0), rtol=1e-12, atol=0.0)
+    assert not peak.flags.writeable and kern.column_peak is peak
+
+
+# 1920-1980 nm at 0.1 nm with the VBG parked: no row's band reaches 45 columns
+FOUND_PLAN = {"pump_step_nm": 0.1, "vbg_tracking": "fixed"}
+FOUND_BANDS_NM = [(1570.0199999999895, 1570.8999999999896)]
+
+
+def test_reach_check_names_the_unreached_run(cfg, wg3, models):
+    plan = replace(cfg.scan, **FOUND_PLAN)
+    kern = spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, models[0], plan)
+    for check in (lambda: kern.support, lambda: kern.rl_operator):
+        with pytest.raises(UnrecoverableBandError) as err:
+            check()
+        assert err.value.bands_nm == FOUND_BANDS_NM
+        assert "[1570.020, 1570.900] nm" in str(err.value)
+
+
+def test_forward_scan_refuses_a_plan_with_unreached_support(cfg, wg3, models):
+    _, noise = models
+    plan = replace(cfg.scan, **FOUND_PLAN)
+    kern = spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, models[0], plan)
+    source = spectra.multimode_ld_spectrum(kern.signal_grid_nm)
+    for sample in (True, False):
+        with pytest.raises(UnrecoverableBandError) as err:
+            spectrometer.forward_scan(source, kern, noise, plan, sample=sample)
+        assert err.value.bands_nm == FOUND_BANDS_NM
+    assert "rl_operator" not in vars(kern)  # the reach check builds no operator
+
+
+@pytest.mark.parametrize("plan, total, digest", [
+    ({"pump_start_nm": 1944.0, "pump_stop_nm": 1956.0, "pump_step_nm": 0.1,
+      "vbg_tracking": "fixed"}, 538415,
+     "19471ac3f1424ba915529ae7d36886ff436631d6ccb787180f9190e126a044e8"),
+    ({"pump_start_nm": 1931.37, "pump_stop_nm": 1945.08, "pump_step_nm": 0.02,
+      "vbg_tracking": "fixed"}, 28961,
+     "c538a094fb1158ee3c0cac81c0618fbd4036a2630c6757db2253891f61907800"),
+    ({"pump_step_nm": 0.07}, 806703,
+     "63c7023d353f431debeb0073396cb1f399a52358ddab78729861e52eef699387"),
+], ids=["fixed-window", "fixed-off-grid-centre", "pump-step-0.07"])
+def test_reachable_plans_scan_as_before_the_reach_check(cfg, wg3, models, plan, total,
+                                                        digest):
+    # counts taken before forward_scan checked the support
+    _, noise = models
+    plan = replace(cfg.scan, **plan)
+    kern = spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, models[0], plan)
+    source = spectra.multimode_ld_spectrum(kern.signal_grid_nm)
+    counts = spectrometer.forward_scan(source, kern, noise, plan).sampled_counts
+    assert int(counts.sum()) == total
+    assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("shape", ["top_hat_vbg", "top_hat_band_pass"])
 def test_top_hat_kernels_match_a_scipy_erf_build(cfg, wg3, models, monkeypatch, shape):
     # the top-hat edges 0.5 erfc(-u) are where erfc's accuracy shows in a kernel
@@ -352,9 +445,10 @@ def test_dense_view_scatters_the_band(small_kernel):
 def test_tracking_schedule_fixed_mode(cfg, wg3):
     plan = replace(cfg.scan, vbg_tracking="fixed")
     sched = spectrometer.vbg_tracking_schedule(plan, wg3, cfg.vbg)
-    assert sched.mode == "fixed"
     assert np.ptp(sched.centers_nm) == 0.0
-    assert sched.centers_nm[0] == pytest.approx(sched.fixed_center_nm, abs=1e-12)
+    # parked at the phase-matched SFG wavelength of the scan-centre pump
+    centre = dispersion.sfg_wavelength(dispersion.phase_matched_signal(1950.0, wg3), 1950.0)
+    assert sched.centers_nm[0] == pytest.approx(centre, abs=1e-12)
 
 
 def test_tracking_beyond_tuning_range_raises(cfg, wg3, small_plan):

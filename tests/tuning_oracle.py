@@ -10,7 +10,6 @@ package's bits.
 import numpy as np
 
 from upconvspec import dispersion, spectrometer
-from upconvspec.components import vbg_transmission
 from upconvspec.errors import TuningError
 
 
@@ -91,33 +90,6 @@ def vbg_tracking_schedule(plan, wg, vbg):
     pump = plan.pump_grid_nm()
     sig = phase_matched_signal(pump, wg)
     sfg = dispersion.sfg_wavelength(sig, pump)
-    drift = float(np.max(sfg) - np.min(sfg))
     _, fixed_center = fixed_setpoint(plan, wg)
     centers = sfg if plan.vbg_tracking == "tracked" else np.full_like(pump, fixed_center)
-    return spectrometer.TrackingSchedule(
-        signal_nm=sig, centers_nm=centers, tracking_required=bool(drift > vbg.fwhm_nm),
-        fixed_center_nm=fixed_center, sfg_drift_nm=drift, mode=plan.vbg_tracking,
-    )
-
-
-def fixed_vbg_usable_span(plan, wg, vbg):
-    probe_pump = np.linspace(plan.pump_start_nm, plan.pump_stop_nm, 601)
-    probe_sig = phase_matched_signal(probe_pump, wg)
-    center_pump, fixed_center = fixed_setpoint(plan, wg)
-    off = np.linspace(-3.0, 3.0, 241)
-    q = probe_pump[:, None] + off[None, :]
-    dk = qpm_mismatch(probe_sig[:, None], q, wg)
-    line = dispersion.efficiency_factor(dk, wg.length_mm)
-    gate = vbg_transmission(vbg, dispersion.sfg_wavelength(probe_sig[:, None], q),
-                            center_nm=fixed_center)
-    ok = np.max(line * gate, axis=1) / vbg.peak_reflectance >= 0.5
-    i0 = int(np.argmin(np.abs(probe_pump - center_pump)))
-    if not ok[i0]:
-        return 0.0, fixed_center
-    lo = i0
-    while lo > 0 and ok[lo - 1]:
-        lo -= 1
-    hi = i0
-    while hi < ok.size - 1 and ok[hi + 1]:
-        hi += 1
-    return float(abs(probe_sig[hi] - probe_sig[lo])), fixed_center
+    return spectrometer.TrackingSchedule(signal_nm=sig, centers_nm=centers)
