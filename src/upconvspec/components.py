@@ -8,17 +8,13 @@ models are simple analytic lineshapes; absolute throughput is deliberately
 left to the lumped end-to-end efficiency calibration (see conversion module),
 so only the spectral *shape* of the chain matters downstream.
 
-The erf edges (edge filters, top-hat lineshapes) use this module's own
-vectorised erfc, so building a kernel loads no SciPy.  A top-hat edge is
-0.5 erfc(-u), not 0.5 (1 + erf(u)): the latter cancels in the tail, 0.4 %
-off at u = -5.5, while erfc keeps its relative accuracy there.  erfc for
-|x| > 0.46875 is W. J. Cody's rational Chebyshev approximation (Math. Comp.
-23, 631, 1969), with exp(-x^2) split as Cody does so the tail keeps its
-relative accuracy down to underflow; for |x| <= 0.46875 it is 1 - erf(x),
-with erf(x) cephes's x T(x^2)/U(x^2), the form SciPy evaluates there.
-Saturated arguments take the exact limit without evaluating anything; the
-default short-pass edge sits there on every kernel cell.
+The erf edges (edge filters, top-hat lineshapes) are 0.5 erfc(-u), not
+0.5 (1 + erf(u)): the latter cancels in the tail, 0.4 % off at u = -5.5,
+while erfc keeps its relative accuracy there.  erfc is libm's, so building
+a kernel loads no SciPy.  Saturated arguments take the exact limit without
+calling it; the default short-pass edge sits there on every kernel cell.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,66 +23,14 @@ from .errors import DomainError, check_finite
 
 LN2_4 = 4.0 * np.log(2.0)
 
-# Coefficients, highest degree first.  |x| <= 0.46875: erf(x) = x T(x^2) / U(x^2),
-# cephes's form, which SciPy evaluates there too.  Cody's erfc for |y| > 0.46875:
-# erfc(y) = exp(-y^2) R2(y) up to y = 4 and exp(-y^2) (1/sqrt(pi) - z R3(z)) / y
-# beyond, with z = 1/y^2.
-_ERF_TU = ((9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-            7.00332514112805075473e3, 5.55923013010394962768e4),
-           (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
-            4.59432382970980127987e3, 2.26290000613890934246e4, 4.92673942608635921086e4))
-_R2 = ((2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e0,
-        6.61191906371416295e1, 2.98635138197400131e2, 8.81952221241769090e2,
-        1.71204761263407058e3, 2.05107837782607147e3, 1.23033935479799725e3),
-       (1.0, 1.57449261107098347e1, 1.17693950891312499e2, 5.37181101862009858e2,
-        1.62138957456669019e3, 3.29079923573345963e3, 4.36261909014324716e3,
-        3.43936767414372164e3, 1.23033935480374942e3))
-_R3 = ((1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
-        1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
-       (1.0, 2.56852019228982242e0, 1.87295284992346725e0, 5.27905102951428412e-1,
-        6.05183413124413191e-2, 2.33520497626869185e-3))
-_SQRT_1_PI = 5.6418958354775628695e-1
-_ERFC_DIRECT = 0.46875  # erfc is 1 - erf up to here and Cody's beyond
 _ERFC_TWO = 6.0         # x <= -6: erfc(x) rounds to 2
 _ERFC_ZERO = 27.3       # x >= 27.3: erfc(x) is below the smallest subnormal
 
 
-def _horner(coeffs, t):
-    acc = coeffs[0] * t
-    for c in coeffs[1:-1]:
-        acc += c
-        acc *= t
-    acc += coeffs[-1]
-    return acc
-
-
-def _rational(coeffs, t):
-    num, den = coeffs
-    return _horner(num, t) / _horner(den, t)
-
-
-def _erfc_abs(y):
-    """erfc(y) for y > 0.46875 (NaN passes through), Cody's outer intervals.
-
-    exp(-y^2) is split as exp(-q^2) exp(-(y - q)(y + q)) with q = y cut to
-    sixteenths, so the tail keeps its relative accuracy where y^2 is large.
-    """
-    out = np.empty_like(y)
-    mid = y <= 4.0
-    out[mid] = _rational(_R2, y[mid])
-    tail = ~mid
-    yt = y[tail]
-    z = 1.0 / (yt * yt)
-    out[tail] = (_SQRT_1_PI - z * _rational(_R3, z)) / yt
-    q = np.trunc(y * 16.0) / 16.0
-    return np.exp(-q * q) * np.exp(-(y - q) * (y + q)) * out
-
-
 def erfc(x):
-    """Complementary error function 1 - erf(x), elementwise, keeping its
-    relative accuracy down to the underflow limit.
+    """Complementary error function 1 - erf(x), elementwise: libm's erfc.
 
-    Saturated arguments take the exact limit without evaluating anything:
+    Saturated arguments take the exact limit without calling libm:
     erfc = 2 for x <= -6 and 0 for x >= 27.3.
     """
     x = np.asarray(x, dtype=float)
@@ -96,15 +40,7 @@ def erfc(x):
     work = ~((flat <= -_ERFC_TWO) | (flat >= _ERFC_ZERO))
     if work.any():
         xw = flat[work]
-        yw = np.abs(xw)
-        res = np.empty_like(xw)
-        near = yw <= _ERFC_DIRECT
-        xn = xw[near]
-        res[near] = 1.0 - xn * _rational(_ERF_TU, xn * xn)
-        far = ~near
-        r = _erfc_abs(yw[far])
-        res[far] = np.where(xw[far] < 0.0, 2.0 - r, r)
-        out[work] = res
+        out[work] = np.fromiter(map(math.erfc, xw.tolist()), float, xw.size)
     return out.reshape(x.shape)[()]
 
 
@@ -149,10 +85,11 @@ class VbgState:
     """Angle-tunable volume Bragg grating used as the narrow SFG-band gate.
 
     Reflection line modeled as a gaussian of the stated FWHM by default;
-    "top_hat" switches to an erf-edged flat top (edge scale FWHM/10) for
-    sensitivity checks -- the published numbers give only FWHM and peak,
-    not a shape.  The grating carries no setpoint of its own: a scan's
-    tracking schedule decides where it is tuned at each point.
+    "top_hat" switches to the band-pass filters' erf-edged flat top, with
+    edge scale FWHM/10 and the same half-height points, for sensitivity
+    checks -- the published numbers give only FWHM and peak, not a shape.
+    The grating carries no setpoint of its own: a scan's tracking schedule
+    decides where it is tuned at each point.
     """
 
     fwhm_nm: float = 0.05
@@ -179,20 +116,25 @@ def gaussian_band(wavelength_nm, center_nm, fwhm_nm, peak=1.0):
     return peak * np.exp(-LN2_4 * x ** 2)
 
 
+def _line(lam, center_nm, fwhm_nm, peak, lineshape, edge_nm):
+    """peak x a line of the given FWHM around center_nm: a gaussian, or a
+    flat top with erfc edges of scale edge_nm (half height at +-FWHM/2)."""
+    if lineshape == "gaussian":
+        return gaussian_band(lam, center_nm, fwhm_nm, peak)
+    half = fwhm_nm / 2.0
+    rise = 0.5 * erfc(((center_nm - half) - lam) / edge_nm)
+    fall = 0.5 * erfc((lam - (center_nm + half)) / edge_nm)
+    return peak * rise * fall
+
+
 def transmission(element, wavelength_nm):
     """Power transmission of one FilterElement at wavelength(s) [nm]."""
     lam = np.asarray(wavelength_nm, dtype=float)
     if element.kind == "broadband_loss":
         out = np.full_like(lam, element.peak)
     elif element.kind == "band_pass":
-        if element.lineshape == "gaussian":
-            out = gaussian_band(lam, element.center_nm, element.fwhm_nm, element.peak)
-        else:  # top_hat with erf edges
-            half = element.fwhm_nm / 2.0
-            w = element.edge_width_nm
-            rise = 0.5 * erfc(((element.center_nm - half) - lam) / w)
-            fall = 0.5 * erfc((lam - (element.center_nm + half)) / w)
-            out = element.peak * rise * fall
+        out = _line(lam, element.center_nm, element.fwhm_nm, element.peak,
+                    element.lineshape, element.edge_width_nm)
     elif element.kind == "short_pass":
         out = element.peak * 0.5 * erfc((lam - element.edge_nm) / element.edge_width_nm)
     else:  # long_pass
@@ -213,7 +155,7 @@ def vbg_half_extent_nm(vbg):
 
 
 def vbg_transmission(vbg, wavelength_nm, center_nm):
-    """Reflection-path transmission of the VBG (gaussian line, peak < 1).
+    """Reflection-path transmission of the VBG: its line at peak_reflectance.
 
     center_nm is the grating's setpoint, a scalar or an array broadcasting
     against wavelength_nm (one setpoint per scan point, as a tracking
@@ -226,13 +168,6 @@ def vbg_transmission(vbg, wavelength_nm, center_nm):
         raise DomainError(
             f"VBG center {float(bad):.3f} nm outside the tuning range [{lo}, {hi}] nm"
         )
-    if vbg.lineshape == "gaussian":
-        out = gaussian_band(wavelength_nm, c_arr, vbg.fwhm_nm, vbg.peak_reflectance)
-    else:
-        lam = np.asarray(wavelength_nm, dtype=float)
-        half = vbg.fwhm_nm / 2.0
-        w = vbg.fwhm_nm / 10.0
-        rise = 0.5 * erfc(((c_arr - half) - lam) / w)
-        fall = 0.5 * erfc((lam - (c_arr + half)) / w)
-        out = vbg.peak_reflectance * rise * fall
+    out = _line(np.asarray(wavelength_nm, dtype=float), c_arr, vbg.fwhm_nm,
+                vbg.peak_reflectance, vbg.lineshape, vbg.fwhm_nm / 10.0)
     return float(out) if np.ndim(wavelength_nm) == 0 and c_arr.ndim == 0 else out

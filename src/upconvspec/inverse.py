@@ -117,12 +117,13 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
 
     raw/kernel must belong together exactly: the kernel must be built for
     the scan's plan (check_plan_fits: pump grid, power, tracking mode), and
-    the scan's VBG setpoints must be the kernel's, which a kernel built from
-    another config fails.  The scan is read from its observed counts
-    (ScanResult.observed), as estimate_background reads it.  Background
-    (model, explicit value, or estimated off-band baseline) is subtracted
-    first, clamped at zero.  Iterations run on the signal rates (counts /
-    dwell) with the kernel's cached operator (ResponseKernel.rl_operator),
+    the scan's VBG setpoints and mapped signal wavelengths must be the
+    kernel's, bit for bit, which a kernel built from another config fails.
+    The scan is read from its observed counts (ScanResult.observed), as
+    estimate_background reads it.  Background (model, explicit value, or
+    estimated off-band baseline) is subtracted first, clamped at zero.
+    Iterations run on the signal rates (counts / dwell) with the kernel's
+    cached operator (ResponseKernel.rl_operator),
     until the Pearson discrepancy chi^2/N on the counts, model x dwell +
     background, drops to discrepancy_target (use 0 for noiseless rate
     data), the update stagnates (|x_k - x_k-1| <= 1e-9 |x_k|), or max_iters.
@@ -158,12 +159,18 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
     check_plan_fits(raw.plan, kernel, "scan")
     if d.size != kernel.pump_grid_nm.size:
         raise DomainError("scan length does not match the kernel's pump grid")
-    if not np.array_equal(raw.vbg_centers_nm, kernel.vbg_centers_nm):
-        off = float(np.max(np.abs(raw.vbg_centers_nm - kernel.vbg_centers_nm)))
-        raise DomainError(
-            f"scan VBG setpoints are off the {kernel.vbg_tracking}-VBG kernel's by up "
-            f"to {off:.6g} nm; use the kernel built for this scan"
-        )
+    for what, ours, theirs in (
+            ("VBG setpoints", raw.vbg_centers_nm, kernel.vbg_centers_nm),
+            ("mapped signal wavelengths", raw.signal_nm_mapped, kernel.mapped_signal_nm)):
+        if np.shape(ours) != theirs.shape:
+            raise DomainError(f"scan has {np.size(ours)} {what}, the kernel {theirs.size}; "
+                              "use the kernel built for this scan")
+        if not np.array_equal(ours, theirs):
+            off = float(np.max(np.abs(ours - theirs)))
+            raise DomainError(
+                f"scan {what} are off the {kernel.vbg_tracking}-VBG kernel's by up "
+                f"to {off:.6g} nm; use the kernel built for this scan"
+            )
 
     if background_cps is None:
         background_cps = estimate_background(raw, noise_model=noise_model)

@@ -127,6 +127,11 @@ def read_kernel_csv(path):
     signal = _header(meta, "signal_grid_nm", path, _floats)
     mapped = _header(meta, "mapped_signal_nm", path, _floats)
     centers = _header(meta, "vbg_centers_nm", path, _floats)
+    if not (np.all(np.isfinite(signal)) and np.all(signal[1:] > signal[:-1])):
+        raise DomainError(f"{path}: signal_grid_nm must be finite and strictly ascending")
+    for key, arr in (("mapped_signal_nm", mapped), ("vbg_centers_nm", centers)):
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"{path}: {key} must be finite")
     pump = block[:, 0]
     start = block[:, 1]
     values = block[:, 2:]
@@ -198,7 +203,9 @@ def read_scan_csv(path):
     if not np.array_equal(data[:, 0], plan.pump_grid_nm()):
         raise DomainError(f"{path}: pump_nm column is not the pump grid of its "
                           "pump_start_nm, pump_stop_nm and pump_step_nm headers")
-    rates, counts = data[:, 2], data[:, 3]
+    mapped, rates, counts = data[:, 1], data[:, 2], data[:, 3]
+    if not np.all(np.isfinite(mapped)):
+        raise DomainError(f"{path}: signal_nm_mapped column must be finite")
     if not np.all(np.isfinite(rates) & (rates >= 0.0)):
         raise DomainError(f"{path}: expected_rate_cps column must be finite and nonnegative")
     # 2**53: the largest count the float64 column holds exactly
@@ -213,7 +220,7 @@ def read_scan_csv(path):
                           f"{data.shape[0]} scan points")
     result = ScanResult(
         plan=plan,
-        signal_nm_mapped=data[:, 1],
+        signal_nm_mapped=mapped,
         expected_rate_cps=rates,
         sampled_counts=counts.astype(np.int64),
         vbg_centers_nm=centers,

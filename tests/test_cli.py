@@ -407,6 +407,47 @@ def test_deconvolve_rejects_a_kernel_file_with_a_negative_entry(scan_workdir, tm
     assert f"{bad}: band_values must be finite and nonnegative" in capsys.readouterr().err
 
 
+def test_deconvolve_rejects_a_kernel_file_with_a_nan_wavelength(scan_workdir, tmp_path,
+                                                               capsys):
+    # a nan in signal_grid_nm used to deconvolve with exit 0 and write nan as
+    # the estimate's first wavelength_nm
+    work, _ = scan_workdir
+    lines = (work / "kernel.csv").read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if line.startswith("# signal_grid_nm:"))
+    lines[row] = "# signal_grid_nm: nan " + lines[row].split(" ", 3)[3]
+    bad = tmp_path / "kernel_nan.csv"
+    bad.write_text("".join(lines))
+    capsys.readouterr()
+    code, _ = run_cli(["deconvolve", "--raw", str(work / "scan.csv"), "--kernel", str(bad),
+                       "--out", str(tmp_path / "est.csv")])
+    assert code == 4
+    assert (f"{bad}: signal_grid_nm must be finite and strictly ascending"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "est.csv").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("nan", "signal_nm_mapped column must be finite"),
+    ("1550.0", "scan mapped signal wavelengths are off the tracked-VBG kernel's by up to"),
+], ids=["nan", "shifted"])
+def test_deconvolve_rejects_a_scan_with_a_bad_mapped_signal(scan_workdir, tmp_path, capsys,
+                                                            text, message):
+    # a nan there used to deconvolve with exit 0, and nothing compared the
+    # column with the kernel's mapped signal
+    work, _ = scan_workdir
+    lines = (work / "scan.csv").read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if line.startswith("pump_nm,")) + 1
+    cells = lines[row].split(",")
+    cells[1] = text
+    lines[row] = ",".join(cells)
+    bad = work / f"scan_mapped_{text}.csv"
+    bad.write_text("".join(lines))
+    for code, out, err in _deconvolve_both_ways(work, bad, tmp_path / "est.csv", capsys):
+        assert code == 4 and out == ""
+        assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scan_rejects_an_input_that_is_not_w_per_nm(tmp_path, capsys):
     src = tmp_path / "rates.csv"
     src.write_text("wavelength_nm,rate_counts_per_s\n1549.0,1.0\n1550.0,2.0\n1551.0,1.0\n")

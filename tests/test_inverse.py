@@ -195,6 +195,29 @@ def test_deconvolve_rejects_a_kernel_for_another_power_or_vbg_mode(
         inverse.deconvolve(scan_tracked, kernel_fixed, background_cps=PEDESTAL_CPS)
 
 
+def test_deconvolve_rejects_a_scan_with_another_mapped_signal(small_kernel, delta_scan):
+    # the mapped signal is compared bit for bit, as the VBG setpoints are
+    _, scan = delta_scan
+    mapped = scan.signal_nm_mapped.copy()
+    mapped[40] += 1e-3
+    with pytest.raises(DomainError, match="scan mapped signal wavelengths are off the "
+                                          "tracked-VBG kernel's by up to 0.001 nm"):
+        inverse.deconvolve(replace(scan, signal_nm_mapped=mapped), small_kernel,
+                           background_cps=PEDESTAL_CPS)
+
+
+@pytest.mark.parametrize("field,what", [("vbg_centers_nm", "VBG setpoints"),
+                                        ("signal_nm_mapped", "mapped signal wavelengths")])
+def test_deconvolve_rejects_a_scan_array_of_another_length(small_kernel, delta_scan, field,
+                                                           what):
+    # a short array used to fail on broadcasting, with a bare ValueError
+    _, scan = delta_scan
+    n = small_kernel.pump_grid_nm.size
+    short = replace(scan, **{field: getattr(scan, field)[:-1]})
+    with pytest.raises(DomainError, match=f"scan has {n - 1} {what}, the kernel {n}"):
+        inverse.deconvolve(short, small_kernel, background_cps=PEDESTAL_CPS)
+
+
 def test_zero_signal_scan_yields_zero_estimate(small_kernel, small_plan, noise):
     grid = small_kernel.signal_grid_nm
     dark = spectra.Spectrum(grid, np.zeros(grid.size))

@@ -175,6 +175,46 @@ def test_kernel_csv_band_values_must_be_finite_and_nonnegative(tmp_path, scan_an
         uio.read_kernel_csv(path)
 
 
+def _set_header_value(path, key, index, text):
+    """Rewrite value `index` of a kernel CSV's '# key:' header array."""
+    lines = path.read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if line.startswith(f"# {key}:"))
+    values = lines[row][len(f"# {key}:"):].split()
+    values[index] = text
+    lines[row] = f"# {key}: " + " ".join(values) + "\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("text", ["nan", "inf"])
+@pytest.mark.parametrize("header,message", [
+    ("signal_grid_nm", "signal_grid_nm must be finite and strictly ascending"),
+    ("mapped_signal_nm", "mapped_signal_nm must be finite"),
+    ("vbg_centers_nm", "vbg_centers_nm must be finite"),
+])
+def test_kernel_csv_header_arrays_must_be_finite(tmp_path, scan_and_kernel, header, message,
+                                                 text):
+    # a nan in signal_grid_nm used to read, and deconvolve wrote it as the
+    # estimate's first wavelength
+    _, _, kern = scan_and_kernel
+    path = tmp_path / "k.csv"
+    uio.write_kernel_csv(path, kern)
+    _set_header_value(path, header, 0, text)
+    with pytest.raises(DomainError, match=f"{path}: {message}"):
+        uio.read_kernel_csv(path)
+
+
+def test_kernel_csv_signal_grid_must_ascend(tmp_path, scan_and_kernel):
+    _, _, kern = scan_and_kernel
+    path = tmp_path / "k.csv"
+    grid = kern.signal_grid_nm
+    for index, value in ((1, grid[0]), (0, grid[1])):  # a repeat, then a swap
+        uio.write_kernel_csv(path, kern)
+        _set_header_value(path, "signal_grid_nm", index, repr(float(value)))
+        with pytest.raises(DomainError,
+                           match=f"{path}: signal_grid_nm must be finite and strictly ascending"):
+            uio.read_kernel_csv(path)
+
+
 def _set_scan_cell(path, column, text):
     """Rewrite one cell of a scan CSV's first data row."""
     lines = path.read_text().splitlines(keepends=True)
@@ -194,12 +234,14 @@ def _set_scan_cell(path, column, text):
     ("expected_rate_cps", "nan", "expected_rate_cps column must be finite and nonnegative"),
     ("expected_rate_cps", "-0.5", "expected_rate_cps column must be finite and nonnegative"),
     ("expected_rate_cps", "inf", "expected_rate_cps column must be finite and nonnegative"),
+    ("signal_nm_mapped", "nan", "signal_nm_mapped column must be finite"),
+    ("signal_nm_mapped", "-inf", "signal_nm_mapped column must be finite"),
 ])
 def test_scan_csv_counts_and_rates_are_checked_at_read(tmp_path, scan_and_kernel, column,
                                                        text, message):
     # 3.7 counts used to read as 3, a nan count to warn on the cast (an error
-    # under the suite's warning filter), and a nan rate to fail only in
-    # deconvolve, naming the estimate
+    # under the suite's warning filter), a nan rate to fail only in
+    # deconvolve, naming the estimate, and a nan mapped signal to deconvolve
     _, result, _ = scan_and_kernel
     path = tmp_path / "r.csv"
     for sampled in (True, False):
@@ -221,12 +263,12 @@ def band_kernels(draw):
     n_cols = draw(st.integers(1, 10))
     width = draw(st.integers(1, n_cols))
 
-    def floats(n):
-        return np.array(draw(st.lists(_FINITE, min_size=n, max_size=n)))
+    def floats(n, unique=False):
+        return np.array(draw(st.lists(_FINITE, min_size=n, max_size=n, unique=unique)))
 
     return ResponseKernel(
         pump_grid_nm=floats(n_pump),
-        signal_grid_nm=np.sort(floats(n_cols)),
+        signal_grid_nm=np.sort(floats(n_cols, unique=True)),  # strictly ascending
         band_start=np.array(draw(st.lists(st.integers(0, n_cols - width),
                                           min_size=n_pump, max_size=n_pump)),
                             dtype=np.int64),

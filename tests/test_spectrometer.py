@@ -1,5 +1,6 @@
 """Kernel construction, VBG tracking schedules, forward scans, resolution."""
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -418,6 +419,27 @@ def test_top_hat_kernels_match_a_scipy_erf_build(cfg, wg3, models, monkeypatch, 
     assert np.array_equal(ours.band_start, ref.band_start)
     assert np.count_nonzero(ref.band_values) > 10_000
     assert np.allclose(ours.band_values, ref.band_values, rtol=1e-12, atol=0.0)
+
+
+def test_default_builds_send_no_argument_to_libm(cfg, wg3, models, monkeypatch):
+    # The default short-pass edge is saturated on every cell and the default
+    # lineshapes are gaussian, so erfc takes its shortcut on every argument.
+    conv, _ = models
+    libm_erfc, sent = math.erfc, []
+
+    def counted(x):
+        sent.append(x)
+        return libm_erfc(x)
+
+    monkeypatch.setattr(math, "erfc", counted)
+    for plan in (cfg.scan, replace(cfg.scan, vbg_tracking="fixed"),
+                 replace(cfg.scan, pump_step_nm=0.02)):
+        spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, conv, plan)
+    assert sent == []
+    # a top-hat VBG's edges do reach libm, through the counter
+    spectrometer.build_kernel(wg3, cfg.filters, replace(cfg.vbg, lineshape="top_hat"), conv,
+                              cfg.scan)
+    assert len(sent) > 1000
 
 
 def test_expected_rates_match_the_dense_oracle(band_and_oracle):
