@@ -9,16 +9,17 @@ rate, D(P) = D0 + a * P^gamma.
 
 Both models can be pinned from measured (power, value) pairs:
 
-* two points -> exact closed-form / 1-D root solve, which is how the
-  deployed instrument is characterized;
-* three or more points -> least-squares fit (scipy), with a FitReport
-  carrying residuals so an overdetermined characterization that the model
-  cannot reproduce is visible instead of silently averaged away.
+* two points -> exact closed form (noise) or 1-D bisection (conversion),
+  which is how the deployed instrument is characterized;
+* three or more points -> bounded least squares by variable projection, with
+  a FitReport carrying residuals so an overdetermined characterization that
+  the model cannot reproduce is visible instead of silently averaged away.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .dispersion import _bisect_roots
 from .errors import DomainError, FitError, check_finite
 
 
@@ -95,15 +96,53 @@ def _as_points(points, what):
     return pts
 
 
+def _project(basis, target, lo, hi, c_lo, c_hi):
+    """Least squares of target ~ c * basis(x), x in [lo, hi], c in [c_lo, c_hi].
+
+    For fixed x the best c is the clipped linear least-squares coefficient
+    (variable projection: Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973),
+    so only x is searched: the best of 65 even nodes, then golden section in
+    the node intervals either side of it until the bracket stops shrinking.
+    Returns (x, c) of the least squared residual evaluated.
+    """
+    tried = []
+
+    def cost(x):
+        b = basis(x)
+        c = min(max(float(b @ target / (b @ b)), c_lo), c_hi)
+        tried.append((float(np.sum((c * b - target) ** 2)), float(x), c))
+        return tried[-1][0]
+
+    nodes = np.linspace(lo, hi, 65)
+    i = int(np.argmin([cost(x) for x in nodes]))
+    a, b = nodes[max(i - 1, 0)], nodes[min(i + 1, 64)]
+    shrink = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = cost(c), cost(d)
+    width = np.inf
+    while b - a < width:
+        width = b - a
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = cost(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = cost(d)
+    _, x, c = min(tried)
+    return x, c
+
+
 def fit_conversion(points):
     """Pin ConversionModel to measured (power_mw, efficiency) pairs.
 
-    Two points: solve sin^2 ratio equation for u by bisection (the ratio
+    Two points: solve the sin^2 ratio equation for u by bisection (the ratio
     g(u) = eta2*sin^2(u sqrt(P1)) - eta1*sin^2(u sqrt(P2)) has exactly one
     root in (0, pi/(2 sqrt(Pmax))) when the points are consistent with a
     monotone saturating curve), then eta_max from either point.
-    More points: least-squares over (eta_max, u).
-    Returns (model, FitReport).
+    More points: least squares over u in [1e-9, pi/(2 sqrt(Pmax))] and
+    eta_max in [1e-6, 1] (_project).  Returns (model, FitReport).
     """
     pts = _as_points(points, "conversion fit")
     if np.any(pts[:, 1] <= 0) or np.any(pts[:, 1] > 1):
@@ -111,66 +150,41 @@ def fit_conversion(points):
     if np.any(pts[:, 0] == 0):
         raise FitError("conversion fit: zero pump power carries no information")
     p, eta = pts[:, 0], pts[:, 1]
-
+    hi = np.pi / (2.0 * np.sqrt(p[-1]))  # keep every point on the rising branch
     if len(pts) == 2:
-        p1, p2 = p
-        e1, e2 = eta
+        (p1, p2), (e1, e2) = p, eta
 
         def g(u):
             return e2 * np.sin(u * np.sqrt(p1)) ** 2 - e1 * np.sin(u * np.sqrt(p2)) ** 2
 
-        hi = np.pi / (2.0 * np.sqrt(p2))  # keep both points on the rising branch
         # g(0+) -> u^2 (e2 p1 - e1 p2): sign tells which way the curve bends.
         lo = hi * 1e-9
         if g(lo) == 0.0:
             # e1/e2 == p1/p2 exactly: the small-signal (linear) limit, u -> 0
             # is the only solution; treat as degenerate and pin the slope.
             u = lo
+        elif g(lo) * g(hi) > 0:
+            raise FitError(
+                "conversion fit: points are inconsistent with a saturating "
+                "sin^2 curve on the monotone branch"
+            )
         else:
-            glo, ghi = g(lo), g(hi)
-            if glo * ghi > 0:
-                raise FitError(
-                    "conversion fit: points are inconsistent with a saturating "
-                    "sin^2 curve on the monotone branch"
-                )
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if g(mid) * glo <= 0:
-                    hi = mid
-                else:
-                    lo, glo = mid, g(mid)
-            u = 0.5 * (lo + hi)
+            u = float(_bisect_roots(g, lo, hi))
         eta_max = float(e2 / np.sin(u * np.sqrt(p2)) ** 2)
         if eta_max > 1.0 + 1e-9:
             raise FitError(
                 f"conversion fit: implied eta_max {eta_max:.3f} exceeds 1; "
                 "measured efficiencies are not consistent with the model"
             )
-        model = ConversionModel(eta_max=min(eta_max, 1.0), u_per_sqrt_mw=float(u))
-        res = model.efficiency(p) - eta
-        return model, FitReport(residuals=res, rms=float(np.sqrt(np.mean(res ** 2))))
-
-    # Overdetermined: least-squares in (eta_max, u), seeded from the two
-    # extreme points via the exact two-point solve.  scipy.optimize is
-    # imported here, not at module level: two-point pins never need it.
-    from scipy.optimize import least_squares
-
-    seed, _ = fit_conversion([pts[0], pts[-1]])
-
-    def resid(x):
-        em, u = x
-        return em * np.sin(u * np.sqrt(p)) ** 2 - eta
-
-    sol = least_squares(resid, x0=[seed.eta_max, seed.u_per_sqrt_mw],
-                        bounds=([1e-6, 1e-9], [1.0, np.pi / (2 * np.sqrt(p.max()))]))
-    if not sol.success:
-        raise FitError(f"conversion fit failed: {sol.message}")
-    model = ConversionModel(eta_max=float(sol.x[0]), u_per_sqrt_mw=float(sol.x[1]))
+        eta_max, limit = min(eta_max, 1.0), np.inf
+    else:
+        u, eta_max = _project(lambda u: np.sin(u * np.sqrt(p)) ** 2, eta, 1e-9, hi, 1e-6, 1.0)
+        limit = 0.02 * float(np.max(eta))
+    model = ConversionModel(eta_max=eta_max, u_per_sqrt_mw=float(u))
     res = model.efficiency(p) - eta
     rms = float(np.sqrt(np.mean(res ** 2)))
-    degenerate = rms > 0.02 * float(np.max(eta))
-    note = "residuals exceed 2% of peak efficiency" if degenerate else ""
-    return model, FitReport(residuals=res, rms=rms, degenerate=degenerate, note=note)
+    note = "residuals exceed 2% of peak efficiency" if rms > limit else ""
+    return model, FitReport(residuals=res, rms=rms, degenerate=bool(note), note=note)
 
 
 def fit_noise(points, floor_cps):
@@ -179,8 +193,9 @@ def fit_noise(points, floor_cps):
     The intrinsic detector floor is pinned (measured with the pump off), so
     two points determine the power law exactly:
         gamma = ln(r2/r1) / ln(p2/p1),  a = r1 / p1^gamma
-    with r_i the floor-subtracted rates.  More points: least-squares over
-    (ln a, gamma) on floor-subtracted rates.  Returns (model, FitReport).
+    with r_i the floor-subtracted rates.  More points: least squares on the
+    floor-subtracted rates over gamma in [1e-3, 10] and a in [e^-50, e^50]
+    (_project).  Returns (model, FitReport).
     """
     if floor_cps < 0:
         raise FitError("noise fit: floor must be nonnegative")
@@ -194,7 +209,6 @@ def fit_noise(points, floor_cps):
             "noise fit: some points do not exceed the stated floor; "
             "check floor_cps against the pump-off measurement"
         )
-
     if len(pts) == 2:
         gamma = float(np.log(excess[1] / excess[0]) / np.log(p[1] / p[0]))
         if gamma <= 0:
@@ -202,28 +216,13 @@ def fit_noise(points, floor_cps):
                 f"noise fit: implied exponent {gamma:.3f} is not positive; "
                 "pump-induced counts must grow with power"
             )
-        a = float(excess[0] / p[0] ** gamma)
-        model = NoiseModel(floor_cps=float(floor_cps), amplitude_cps=a, exponent=gamma)
-        res = model.rate(p) - tot
-        return model, FitReport(residuals=res, rms=float(np.sqrt(np.mean(res ** 2))))
-
-    from scipy.optimize import least_squares
-
-    seed, _ = fit_noise([pts[0], pts[-1]], floor_cps)
-
-    def resid(x):
-        ln_a, gamma = x
-        return np.exp(ln_a) * p ** gamma - excess
-
-    sol = least_squares(resid, x0=[np.log(seed.amplitude_cps), seed.exponent],
-                        bounds=([-50.0, 1e-3], [50.0, 10.0]))
-    if not sol.success:
-        raise FitError(f"noise fit failed: {sol.message}")
-    model = NoiseModel(floor_cps=float(floor_cps),
-                       amplitude_cps=float(np.exp(sol.x[0])),
-                       exponent=float(sol.x[1]))
+        a, limit = float(excess[0] / p[0] ** gamma), np.inf
+    else:
+        gamma, a = _project(lambda gamma: p ** gamma, excess, 1e-3, 10.0,
+                            float(np.exp(-50.0)), float(np.exp(50.0)))
+        limit = 0.05 * float(np.max(excess))
+    model = NoiseModel(floor_cps=float(floor_cps), amplitude_cps=a, exponent=gamma)
     res = model.rate(p) - tot
     rms = float(np.sqrt(np.mean(res ** 2)))
-    degenerate = rms > 0.05 * float(np.max(excess))
-    note = "power law cannot reproduce all points to 5%" if degenerate else ""
-    return model, FitReport(residuals=res, rms=rms, degenerate=degenerate, note=note)
+    note = "power law cannot reproduce all points to 5%" if rms > limit else ""
+    return model, FitReport(residuals=res, rms=rms, degenerate=bool(note), note=note)

@@ -148,13 +148,17 @@ def read_kernel_csv(path):
     tracking = _header(meta, "vbg_tracking", path)
     if tracking not in ("tracked", "fixed"):
         raise DomainError(f"{path}: vbg_tracking must be tracked|fixed, got {tracking!r}")
+    power = _header(meta, "pump_power_mw", path, float)
+    if not 0.0 < power < np.inf:
+        raise DomainError(f"{path}: pump_power_mw must be finite and positive, got {power!r}")
+    efficiency = _header(meta, "efficiency", path, float)
+    if not 0.0 < efficiency <= 1.0:
+        raise DomainError(f"{path}: efficiency must be in (0, 1], got {efficiency!r}")
     kernel = ResponseKernel(
         pump_grid_nm=pump, signal_grid_nm=signal,
         band_start=start.astype(np.int64), band_values=values,
         mapped_signal_nm=mapped, vbg_centers_nm=centers,
-        pump_power_mw=_header(meta, "pump_power_mw", path, float),
-        efficiency=_header(meta, "efficiency", path, float),
-        vbg_tracking=tracking,
+        pump_power_mw=power, efficiency=efficiency, vbg_tracking=tracking,
     )
     return kernel, meta
 

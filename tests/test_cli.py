@@ -426,6 +426,28 @@ def test_deconvolve_rejects_a_kernel_file_with_a_nan_wavelength(scan_workdir, tm
     assert not (tmp_path / "est.csv").exists()
 
 
+@pytest.mark.parametrize("header,message", [
+    ("efficiency", "efficiency must be in (0, 1], got nan"),
+    ("pump_power_mw", "pump_power_mw must be finite and positive, got nan"),
+], ids=["efficiency", "pump_power_mw"])
+def test_deconvolve_rejects_a_kernel_file_with_a_nan_scalar_header(scan_workdir, tmp_path,
+                                                                   capsys, header, message):
+    # a nan efficiency used to deconvolve with exit 0; a nan pump power failed
+    # only at the plan check, against "the kernel's nan mW"
+    work, _ = scan_workdir
+    lines = (work / "kernel.csv").read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if line.startswith(f"# {header}:"))
+    lines[row] = f"# {header}: nan\n"
+    bad = tmp_path / "kernel_bad.csv"
+    bad.write_text("".join(lines))
+    capsys.readouterr()
+    code, _ = run_cli(["deconvolve", "--raw", str(work / "scan.csv"), "--kernel", str(bad),
+                       "--out", str(tmp_path / "est.csv")])
+    assert code == 4
+    assert f"{bad}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "est.csv").exists()
+
+
 @pytest.mark.parametrize("text,message", [
     ("nan", "signal_nm_mapped column must be finite"),
     ("1550.0", "scan mapped signal wavelengths are off the tracked-VBG kernel's by up to"),
@@ -561,7 +583,7 @@ def test_deconvolve_rebuilds_the_kernel_by_default(scan_workdir, tmp_path):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # Two-point pins, the default, never fit; only >= 3-point fits load it.
+    # no calibration fit loads it, for two points or more
     src = os.path.dirname(os.path.dirname(upconvspec.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -589,8 +611,19 @@ def _modules_after(code, *argv):
     return proc.stdout.split()
 
 
+def _three_point_config(path):
+    """The bundled config with three conversion and three noise points.  The
+    conversion points' extreme pair alone implies eta_max 1.096: a fit
+    seeded from that pair made fom exit 4 on them."""
+    raw = config.load_config().raw
+    raw["conversion_points"] = [[22.0, 0.1131], [55.0, 0.254], [74.0, 0.3492]]
+    raw["noise_points"] = [[20.0, 25.0], [30.0, 42.0], [58.0, 100.0]]
+    path.write_text(yaml.safe_dump(raw))
+    return path
+
+
 @pytest.mark.parametrize("case", ["import upconvspec", "import upconvspec.cli", "scan",
-                                  "fom", "design-qpm"])
+                                  "fom", "fom with three-point fits", "design-qpm"])
 def test_import_and_forward_commands_load_no_scipy(scan_workdir, tmp_path, case):
     work, _ = scan_workdir
     argv = {
@@ -598,6 +631,8 @@ def test_import_and_forward_commands_load_no_scipy(scan_workdir, tmp_path, case)
                  "--pump-start", "1944", "--pump-stop", "1956", "--pump-step", "0.1",
                  "--write-kernel", tmp_path / "kernel.csv"],
         "fom": ["fom", "--pump-power", "30"],
+        "fom with three-point fits": ["--config", _three_point_config(tmp_path / "three.yaml"),
+                                      "fom", "--pump-power", "30"],
         "design-qpm": ["design-qpm", "--signal", "1550", "--pump", "1950"],
     }
     code = case if case.startswith("import") else _RUN_CLI

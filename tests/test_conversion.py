@@ -1,6 +1,8 @@
-"""Conversion-efficiency and pump-noise model pins from two-point data."""
+"""Conversion-efficiency and pump-noise model pins and fits."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import least_squares
 
 from upconvspec import conversion
 from upconvspec.conversion import (
@@ -16,8 +18,7 @@ AMP_PIN = 0.505765121917392
 
 def test_fit_conversion_reproduces_points_exactly(cfg):
     model, report = fit_conversion(cfg.conversion_points)
-    assert model.u_per_sqrt_mw == pytest.approx(U_PIN, rel=1e-12)
-    assert model.eta_max == pytest.approx(ETA_MAX_PIN, rel=1e-12)
+    assert (model.u_per_sqrt_mw, model.eta_max) == (U_PIN, ETA_MAX_PIN)  # bit for bit
     assert model.efficiency(20.0) == pytest.approx(0.15, abs=1e-12)
     assert model.efficiency(58.0) == pytest.approx(0.286, abs=1e-12)
     assert report.rms < 1e-12 and not report.degenerate
@@ -34,8 +35,7 @@ def test_efficiency_interpolates_between_points(models):
 
 def test_fit_noise_reproduces_points_exactly(cfg):
     model, report = fit_noise(cfg.noise_points, cfg.noise_floor_cps)
-    assert model.exponent == pytest.approx(GAMMA_PIN, rel=1e-12)
-    assert model.amplitude_cps == pytest.approx(AMP_PIN, rel=1e-12)
+    assert (model.exponent, model.amplitude_cps) == (GAMMA_PIN, AMP_PIN)  # bit for bit
     assert model.rate(20.0) == pytest.approx(25.0, abs=1e-9)
     assert model.rate(58.0) == pytest.approx(100.0, abs=1e-9)
     assert report.rms < 1e-9
@@ -61,6 +61,27 @@ def test_fit_conversion_three_points():
     model2, report2 = fit_conversion([(20.0, 0.15), (30.0, 0.19), (58.0, 0.286)])
     assert not report2.degenerate
     assert 1e-4 < report2.rms < 0.01
+
+
+def test_fit_conversion_follows_points_whose_extreme_pair_cannot_be_pinned():
+    # the extreme pair alone implies eta_max 1.096; a fit seeded from that
+    # pair refused these points, while the bounded fit sits at eta_max = 1
+    points = [(22.0, 0.1131), (55.0, 0.254), (74.0, 0.3492)]
+    with pytest.raises(FitError, match="implied eta_max 1.096 exceeds 1"):
+        fit_conversion([points[0], points[-1]])
+    model, report = fit_conversion(points)
+    assert model.eta_max == 1.0
+    assert not report.degenerate and report.rms < 7e-3
+
+
+def test_fit_noise_follows_points_whose_extreme_pair_is_nearly_flat():
+    # the extreme pair alone implies gamma 4e-4, below the fit's 1e-3 bound;
+    # a least_squares seeded from that pair raised ValueError
+    points = [(53.0, 100.0), (60.0, 104.0), (68.0, 100.01)]
+    assert 0.0 < fit_noise([points[0], points[-1]], 0.0)[0].exponent < 1e-3
+    model, report = fit_noise(points, 0.0)
+    assert model.exponent >= 1e-3
+    assert not report.degenerate and report.rms < 2.0
 
 
 def test_fit_noise_three_points_degenerate_flag(models):
@@ -100,3 +121,74 @@ def test_model_validation():
     model = ConversionModel(eta_max=0.3, u_per_sqrt_mw=0.17)
     with pytest.raises(DomainError):
         model.efficiency(-5.0)
+
+
+def _oracle(residuals, seed, bounds, reported=None):
+    """The rms of the reported residuals (default: the fitted ones) at
+    scipy's least_squares solution from the given seed, as the fits were
+    solved before variable projection; None where it does not succeed."""
+    if not np.all((bounds[0] <= np.array(seed)) & (np.array(seed) <= bounds[1])):
+        return None  # least_squares raises ValueError on a seed outside the bounds
+    sol = least_squares(residuals, x0=seed, bounds=bounds)
+    return float(np.sqrt(np.mean((reported or residuals)(sol.x) ** 2))) if sol.success else None
+
+
+def _check_against_oracle(report, rms, limit):
+    """The fit is no worse than the oracle, and the degenerate flags agree
+    unless the limit falls between the two rms values: there the oracle
+    stopped short of a minimum the fit reached."""
+    assert report.rms <= rms * (1 + 1e-12)
+    assert report.degenerate == (report.rms > limit)
+    assert report.degenerate == (rms > limit) or report.rms * (1 + 1e-9) < rms
+
+
+@st.composite
+def calibration_problems(draw):
+    """3-7 distinct powers in [1, 100] mW and relative errors of 0.5-10 %
+    with alternating signs, so that no drawn problem is an exact fit."""
+    n = draw(st.integers(3, 7))
+    p = np.sort(draw(st.lists(st.floats(1.0, 100.0), min_size=n, max_size=n,
+                              unique=True)))
+    assume(np.all(np.diff(p) > 1e-3))
+    size = np.array(draw(st.lists(st.floats(0.005, 0.1), min_size=n, max_size=n)))
+    return p, 1.0 + size * (-1.0) ** np.arange(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=calibration_problems(), u_frac=st.floats(0.05, 1.0),
+       eta_max=st.floats(0.05, 1.0))
+def test_fit_conversion_is_no_worse_than_the_seeded_least_squares(problem, u_frac, eta_max):
+    p, err = problem
+    u_hi = np.pi / (2.0 * np.sqrt(p[-1]))
+    eta = np.clip(eta_max * np.sin(u_frac * u_hi * np.sqrt(p)) ** 2 * err, 1e-6, 1.0)
+    try:
+        seed, _ = fit_conversion([(p[0], eta[0]), (p[-1], eta[-1])])
+    except FitError:
+        assume(False)
+    rms = _oracle(lambda x: x[0] * np.sin(x[1] * np.sqrt(p)) ** 2 - eta,
+                  [seed.eta_max, seed.u_per_sqrt_mw], ([1e-6, 1e-9], [1.0, u_hi]))
+    assume(rms is not None)
+    _, report = fit_conversion(np.column_stack([p, eta]))
+    _check_against_oracle(report, rms, 0.02 * float(np.max(eta)))
+
+
+# The floor stays below the pump-induced excess (at least 0.1 cps), so that
+# rounding in floor + excess stays far below the rms compared at 1e-12.
+@settings(max_examples=100, deadline=None)
+@given(problem=calibration_problems(), gamma=st.floats(0.3, 4.0),
+       amplitude=st.floats(0.1, 100.0), floor=st.floats(0.0, 0.1))
+def test_fit_noise_is_no_worse_than_the_seeded_least_squares(problem, gamma, amplitude,
+                                                             floor):
+    p, err = problem
+    total = floor + amplitude * p ** gamma * err
+    excess = total - floor
+    try:
+        seed, _ = fit_noise([(p[0], total[0]), (p[-1], total[-1])], floor)
+    except FitError:
+        assume(False)
+    rms = _oracle(lambda x: np.exp(x[0]) * p ** x[1] - excess,
+                  [np.log(seed.amplitude_cps), seed.exponent], ([-50.0, 1e-3], [50.0, 10.0]),
+                  lambda x: NoiseModel(floor, float(np.exp(x[0])), float(x[1])).rate(p) - total)
+    assume(rms is not None)
+    _, report = fit_noise(np.column_stack([p, total]), floor)
+    _check_against_oracle(report, rms, 0.05 * float(np.max(excess)))

@@ -203,6 +203,25 @@ def test_kernel_csv_header_arrays_must_be_finite(tmp_path, scan_and_kernel, head
         uio.read_kernel_csv(path)
 
 
+_SCALAR_RULES = {"efficiency": r"efficiency must be in \(0, 1\]",
+                 "pump_power_mw": "pump_power_mw must be finite and positive"}
+
+
+@pytest.mark.parametrize("header,text", [
+    ("efficiency", "nan"), ("efficiency", "inf"), ("efficiency", "1.5"), ("efficiency", "0.0"),
+    ("pump_power_mw", "nan"), ("pump_power_mw", "inf"), ("pump_power_mw", "-30.0"),
+    ("pump_power_mw", "0.0"),
+])
+def test_kernel_csv_scalar_headers_are_checked(tmp_path, scan_and_kernel, header, text):
+    # an efficiency of nan, inf or 1.5 used to read, and deconvolve ran on it
+    _, _, kern = scan_and_kernel
+    path = tmp_path / "k.csv"
+    uio.write_kernel_csv(path, kern)
+    _set_header_value(path, header, 0, text)
+    with pytest.raises(DomainError, match=f"{path}: {_SCALAR_RULES[header]}, got {text}"):
+        uio.read_kernel_csv(path)
+
+
 def test_kernel_csv_signal_grid_must_ascend(tmp_path, scan_and_kernel):
     _, _, kern = scan_and_kernel
     path = tmp_path / "k.csv"
@@ -276,8 +295,8 @@ def band_kernels(draw):
                                            max_size=n_pump * width))).reshape(n_pump, width),
         mapped_signal_nm=floats(n_pump),
         vbg_centers_nm=floats(n_pump),
-        pump_power_mw=draw(_FINITE),
-        efficiency=draw(_FINITE),
+        pump_power_mw=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+        efficiency=draw(st.floats(0.0, 1.0, exclude_min=True)),
         vbg_tracking=draw(st.sampled_from(["tracked", "fixed"])),
     )
 
