@@ -1,7 +1,9 @@
 """Command-line surface: design-qpm, fom, scan, deconvolve.
 
 Every command is deterministic given the config file and seed; every output
-file carries the config hash and seed in its comment header.  Exit codes:
+CSV is one of io's tables and carries the config hash and seed in its
+comment header.  A deconvolve's iteration count, stop reason and dwell go to
+its JSON report only.  Exit codes:
 0 success, 2 usage/file problems, 3 config problems, 4 physics or solver
 failures.
 """
@@ -140,7 +142,7 @@ def _cmd_scan(cfg, args, out):
     out.write(f"points               {kernel.pump_grid_nm.size}\n")
     out.write(f"dwell_s              {plan.dwell_s}\n")
     out.write(f"total_counts         {int(result.sampled_counts.sum())}\n")
-    out.write(f"noise_rate_cps       {result.noise_rate_cps:.4f}\n")
+    out.write(f"noise_rate_cps       {noise.rate(plan.pump_power_mw):.4f}\n")
     out.write(f"resolution_nm        {res.analytic_fwhm_nm:.4f} (analytic) "
               f"{res.numeric_fwhm_nm:.4f} (numeric)\n")
     out.write(f"wrote                {args.out}\n")
@@ -177,10 +179,8 @@ def _cmd_deconvolve(cfg, args, out):
         background_cps=args.noise_floor_cps,
         noise_model=noise,
     )
-    meta = {"config_hash": cfg_hash, "seed": raw.plan.seed,
-            "dwell_s": raw.plan.dwell_s, "iterations_used": result.iterations_used,
-            "stop_reason": result.stop_reason}
-    io.write_spectrum_csv(args.out, result.estimate, meta=meta)
+    io.write_spectrum_csv(args.out, result.estimate,
+                          meta={"config_hash": cfg_hash, "seed": raw.plan.seed})
     report_path = args.report or (args.out + ".report.json")
     report = {
         "iterations_used": result.iterations_used,

@@ -71,6 +71,40 @@ class SellmeierMedium:
         if len(self.a) != 6 or len(self.b) != 4:
             raise DomainError("SellmeierMedium needs 6 'a' and 4 'b' coefficients")
         check_finite("Sellmeier", self, "a", "b", "t_ref_c", "t_offset_c")
+        self._check_n_squared()
+
+    def _check_n_squared(self):
+        """DomainError unless n^2 is finite and positive over the wavelength
+        and temperature windows.
+
+        The poles l = |a3 + b3 f| and l = |a5| are placed in closed form: f is
+        a parabola in T, so its range over the window is set by the window's
+        ends and the vertex, and a3 + b3 f is linear in f.  With no pole in
+        the window each term of n^2 is monotone in l^2, so on each of 256
+        wavelength steps the sum of every term's smaller end value bounds n^2
+        from below; the temperature window is sampled at 9 points.
+        """
+        a1, a2, a3, a4, a5, a6 = self.a
+        b1, b2, b3, b4 = self.b
+        (l_lo, l_hi), (t_lo, t_hi) = self.valid_um, self.valid_temp_c
+        vertex = min(max(0.5 * (self.t_ref_c - self.t_offset_c), t_lo), t_hi)
+        temps = np.append(np.linspace(t_lo, t_hi, 9), vertex)
+        f = ((temps - self.t_ref_c) * (temps + self.t_offset_c))[:, None]
+        g = a3 + b3 * f
+        pole_lo = 0.0 if np.min(g) <= 0.0 <= np.max(g) else float(np.min(np.abs(g)))
+        for lo, hi in ((pole_lo, float(np.max(np.abs(g)))), (abs(a5), abs(a5))):
+            if lo <= l_hi and hi >= l_lo:
+                raise DomainError(f"Sellmeier a, b put a pole of n^2 at {max(lo, l_lo):.4g} um, "
+                                  f"inside the [{l_lo}, {l_hi}] um window")
+        lam = np.linspace(l_lo, l_hi, 257)
+        l2 = lam ** 2
+        bound = a1 + b1 * f
+        for term in ((a2 + b2 * f) / (l2 - g ** 2), (a4 + b4 * f) / (l2 - a5 ** 2), -a6 * l2):
+            bound = bound + np.minimum(term[..., :-1], term[..., 1:])
+        if not np.all(bound > 0.0):
+            i, j = np.argwhere(~(bound > 0.0))[0]
+            raise DomainError(f"Sellmeier a, b give n^2 <= 0 or not finite between "
+                              f"{lam[j]:.4g} and {lam[j + 1]:.4g} um at {temps[i]:.4g} C")
 
 
 # Congruent LiNbO3, extraordinary axis: Jundt, Opt. Lett. 22, 1553 (1997).

@@ -1,8 +1,13 @@
-"""CSV formats for spectra, kernels, and scans.
+"""CSV tables for spectra, scans and kernels, in one layout.
 
-All files are plain CSV with '#'-prefixed comment headers carrying the
-provenance a reader needs to reproduce the run (config hash, a scan's plan).
-Floats are written with repr so write-then-read round-trips bit-exactly.
+'# key: value' headers carry scalars, the provenance a reader needs to
+reproduce the run (config hash, a scan's plan), and a kernel's signal grid.
+Then come one column line and one numeric row per point: whatever varies by
+point is a column (see _SPECTRUM_COLUMNS, _SCAN_COLUMNS, _KERNEL_COLUMNS; a
+kernel row ends in its W band values).  Floats are written with repr, so
+write-then-read round-trips bit-exactly.  The reader rejects a file whose
+column line differs, whose rows are ragged, or whose entries are not all
+finite, naming the file and the column.
 """
 from dataclasses import fields
 
@@ -12,60 +17,68 @@ from .errors import DomainError
 from .spectra import Spectrum
 from .spectrometer import ResponseKernel, ScanPlan, ScanResult
 
-_SPECTRUM_COLUMNS = "wavelength_nm,power_w_per_nm"
+# Each table's columns, in file order, with the rule each column's values keep.
+_FINITE = "must be finite"
+_SPECTRUM_COLUMNS = {"wavelength_nm": _FINITE, "power_w_per_nm": _FINITE}
+_SCAN_COLUMNS = {"pump_nm": _FINITE, "signal_nm_mapped": _FINITE, "vbg_center_nm": _FINITE,
+                 "expected_rate_cps": "must be finite and nonnegative",
+                 "counts": "must hold whole numbers in [0, 2**53]"}
+_KERNEL_COLUMNS = {"pump_nm": _FINITE, "mapped_signal_nm": _FINITE, "vbg_center_nm": _FINITE,
+                   "band_start": _FINITE, "band_values": "must be finite and nonnegative"}
 
 
-def _write_meta(fh, meta):
-    for key, value in (meta or {}).items():
-        if isinstance(value, (list, tuple, np.ndarray)):
-            value = " ".join(repr(float(v)) for v in np.asarray(value).ravel())
-        fh.write(f"# {key}: {value}\n")
+def _write_table(path, meta, columns, rows):
+    """'# key: value' lines for meta (an array as its repr'd floats, space
+    separated), the column line, then each row's values, repr'd."""
+    with open(path, "w") as fh:
+        for key, value in meta.items():
+            if isinstance(value, np.ndarray):
+                value = " ".join(map(repr, value.tolist()))
+            fh.write(f"# {key}: {value}\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
-def _read_lines(path):
-    meta = {}
-    rows = []
+def _column_error(path, columns, name):
+    return DomainError(f"{path}: {name} column {columns[name]}")
+
+
+def _read_table(path, columns, open_ended=False):
+    """-> (meta, block): the '# key: value' headers as strings, and the rows
+    as a 2-D float array with one column per name in `columns`.
+
+    The first line that is not blank or a comment must be the column line.
+    With open_ended, the last column takes the rest of each row (one value
+    or more).
+    """
+    names, header = list(columns), ",".join(columns)
+    meta, rows = {}, []
     with open(path, "r") as fh:
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, value = body.split(":", 1)
+                key, colon, value = line[1:].partition(":")
+                if colon:
                     meta[key.strip()] = value.strip()
-                continue
-            rows.append(line)
-    if not rows:
+            elif line:
+                rows.append(line)
+    if not rows or rows[0] != header:
+        raise DomainError(f"{path}: expected header {header}")
+    if len(rows) == 1:
         raise DomainError(f"{path}: no data rows")
-    return meta, rows
-
-
-def _parse_rows(rows, path):
     try:
-        return np.array([[float(v) for v in r.split(",")] for r in rows])
+        cells = [[float(v) for v in row.split(",")] for row in rows[1:]]
     except ValueError as exc:
         raise DomainError(f"{path}: non-numeric data row ({exc})") from exc
-
-
-def write_spectrum_csv(path, spectrum, meta=None):
-    with open(path, "w") as fh:
-        _write_meta(fh, meta)
-        fh.write(_SPECTRUM_COLUMNS + "\n")
-        for x, y in zip(spectrum.grid_nm, spectrum.values):
-            fh.write(f"{float(x)!r},{float(y)!r}\n")
-
-
-def read_spectrum_csv(path):
-    """-> (Spectrum, meta dict).  The columns must be wavelength_nm,power_w_per_nm."""
-    meta, rows = _read_lines(path)
-    if rows[0] != _SPECTRUM_COLUMNS:
-        raise DomainError(f"{path}: expected header {_SPECTRUM_COLUMNS}")
-    data = _parse_rows(rows[1:], path)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise DomainError(f"{path}: malformed data rows")
-    return Spectrum(grid_nm=data[:, 0], values=data[:, 1]), meta
+    widths = {len(row) for row in cells}
+    width = widths.pop()
+    if widths or width < len(names) or (width > len(names) and not open_ended):
+        raise DomainError(f"{path}: data rows must each hold one value per column of {header}")
+    block = np.array(cells)
+    bad = np.flatnonzero(~np.all(np.isfinite(block), axis=0))
+    if bad.size:
+        raise _column_error(path, columns, names[min(bad[0], len(names) - 1)])
+    return meta, block
 
 
 def _header(meta, key, path, parse=str):
@@ -78,157 +91,98 @@ def _header(meta, key, path, parse=str):
         raise DomainError(f"{path}: malformed '# {key}:' header ({exc})") from exc
 
 
-def _floats(text):
-    return np.array([float(v) for v in text.split()])
+def write_spectrum_csv(path, spectrum, meta=None):
+    _write_table(path, meta or {}, _SPECTRUM_COLUMNS,
+                 zip(spectrum.grid_nm.tolist(), spectrum.values.tolist()))
 
 
-_BAND_COLUMNS = "pump_nm,band_start,band_values"
+def read_spectrum_csv(path):
+    """-> (Spectrum, meta dict).  The columns must be wavelength_nm,power_w_per_nm."""
+    meta, data = _read_table(path, _SPECTRUM_COLUMNS)
+    return Spectrum(grid_nm=data[:, 0], values=data[:, 1]), meta
 
 
 def write_kernel_csv(path, kernel, meta=None):
-    """Band format: one row per pump point, its first band column and W values.
-
-    The signal grid and the per-point arrays go in the header; a row reads
-    pump_nm, band_start, then the W entries at columns band_start ...
-    band_start + W - 1 of the signal grid.
-    """
-    full_meta = {"format": "band"}  # the first header line; meta cannot override it
-    full_meta.update(meta or {})
+    """Headers: meta, pump_power_mw, vbg_tracking and the signal grid; one row
+    per pump point: pump_nm, mapped_signal_nm, vbg_center_nm, band_start,
+    then its W band values."""
+    full_meta = dict(meta or {})
     full_meta.update({
-        "format": "band",
         "pump_power_mw": repr(float(kernel.pump_power_mw)),
-        "efficiency": repr(float(kernel.efficiency)),
         "vbg_tracking": kernel.vbg_tracking,
         "signal_grid_nm": kernel.signal_grid_nm,
-        "mapped_signal_nm": kernel.mapped_signal_nm,
-        "vbg_centers_nm": kernel.vbg_centers_nm,
     })
-    with open(path, "w") as fh:
-        _write_meta(fh, full_meta)
-        fh.write(_BAND_COLUMNS + "\n")
-        for p, start, row in zip(kernel.pump_grid_nm.tolist(), kernel.band_start.tolist(),
-                                 kernel.band_values.tolist()):
-            fh.write(f"{p!r},{start}," + ",".join(map(repr, row)) + "\n")
+    rows = ([p, m, c, s, *values] for p, m, c, s, values in zip(
+        kernel.pump_grid_nm.tolist(), kernel.mapped_signal_nm.tolist(),
+        kernel.vbg_centers_nm.tolist(), kernel.band_start.tolist(),
+        kernel.band_values.tolist()))
+    _write_table(path, full_meta, _KERNEL_COLUMNS, rows)
 
 
 def read_kernel_csv(path):
-    """-> (ResponseKernel, meta dict).  Only the band format is read."""
-    meta, rows = _read_lines(path)
-    if meta.get("format") != "band":
-        raise DomainError(
-            f"{path}: not a band-format kernel file (dense kernel CSVs are no "
-            "longer read); rebuild the kernel, e.g. with scan --write-kernel"
-        )
-    if rows[0] != _BAND_COLUMNS:
-        raise DomainError(f"{path}: expected header {_BAND_COLUMNS}")
-    block = _parse_rows(rows[1:], path)
-    if block.ndim != 2 or block.shape[1] < 3:
-        raise DomainError(f"{path}: kernel block is ragged or has no band values")
-    signal = _header(meta, "signal_grid_nm", path, _floats)
-    mapped = _header(meta, "mapped_signal_nm", path, _floats)
-    centers = _header(meta, "vbg_centers_nm", path, _floats)
+    """-> (ResponseKernel, meta dict).  The signal grid must ascend, each row's
+    band fit it, and the band values be nonnegative."""
+    meta, block = _read_table(path, _KERNEL_COLUMNS, open_ended=True)
+    signal = _header(meta, "signal_grid_nm", path,
+                     lambda text: np.array([float(v) for v in text.split()]))
     if not (np.all(np.isfinite(signal)) and np.all(signal[1:] > signal[:-1])):
         raise DomainError(f"{path}: signal_grid_nm must be finite and strictly ascending")
-    for key, arr in (("mapped_signal_nm", mapped), ("vbg_centers_nm", centers)):
-        if not np.all(np.isfinite(arr)):
-            raise DomainError(f"{path}: {key} must be finite")
-    pump = block[:, 0]
-    start = block[:, 1]
-    values = block[:, 2:]
-    if mapped.size != pump.size or centers.size != pump.size:
-        raise DomainError(f"{path}: per-point header lengths do not match the pump grid")
-    width = values.shape[1]
-    if (np.any(start != np.floor(start)) or np.any(start < 0)
-            or np.any(start > signal.size - width)):
-        raise DomainError(
-            f"{path}: band_start must be whole column numbers in [0, {signal.size - width}]"
-        )
-    if not np.all(np.isfinite(values) & (values >= 0.0)):
-        raise DomainError(f"{path}: band_values must be finite and nonnegative")
+    start, values = block[:, 3], block[:, 4:]
+    last = signal.size - values.shape[1]  # the last start whose band fits the grid
+    if np.any((start != np.floor(start)) | (start < 0) | (start > last)):
+        raise DomainError(f"{path}: band_start must be whole column numbers in [0, {last}]")
+    if np.any(values < 0.0):
+        raise _column_error(path, _KERNEL_COLUMNS, "band_values")
     tracking = _header(meta, "vbg_tracking", path)
     if tracking not in ("tracked", "fixed"):
         raise DomainError(f"{path}: vbg_tracking must be tracked|fixed, got {tracking!r}")
     power = _header(meta, "pump_power_mw", path, float)
     if not 0.0 < power < np.inf:
         raise DomainError(f"{path}: pump_power_mw must be finite and positive, got {power!r}")
-    efficiency = _header(meta, "efficiency", path, float)
-    if not 0.0 < efficiency <= 1.0:
-        raise DomainError(f"{path}: efficiency must be in (0, 1], got {efficiency!r}")
-    kernel = ResponseKernel(
-        pump_grid_nm=pump, signal_grid_nm=signal,
-        band_start=start.astype(np.int64), band_values=values,
-        mapped_signal_nm=mapped, vbg_centers_nm=centers,
-        pump_power_mw=power, efficiency=efficiency, vbg_tracking=tracking,
-    )
+    kernel = ResponseKernel(pump_grid_nm=block[:, 0], signal_grid_nm=signal,
+                            band_start=start.astype(np.int64), band_values=values,
+                            mapped_signal_nm=block[:, 1], vbg_centers_nm=block[:, 2],
+                            pump_power_mw=power, vbg_tracking=tracking)
     return kernel, meta
 
 
-_SCAN_COLUMNS = "pump_nm,signal_nm_mapped,expected_rate_cps,counts,dwell_s"
-
-
 def write_scan_csv(path, result, meta=None):
-    """Headers: the plan's seven fields, noise rate, sampled flag, VBG setpoints."""
+    """Headers: meta, the plan's seven fields and the sampled flag; one row per
+    scan point."""
     plan = result.plan
     full_meta = dict(meta or {})
     for field in fields(ScanPlan):
         value = getattr(plan, field.name)
         full_meta[field.name] = repr(float(value)) if field.type is float else str(value)
-    full_meta.update({
-        "noise_rate_cps": repr(float(result.noise_rate_cps)),
-        "sampled": "true" if result.sampled else "false",
-        "vbg_centers_nm": result.vbg_centers_nm,
-    })
-    dwell = repr(float(plan.dwell_s))
-    with open(path, "w") as fh:
-        _write_meta(fh, full_meta)
-        fh.write(_SCAN_COLUMNS + "\n")
-        for p, s, r, c in zip(plan.pump_grid_nm(), result.signal_nm_mapped,
-                              result.expected_rate_cps, result.sampled_counts):
-            fh.write(f"{float(p)!r},{float(s)!r},{float(r)!r},{int(c)},{dwell}\n")
+    full_meta["sampled"] = "true" if result.sampled else "false"
+    rows = zip(plan.pump_grid_nm().tolist(), result.signal_nm_mapped.tolist(),
+               result.vbg_centers_nm.tolist(), result.expected_rate_cps.tolist(),
+               np.asarray(result.sampled_counts, dtype=np.int64).tolist())
+    _write_table(path, full_meta, _SCAN_COLUMNS, rows)
 
 
 def read_scan_csv(path):
     """-> (ScanResult, meta dict).  ScanPlan validates the plan headers, and
     the pump_nm column must be the plan's pump grid bit for bit."""
-    meta, rows = _read_lines(path)
-    if rows[0] != _SCAN_COLUMNS:
-        raise DomainError(f"{path}: expected header {_SCAN_COLUMNS}")
-    data = _parse_rows(rows[1:], path)
-    if data.ndim != 2 or data.shape[1] != 5:
-        raise DomainError(f"{path}: malformed data rows")
+    meta, data = _read_table(path, _SCAN_COLUMNS)
     values = {f.name: _header(meta, f.name, path, f.type) for f in fields(ScanPlan)}
     try:
         plan = ScanPlan(**values)
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from exc
-    if np.any(data[:, 4] != plan.dwell_s):
-        raise DomainError(f"{path}: dwell_s column differs from the "
-                          f"'# dwell_s: {meta['dwell_s']}' header")
-    if not np.array_equal(data[:, 0], plan.pump_grid_nm()):
+    pump, mapped, centers, rates, counts = data.T
+    if not np.array_equal(pump, plan.pump_grid_nm()):
         raise DomainError(f"{path}: pump_nm column is not the pump grid of its "
                           "pump_start_nm, pump_stop_nm and pump_step_nm headers")
-    mapped, rates, counts = data[:, 1], data[:, 2], data[:, 3]
-    if not np.all(np.isfinite(mapped)):
-        raise DomainError(f"{path}: signal_nm_mapped column must be finite")
-    if not np.all(np.isfinite(rates) & (rates >= 0.0)):
-        raise DomainError(f"{path}: expected_rate_cps column must be finite and nonnegative")
+    if np.any(rates < 0.0):
+        raise _column_error(path, _SCAN_COLUMNS, "expected_rate_cps")
     # 2**53: the largest count the float64 column holds exactly
     if not np.all((counts >= 0.0) & (counts <= 2.0**53) & (counts == np.floor(counts))):
-        raise DomainError(f"{path}: counts column must hold whole numbers in [0, 2**53]")
+        raise _column_error(path, _SCAN_COLUMNS, "counts")
     sampled = meta.get("sampled")
     if sampled not in ("true", "false"):
         raise DomainError(f"{path}: missing or malformed '# sampled: true|false' header")
-    centers = _header(meta, "vbg_centers_nm", path, _floats)
-    if centers.size != data.shape[0]:
-        raise DomainError(f"{path}: vbg_centers_nm has {centers.size} values for "
-                          f"{data.shape[0]} scan points")
-    result = ScanResult(
-        plan=plan,
-        signal_nm_mapped=mapped,
-        expected_rate_cps=rates,
-        sampled_counts=counts.astype(np.int64),
-        vbg_centers_nm=centers,
-        noise_rate_cps=_header(meta, "noise_rate_cps", path, float),
-        sampled=sampled == "true",
-    )
+    result = ScanResult(plan=plan, signal_nm_mapped=mapped, expected_rate_cps=rates,
+                        sampled_counts=counts.astype(np.int64), vbg_centers_nm=centers,
+                        sampled=sampled == "true")
     return result, meta

@@ -201,7 +201,11 @@ class ResponseKernel:
     each signal_grid_nm column.  Only its W-column window is stored:
     band_values[i, k] is the entry at column band_start[i] + k, and every
     entry outside the window is zero.  mapped_signal_nm[i] is scan point
-    i's phase-matched signal wavelength (the scan's native abscissa).
+    i's phase-matched signal wavelength (the scan's native abscissa).  The
+    conversion efficiency the rows are scaled by is the pinned
+    ConversionModel's at pump_power_mw.  io.write_kernel_csv writes one row
+    per pump point: its pump, mapped signal, VBG setpoint, band_start and
+    band values.
     """
 
     pump_grid_nm: np.ndarray
@@ -211,7 +215,6 @@ class ResponseKernel:
     mapped_signal_nm: np.ndarray
     vbg_centers_nm: np.ndarray
     pump_power_mw: float
-    efficiency: float
     vbg_tracking: str
 
     @functools.cached_property
@@ -365,8 +368,7 @@ def build_kernel(wg, chain, vbg, conv_model, plan):
     return ResponseKernel(
         pump_grid_nm=pump, signal_grid_nm=grid, band_start=start, band_values=values,
         mapped_signal_nm=mapped, vbg_centers_nm=schedule.centers_nm,
-        pump_power_mw=plan.pump_power_mw, efficiency=float(eta),
-        vbg_tracking=plan.vbg_tracking,
+        pump_power_mw=plan.pump_power_mw, vbg_tracking=plan.vbg_tracking,
     )
 
 
@@ -375,6 +377,9 @@ class ScanResult:
     """One executed scan of a plan: expectations and the Poisson-sampled counts.
 
     sampled says whether sampled_counts holds Poisson draws (see observed).
+    expected_rate_cps includes the noise model's rate at the plan's pump
+    power; the scan does not keep that rate apart.  io.write_scan_csv writes
+    the plan and sampled as headers and one row per scan point.
     """
 
     plan: ScanPlan
@@ -382,7 +387,6 @@ class ScanResult:
     expected_rate_cps: np.ndarray
     sampled_counts: np.ndarray
     vbg_centers_nm: np.ndarray
-    noise_rate_cps: float
     sampled: bool
 
     def observed(self):
@@ -449,7 +453,6 @@ def forward_scan(spectrum, kernel, noise_model, plan, sample=True):
         expected_rate_cps=rates,
         sampled_counts=counts,
         vbg_centers_nm=kernel.vbg_centers_nm,
-        noise_rate_cps=float(noise_model.rate(plan.pump_power_mw)),
         sampled=bool(sample),
     )
 

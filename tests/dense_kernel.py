@@ -4,7 +4,7 @@ dense_kernel evaluates every (pump, signal) cell of the kernel the way
 build_kernel did before it stored only each row's band; thresholded then
 applies the band's per-row cut.  build_kernel's band must match it.
 write_dense_kernel_csv writes the kernel CSV format of that time, which
-the reader must now reject.
+the reader must now reject at its column line.
 """
 import numpy as np
 
@@ -50,7 +50,6 @@ def write_dense_kernel_csv(path, kernel, meta=None):
     full_meta = dict(meta or {})
     full_meta.update({
         "pump_power_mw": repr(float(kernel.pump_power_mw)),
-        "efficiency": repr(float(kernel.efficiency)),
         "vbg_tracking": kernel.vbg_tracking,
         "mapped_signal_nm": " ".join(map(repr, kernel.mapped_signal_nm.tolist())),
         "vbg_centers_nm": " ".join(map(repr, kernel.vbg_centers_nm.tolist())),

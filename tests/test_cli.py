@@ -1,4 +1,5 @@
 """End-to-end CLI runs, in process, against the bundled defaults."""
+import hashlib
 import io as sysio
 import json
 import math
@@ -145,6 +146,28 @@ def test_fom_rejects_a_non_finite_conversion_point(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", ["fom", "design-qpm", "scan"])
+def test_a_sellmeier_with_a_non_positive_n_squared_is_a_config_error(scan_workdir, tmp_path,
+                                                                     capsys, command):
+    # with a1 = 0, fom exited 0, and design-qpm and scan exited 4 blaming the
+    # solver after numpy warned of an invalid sqrt
+    work, _ = scan_workdir
+    raw = config.load_config().raw
+    raw["sellmeier"]["a"][0] = 0.0
+    path = tmp_path / "a1_zero.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    argv = {"fom": ["fom", "--pump-power", "30"],
+            "design-qpm": ["design-qpm", "--signal", "1550", "--pump", "1950"],
+            "scan": ["scan", "--input", str(work / "input.csv"),
+                     "--out", str(tmp_path / "scan.csv")]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(["--config", str(path), *argv])
+    assert code == 3 and text == ""
+    assert "config error: sellmeier: Sellmeier a, b give n^2 <= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_scan_summary_and_reproducibility(scan_workdir):
     work, text = scan_workdir
     assert get_field(text, "points") == "121"
@@ -179,7 +202,8 @@ def test_deconvolve_with_saved_kernel(scan_workdir):
     est, emeta = uio.read_spectrum_csv(work / "est.csv")
     peak_nm = float(est.grid_nm[np.argmax(est.values)])
     assert peak_nm == pytest.approx(1550.0119857371326, abs=1e-9)
-    assert emeta["config_hash"] == CONFIG_HASH
+    # the report carries the iteration count, stop reason and dwell
+    assert emeta == {"config_hash": CONFIG_HASH, "seed": "7"}
 
 
 @pytest.mark.parametrize("flag,value", [("--noise-floor-cps", "inf"),
@@ -271,7 +295,31 @@ def test_deconvolve_rejects_a_dense_kernel_file(scan_workdir, capsys):
                        "--kernel", str(work / "kernel_dense.csv"),
                        "--out", str(work / "est_dense.csv")])
     assert code == 4
-    assert "rebuild the kernel" in capsys.readouterr().err
+    assert (f"{work / 'kernel_dense.csv'}: expected header pump_nm,mapped_signal_nm,"
+            "vbg_center_nm,band_start,band_values" in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("name,old,new", [
+    ("scan", "pump_nm,signal_nm_mapped,expected_rate_cps,counts,dwell_s",
+     "pump_nm,signal_nm_mapped,vbg_center_nm,expected_rate_cps,counts"),
+    ("kernel", "pump_nm,band_start,band_values",
+     "pump_nm,mapped_signal_nm,vbg_center_nm,band_start,band_values"),
+], ids=["scan", "kernel"])
+def test_deconvolve_rejects_a_file_in_the_previous_layout(scan_workdir, tmp_path, capsys,
+                                                          name, old, new):
+    # the column line is checked first, so no second reader is needed
+    work, _ = scan_workdir
+    files = {"scan": work / "scan.csv", "kernel": work / "kernel.csv"}
+    text = files[name].read_text()
+    assert f"\n{new}\n" in text
+    files[name] = tmp_path / f"{name}.csv"
+    files[name].write_text(text.replace(f"\n{new}\n", f"\n{old}\n"))
+    capsys.readouterr()
+    code, _ = run_cli(["deconvolve", "--raw", str(files["scan"]), "--kernel",
+                       str(files["kernel"]), "--out", str(tmp_path / "est.csv")])
+    assert code == 4
+    assert f"{files[name]}: expected header {new}" in capsys.readouterr().err
+    assert not (tmp_path / "est.csv").exists()
 
 
 def _deconvolve_both_ways(work, scan, out, capsys):
@@ -404,7 +452,8 @@ def test_deconvolve_rejects_a_kernel_file_with_a_negative_entry(scan_workdir, tm
     code, _ = run_cli(["deconvolve", "--raw", str(work / "scan.csv"), "--kernel", str(bad),
                        "--out", str(tmp_path / "est.csv")])
     assert code == 4
-    assert f"{bad}: band_values must be finite and nonnegative" in capsys.readouterr().err
+    assert (f"{bad}: band_values column must be finite and nonnegative"
+            in capsys.readouterr().err)
 
 
 def test_deconvolve_rejects_a_kernel_file_with_a_nan_wavelength(scan_workdir, tmp_path,
@@ -427,13 +476,12 @@ def test_deconvolve_rejects_a_kernel_file_with_a_nan_wavelength(scan_workdir, tm
 
 
 @pytest.mark.parametrize("header,message", [
-    ("efficiency", "efficiency must be in (0, 1], got nan"),
     ("pump_power_mw", "pump_power_mw must be finite and positive, got nan"),
-], ids=["efficiency", "pump_power_mw"])
+], ids=["pump_power_mw"])
 def test_deconvolve_rejects_a_kernel_file_with_a_nan_scalar_header(scan_workdir, tmp_path,
                                                                    capsys, header, message):
-    # a nan efficiency used to deconvolve with exit 0; a nan pump power failed
-    # only at the plan check, against "the kernel's nan mW"
+    # a nan pump power failed only at the plan check, against "the kernel's
+    # nan mW"
     work, _ = scan_workdir
     lines = (work / "kernel.csv").read_text().splitlines(keepends=True)
     row = next(i for i, line in enumerate(lines) if line.startswith(f"# {header}:"))
@@ -537,11 +585,6 @@ def test_deconvolve_model_kernel_for_uneven_scan_grid(scan_workdir, tmp_path, ca
     lines = (work / "scan.csv").read_text().splitlines(keepends=True)
     rows = [i for i, l in enumerate(lines) if l[0].isdigit()]
     del lines[rows[60]]
-    # drop the point's setpoint too, so that only the pump column is off
-    centers = next(i for i, l in enumerate(lines) if l.startswith("# vbg_centers_nm:"))
-    values = lines[centers].split()
-    del values[2 + 60]  # after '#' and 'vbg_centers_nm:'
-    lines[centers] = " ".join(values) + "\n"
     (work / "scan_gapped.csv").write_text("".join(lines))
     for code, text, err in _deconvolve_both_ways(work, work / "scan_gapped.csv",
                                                  tmp_path / "est.csv", capsys):
@@ -573,6 +616,53 @@ def test_deconvolve_model_and_kernel_file_write_the_same_bytes(scan_workdir, tmp
     assert code == 0
     assert (_estimate_bytes(scan, tmp_path / "est_file.csv", "--kernel", str(kernel))
             == _estimate_bytes(scan, tmp_path / "est_model.csv", "--kernel", "model"))
+
+
+# SHA-256 of each array read back from the bundled file workflow; a change to
+# the file layout must leave every one of them as it is.
+_WORKFLOW_DIGESTS = {
+    "scan.sampled_counts": "68c97b66f7eab7a689be987bb370fb638ec19bcb7d6ea50518b498d9421d6d98",
+    "scan.expected_rate_cps": "4b5adf1c1711d55f662b6a10b7de10bb178df923da5120a380c2cd07641bb102",
+    "scan.signal_nm_mapped": "5df13b38c5c152391d902e77101bfaf3df98aa80862e31b8202fcebdb8cf5299",
+    "scan.vbg_centers_nm": "3e531ab86cdbb7bf9f21762676bdef54f799855d0f718a11360832f79fe09c6e",
+    "kernel.band_values": "39972fc08982df62349dc53b0803584f57f035ef9fbe9c9b5c23bd376675d9cc",
+    "kernel.band_start": "83b687042e127e5b997d7ae0d42a68670be0bf8b46b5276ebd81004499b4aed2",
+    "kernel.pump_grid_nm": "51c9914115518cabd26d5c8cb34ad3b1768656bc913686582cd7ccc7d98438dc",
+    "kernel.signal_grid_nm": "0b13ea6e6e21edede082ad38390fff0791f9ce37b6bee8a0379b052cd846147f",
+    "kernel.mapped_signal_nm": "5df13b38c5c152391d902e77101bfaf3df98aa80862e31b8202fcebdb8cf5299",
+    "kernel.vbg_centers_nm": "3e531ab86cdbb7bf9f21762676bdef54f799855d0f718a11360832f79fe09c6e",
+    "estimate_file.grid_nm": "0b13ea6e6e21edede082ad38390fff0791f9ce37b6bee8a0379b052cd846147f",
+    "estimate_file.values": "36760cf90d3aae307629bf717c0595c1e1cbcefc21a39f31bb0b4bb2e995877d",
+    "estimate_model.grid_nm": "0b13ea6e6e21edede082ad38390fff0791f9ce37b6bee8a0379b052cd846147f",
+    "estimate_model.values": "36760cf90d3aae307629bf717c0595c1e1cbcefc21a39f31bb0b4bb2e995877d",
+}
+
+
+def test_file_workflow_moves_no_value(tmp_path):
+    # the bundled plan: scan --write-kernel, then deconvolve from the file and
+    # from the model; the arrays read back are digested, not the file bytes
+    grid = np.arange(1530.0, 1575.0, 0.02)
+    uio.write_spectrum_csv(tmp_path / "input.csv", spectra.multimode_ld_spectrum(grid))
+    scan, kernel = tmp_path / "scan.csv", tmp_path / "kernel.csv"
+    assert run_cli(["scan", "--input", str(tmp_path / "input.csv"), "--out", str(scan),
+                    "--write-kernel", str(kernel)])[0] == 0
+    estimates = {"estimate_file": str(kernel), "estimate_model": "model"}
+    for name, source in estimates.items():
+        assert run_cli(["deconvolve", "--raw", str(scan), "--kernel", source,
+                        "--out", str(tmp_path / f"{name}.csv")])[0] == 0
+    raw, _ = uio.read_scan_csv(scan)
+    kern, _ = uio.read_kernel_csv(kernel)
+    arrays = {f"scan.{name}": getattr(raw, name) for name in
+              ("sampled_counts", "expected_rate_cps", "signal_nm_mapped", "vbg_centers_nm")}
+    arrays.update({f"kernel.{name}": getattr(kern, name) for name in
+                   ("band_values", "band_start", "pump_grid_nm", "signal_grid_nm",
+                    "mapped_signal_nm", "vbg_centers_nm")})
+    for name in estimates:
+        est, _ = uio.read_spectrum_csv(tmp_path / f"{name}.csv")
+        arrays.update({f"{name}.grid_nm": est.grid_nm, f"{name}.values": est.values})
+    digests = {key: hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
+               for key, value in arrays.items()}
+    assert digests == _WORKFLOW_DIGESTS
 
 
 def test_deconvolve_rebuilds_the_kernel_by_default(scan_workdir, tmp_path):

@@ -36,6 +36,33 @@ def test_refractive_index_validity_window():
         dispersion.refractive_index(6000.0, 56.0)
 
 
+def _medium(a=(), b=()):
+    """The bundled medium with leading a and b coefficients replaced."""
+    m = dispersion.CONGRUENT_LN_E
+    return replace(m, a=tuple(a) + m.a[len(a):], b=tuple(b) + m.b[len(b):])
+
+
+@pytest.mark.parametrize("a,b,message", [
+    ((0.0,), (), "n\\^2 <= 0 or not finite between 0.4 and 0.418 um at 0 C"),
+    ((-5.35583,), (), "n\\^2 <= 0 or not finite between 0.4 and 0.418 um at 0 C"),
+    ((), (4.629e-7, -1e-3), "n\\^2 <= 0 or not finite between"),
+    ((5.35583, 0.100473, 0.5), (), "pole of n\\^2 at 0.4984 um"),
+    ((5.35583, 0.100473, 0.20692, 100.0, 2.0), (), "pole of n\\^2 at 2 um"),
+    ((5.35583, 0.100473, 0.20692, 100.0, 0.4), (), "pole of n\\^2 at 0.4 um"),
+], ids=["a1-zero", "a1-negative", "b2-negative", "pole-a3", "pole-a5", "pole-a5-at-edge"])
+def test_sellmeier_rejects_a_non_positive_or_singular_n_squared(a, b, message):
+    with pytest.raises(DomainError, match=f"Sellmeier a, b .*{message}"):
+        _medium(a, b)
+
+
+def test_sellmeier_accepts_the_bundled_medium_and_a_pole_outside_the_window():
+    # the bundled n^2 stays above 4.01 over 0.4-5 um and 0-250 C
+    lam = np.linspace(0.4, 5.0, 2001)
+    n2 = [dispersion.refractive_index(lam * 1e3, t) ** 2 for t in np.linspace(0.0, 250.0, 11)]
+    assert np.min(n2) == pytest.approx(4.0103, abs=1e-4)
+    _medium(a=(5.35583, 0.100473, 0.3))  # its pole sits at 0.3 um, below the window
+
+
 def test_sfg_wavelength_values_and_symmetry():
     assert dispersion.sfg_wavelength(1550.0, 1950.0) == pytest.approx(863.5714285714286, rel=1e-14)
     assert dispersion.sfg_wavelength(1532.9, 1920.0) == pytest.approx(852.3756842074778, rel=1e-14)

@@ -45,7 +45,6 @@ def _synthetic_scan(rates, power_mw=30.0):
         expected_rate_cps=rates,
         sampled_counts=np.zeros(n, dtype=np.int64),
         vbg_centers_nm=np.full(n, 863.57),
-        noise_rate_cps=42.0,
         sampled=False,
     )
 

@@ -45,7 +45,6 @@ def test_kernel_round_trip(tmp_path, scan_and_kernel):
     assert np.array_equal(back.mapped_signal_nm, kern.mapped_signal_nm)
     assert np.array_equal(back.vbg_centers_nm, kern.vbg_centers_nm)
     assert back.pump_power_mw == kern.pump_power_mw
-    assert back.efficiency == kern.efficiency
     assert back.vbg_tracking == kern.vbg_tracking
 
 
@@ -58,8 +57,8 @@ def test_scan_round_trip(tmp_path, scan_and_kernel):
     assert np.array_equal(back.expected_rate_cps, result.expected_rate_cps)
     assert np.array_equal(back.plan.pump_grid_nm(), result.plan.pump_grid_nm())
     assert np.array_equal(back.signal_nm_mapped, result.signal_nm_mapped)
+    assert np.array_equal(back.vbg_centers_nm, result.vbg_centers_nm)
     assert back.plan == result.plan
-    assert back.noise_rate_cps == result.noise_rate_cps
     assert back.sampled is True
     quiet = replace(result, sampled=False)
     uio.write_scan_csv(path, quiet)
@@ -81,8 +80,7 @@ def _without_header(path, key):
     path.write_text("".join(l for l in lines if not l.startswith(f"# {key}:")))
 
 
-@pytest.mark.parametrize("header", ["seed", "pump_power_mw", "noise_rate_cps",
-                                    "vbg_centers_nm", "dwell_s", "pump_start_nm",
+@pytest.mark.parametrize("header", ["seed", "pump_power_mw", "dwell_s", "pump_start_nm",
                                     "pump_stop_nm", "pump_step_nm", "vbg_tracking"])
 def test_scan_csv_requires_its_headers(tmp_path, scan_and_kernel, header):
     _, result, _ = scan_and_kernel
@@ -90,17 +88,6 @@ def test_scan_csv_requires_its_headers(tmp_path, scan_and_kernel, header):
     uio.write_scan_csv(path, result)
     _without_header(path, header)
     with pytest.raises(DomainError, match=f"missing '# {header}:' header"):
-        uio.read_scan_csv(path)
-
-
-def test_scan_csv_dwell_column_must_match_its_header(tmp_path, scan_and_kernel):
-    # a 100 s header over 1 s rows used to read as 1 s, from row 0 alone
-    _, result, _ = scan_and_kernel
-    path = tmp_path / "r.csv"
-    uio.write_scan_csv(path, result)
-    path.write_text(path.read_text().replace(f"# dwell_s: {result.plan.dwell_s!r}",
-                                             "# dwell_s: 100.0"))
-    with pytest.raises(DomainError, match="dwell_s column differs"):
         uio.read_scan_csv(path)
 
 
@@ -133,8 +120,7 @@ def test_scan_csv_pump_column_must_be_the_plan_grid(tmp_path, scan_and_kernel, o
         uio.read_scan_csv(path)
 
 
-@pytest.mark.parametrize("header", ["pump_power_mw", "efficiency", "vbg_tracking",
-                                    "signal_grid_nm"])
+@pytest.mark.parametrize("header", ["pump_power_mw", "vbg_tracking", "signal_grid_nm"])
 def test_kernel_csv_requires_its_headers(tmp_path, scan_and_kernel, header):
     _, _, kern = scan_and_kernel
     path = tmp_path / "k.csv"
@@ -148,7 +134,8 @@ def test_dense_kernel_csv_is_rejected(tmp_path, scan_and_kernel):
     _, _, kern = scan_and_kernel
     path = tmp_path / "dense.csv"
     write_dense_kernel_csv(path, kern)
-    with pytest.raises(DomainError, match="rebuild the kernel"):
+    with pytest.raises(DomainError, match=f"{path}: expected header pump_nm,mapped_signal_nm,"
+                                          "vbg_center_nm,band_start,band_values"):
         uio.read_kernel_csv(path)
 
 
@@ -171,7 +158,8 @@ def test_kernel_csv_band_values_must_be_finite_and_nonnegative(tmp_path, scan_an
     values[60, 30] = value
     path = tmp_path / "k.csv"
     uio.write_kernel_csv(path, replace(kern, band_values=values))
-    with pytest.raises(DomainError, match=f"{path}: band_values must be finite and nonnegative"):
+    with pytest.raises(DomainError,
+                       match=f"{path}: band_values column must be finite and nonnegative"):
         uio.read_kernel_csv(path)
 
 
@@ -185,11 +173,19 @@ def _set_header_value(path, key, index, text):
     path.write_text("".join(lines))
 
 
+def _set_cell(path, column, text):
+    """Rewrite one cell of a scan or kernel CSV's first data row."""
+    lines = path.read_text().splitlines(keepends=True)
+    head = next(i for i, line in enumerate(lines) if line.startswith("pump_nm,"))
+    cells = lines[head + 1].rstrip("\n").split(",")
+    cells[lines[head].rstrip("\n").split(",").index(column)] = text
+    lines[head + 1] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+
+
 @pytest.mark.parametrize("text", ["nan", "inf"])
 @pytest.mark.parametrize("header,message", [
     ("signal_grid_nm", "signal_grid_nm must be finite and strictly ascending"),
-    ("mapped_signal_nm", "mapped_signal_nm must be finite"),
-    ("vbg_centers_nm", "vbg_centers_nm must be finite"),
 ])
 def test_kernel_csv_header_arrays_must_be_finite(tmp_path, scan_and_kernel, header, message,
                                                  text):
@@ -203,22 +199,31 @@ def test_kernel_csv_header_arrays_must_be_finite(tmp_path, scan_and_kernel, head
         uio.read_kernel_csv(path)
 
 
-_SCALAR_RULES = {"efficiency": r"efficiency must be in \(0, 1\]",
-                 "pump_power_mw": "pump_power_mw must be finite and positive"}
+@pytest.mark.parametrize("text", ["nan", "inf"])
+@pytest.mark.parametrize("column", ["pump_nm", "mapped_signal_nm", "vbg_center_nm",
+                                    "band_start"])
+def test_kernel_csv_columns_must_be_finite(tmp_path, scan_and_kernel, column, text):
+    # the mapped signal and VBG setpoints were header arrays, each checked on
+    # its own; as columns they are checked with every other entry
+    _, _, kern = scan_and_kernel
+    path = tmp_path / "k.csv"
+    uio.write_kernel_csv(path, kern)
+    _set_cell(path, column, text)
+    with pytest.raises(DomainError, match=f"{path}: {column} column must be finite"):
+        uio.read_kernel_csv(path)
 
 
 @pytest.mark.parametrize("header,text", [
-    ("efficiency", "nan"), ("efficiency", "inf"), ("efficiency", "1.5"), ("efficiency", "0.0"),
     ("pump_power_mw", "nan"), ("pump_power_mw", "inf"), ("pump_power_mw", "-30.0"),
     ("pump_power_mw", "0.0"),
 ])
 def test_kernel_csv_scalar_headers_are_checked(tmp_path, scan_and_kernel, header, text):
-    # an efficiency of nan, inf or 1.5 used to read, and deconvolve ran on it
     _, _, kern = scan_and_kernel
     path = tmp_path / "k.csv"
     uio.write_kernel_csv(path, kern)
     _set_header_value(path, header, 0, text)
-    with pytest.raises(DomainError, match=f"{path}: {_SCALAR_RULES[header]}, got {text}"):
+    with pytest.raises(DomainError,
+                       match=f"{path}: pump_power_mw must be finite and positive, got {text}"):
         uio.read_kernel_csv(path)
 
 
@@ -234,16 +239,6 @@ def test_kernel_csv_signal_grid_must_ascend(tmp_path, scan_and_kernel):
             uio.read_kernel_csv(path)
 
 
-def _set_scan_cell(path, column, text):
-    """Rewrite one cell of a scan CSV's first data row."""
-    lines = path.read_text().splitlines(keepends=True)
-    head = next(i for i, line in enumerate(lines) if line.startswith("pump_nm,"))
-    cells = lines[head + 1].rstrip("\n").split(",")
-    cells[lines[head].rstrip("\n").split(",").index(column)] = text
-    lines[head + 1] = ",".join(cells) + "\n"
-    path.write_text("".join(lines))
-
-
 @pytest.mark.parametrize("column,text,message", [
     ("counts", "3.7", "counts column must hold whole numbers"),
     ("counts", "nan", "counts column must hold whole numbers"),
@@ -255,17 +250,19 @@ def _set_scan_cell(path, column, text):
     ("expected_rate_cps", "inf", "expected_rate_cps column must be finite and nonnegative"),
     ("signal_nm_mapped", "nan", "signal_nm_mapped column must be finite"),
     ("signal_nm_mapped", "-inf", "signal_nm_mapped column must be finite"),
+    ("vbg_center_nm", "nan", "vbg_center_nm column must be finite"),
 ])
 def test_scan_csv_counts_and_rates_are_checked_at_read(tmp_path, scan_and_kernel, column,
                                                        text, message):
     # 3.7 counts used to read as 3, a nan count to warn on the cast (an error
     # under the suite's warning filter), a nan rate to fail only in
-    # deconvolve, naming the estimate, and a nan mapped signal to deconvolve
+    # deconvolve, naming the estimate, and a nan mapped signal to deconvolve;
+    # a nan setpoint read, and deconvolve reported it "off ... by up to nan nm"
     _, result, _ = scan_and_kernel
     path = tmp_path / "r.csv"
     for sampled in (True, False):
         uio.write_scan_csv(path, replace(result, sampled=sampled))
-        _set_scan_cell(path, column, text)
+        _set_cell(path, column, text)
         with pytest.raises(DomainError, match=f"{path}: {message}"):
             uio.read_scan_csv(path)
 
@@ -296,7 +293,6 @@ def band_kernels(draw):
         mapped_signal_nm=floats(n_pump),
         vbg_centers_nm=floats(n_pump),
         pump_power_mw=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
-        efficiency=draw(st.floats(0.0, 1.0, exclude_min=True)),
         vbg_tracking=draw(st.sampled_from(["tracked", "fixed"])),
     )
 
@@ -307,14 +303,13 @@ def test_kernel_csv_round_trip_is_bit_exact(tmp_path_factory, kern):
     path = tmp_path_factory.mktemp("kernel") / "k.csv"
     uio.write_kernel_csv(path, kern, meta={"config_hash": "abc"})
     back, meta = uio.read_kernel_csv(path)
-    assert meta["config_hash"] == "abc" and meta["format"] == "band"
+    assert meta["config_hash"] == "abc"
     for field in ("pump_grid_nm", "signal_grid_nm", "band_start", "band_values",
                   "mapped_signal_nm", "vbg_centers_nm"):
         assert np.array_equal(getattr(back, field), getattr(kern, field)), field
         assert np.array_equal(np.signbit(getattr(back, field)),
                               np.signbit(getattr(kern, field))), field
     assert back.pump_power_mw == kern.pump_power_mw
-    assert back.efficiency == kern.efficiency
     assert back.vbg_tracking == kern.vbg_tracking
 
 
@@ -364,7 +359,6 @@ def scan_results(draw):
         sampled_counts=np.array(draw(st.lists(st.integers(0, 2**53), min_size=n,
                                               max_size=n)), dtype=np.int64),
         vbg_centers_nm=floats(),
-        noise_rate_cps=draw(_FINITE),
         sampled=draw(st.booleans()),
     )
 
@@ -380,7 +374,7 @@ def test_scan_csv_round_trip_is_bit_exact(tmp_path_factory, result):
         assert np.array_equal(getattr(back, field), getattr(result, field)), field
         assert np.array_equal(np.signbit(getattr(back, field)),
                               np.signbit(getattr(result, field))), field
-    for field in ("plan", "noise_rate_cps", "sampled"):
+    for field in ("plan", "sampled"):
         assert getattr(back, field) == getattr(result, field), field
     pump = back.plan.pump_grid_nm()
     assert np.array_equal(pump, result.plan.pump_grid_nm())
@@ -408,6 +402,29 @@ def test_spectrum_csv_value_column_must_be_power_w_per_nm(tmp_path, column):
     bad.write_text(f"wavelength_nm,{column}\n1550.0,1e-12\n1550.1,2e-12\n")
     with pytest.raises(DomainError, match="expected header wavelength_nm,power_w_per_nm"):
         uio.read_spectrum_csv(bad)
+
+
+@pytest.mark.parametrize("row,column", [("nan,2e-12", "wavelength_nm"),
+                                        ("1550.5,inf", "power_w_per_nm")])
+def test_spectrum_csv_entries_must_be_finite(tmp_path, row, column):
+    # a nan wavelength used to read, into a grid Spectrum let through
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"wavelength_nm,power_w_per_nm\n1550.0,1e-12\n{row}\n1551.0,1e-12\n")
+    with pytest.raises(DomainError, match=f"{bad}: {column} column must be finite"):
+        uio.read_spectrum_csv(bad)
+
+
+@pytest.mark.parametrize("reader,text", [
+    (uio.read_spectrum_csv, "wavelength_nm,power_w_per_nm\n1550.0,1e-12\n1550.1,2e-12,3.0\n"),
+    (uio.read_spectrum_csv, "wavelength_nm,power_w_per_nm\n1550.0\n"),
+    (uio.read_kernel_csv, "pump_nm,mapped_signal_nm,vbg_center_nm,band_start,band_values\n"
+                          "1944.0,1570.0,863.0,0\n"),
+], ids=["ragged", "short", "no-band-values"])
+def test_rows_must_hold_one_value_per_column(tmp_path, reader, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError, match=f"{path}: data rows must each hold one value per"):
+        reader(path)
 
 
 def test_missing_file_raises_oserror(tmp_path):
