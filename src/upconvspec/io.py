@@ -1,21 +1,24 @@
 """CSV tables for spectra, scans and kernels, in one layout.
 
-'# key: value' headers carry scalars, the provenance a reader needs to
-reproduce the run (config hash, a scan's plan), and a kernel's signal grid.
-Then come one column line and one numeric row per point: whatever varies by
-point is a column (see _SPECTRUM_COLUMNS, _SCAN_COLUMNS, _KERNEL_COLUMNS; a
-kernel row ends in its W band values).  Floats are written with repr, so
-write-then-read round-trips bit-exactly.  The reader rejects a file whose
-column line differs, whose rows are ragged, or whose entries are not all
-finite, naming the file and the column.
+'# key: value' headers carry scalars and provenance: the config hash, and
+for scans and kernels the same plan header block, ScanPlan's seven fields.
+Then come one column line and one numeric row per point: whatever varies
+by point is a column (see _SPECTRUM_COLUMNS, _SCAN_COLUMNS, _KERNEL_COLUMNS;
+a kernel row ends in its W band values).  A kernel file holds its plan and
+band only; its pump and signal grids are derived, as ResponseKernel derives
+them.  Floats are written with repr, so write-then-read round-trips
+bit-exactly.  The reader rejects a file whose column line differs, whose
+rows are ragged, or whose entries are not all finite, naming the file and
+the column.
 """
 from dataclasses import fields
 
 import numpy as np
 
+from .dispersion import SIGNAL_SEARCH_NM
 from .errors import DomainError
 from .spectra import Spectrum
-from .spectrometer import ResponseKernel, ScanPlan, ScanResult
+from .spectrometer import ResponseKernel, ScanPlan, ScanResult, default_signal_grid
 
 # Each table's columns, in file order, with the rule each column's values keep.
 _FINITE = "must be finite"
@@ -23,18 +26,15 @@ _SPECTRUM_COLUMNS = {"wavelength_nm": _FINITE, "power_w_per_nm": _FINITE}
 _SCAN_COLUMNS = {"pump_nm": _FINITE, "signal_nm_mapped": _FINITE, "vbg_center_nm": _FINITE,
                  "expected_rate_cps": "must be finite and nonnegative",
                  "counts": "must hold whole numbers in [0, 2**53]"}
-_KERNEL_COLUMNS = {"pump_nm": _FINITE, "mapped_signal_nm": _FINITE, "vbg_center_nm": _FINITE,
-                   "band_start": _FINITE, "band_values": "must be finite and nonnegative"}
+_KERNEL_COLUMNS = {"mapped_signal_nm": "must be finite and inside [{}, {}] nm".format(
+                       *SIGNAL_SEARCH_NM), "vbg_center_nm": _FINITE, "band_start": _FINITE,
+                   "band_values": "must be finite and nonnegative"}
 
 
 def _write_table(path, meta, columns, rows):
-    """'# key: value' lines for meta (an array as its repr'd floats, space
-    separated), the column line, then each row's values, repr'd."""
+    """'# key: value' lines for meta, the column line, then each row repr'd."""
     with open(path, "w") as fh:
-        for key, value in meta.items():
-            if isinstance(value, np.ndarray):
-                value = " ".join(map(repr, value.tolist()))
-            fh.write(f"# {key}: {value}\n")
+        fh.writelines(f"# {key}: {value}\n" for key, value in meta.items())
         fh.write(",".join(columns) + "\n")
         fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
@@ -45,12 +45,9 @@ def _column_error(path, columns, name):
 
 def _read_table(path, columns, open_ended=False):
     """-> (meta, block): the '# key: value' headers as strings, and the rows
-    as a 2-D float array with one column per name in `columns`.
-
-    The first line that is not blank or a comment must be the column line.
-    With open_ended, the last column takes the rest of each row (one value
-    or more).
-    """
+    after the column line (the first line not blank or a comment) as a 2-D
+    float array, one column per name; with open_ended, the last column takes
+    the rest of each row (one value or more)."""
     names, header = list(columns), ",".join(columns)
     meta, rows = {}, []
     with open(path, "r") as fh:
@@ -81,16 +78,6 @@ def _read_table(path, columns, open_ended=False):
     return meta, block
 
 
-def _header(meta, key, path, parse=str):
-    """A required '# key:' header, parsed; DomainError naming it otherwise."""
-    if key not in meta:
-        raise DomainError(f"{path}: missing '# {key}:' header")
-    try:
-        return parse(meta[key])
-    except ValueError as exc:
-        raise DomainError(f"{path}: malformed '# {key}:' header ({exc})") from exc
-
-
 def write_spectrum_csv(path, spectrum, meta=None):
     _write_table(path, meta or {}, _SPECTRUM_COLUMNS,
                  zip(spectrum.grid_nm.tolist(), spectrum.values.tolist()))
@@ -102,74 +89,78 @@ def read_spectrum_csv(path):
     return Spectrum(grid_nm=data[:, 0], values=data[:, 1]), meta
 
 
+def _plan_headers(plan, meta):
+    """meta followed by the plan's seven fields, each as a '# key:' header."""
+    headers = dict(meta or {})
+    for field in fields(ScanPlan):
+        value = getattr(plan, field.name)
+        headers[field.name] = repr(float(value)) if field.type is float else str(value)
+    return headers
+
+
+def _read_plan(meta, path):
+    """The ScanPlan of a file's plan headers, each required; ScanPlan validates them."""
+    values = {}
+    for f in fields(ScanPlan):
+        if f.name not in meta:
+            raise DomainError(f"{path}: missing '# {f.name}:' header")
+        try:
+            values[f.name] = f.type(meta[f.name])
+        except ValueError as exc:
+            raise DomainError(f"{path}: malformed '# {f.name}:' header ({exc})") from exc
+    try:
+        return ScanPlan(**values)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
+
+
 def write_kernel_csv(path, kernel, meta=None):
-    """Headers: meta, pump_power_mw, vbg_tracking and the signal grid; one row
-    per pump point: pump_nm, mapped_signal_nm, vbg_center_nm, band_start,
-    then its W band values."""
-    full_meta = dict(meta or {})
-    full_meta.update({
-        "pump_power_mw": repr(float(kernel.pump_power_mw)),
-        "vbg_tracking": kernel.vbg_tracking,
-        "signal_grid_nm": kernel.signal_grid_nm,
-    })
-    rows = ([p, m, c, s, *values] for p, m, c, s, values in zip(
-        kernel.pump_grid_nm.tolist(), kernel.mapped_signal_nm.tolist(),
-        kernel.vbg_centers_nm.tolist(), kernel.band_start.tolist(),
-        kernel.band_values.tolist()))
-    _write_table(path, full_meta, _KERNEL_COLUMNS, rows)
+    """Headers: meta and the kernel's plan; one row per pump point:
+    mapped_signal_nm, vbg_center_nm, band_start, then its W band values."""
+    rows = ([m, c, s, *values] for m, c, s, values in zip(
+        kernel.mapped_signal_nm.tolist(), kernel.vbg_centers_nm.tolist(),
+        kernel.band_start.tolist(), kernel.band_values.tolist()))
+    _write_table(path, _plan_headers(kernel.plan, meta), _KERNEL_COLUMNS, rows)
 
 
 def read_kernel_csv(path):
-    """-> (ResponseKernel, meta dict).  The signal grid must ascend, each row's
-    band fit it, and the band values be nonnegative."""
+    """-> (ResponseKernel, meta dict).  ScanPlan validates the plan headers.  One
+    row per pump point of the plan, every mapped signal inside SIGNAL_SEARCH_NM
+    (which bounds the derived signal grid), each band inside that grid."""
     meta, block = _read_table(path, _KERNEL_COLUMNS, open_ended=True)
-    signal = _header(meta, "signal_grid_nm", path,
-                     lambda text: np.array([float(v) for v in text.split()]))
-    if not (np.all(np.isfinite(signal)) and np.all(signal[1:] > signal[:-1])):
-        raise DomainError(f"{path}: signal_grid_nm must be finite and strictly ascending")
-    start, values = block[:, 3], block[:, 4:]
-    last = signal.size - values.shape[1]  # the last start whose band fits the grid
+    plan = _read_plan(meta, path)
+    mapped, centers, start, values = block[:, 0], block[:, 1], block[:, 2], block[:, 3:]
+    if mapped.size != plan.pump_grid_nm().size:
+        raise DomainError(f"{path}: {mapped.size} rows, but its plan has "
+                          f"{plan.pump_grid_nm().size} pump points")
+    if np.any((mapped < SIGNAL_SEARCH_NM[0]) | (mapped > SIGNAL_SEARCH_NM[1])):
+        raise _column_error(path, _KERNEL_COLUMNS, "mapped_signal_nm")
+    # the grid the kernel derives; checked before the int cast, which warns past int64
+    last = default_signal_grid(mapped).size - values.shape[1]
     if np.any((start != np.floor(start)) | (start < 0) | (start > last)):
         raise DomainError(f"{path}: band_start must be whole column numbers in [0, {last}]")
     if np.any(values < 0.0):
         raise _column_error(path, _KERNEL_COLUMNS, "band_values")
-    tracking = _header(meta, "vbg_tracking", path)
-    if tracking not in ("tracked", "fixed"):
-        raise DomainError(f"{path}: vbg_tracking must be tracked|fixed, got {tracking!r}")
-    power = _header(meta, "pump_power_mw", path, float)
-    if not 0.0 < power < np.inf:
-        raise DomainError(f"{path}: pump_power_mw must be finite and positive, got {power!r}")
-    kernel = ResponseKernel(pump_grid_nm=block[:, 0], signal_grid_nm=signal,
-                            band_start=start.astype(np.int64), band_values=values,
-                            mapped_signal_nm=block[:, 1], vbg_centers_nm=block[:, 2],
-                            pump_power_mw=power, vbg_tracking=tracking)
-    return kernel, meta
+    return ResponseKernel(plan=plan, band_start=start.astype(np.int64), band_values=values,
+                          mapped_signal_nm=mapped, vbg_centers_nm=centers), meta
 
 
 def write_scan_csv(path, result, meta=None):
-    """Headers: meta, the plan's seven fields and the sampled flag; one row per
-    scan point."""
+    """Headers: meta, the plan and the sampled flag; one row per scan point."""
     plan = result.plan
-    full_meta = dict(meta or {})
-    for field in fields(ScanPlan):
-        value = getattr(plan, field.name)
-        full_meta[field.name] = repr(float(value)) if field.type is float else str(value)
-    full_meta["sampled"] = "true" if result.sampled else "false"
+    headers = _plan_headers(plan, meta)
+    headers["sampled"] = "true" if result.sampled else "false"
     rows = zip(plan.pump_grid_nm().tolist(), result.signal_nm_mapped.tolist(),
                result.vbg_centers_nm.tolist(), result.expected_rate_cps.tolist(),
                np.asarray(result.sampled_counts, dtype=np.int64).tolist())
-    _write_table(path, full_meta, _SCAN_COLUMNS, rows)
+    _write_table(path, headers, _SCAN_COLUMNS, rows)
 
 
 def read_scan_csv(path):
     """-> (ScanResult, meta dict).  ScanPlan validates the plan headers, and
     the pump_nm column must be the plan's pump grid bit for bit."""
     meta, data = _read_table(path, _SCAN_COLUMNS)
-    values = {f.name: _header(meta, f.name, path, f.type) for f in fields(ScanPlan)}
-    try:
-        plan = ScanPlan(**values)
-    except DomainError as exc:
-        raise DomainError(f"{path}: {exc}") from exc
+    plan = _read_plan(meta, path)
     pump, mapped, centers, rates, counts = data.T
     if not np.array_equal(pump, plan.pump_grid_nm()):
         raise DomainError(f"{path}: pump_nm column is not the pump grid of its "

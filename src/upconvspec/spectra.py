@@ -10,7 +10,7 @@ from .units import dbm_to_watts
 class Spectrum:
     """A spectral density [W/nm] on an ascending wavelength grid.
 
-    grid_nm strictly ascending; values finite and nonnegative.
+    grid_nm finite and strictly ascending; values finite and nonnegative.
     """
 
     grid_nm: np.ndarray
@@ -21,8 +21,8 @@ class Spectrum:
         vals = np.asarray(self.values, dtype=float)
         if grid.ndim != 1 or grid.shape != vals.shape or grid.size < 1:
             raise DomainError("spectrum grid and values must be matching 1-D arrays")
-        if grid.size > 1 and np.any(np.diff(grid) <= 0):
-            raise DomainError("spectrum grid must be strictly ascending")
+        if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+            raise DomainError("spectrum grid must be finite and strictly ascending")
         if np.any(vals < 0) or not np.all(np.isfinite(vals)):
             raise DomainError("spectrum values must be finite and nonnegative")
         object.__setattr__(self, "grid_nm", grid)

@@ -19,14 +19,14 @@ operator built from that band once per kernel (rl_operator, an RLOperator):
 dense blocks of RL_BLOCK_ROWS consecutive rows, and a CSR of the same
 weights, built only when RL first drops columns.
 
-The kernel is also the one record of what a plan covers.  Each column's
-peak response (ResponseKernel.column_peak) decides whether every support
-column is reached (ResponseKernel.support, which forward_scan and
-rl_operator both check), and gives the fixed-VBG usable span, read from
-one plan's fixed- and tracked-VBG kernels (fixed_vbg_usable_span).
+The kernel, which holds its ScanPlan, is also the one record of what a
+plan covers.  Each column's peak response (ResponseKernel.column_peak)
+decides whether every support column is reached (ResponseKernel.support,
+checked by forward_scan and rl_operator) and gives the fixed-VBG usable
+span from one plan's fixed- and tracked-VBG kernels (fixed_vbg_usable_span).
 """
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,11 @@ BAND_REL_TOL = 1e-12  # band keeps entries above this x their row's peak
 _GRID_PAD_NM = 1.5  # sinc^2 tails beyond the mapped range worth keeping
 _GRID_COUNT_TOL = 1e-9  # pump steps a window may fall short of a whole count
 RL_BLOCK_ROWS = 16  # kernel rows per dense block of the RL operator
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -108,11 +113,10 @@ def vbg_tracking_schedule(plan, wg, vbg):
     else:
         centers = np.full_like(pump, float(dispersion.sfg_wavelength(sig[-1], center_pump)))
     lo_nm, hi_nm = vbg.tuning_range_nm
-    if np.any(centers < lo_nm) or np.any(centers > hi_nm):
-        bad = centers[(centers < lo_nm) | (centers > hi_nm)]
-        raise TuningError(
-            f"VBG setpoint {bad[0]:.3f} nm outside tuning range [{lo_nm}, {hi_nm}] nm"
-        )
+    bad = centers[(centers < lo_nm) | (centers > hi_nm)]
+    if bad.size:
+        raise TuningError(f"VBG setpoint {bad[0]:.3f} nm outside tuning range "
+                          f"[{lo_nm}, {hi_nm}] nm")
     return TrackingSchedule(signal_nm=sig[:-1], centers_nm=centers)
 
 
@@ -197,25 +201,33 @@ class RLOperator:
 class ResponseKernel:
     """Instrument response: counts/s per W of monochromatic input, as a band.
 
-    Row i is the expected count rate at scan point i per watt of input at
-    each signal_grid_nm column.  Only its W-column window is stored:
-    band_values[i, k] is the entry at column band_start[i] + k, and every
-    entry outside the window is zero.  mapped_signal_nm[i] is scan point
-    i's phase-matched signal wavelength (the scan's native abscissa).  The
-    conversion efficiency the rows are scaled by is the pinned
-    ConversionModel's at pump_power_mw.  io.write_kernel_csv writes one row
-    per pump point: its pump, mapped signal, VBG setpoint, band_start and
-    band values.
+    A kernel holds its plan and what only a build produces.  Row i is the
+    count rate at pump_grid_nm[i] per watt of input at each signal_grid_nm
+    column, stored only over its W-column window: band_values[i, k] is the
+    entry at column band_start[i] + k, zero outside.  mapped_signal_nm[i] is
+    row i's phase-matched signal (the scan's native abscissa).  Both grids
+    are derived.  Pump power and VBG tracking mode are the plan's; the rows
+    carry the pinned efficiency at that power.  The plan's dwell and seed
+    enter nothing the kernel holds.
     """
 
-    pump_grid_nm: np.ndarray
-    signal_grid_nm: np.ndarray
+    plan: ScanPlan
     band_start: np.ndarray        # first column of each row's window (int)
     band_values: np.ndarray       # n_pump x W entries of the windows
     mapped_signal_nm: np.ndarray
     vbg_centers_nm: np.ndarray
-    pump_power_mw: float
-    vbg_tracking: str
+    pump_power_mw = property(lambda self: self.plan.pump_power_mw)
+    vbg_tracking = property(lambda self: self.plan.vbg_tracking)
+
+    @functools.cached_property
+    def pump_grid_nm(self):
+        """Read-only plan.pump_grid_nm(), one point per row."""
+        return _read_only(self.plan.pump_grid_nm())
+
+    @functools.cached_property
+    def signal_grid_nm(self):
+        """Read-only default_signal_grid(mapped_signal_nm)."""
+        return _read_only(default_signal_grid(self.mapped_signal_nm))
 
     @functools.cached_property
     def band_columns(self):
@@ -228,8 +240,7 @@ class ResponseKernel:
         rate [cps/W] a line at that column gives as the pump scans."""
         peak = np.zeros(self.signal_grid_nm.size)
         np.maximum.at(peak, self.band_columns.ravel(), self.band_values.ravel())  # 1-D: fast path
-        peak.flags.writeable = False
-        return peak
+        return _read_only(peak)
 
     @functools.cached_property
     def support(self):
@@ -246,8 +257,7 @@ class ResponseKernel:
         if dead.size:
             runs = np.split(dead, np.flatnonzero(np.diff(dead) > 1) + 1)
             raise UnrecoverableBandError([(float(grid[r[0]]), float(grid[r[-1]])) for r in runs])
-        support.flags.writeable = False
-        return support
+        return _read_only(support)
 
     @functools.cached_property
     def rl_operator(self):
@@ -286,8 +296,7 @@ class ResponseKernel:
         """
         m = np.zeros((self.pump_grid_nm.size, self.signal_grid_nm.size))
         np.put_along_axis(m, self.band_columns, self.band_values, axis=1)
-        m.flags.writeable = False
-        return m
+        return _read_only(m)
 
 
 def default_signal_grid(mapped):
@@ -365,11 +374,8 @@ def build_kernel(wg, chain, vbg, conv_model, plan):
     per_photon = photon_energy_j(grid)  # J per photon at each signal bin
     values = eta * qpm * (t_actual / t_ref[:, None]) / per_photon[cols]
     values[values <= BAND_REL_TOL * values.max(axis=1, keepdims=True)] = 0.0
-    return ResponseKernel(
-        pump_grid_nm=pump, signal_grid_nm=grid, band_start=start, band_values=values,
-        mapped_signal_nm=mapped, vbg_centers_nm=schedule.centers_nm,
-        pump_power_mw=plan.pump_power_mw, vbg_tracking=plan.vbg_tracking,
-    )
+    return ResponseKernel(plan=plan, band_start=start, band_values=values,
+                          mapped_signal_nm=mapped, vbg_centers_nm=schedule.centers_nm)
 
 
 @dataclass(frozen=True)
@@ -401,9 +407,10 @@ class ScanResult:
 
 def check_plan_fits(plan, kernel, what="plan"):
     """DomainError unless kernel was built for plan: the same pump grid, pump
-    power and VBG tracking mode, compared exactly.  A kernel built from the
-    plan, and a kernel or plan read back from CSV, agree bit for bit.  what
-    ("plan" or "scan") names the plan's side in the message."""
+    power and VBG tracking mode as kernel.plan, compared exactly; the dwell
+    and seed may differ, as they enter nothing the kernel holds.  A kernel
+    built from the plan, and a kernel or plan read back from CSV, agree bit
+    for bit.  what ("plan" or "scan") names the plan's side in the message."""
     pump, kernel_pump = plan.pump_grid_nm(), kernel.pump_grid_nm
     fix = f"; use the kernel built for this {what}"
     if not np.array_equal(pump, kernel_pump):

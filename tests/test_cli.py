@@ -1,4 +1,5 @@
 """End-to-end CLI runs, in process, against the bundled defaults."""
+import copy
 import hashlib
 import io as sysio
 import json
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 import yaml
 from dense_kernel import write_dense_kernel_csv
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import upconvspec
 from upconvspec import cli, config, dispersion, io as uio, spectra
@@ -168,6 +171,55 @@ def test_a_sellmeier_with_a_non_positive_n_squared_is_a_config_error(scan_workdi
     assert list(tmp_path.iterdir()) == [path]
 
 
+def _number_paths(node, path=()):
+    """The key path to every number in a raw config."""
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _number_paths(value, path + (key,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+@pytest.fixture(scope="module")
+def bundled_raw():
+    return config.load_config().raw
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_perturbed_config_exits_0_3_or_4_and_warns_nothing(scan_workdir, bundled_raw,
+                                                              tmp_path_factory, data):
+    # one or two numbers of the bundled config scaled (by 0, -1, 0.5 ... 10)
+    # and nudged by up to 1e-3; fom and design-qpm on every config, scan on
+    # about one in four, over a 121-point window so the example stays cheap
+    work, _ = scan_workdir
+    raw = copy.deepcopy(bundled_raw)
+    paths = list(_number_paths(raw))
+    for _ in range(data.draw(st.integers(1, 2))):
+        *keys, last = data.draw(st.sampled_from(paths))
+        node = raw
+        for key in keys:
+            node = node[key]
+        factor = data.draw(st.sampled_from([0.0, -1.0, 0.5, 0.99, 1.01, 2.0, 10.0]))
+        value = node[last] * factor + data.draw(st.sampled_from([0.0, -1e-3, 1e-3]))
+        node[last] = int(value) if isinstance(node[last], int) else value
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "config.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    commands = [["fom", "--pump-power", "30"],
+                ["design-qpm", "--signal", "1550", "--pump", "1950"]]
+    if data.draw(st.integers(0, 3)) == 0:
+        commands.append(["scan", "--input", str(work / "input.csv"), "--out",
+                         str(tmp / "scan.csv"), "--pump-start", "1944", "--pump-stop", "1956",
+                         "--pump-step", "0.1"])
+    for argv in commands:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run_cli(["--config", str(path), *argv])
+        assert code in (0, 3, 4), (argv[0], code)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv[0]
+
+
 def test_scan_summary_and_reproducibility(scan_workdir):
     work, text = scan_workdir
     assert get_field(text, "points") == "121"
@@ -295,15 +347,15 @@ def test_deconvolve_rejects_a_dense_kernel_file(scan_workdir, capsys):
                        "--kernel", str(work / "kernel_dense.csv"),
                        "--out", str(work / "est_dense.csv")])
     assert code == 4
-    assert (f"{work / 'kernel_dense.csv'}: expected header pump_nm,mapped_signal_nm,"
+    assert (f"{work / 'kernel_dense.csv'}: expected header mapped_signal_nm,"
             "vbg_center_nm,band_start,band_values" in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("name,old,new", [
     ("scan", "pump_nm,signal_nm_mapped,expected_rate_cps,counts,dwell_s",
      "pump_nm,signal_nm_mapped,vbg_center_nm,expected_rate_cps,counts"),
-    ("kernel", "pump_nm,band_start,band_values",
-     "pump_nm,mapped_signal_nm,vbg_center_nm,band_start,band_values"),
+    ("kernel", "pump_nm,mapped_signal_nm,vbg_center_nm,band_start,band_values",
+     "mapped_signal_nm,vbg_center_nm,band_start,band_values"),
 ], ids=["scan", "kernel"])
 def test_deconvolve_rejects_a_file_in_the_previous_layout(scan_workdir, tmp_path, capsys,
                                                           name, old, new):
@@ -442,7 +494,7 @@ def test_deconvolve_rejects_a_kernel_file_with_a_negative_entry(scan_workdir, tm
     # a -1e17 band entry used to read, and deconvolve exited 0 on it
     work, _ = scan_workdir
     lines = (work / "kernel.csv").read_text().splitlines(keepends=True)
-    row = next(i for i, line in enumerate(lines) if line.startswith("pump_nm,")) + 1
+    row = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
     cells = lines[row].split(",")
     cells[5] = "-1e+17"
     lines[row] = ",".join(cells)
@@ -458,30 +510,62 @@ def test_deconvolve_rejects_a_kernel_file_with_a_negative_entry(scan_workdir, tm
 
 def test_deconvolve_rejects_a_kernel_file_with_a_nan_wavelength(scan_workdir, tmp_path,
                                                                capsys):
-    # a nan in signal_grid_nm used to deconvolve with exit 0 and write nan as
-    # the estimate's first wavelength_nm
+    # a nan in the signal grid header used to deconvolve with exit 0 and
+    # write nan as the estimate's first wavelength_nm; the grid is now derived
+    # from the mapped signal column, which must be finite
     work, _ = scan_workdir
-    lines = (work / "kernel.csv").read_text().splitlines(keepends=True)
-    row = next(i for i, line in enumerate(lines) if line.startswith("# signal_grid_nm:"))
-    lines[row] = "# signal_grid_nm: nan " + lines[row].split(" ", 3)[3]
     bad = tmp_path / "kernel_nan.csv"
-    bad.write_text("".join(lines))
+    bad.write_text(_with_mapped_signal(work / "kernel.csv", lambda nm: float("nan")))
     capsys.readouterr()
     code, _ = run_cli(["deconvolve", "--raw", str(work / "scan.csv"), "--kernel", str(bad),
                        "--out", str(tmp_path / "est.csv")])
     assert code == 4
-    assert (f"{bad}: signal_grid_nm must be finite and strictly ascending"
-            in capsys.readouterr().err)
+    assert f"{bad}: mapped_signal_nm column must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "est.csv").exists()
+
+
+def _with_mapped_signal(kernel, change):
+    """The text of a kernel file with each row's mapped signal passed through change."""
+    lines = kernel.read_text().splitlines(keepends=True)
+    head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    for i in range(head + 1, len(lines)):
+        first, rest = lines[i].split(",", 1)
+        lines[i] = f"{change(float(first))!r},{rest}"
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("change,message", [
+    ("shift", "scan mapped signal wavelengths are off the tracked-VBG kernel's by up to"),
+    ("drop", "120 rows, but its plan has 121 pump points"),
+], ids=["mapped-signal-shifted", "row-dropped"])
+def test_deconvolve_rejects_a_kernel_file_that_disagrees_with_its_scan(scan_workdir,
+                                                                       tmp_path, capsys,
+                                                                       change, message):
+    # a kernel file's signal grid header shifted by 0.1 nm used to move the
+    # estimate's peak by 0.1 nm with exit 0; the grid now follows the mapped
+    # signal, so a shift there is a shift the scan's mapped signal does not
+    # share.  A file missing a row no longer fits its plan.
+    work, _ = scan_workdir
+    bad = tmp_path / "kernel_bad.csv"
+    if change == "shift":
+        bad.write_text(_with_mapped_signal(work / "kernel.csv", lambda nm: nm + 0.1))
+    else:
+        bad.write_text("".join((work / "kernel.csv").read_text().splitlines(True)[:-1]))
+    capsys.readouterr()
+    code, text = run_cli(["deconvolve", "--raw", str(work / "scan.csv"), "--kernel", str(bad),
+                          "--out", str(tmp_path / "est.csv")])
+    assert code == 4 and text == ""
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "est.csv").exists()
 
 
 @pytest.mark.parametrize("header,message", [
-    ("pump_power_mw", "pump_power_mw must be finite and positive, got nan"),
+    ("pump_power_mw", "scan pump_power_mw must be finite, got nan"),
 ], ids=["pump_power_mw"])
 def test_deconvolve_rejects_a_kernel_file_with_a_nan_scalar_header(scan_workdir, tmp_path,
                                                                    capsys, header, message):
     # a nan pump power failed only at the plan check, against "the kernel's
-    # nan mW"
+    # nan mW"; it is a plan header, which ScanPlan validates
     work, _ = scan_workdir
     lines = (work / "kernel.csv").read_text().splitlines(keepends=True)
     row = next(i for i, line in enumerate(lines) if line.startswith(f"# {header}:"))
@@ -663,6 +747,41 @@ def test_file_workflow_moves_no_value(tmp_path):
     digests = {key: hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
                for key, value in arrays.items()}
     assert digests == _WORKFLOW_DIGESTS
+
+
+# SHA-256 of the grids and band of two more plans' kernels, read back from
+# scan --write-kernel; the file stores neither grid, so both are derived and
+# must stay what the file held when it stored them.
+_KERNEL_PLANS = {
+    "fixed-vbg-window": ("--tracking", "fixed", "--pump-start", "1944", "--pump-stop", "1956",
+                         "--pump-step", "0.1"),
+    "pump-step-0.07": ("--pump-step", "0.07"),
+}
+_KERNEL_DIGESTS = {
+    "fixed-vbg-window": {
+        "pump_grid_nm": "046725062234abd4dc5a607047093cb8a73ed54bd8dc9b3dde3c37ba659374dd",
+        "signal_grid_nm": "b880a8d329d3dba5a3c1cf93ae3cd01a899b89e7c1a202f3de2991ea7d354490",
+        "band_values": "2672e73e158c2d8c9cea912d2b5b4a3bb3308e3a3c0adb362ef7784f29827aa0",
+    },
+    "pump-step-0.07": {
+        "pump_grid_nm": "55690964a18c419c01f4b49f6c69c0dbd9ae3710a5878a840e6282a352a4c3a1",
+        "signal_grid_nm": "9fcb87c949b29ab2bfd4761468ea651248f243615f3f99088c7cc6208a0039dc",
+        "band_values": "d58f33d33d602dde3b61b64c25601bbea41344e6a4d91cbaaf0057fa479b423b",
+    },
+}
+
+
+@pytest.mark.parametrize("plan", list(_KERNEL_PLANS))
+def test_kernel_file_grids_move_no_value(scan_workdir, tmp_path, plan):
+    work, _ = scan_workdir
+    kernel = tmp_path / "kernel.csv"
+    assert run_cli(["scan", "--input", str(work / "input.csv"), "--out",
+                    str(tmp_path / "scan.csv"), "--write-kernel", str(kernel),
+                    *_KERNEL_PLANS[plan]])[0] == 0
+    kern, _ = uio.read_kernel_csv(kernel)
+    digests = {name: hashlib.sha256(np.ascontiguousarray(getattr(kern, name)).tobytes())
+               .hexdigest() for name in _KERNEL_DIGESTS[plan]}
+    assert digests == _KERNEL_DIGESTS[plan]
 
 
 def test_deconvolve_rebuilds_the_kernel_by_default(scan_workdir, tmp_path):

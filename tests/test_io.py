@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from upconvspec import io as uio
 from upconvspec import spectra, spectrometer
+from upconvspec.dispersion import SIGNAL_SEARCH_NM
 from upconvspec.errors import DomainError
 from upconvspec.spectrometer import ResponseKernel, ScanPlan, ScanResult
 
@@ -44,8 +45,7 @@ def test_kernel_round_trip(tmp_path, scan_and_kernel):
     assert np.array_equal(back.signal_grid_nm, kern.signal_grid_nm)
     assert np.array_equal(back.mapped_signal_nm, kern.mapped_signal_nm)
     assert np.array_equal(back.vbg_centers_nm, kern.vbg_centers_nm)
-    assert back.pump_power_mw == kern.pump_power_mw
-    assert back.vbg_tracking == kern.vbg_tracking
+    assert back.plan == kern.plan
 
 
 def test_scan_round_trip(tmp_path, scan_and_kernel):
@@ -120,8 +120,10 @@ def test_scan_csv_pump_column_must_be_the_plan_grid(tmp_path, scan_and_kernel, o
         uio.read_scan_csv(path)
 
 
-@pytest.mark.parametrize("header", ["pump_power_mw", "vbg_tracking", "signal_grid_nm"])
+@pytest.mark.parametrize("header", ["seed", "pump_power_mw", "dwell_s", "pump_start_nm",
+                                    "pump_stop_nm", "pump_step_nm", "vbg_tracking"])
 def test_kernel_csv_requires_its_headers(tmp_path, scan_and_kernel, header):
+    # the kernel file carries the scan file's plan header block
     _, _, kern = scan_and_kernel
     path = tmp_path / "k.csv"
     uio.write_kernel_csv(path, kern)
@@ -134,7 +136,7 @@ def test_dense_kernel_csv_is_rejected(tmp_path, scan_and_kernel):
     _, _, kern = scan_and_kernel
     path = tmp_path / "dense.csv"
     write_dense_kernel_csv(path, kern)
-    with pytest.raises(DomainError, match=f"{path}: expected header pump_nm,mapped_signal_nm,"
+    with pytest.raises(DomainError, match=f"{path}: expected header mapped_signal_nm,"
                                           "vbg_center_nm,band_start,band_values"):
         uio.read_kernel_csv(path)
 
@@ -147,6 +149,11 @@ def test_kernel_csv_band_start_must_fit_the_grid(tmp_path, scan_and_kernel):
         uio.write_kernel_csv(path, bad)
         with pytest.raises(DomainError, match="band_start"):
             uio.read_kernel_csv(path)
+    # a start past the int64 range is refused before the cast, which warns
+    uio.write_kernel_csv(path, kern)
+    _set_cell(path, "band_start", "1e300")
+    with pytest.raises(DomainError, match="band_start must be whole column numbers"):
+        uio.read_kernel_csv(path)
 
 
 @pytest.mark.parametrize("value", [-1e17, np.nan, np.inf], ids=["negative", "nan", "inf"])
@@ -163,20 +170,10 @@ def test_kernel_csv_band_values_must_be_finite_and_nonnegative(tmp_path, scan_an
         uio.read_kernel_csv(path)
 
 
-def _set_header_value(path, key, index, text):
-    """Rewrite value `index` of a kernel CSV's '# key:' header array."""
-    lines = path.read_text().splitlines(keepends=True)
-    row = next(i for i, line in enumerate(lines) if line.startswith(f"# {key}:"))
-    values = lines[row][len(f"# {key}:"):].split()
-    values[index] = text
-    lines[row] = f"# {key}: " + " ".join(values) + "\n"
-    path.write_text("".join(lines))
-
-
 def _set_cell(path, column, text):
     """Rewrite one cell of a scan or kernel CSV's first data row."""
     lines = path.read_text().splitlines(keepends=True)
-    head = next(i for i, line in enumerate(lines) if line.startswith("pump_nm,"))
+    head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     cells = lines[head + 1].rstrip("\n").split(",")
     cells[lines[head].rstrip("\n").split(",").index(column)] = text
     lines[head + 1] = ",".join(cells) + "\n"
@@ -184,24 +181,7 @@ def _set_cell(path, column, text):
 
 
 @pytest.mark.parametrize("text", ["nan", "inf"])
-@pytest.mark.parametrize("header,message", [
-    ("signal_grid_nm", "signal_grid_nm must be finite and strictly ascending"),
-])
-def test_kernel_csv_header_arrays_must_be_finite(tmp_path, scan_and_kernel, header, message,
-                                                 text):
-    # a nan in signal_grid_nm used to read, and deconvolve wrote it as the
-    # estimate's first wavelength
-    _, _, kern = scan_and_kernel
-    path = tmp_path / "k.csv"
-    uio.write_kernel_csv(path, kern)
-    _set_header_value(path, header, 0, text)
-    with pytest.raises(DomainError, match=f"{path}: {message}"):
-        uio.read_kernel_csv(path)
-
-
-@pytest.mark.parametrize("text", ["nan", "inf"])
-@pytest.mark.parametrize("column", ["pump_nm", "mapped_signal_nm", "vbg_center_nm",
-                                    "band_start"])
+@pytest.mark.parametrize("column", ["mapped_signal_nm", "vbg_center_nm", "band_start"])
 def test_kernel_csv_columns_must_be_finite(tmp_path, scan_and_kernel, column, text):
     # the mapped signal and VBG setpoints were header arrays, each checked on
     # its own; as columns they are checked with every other entry
@@ -218,25 +198,41 @@ def test_kernel_csv_columns_must_be_finite(tmp_path, scan_and_kernel, column, te
     ("pump_power_mw", "0.0"),
 ])
 def test_kernel_csv_scalar_headers_are_checked(tmp_path, scan_and_kernel, header, text):
+    # the pump power is a plan header, and ScanPlan validates it
     _, _, kern = scan_and_kernel
     path = tmp_path / "k.csv"
     uio.write_kernel_csv(path, kern)
-    _set_header_value(path, header, 0, text)
-    with pytest.raises(DomainError,
-                       match=f"{path}: pump_power_mw must be finite and positive, got {text}"):
+    path.write_text(path.read_text().replace(f"# {header}: 30.0\n", f"# {header}: {text}\n"))
+    message = ("scan pump_power_mw must be finite" if text in ("nan", "inf")
+               else "scan pump power must be positive")
+    with pytest.raises(DomainError, match=f"{path}: {message}"):
         uio.read_kernel_csv(path)
 
 
-def test_kernel_csv_signal_grid_must_ascend(tmp_path, scan_and_kernel):
+@pytest.mark.parametrize("text", ["1449.9", "1650.1", "-1570.0"])
+def test_kernel_csv_mapped_signal_must_lie_in_the_search_window(tmp_path, scan_and_kernel,
+                                                                text):
+    # the signal grid is derived from the mapped signal, so this bounds it
     _, _, kern = scan_and_kernel
     path = tmp_path / "k.csv"
-    grid = kern.signal_grid_nm
-    for index, value in ((1, grid[0]), (0, grid[1])):  # a repeat, then a swap
-        uio.write_kernel_csv(path, kern)
-        _set_header_value(path, "signal_grid_nm", index, repr(float(value)))
-        with pytest.raises(DomainError,
-                           match=f"{path}: signal_grid_nm must be finite and strictly ascending"):
-            uio.read_kernel_csv(path)
+    uio.write_kernel_csv(path, kern)
+    _set_cell(path, "mapped_signal_nm", text)
+    with pytest.raises(DomainError, match=rf"{path}: mapped_signal_nm column must be finite "
+                                          rf"and inside \[1450.0, 1650.0\] nm"):
+        uio.read_kernel_csv(path)
+
+
+@pytest.mark.parametrize("change", ["drop", "repeat"])
+def test_kernel_csv_needs_one_row_per_pump_point(tmp_path, scan_and_kernel, change):
+    _, _, kern = scan_and_kernel
+    path = tmp_path / "k.csv"
+    uio.write_kernel_csv(path, kern)
+    lines = path.read_text().splitlines(keepends=True)
+    lines = lines[:-1] if change == "drop" else lines + lines[-1:]
+    path.write_text("".join(lines))
+    rows = 120 if change == "drop" else 122
+    with pytest.raises(DomainError, match=f"{path}: {rows} rows, but its plan has 121 pump"):
+        uio.read_kernel_csv(path)
 
 
 @pytest.mark.parametrize("column,text,message", [
@@ -275,25 +271,23 @@ _ENTRY = st.one_of(st.just(0.0), st.floats(0.0, 2.2250738585072014e-308),
 
 @st.composite
 def band_kernels(draw):
-    n_pump = draw(st.integers(1, 6))
-    n_cols = draw(st.integers(1, 10))
-    width = draw(st.integers(1, n_cols))
+    plan = draw(scan_plans())
+    n_pump = plan.pump_grid_nm().size
 
-    def floats(n, unique=False):
-        return np.array(draw(st.lists(_FINITE, min_size=n, max_size=n, unique=unique)))
+    def floats(elements=_FINITE):
+        return np.array(draw(st.lists(elements, min_size=n_pump, max_size=n_pump)))
 
+    mapped = floats(st.floats(*SIGNAL_SEARCH_NM))
+    n_cols = spectrometer.default_signal_grid(mapped).size
+    width = draw(st.integers(1, 10))
     return ResponseKernel(
-        pump_grid_nm=floats(n_pump),
-        signal_grid_nm=np.sort(floats(n_cols, unique=True)),  # strictly ascending
-        band_start=np.array(draw(st.lists(st.integers(0, n_cols - width),
-                                          min_size=n_pump, max_size=n_pump)),
-                            dtype=np.int64),
+        plan=plan,
+        band_start=np.array(draw(st.lists(st.integers(0, n_cols - width), min_size=n_pump,
+                                          max_size=n_pump)), dtype=np.int64),
         band_values=np.array(draw(st.lists(_ENTRY, min_size=n_pump * width,
                                            max_size=n_pump * width))).reshape(n_pump, width),
-        mapped_signal_nm=floats(n_pump),
-        vbg_centers_nm=floats(n_pump),
-        pump_power_mw=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
-        vbg_tracking=draw(st.sampled_from(["tracked", "fixed"])),
+        mapped_signal_nm=mapped,
+        vbg_centers_nm=floats(),
     )
 
 
@@ -309,8 +303,7 @@ def test_kernel_csv_round_trip_is_bit_exact(tmp_path_factory, kern):
         assert np.array_equal(getattr(back, field), getattr(kern, field)), field
         assert np.array_equal(np.signbit(getattr(back, field)),
                               np.signbit(getattr(kern, field))), field
-    assert back.pump_power_mw == kern.pump_power_mw
-    assert back.vbg_tracking == kern.vbg_tracking
+    assert back.plan == kern.plan
 
 
 @settings(max_examples=60, deadline=None)
@@ -417,8 +410,8 @@ def test_spectrum_csv_entries_must_be_finite(tmp_path, row, column):
 @pytest.mark.parametrize("reader,text", [
     (uio.read_spectrum_csv, "wavelength_nm,power_w_per_nm\n1550.0,1e-12\n1550.1,2e-12,3.0\n"),
     (uio.read_spectrum_csv, "wavelength_nm,power_w_per_nm\n1550.0\n"),
-    (uio.read_kernel_csv, "pump_nm,mapped_signal_nm,vbg_center_nm,band_start,band_values\n"
-                          "1944.0,1570.0,863.0,0\n"),
+    (uio.read_kernel_csv, "mapped_signal_nm,vbg_center_nm,band_start,band_values\n"
+                          "1570.0,863.0,0\n"),
 ], ids=["ragged", "short", "no-band-values"])
 def test_rows_must_hold_one_value_per_column(tmp_path, reader, text):
     path = tmp_path / "bad.csv"

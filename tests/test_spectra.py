@@ -55,6 +55,17 @@ def test_spectrum_validation():
         spectra.Spectrum(GRID, np.full(GRID.size, np.nan))
 
 
+@pytest.mark.parametrize("grid", [[1549.0, np.nan, 1551.0], [1549.0, 1550.0, np.inf],
+                                  [-np.inf, 1550.0, 1551.0], [np.nan], [np.inf]],
+                         ids=["nan-inside", "inf-last", "minus-inf-first", "one-point-nan",
+                              "one-point-inf"])
+def test_spectrum_grid_must_be_finite(grid):
+    # np.diff(grid) <= 0 is False for nan, so [1549, nan, 1551] used to pass,
+    # and so did a grid ending in inf and any one-point grid
+    with pytest.raises(DomainError, match="spectrum grid must be finite and strictly ascending"):
+        spectra.Spectrum(np.array(grid), np.ones(len(grid)))
+
+
 def test_interpolation_is_zero_outside_support():
     s = spectra.monochromatic_spectrum(GRID, 1550.0, 1e-12)
     wider = np.arange(1540.0, 1560.0, 0.05)
