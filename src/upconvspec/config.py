@@ -4,6 +4,10 @@ The bundled defaults reproduce the published operating point of the
 instrument with zero flags; any field can be overridden by pointing the CLI
 at an edited copy.  Validation happens entirely at load time and reports
 the offending field by dotted path, so a bad config never dies mid-run.
+The tuning map is calibrated from the anchors then, once per process
+(calibrated_waveguide reads the result); the calibration points are fitted
+when a command pins its models (pinned_models), and a fit that fails there
+is a ConfigError naming its points.
 The dataclasses are the schema: a section's keys are its dataclass's
 fields, its defaults are the dataclass defaults, and each value is coerced
 by its field's type.  A field the schema does not define is an error, so a
@@ -22,7 +26,7 @@ from .components import FilterElement, VbgState
 from .conversion import fit_conversion, fit_noise
 from .counting import validate_seed
 from .dispersion import SellmeierMedium, WaveguideSpec, calibrate_operating_point
-from .errors import ConfigError, DomainError
+from .errors import CalibrationError, ConfigError, DomainError, FitError
 from .fom import CONVENTIONS
 from .spectrometer import ScanPlan
 
@@ -39,6 +43,7 @@ class ExperimentConfig:
 
     waveguide: WaveguideSpec          # uncalibrated (no correction applied yet)
     anchors: tuple                    # ((pump_nm, signal_nm), ...)
+    calibrated: WaveguideSpec         # waveguide with the anchors' correction fitted in
     filters: tuple                    # fixed chain, VBG excluded
     vbg: VbgState
     conversion_points: tuple
@@ -130,6 +135,10 @@ def parse_config(doc):
                   required=("length_mm", "qpm_period_um", "temperature_c"),
                   medium=medium)
     anchors = _pairs(_need(doc, "tuning_anchors", ""), "tuning_anchors")
+    try:
+        calibrated = calibrate_operating_point(wg, anchors)
+    except (CalibrationError, DomainError) as exc:
+        raise ConfigError("tuning_anchors", str(exc)) from exc
 
     filters_raw = doc.get("filters", [])
     if not isinstance(filters_raw, list):
@@ -149,13 +158,15 @@ def parse_config(doc):
     convention = str(doc.get("nep_convention", "background_sqrt_d"))
     if convention not in CONVENTIONS:
         raise ConfigError("nep_convention", f"must be one of {CONVENTIONS}")
+    fom_signal = _value(doc.get("fom_signal_nm", 1550.0), float, "fom_signal_nm")
+    if fom_signal <= 0:
+        raise ConfigError("fom_signal_nm", f"must be a positive wavelength, got {fom_signal}")
 
     return ExperimentConfig(
-        waveguide=wg, anchors=anchors, filters=filters, vbg=vbg,
+        waveguide=wg, anchors=anchors, calibrated=calibrated, filters=filters, vbg=vbg,
         conversion_points=conv_pts, noise_points=noise_pts,
         noise_floor_cps=noise_floor, scan=scan, nep_convention=convention,
-        fom_signal_nm=_value(doc.get("fom_signal_nm", 1550.0), float, "fom_signal_nm"),
-        raw=doc,
+        fom_signal_nm=fom_signal, raw=doc,
     )
 
 
@@ -181,18 +192,28 @@ def config_hash(cfg):
 
 
 def calibrated_waveguide(cfg):
-    """The config's waveguide with its tuning-map correction fitted in."""
-    return calibrate_operating_point(cfg.waveguide, cfg.anchors)
+    """The config's waveguide with its tuning-map correction fitted in, as
+    fitted once when the config was parsed."""
+    return cfg.calibrated
+
+
+def _fitted(path, fit, *args):
+    """The model fit(*args) pins; a fit that fails or is degenerate is a
+    ConfigError on path, never used."""
+    try:
+        model, report = fit(*args)
+    except (FitError, DomainError) as exc:
+        raise ConfigError(path, str(exc)) from exc
+    if report.degenerate:
+        raise ConfigError(path, report.note)
+    return model
 
 
 def pinned_models(cfg):
     """(ConversionModel, NoiseModel) pinned from the config's points.
 
-    A degenerate fit over three or more points is a ConfigError, never used.
+    A fit that fails, or a degenerate fit over three or more points, is a
+    ConfigError naming its points.
     """
-    conv, conv_fit = fit_conversion(cfg.conversion_points)
-    noise, noise_fit = fit_noise(cfg.noise_points, cfg.noise_floor_cps)
-    for path, fit in (("conversion_points", conv_fit), ("noise_points", noise_fit)):
-        if fit.degenerate:
-            raise ConfigError(path, fit.note)
-    return conv, noise
+    return (_fitted("conversion_points", fit_conversion, cfg.conversion_points),
+            _fitted("noise_points", fit_noise, cfg.noise_points, cfg.noise_floor_cps))

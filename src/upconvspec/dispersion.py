@@ -18,7 +18,8 @@ computes the known wave's term once per known wavelength.  A kernel band
 (_band_mismatch) computes the signal term once per signal-grid column, the
 pump term once per row and only the SFG wavelength and its term per cell,
 and hands that SFG wavelength on to the filter chain.  Window checks compare
-an array's extremes, not every element.
+an array's extremes, not every element, and a band built in row chunks is
+checked whole first (_check_band).
 
 The tuning map is solved by a coarse 1 nm scan for dk's sign change, then
 bisection.  The scan evaluates dk on every node only for pumps on a 1 nm
@@ -283,20 +284,12 @@ def _mismatch_against(known, wg, solve_for):
     return dk
 
 
-def _band_mismatch(signal_nm, cols, pump_nm, wg):
-    """(dk [rad/um], SFG wavelength [nm]) on a kernel band: entry [i, k]
-    pairs the signal signal_nm[cols[i, k]] with the pump pump_nm[i].
-
-    Bit for bit qpm_mismatch and sfg_wavelength of the gathered cells,
-    errors included, with each term evaluated on the axis it depends on:
-    the signal term once per signal_nm column, then gathered at cols; the
-    pump term once per row; the SFG wavelength and its term once per cell.
-    The checks compare extremes: the signal over signal_nm from the band's
-    first column to its last (the cells' own extremes on an ascending
-    grid), the pump over the rows and the SFG over the cells.
-    """
-    s = np.asarray(signal_nm, dtype=float)
-    p = np.asarray(pump_nm, dtype=float)[:, None]
+def _checked_cells(s, cols, p, wg):
+    """(span, SFG wavelengths [nm]) of the cells cols, entry [i, k] pairing the
+    signal s[cols[i, k]] with the pump p[i, 0], checked as qpm_mismatch checks
+    them: span is s from the first column to the last (the cells' own
+    extremes on an ascending grid), checked with the pumps for positivity,
+    then the SFG cells, the span and the pumps against the medium's window."""
     span = s[cols.min():cols.max() + 1]
     if np.fmin.reduce(span) <= 0 or np.fmin.reduce(p, axis=None) <= 0:
         raise DomainError("wavelengths must be positive")
@@ -304,8 +297,38 @@ def _band_mismatch(signal_nm, cols, pump_nm, wg):
     f_nm = lam_s * p / (lam_s + p)
     for lam_nm in (f_nm, span, p):
         _check_window(lam_nm, wg.temperature_c, wg.medium)
-    b = _term(s, wg, wg.dispersion_correction)[cols]
+    return span, f_nm
+
+
+def _band_mismatch(signal_nm, cols, pump_nm, wg):
+    """(dk [rad/um], SFG wavelength [nm]) on a kernel band: entry [i, k]
+    pairs the signal signal_nm[cols[i, k]] with the pump pump_nm[i].
+
+    Bit for bit qpm_mismatch and sfg_wavelength of the gathered cells,
+    errors included (_checked_cells), with each term evaluated on the axis
+    it depends on: the signal term once per signal_nm column the band
+    spans, then gathered at cols; the pump term once per row; the SFG
+    wavelength and its term once per cell.  A band built a chunk of rows at
+    a time is first checked whole (_check_band).
+    """
+    s = np.asarray(signal_nm, dtype=float)
+    p = np.asarray(pump_nm, dtype=float)[:, None]
+    span, f_nm = _checked_cells(s, cols, p, wg)
+    b = _term(span, wg, wg.dispersion_correction)[cols - cols.min()]
     return _dk(_term(f_nm, wg), b, _term(p, wg), wg), f_nm
+
+
+def _check_band(signal_nm, start, width, pump_nm, wg):
+    """Raise what _band_mismatch raises on a whole band, row i being the
+    columns start[i] .. start[i] + width - 1 of an ascending signal_nm grid
+    against pump_nm[i], without evaluating it.  The SFG wavelength rises
+    with the signal along a row, by about 0.3 nm per nm: on a grid whose
+    steps are far above an ulp (default_signal_grid's are 0.02 nm) the
+    band's SFG extremes are at its rows' end cells, and only those are
+    computed."""
+    ends = np.stack((start, start + width - 1), axis=1)
+    _checked_cells(np.asarray(signal_nm, dtype=float), ends,
+                   np.asarray(pump_nm, dtype=float)[:, None], wg)
 
 
 def efficiency_factor(delta_k_per_um, length_mm):
@@ -501,7 +524,12 @@ class BandwidthReport:
 def acceptance_bandwidth(wg, pump_nm, signal_nm):
     """FWHM of the conversion lineshape vs signal wavelength at fixed pump,
     around signal_nm, which must be phase matched to pump_nm (TuningError
-    when |dk| there exceeds DK_TOLERANCE_PER_UM)."""
+    when |dk| there exceeds DK_TOLERANCE_PER_UM).
+
+    Each side's bracket doubles from 0.05 nm until |dk| passes its
+    half-maximum level; one that would leave the medium's window first (a
+    waveguide so short that it accepts the whole window) is a TuningError
+    naming the length."""
     center = float(signal_nm)
     dk = abs(qpm_mismatch(center, pump_nm, wg))
     if not dk <= DK_TOLERANCE_PER_UM:
@@ -516,10 +544,19 @@ def acceptance_bandwidth(wg, pump_nm, signal_nm):
     for direction in (-1.0, +1.0):
         step = 0.05
         outer = center + direction * step
-        # grow the bracket until |dk| exceeds the half-max level
+        # grow the bracket until |dk| exceeds the half-max level, inside the
+        # medium's window (a wavelength or SFG leaving it is a DomainError)
         for _ in range(60):
-            if excess(outer) > 0:
-                break
+            try:
+                if excess(outer) > 0:
+                    break
+            except DomainError as exc:
+                raise TuningError(
+                    f"acceptance search: |dk| stays under its half-maximum level "
+                    f"{target:.4g} rad/um from {center} nm out to "
+                    f"{center + 0.5 * direction * step} nm, and a wider bracket leaves "
+                    f"the medium's window ({exc}): a {wg.length_mm} mm waveguide "
+                    f"accepts more than the window holds") from exc
             step *= 2.0
             outer = center + direction * step
         else:
@@ -553,11 +590,21 @@ def calibrate_operating_point(wg, anchors):
     1920-1980 nm pump scan, against 38.0 nm for the default three anchors, so
     the resulting map is exact only at the anchor.
 
+    Each anchor's pump and signal must lie in the tuning map's search windows
+    (PUMP_SEARCH_NM, SIGNAL_SEARCH_NM): an anchor outside them cannot be on
+    the map the solver finds.
+
     Returns a new WaveguideSpec carrying the fitted coefficients.
     """
     anchors = [(float(p), float(s)) for p, s in anchors]
     if len(anchors) == 0:
         raise CalibrationError("at least one (pump, signal) anchor is required")
+    for i, (pump, signal) in enumerate(anchors):
+        for wave, value, (lo, hi) in (("pump", pump, PUMP_SEARCH_NM),
+                                      ("signal", signal, SIGNAL_SEARCH_NM)):
+            if not lo <= value <= hi:
+                raise CalibrationError(f"anchor {i} ({pump}, {signal}) nm: {wave} outside "
+                                       f"the tuning map's search window [{lo}, {hi}] nm")
     pumps = np.array([p for p, _ in anchors])
     signals = np.array([s for _, s in anchors])
     if np.any(np.diff(np.sort(signals)) == 0):  # not np.unique: it loads numpy.ma

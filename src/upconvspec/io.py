@@ -7,11 +7,14 @@ by point is a column (see _SPECTRUM_COLUMNS, _SCAN_COLUMNS, _KERNEL_COLUMNS;
 a kernel row ends in its W band values).  A kernel file holds its plan and
 band only; its pump and signal grids are derived, as ResponseKernel derives
 them.  Floats are written with repr, so write-then-read round-trips
-bit-exactly.  The reader rejects a file whose column line differs, whose
-rows are ragged, or whose entries are not all finite, naming the file and
-the column.
+bit-exactly.  Tables stream: the writer formats a few rows at a time, and
+the reader hands the rows to numpy's C parser as it reads them, so neither
+holds a Python float per cell.  The reader rejects a file whose column line
+differs, whose rows are ragged, or whose entries are not all finite, naming
+the file and the column.
 """
 from dataclasses import fields
+from itertools import chain
 
 import numpy as np
 
@@ -29,49 +32,81 @@ _SCAN_COLUMNS = {"pump_nm": _FINITE, "signal_nm_mapped": _FINITE, "vbg_center_nm
 _KERNEL_COLUMNS = {"mapped_signal_nm": "must be finite and inside [{}, {}] nm".format(
                        *SIGNAL_SEARCH_NM), "vbg_center_nm": _FINITE, "band_start": _FINITE,
                    "band_values": "must be finite and nonnegative"}
+_WRITE_CELLS = 1024  # table cells formatted per block of rows
 
 
-def _write_table(path, meta, columns, rows):
-    """'# key: value' lines for meta, the column line, then each row repr'd."""
+def _write_table(path, meta, columns, arrays):
+    """'# key: value' lines for meta, the column line, then one line per row:
+    row i of each of arrays in turn, each value repr'd.  The last array may be
+    2-D; its rows end the lines.  Rows are formatted a block of about
+    _WRITE_CELLS cells at a time, so no Python object is held per cell of the
+    table."""
+    wide = np.ndim(arrays[-1]) == 2
+    width = len(arrays) - 1 + (arrays[-1].shape[1] if wide else 1)
+    step = max(_WRITE_CELLS // width, 1)
     with open(path, "w") as fh:
         fh.writelines(f"# {key}: {value}\n" for key, value in meta.items())
         fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        for i in range(0, len(arrays[0]), step):
+            parts = [array[i:i + step].tolist() for array in arrays]
+            rows = ((*row[:-1], *row[-1]) for row in zip(*parts)) if wide else zip(*parts)
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _column_error(path, columns, name):
     return DomainError(f"{path}: {name} column {columns[name]}")
 
 
+def _data_lines(fh, meta):
+    """The stripped lines of fh that are neither blank nor comments; each
+    '# key: value' comment goes into meta."""
+    for line in fh:
+        line = line.strip()
+        if line.startswith("#"):
+            key, colon, value = line[1:].partition(":")
+            if colon:
+                meta[key.strip()] = value.strip()
+        elif line:
+            yield line
+
+
 def _read_table(path, columns, open_ended=False):
     """-> (meta, block): the '# key: value' headers as strings, and the rows
     after the column line (the first line not blank or a comment) as a 2-D
     float array, one column per name; with open_ended, the last column takes
-    the rest of each row (one value or more)."""
+    the rest of each row (one value or more).
+
+    numpy's C reader parses the rows as they stream from the file.  Where it
+    refuses one, the rows are parsed again cell by cell with float(), which
+    names the first non-numeric cell, or else finds the rows ragged (or reads
+    what float() alone accepts)."""
     names, header = list(columns), ",".join(columns)
-    meta, rows = {}, []
+    meta = {}
     with open(path, "r") as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                key, colon, value = line[1:].partition(":")
-                if colon:
-                    meta[key.strip()] = value.strip()
-            elif line:
-                rows.append(line)
-    if not rows or rows[0] != header:
-        raise DomainError(f"{path}: expected header {header}")
-    if len(rows) == 1:
-        raise DomainError(f"{path}: no data rows")
-    try:
-        cells = [[float(v) for v in row.split(",")] for row in rows[1:]]
-    except ValueError as exc:
-        raise DomainError(f"{path}: non-numeric data row ({exc})") from exc
-    widths = {len(row) for row in cells}
-    width = widths.pop()
-    if widths or width < len(names) or (width > len(names) and not open_ended):
-        raise DomainError(f"{path}: data rows must each hold one value per column of {header}")
-    block = np.array(cells)
+        lines = _data_lines(fh, meta)
+        if next(lines, None) != header:
+            raise DomainError(f"{path}: expected header {header}")
+        first = next(lines, None)
+        if first is None:
+            raise DomainError(f"{path}: no data rows")
+        try:
+            block = np.loadtxt(chain((first,), lines), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            block = None
+    ragged = DomainError(f"{path}: data rows must each hold one value per column of {header}")
+    if block is None:
+        with open(path, "r") as fh:
+            rows = list(_data_lines(fh, meta))[1:]
+        try:
+            cells = [[float(v) for v in row.split(",")] for row in rows]
+        except ValueError as exc:
+            raise DomainError(f"{path}: non-numeric data row ({exc})") from exc
+        if len({len(row) for row in cells}) > 1:
+            raise ragged
+        block = np.array(cells)
+    width = block.shape[1]
+    if width < len(names) or (width > len(names) and not open_ended):
+        raise ragged
     bad = np.flatnonzero(~np.all(np.isfinite(block), axis=0))
     if bad.size:
         raise _column_error(path, columns, names[min(bad[0], len(names) - 1)])
@@ -79,8 +114,7 @@ def _read_table(path, columns, open_ended=False):
 
 
 def write_spectrum_csv(path, spectrum, meta=None):
-    _write_table(path, meta or {}, _SPECTRUM_COLUMNS,
-                 zip(spectrum.grid_nm.tolist(), spectrum.values.tolist()))
+    _write_table(path, meta or {}, _SPECTRUM_COLUMNS, (spectrum.grid_nm, spectrum.values))
 
 
 def read_spectrum_csv(path):
@@ -117,10 +151,9 @@ def _read_plan(meta, path):
 def write_kernel_csv(path, kernel, meta=None):
     """Headers: meta and the kernel's plan; one row per pump point:
     mapped_signal_nm, vbg_center_nm, band_start, then its W band values."""
-    rows = ([m, c, s, *values] for m, c, s, values in zip(
-        kernel.mapped_signal_nm.tolist(), kernel.vbg_centers_nm.tolist(),
-        kernel.band_start.tolist(), kernel.band_values.tolist()))
-    _write_table(path, _plan_headers(kernel.plan, meta), _KERNEL_COLUMNS, rows)
+    _write_table(path, _plan_headers(kernel.plan, meta), _KERNEL_COLUMNS,
+                 (kernel.mapped_signal_nm, kernel.vbg_centers_nm, kernel.band_start,
+                  kernel.band_values))
 
 
 def read_kernel_csv(path):
@@ -150,10 +183,9 @@ def write_scan_csv(path, result, meta=None):
     plan = result.plan
     headers = _plan_headers(plan, meta)
     headers["sampled"] = "true" if result.sampled else "false"
-    rows = zip(plan.pump_grid_nm().tolist(), result.signal_nm_mapped.tolist(),
-               result.vbg_centers_nm.tolist(), result.expected_rate_cps.tolist(),
-               np.asarray(result.sampled_counts, dtype=np.int64).tolist())
-    _write_table(path, headers, _SCAN_COLUMNS, rows)
+    _write_table(path, headers, _SCAN_COLUMNS,
+                 (plan.pump_grid_nm(), result.signal_nm_mapped, result.vbg_centers_nm,
+                  result.expected_rate_cps, np.asarray(result.sampled_counts, dtype=np.int64)))
 
 
 def read_scan_csv(path):

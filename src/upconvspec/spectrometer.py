@@ -17,7 +17,9 @@ written only over a fixed-width window of columns around its VBG setpoint
 (ResponseKernel.band_start, band_values), and Richardson-Lucy runs on an
 operator built from that band once per kernel (rl_operator, an RLOperator):
 dense blocks of RL_BLOCK_ROWS consecutive rows, and a CSR of the same
-weights, built only when RL first drops columns.
+weights, built only when RL first drops columns.  The build and the
+operator's scatter work on chunks of rows of at most BAND_CHUNK_CELLS band
+cells, so neither holds a whole-band temporary beside the band it makes.
 
 The kernel, which holds its ScanPlan, is also the one record of what a
 plan covers.  Each column's peak response (ResponseKernel.column_peak)
@@ -41,6 +43,7 @@ BAND_REL_TOL = 1e-12  # band keeps entries above this x their row's peak
 _GRID_PAD_NM = 1.5  # sinc^2 tails beyond the mapped range worth keeping
 _GRID_COUNT_TOL = 1e-9  # pump steps a window may fall short of a whole count
 RL_BLOCK_ROWS = 16  # kernel rows per dense block of the RL operator
+BAND_CHUNK_CELLS = 16384  # band cells per row chunk of a build or an RL operator
 
 
 def _read_only(array):
@@ -265,26 +268,33 @@ class ResponseKernel:
 
         It holds the band times the grid weights np.gradient(signal_grid_nm)
         on the checked support (so it raises what support raises), zero
-        elsewhere, as dense blocks of RL_BLOCK_ROWS consecutive rows
-        (dataclasses.replace makes a new kernel, and so a new operator).
+        elsewhere, as dense blocks of RL_BLOCK_ROWS consecutive rows, filled
+        a chunk of rows at a time (dataclasses.replace makes a new kernel,
+        and so a new operator).
         """
         grid, support = self.signal_grid_nm, self.support
-        n_rows, n_support = self.band_values.shape[0], support.size
-        cols = self.band_columns - support[0]  # support-relative
+        (n_rows, band_width), n_support = self.band_values.shape, support.size
+        first_col = self.band_start - support[0]  # support-relative
         # one width for every block: the most support columns a block's rows reach
         heads = np.arange(0, n_rows, RL_BLOCK_ROWS)
-        lo = np.minimum.reduceat(np.clip(cols[:, 0], 0, n_support), heads)
-        hi = np.maximum.reduceat(np.clip(cols[:, -1] + 1, 0, n_support), heads)
+        lo = np.minimum.reduceat(np.clip(first_col, 0, n_support), heads)
+        hi = np.maximum.reduceat(np.clip(first_col + band_width, 0, n_support), heads)
         width = max(int(np.max(hi - lo)), 1)
         first = np.minimum(lo, n_support - width)
-        # Scatter each row into its block's columns, with one spare column on
-        # either side: entries off the support all land there, and are cut.
-        pos = np.clip(cols - np.repeat(first - 1, RL_BLOCK_ROWS)[:n_rows, None], 0, width + 1)
-        wide = np.zeros((heads.size * RL_BLOCK_ROWS, width + 2))
-        np.put_along_axis(wide[:n_rows], pos,
-                          self.band_values * np.gradient(grid)[self.band_columns], axis=1)
+        # Scatter each chunk of rows into its blocks' columns, with one spare
+        # column on either side: entries off the support all land there, and
+        # are cut.  offset is each row's spare left column, as a grid column.
+        offset = np.repeat(first - 1, RL_BLOCK_ROWS)[:n_rows, None] + support[0]
+        weights = np.gradient(grid)
+        blocks = np.zeros((heads.size * RL_BLOCK_ROWS, width))
+        for rows in _row_chunks(n_rows, band_width):
+            cols = self.band_columns[rows]
+            wide = np.zeros((cols.shape[0], width + 2))
+            np.put_along_axis(wide, np.clip(cols - offset[rows], 0, width + 1),
+                              self.band_values[rows] * weights[cols], axis=1)
+            blocks[rows] = wide[:, 1:-1]
         return RLOperator(support=support,
-                          blocks=wide[:, 1:-1].copy().reshape(heads.size, RL_BLOCK_ROWS, width),
+                          blocks=blocks.reshape(heads.size, RL_BLOCK_ROWS, width),
                           columns=first[:, None] + np.arange(width), n_rows=n_rows)
 
     @functools.cached_property
@@ -297,6 +307,14 @@ class ResponseKernel:
         m = np.zeros((self.pump_grid_nm.size, self.signal_grid_nm.size))
         np.put_along_axis(m, self.band_columns, self.band_values, axis=1)
         return _read_only(m)
+
+
+def _row_chunks(n_rows, width):
+    """Slices of consecutive rows of a band width cells wide, each holding at
+    most BAND_CHUNK_CELLS cells (one row at least): what a band's per-cell
+    steps work on at a time, so that none makes a whole-band temporary."""
+    step = max(BAND_CHUNK_CELLS // width, 1)
+    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
 def default_signal_grid(mapped):
@@ -334,7 +352,10 @@ def build_kernel(wg, chain, vbg, conv_model, plan):
     The signal grid is default_signal_grid of that map: its mapped range
     plus 1.5 nm tails, in 0.02 nm steps.
     Each row is evaluated only on its window around the VBG setpoint
-    (outside it the VBG line is below 1e-19 of its peak).  On those cells
+    (outside it the VBG line is below 1e-19 of its peak), a chunk of rows at
+    a time (_row_chunks), once the whole band's wavelengths
+    (dispersion._check_band) and reference throughput have passed their
+    checks.  On those cells
     dispersion._band_mismatch gives dk and the SFG wavelength, with the
     signal term evaluated once per grid column and the pump term once per
     row; the SFG wavelength feeds the VBG and the filter chain.  Entries at or
@@ -347,18 +368,12 @@ def build_kernel(wg, chain, vbg, conv_model, plan):
     """
     pump = plan.pump_grid_nm()
     schedule = vbg_tracking_schedule(plan, wg, vbg)
-    mapped = schedule.signal_nm
+    mapped, centers = schedule.signal_nm, schedule.centers_nm
     grid = default_signal_grid(mapped)
     eta = conv_model.efficiency(plan.pump_power_mw)
 
-    start, width = _band_window(grid, pump, schedule.centers_nm, vbg_half_extent_nm(vbg))
-    cols = start[:, None] + np.arange(width)
-    dk, sfg = dispersion._band_mismatch(grid, cols, pump, wg)
-    qpm = dispersion.efficiency_factor(dk, wg.length_mm)
-
-    t_actual = vbg_transmission(vbg, sfg, center_nm=schedule.centers_nm[:, None])
-    for el in chain:
-        t_actual = t_actual * transmission(el, sfg)
+    start, width = _band_window(grid, pump, centers, vbg_half_extent_nm(vbg))
+    dispersion._check_band(grid, start, width, pump, wg)
 
     # Reference throughput: tracked VBG at each row's phase-matched SFG.
     sfg_pm = dispersion.sfg_wavelength(mapped, pump)
@@ -372,10 +387,19 @@ def build_kernel(wg, chain, vbg, conv_model, plan):
         )
 
     per_photon = photon_energy_j(grid)  # J per photon at each signal bin
-    values = eta * qpm * (t_actual / t_ref[:, None]) / per_photon[cols]
-    values[values <= BAND_REL_TOL * values.max(axis=1, keepdims=True)] = 0.0
+    values = np.empty((pump.size, width))
+    for rows in _row_chunks(pump.size, width):
+        cols = start[rows, None] + np.arange(width)
+        dk, sfg = dispersion._band_mismatch(grid, cols, pump[rows], wg)
+        qpm = dispersion.efficiency_factor(dk, wg.length_mm)
+        t_actual = vbg_transmission(vbg, sfg, center_nm=centers[rows, None])
+        for el in chain:
+            t_actual = t_actual * transmission(el, sfg)
+        chunk = values[rows]
+        np.divide(eta * qpm * (t_actual / t_ref[rows, None]), per_photon[cols], out=chunk)
+        chunk[chunk <= BAND_REL_TOL * chunk.max(axis=1, keepdims=True)] = 0.0
     return ResponseKernel(plan=plan, band_start=start, band_values=values,
-                          mapped_signal_nm=mapped, vbg_centers_nm=schedule.centers_nm)
+                          mapped_signal_nm=mapped, vbg_centers_nm=centers)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Acceptance suite: the quantitative claims this model has to reproduce.
 
 Each test prints one [PASS]/[FAIL] line with the measured numbers so the
-whole checklist is visible in any pytest run, then asserts.
+whole checklist is visible in any pytest run, then asserts its claims, and
+that the line is the one tests/golden.json holds.
 """
 from dataclasses import replace
 
+import golden
 import numpy as np
 import pytest
 
@@ -20,9 +22,13 @@ QUOTED_USABLE_SPAN_NM = 3.09  # published fixed-VBG usable bandwidth a06 compare
 
 
 def _verdict(capsys, num, label, ok, detail):
+    line = f"[{'PASS' if ok else 'FAIL'}] {num:02d} {label}: {detail}"
     with capsys.disabled():
-        print(f"[{'PASS' if ok else 'FAIL'}] {num:02d} {label}: {detail}")
+        print(line)
     assert ok, f"{label}: {detail}"
+    # the same numbers as printed when tests/golden.json was made
+    assert line == golden.load()["acceptance"][f"a{num:02d}"], \
+        "the line moved from tests/golden.json; tests/golden.py regenerates it"
 
 
 def test_a01_calibration_exactness(cfg, capsys):

@@ -171,6 +171,95 @@ def test_a_sellmeier_with_a_non_positive_n_squared_is_a_config_error(scan_workdi
     assert list(tmp_path.iterdir()) == [path]
 
 
+def _mutated_config(path, mutate):
+    """The bundled config with mutate applied to its raw document, written to path."""
+    raw = config.load_config().raw
+    mutate(raw)
+    path.write_text(yaml.safe_dump(raw))
+    return path
+
+
+@pytest.mark.parametrize("mutate,field,message", [
+    (lambda r: r["conversion_points"][1].__setitem__(0, 116), "conversion_points",
+     "conversion fit: points are inconsistent with a saturating sin^2 curve"),
+    (lambda r: r["noise_points"][0].__setitem__(0, -20), "noise_points",
+     "noise fit: negative pump power in calibration points"),
+    (lambda r: r["conversion_points"][0].__setitem__(1, 1.5), "conversion_points",
+     "conversion fit: efficiencies must be in (0, 1]"),
+    (lambda r: r.__setitem__("fom_signal_nm", -1550), "fom_signal_nm",
+     "must be a positive wavelength, got -1550.0"),
+], ids=["conversion-116-mW", "noise-minus-20-mW", "efficiency-1.5", "fom-signal-negative"])
+def test_a_calibration_point_the_fits_refuse_is_a_config_error(tmp_path, capsys, mutate,
+                                                                 field, message):
+    # each exited 4 with the fit's (or fom's) message, naming no field
+    path = _mutated_config(tmp_path / "bad.yaml", mutate)
+    code, text = run_cli(["--config", str(path), "fom", "--pump-power", "30"])
+    assert code == 3 and text == ""
+    assert f"config error: {field}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fom", "design-qpm", "scan", "deconvolve"])
+@pytest.mark.parametrize("index,value,message", [
+    (1, -1550, "anchor 1 (1950.0, -1550.0) nm: signal outside the tuning map's search "
+               "window [1450.0, 1650.0] nm"),
+    (1, 155000, "anchor 1 (1950.0, 155000.0) nm: signal outside"),
+    (0, 975, "anchor 1 (975.0, 1550.0) nm: pump outside the tuning map's search window "
+             "[1820.0, 2080.0] nm"),
+], ids=["signal-negative", "signal-155000", "pump-975"])
+def test_a_tuning_anchor_off_the_search_windows_is_a_config_error(scan_workdir, tmp_path,
+                                                                    capsys, command, index,
+                                                                    value, message):
+    # fom exited 0; design-qpm and scan exited 4 with a solver's message
+    work, _ = scan_workdir
+    path = _mutated_config(tmp_path / "anchor.yaml",
+                           lambda r: r["tuning_anchors"][1].__setitem__(index, value))
+    argv = {"fom": ["fom", "--pump-power", "30"],
+            "design-qpm": ["design-qpm", "--signal", "1550", "--pump", "1950"],
+            "scan": ["scan", "--input", str(work / "input.csv"),
+                     "--out", str(tmp_path / "scan.csv")],
+            "deconvolve": ["deconvolve", "--raw", str(work / "scan.csv"),
+                           "--out", str(tmp_path / "estimate.csv")]}[command]
+    code, text = run_cli(["--config", str(path), *argv])
+    assert code == 3 and text == ""
+    assert f"config error: tuning_anchors: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_waveguide_that_accepts_the_whole_window_fails_the_acceptance_search(tmp_path,
+                                                                                 capsys):
+    # a 1 um crystal: the bracket doubled below 0 nm, and design-qpm exited 4
+    # with "wavelengths must be positive"
+    path = _mutated_config(tmp_path / "short.yaml",
+                           lambda r: r["waveguide"].__setitem__("length_mm", 0.001))
+    code, text = run_cli(["--config", str(path), "design-qpm", "--signal", "1550",
+                          "--pump", "1950"])
+    assert code == 4 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: acceptance search: |dk| stays under its half-maximum level")
+    assert "out to 730.8 nm" in err and "a 0.001 mm waveguide accepts more" in err
+
+
+# design-qpm --signal 1550 --pump 1950's acceptance FWHM (signal band, SFG band)
+# for short waveguides, as printed before the acceptance search was bounded
+_SHORT_WAVEGUIDE_FWHM = {
+    0.01: ("1284.335393", "360.074732"), 0.05: ("603.322673", "174.267554"),
+    0.2: ("362.236486", "105.227815"), 0.5: ("64.260681", "19.889280"),
+    1.0: ("30.920877", "9.591729"), 5.0: ("6.118325", "1.899129"),
+}
+
+
+@pytest.mark.parametrize("length_mm", list(_SHORT_WAVEGUIDE_FWHM))
+def test_short_waveguides_keep_their_acceptance_bandwidth(tmp_path, length_mm):
+    path = _mutated_config(tmp_path / "short.yaml",
+                           lambda r: r["waveguide"].__setitem__("length_mm", length_mm))
+    code, text = run_cli(["--config", str(path), "design-qpm", "--signal", "1550",
+                          "--pump", "1950"])
+    assert code == 0
+    bands = [line.split()[1] for line in text.splitlines()
+             if line.startswith("acceptance_fwhm_nm")]
+    assert tuple(bands) == _SHORT_WAVEGUIDE_FWHM[length_mm]
+
+
 def _number_paths(node, path=()):
     """The key path to every number in a raw config."""
     if isinstance(node, (dict, list)):

@@ -3,7 +3,7 @@ import copy
 
 import pytest
 
-from upconvspec import config, conversion
+from upconvspec import config, conversion, dispersion
 from upconvspec.errors import ConfigError
 
 
@@ -176,3 +176,41 @@ def test_pinned_models_accept_a_consistent_three_point_fit(cfg):
     conv, _ = config.pinned_models(three)
     assert conv.efficiency(40.0) == pytest.approx(0.24, abs=0.002)
 
+
+
+@pytest.mark.parametrize("mutate,field_path", [
+    (lambda r: r["tuning_anchors"][1].__setitem__(1, -1550.0), "tuning_anchors"),
+    (lambda r: r["tuning_anchors"][1].__setitem__(1, 155000.0), "tuning_anchors"),
+    (lambda r: r["tuning_anchors"][1].__setitem__(0, 975.0), "tuning_anchors"),
+    (lambda r: r["tuning_anchors"].__setitem__(2, [1980.0, 1550.0]), "tuning_anchors"),
+    (lambda r: r.update(fom_signal_nm=-1550.0), "fom_signal_nm"),
+    (lambda r: r.update(fom_signal_nm=0.0), "fom_signal_nm"),
+], ids=["signal-negative", "signal-155000", "pump-975", "duplicate-signal", "fom-negative",
+        "fom-zero"])
+def test_anchors_and_the_fom_signal_are_checked_at_load(cfg, mutate, field_path):
+    with pytest.raises(ConfigError) as err:
+        _parse_mutated(cfg, mutate)
+    assert err.value.field_path == field_path
+
+
+@pytest.mark.parametrize("mutate,field_path", [
+    (lambda r: r["conversion_points"][1].__setitem__(0, 116.0), "conversion_points"),
+    (lambda r: r["conversion_points"][0].__setitem__(1, 1.5), "conversion_points"),
+    (lambda r: r["noise_points"][0].__setitem__(0, -20.0), "noise_points"),
+], ids=["conversion-116-mW", "efficiency-1.5", "noise-minus-20-mW"])
+def test_pinned_models_turn_a_failed_fit_into_a_config_error(cfg, mutate, field_path):
+    with pytest.raises(ConfigError) as err:
+        config.pinned_models(_parse_mutated(cfg, mutate))
+    assert err.value.field_path == field_path
+
+
+def test_the_tuning_map_is_calibrated_once_per_config(cfg, monkeypatch):
+    # load_config fits the anchors; calibrated_waveguide hands that fit back
+    fitted = dispersion.calibrate_operating_point(cfg.waveguide, cfg.anchors)
+    assert config.calibrated_waveguide(cfg) == fitted
+
+    def again(*args):
+        raise AssertionError("calibrated a second time")
+
+    monkeypatch.setattr(config, "calibrate_operating_point", again)
+    assert config.calibrated_waveguide(cfg) is config.calibrated_waveguide(cfg)

@@ -208,6 +208,9 @@ def test_band_mismatch_raises_as_qpm_mismatch(cfg, wg3, small_plan, case):
     got = _domain_error(lambda: dispersion._band_mismatch(grid, cols, pump, wg))
     want = _domain_error(lambda: dispersion.qpm_mismatch(grid[cols], pump[:, None], wg))
     assert got == want
+    # the whole-band check a chunked build makes first, from each row's end cells
+    assert _domain_error(lambda: dispersion._check_band(grid, cols[:, 0], cols.shape[1],
+                                                        pump, wg)) == want
     assert (want is None) == (case == "nan signal")
     if want is None:
         dk, _ = dispersion._band_mismatch(grid, cols, pump, wg)

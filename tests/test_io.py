@@ -420,6 +420,46 @@ def test_rows_must_hold_one_value_per_column(tmp_path, reader, text):
         reader(path)
 
 
+_HEADER = "wavelength_nm,power_w_per_nm\n"
+_ROWS = "".join(f"{1500.0 + 0.01 * i!r},1e-12\n" for i in range(3000))
+_RAGGED = "data rows must each hold one value per column of wavelength_nm,power_w_per_nm"
+
+
+@pytest.mark.parametrize("text,message", [
+    (_HEADER + "1550.0,abc\n", "non-numeric data row (could not convert string to float: 'abc')"),
+    (_HEADER + "1550.0,1e-12,\n", "non-numeric data row (could not convert string to float: '')"),
+    # a ragged row before a non-numeric one: the non-numeric row is named, as before
+    (_HEADER + "1550.0,1e-12,3.0\n1550.1,x\n",
+     "non-numeric data row (could not convert string to float: 'x')"),
+    (_HEADER + _ROWS + "1600.0,1e-12,3.0\n" + _ROWS, _RAGGED),
+    (_HEADER + _ROWS + "1600.0\n", _RAGGED),
+    (_HEADER + _ROWS + "1600.0,nan\n", "power_w_per_nm column must be finite"),
+    ("# seed: 7\n\n", "expected header wavelength_nm,power_w_per_nm"),
+    ("# seed: 7\n" + _HEADER + "# only comments after the columns\n", "no data rows"),
+], ids=["non-numeric", "trailing-comma", "ragged-then-non-numeric", "ragged-deep",
+        "short-last", "nan-last", "no-header", "no-rows"])
+def test_reader_messages_stay_as_they_were(tmp_path, text, message):
+    # the rows stream to numpy's parser; where it refuses one, the per-cell
+    # parse it replaced names the fault in the words it always used
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError) as err:
+        uio.read_spectrum_csv(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_reader_takes_what_float_takes_and_every_comment(tmp_path):
+    # numpy's parser refuses "1_550.0", which float() reads; comment lines
+    # between the rows are skipped, and each '# key: value' one is a header
+    path = tmp_path / "s.csv"
+    path.write_text("# seed: 7\n" + _HEADER + "1_549.5,1e-12\n# note: mid\n\n"
+                    "  1550.0 , 2e-12\r\n1550.5,3e-12\n# tail: end\n")
+    back, meta = uio.read_spectrum_csv(path)
+    assert back.grid_nm.tolist() == [1549.5, 1550.0, 1550.5]
+    assert back.values.tolist() == [1e-12, 2e-12, 3e-12]
+    assert meta == {"seed": "7", "note": "mid", "tail": "end"}
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         uio.read_spectrum_csv(tmp_path / "nope.csv")

@@ -1,8 +1,10 @@
 """Kernel construction, VBG tracking schedules, forward scans, resolution."""
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
+import golden
 import numpy as np
 import pytest
 import tuning_oracle
@@ -192,7 +194,83 @@ def test_kernel_build_evaluates_only_the_band(cfg, wg3, models, monkeypatch):
     width = kern.band_values.shape[1]
     assert width <= 71
     assert sum(cells) == schedule_cells
-    assert band_cells == [1201 * width]
+    # a chunk of rows at a time, each within the cell budget, the band once over
+    assert sum(band_cells) == 1201 * width
+    assert max(band_cells) <= spectrometer.BAND_CHUNK_CELLS
+
+
+def _operator_bits(kernel):
+    op = kernel.rl_operator
+    return [a.tobytes() for a in (op.support, op.blocks, op.columns, op.norm)]
+
+
+@pytest.mark.parametrize("cells", [1000, 5000, 10**9])
+@pytest.mark.parametrize("case", ["default", "fixed", "top_hat_vbg"])
+def test_row_chunks_move_no_value(cfg, wg3, models, kernel, monkeypatch, cells, case):
+    # a band built, and scattered into its RL operator, in chunks of another
+    # size, or all in one, has the bits of the default chunking
+    plan = replace(cfg.scan, vbg_tracking="fixed") if case == "fixed" else cfg.scan
+    vbg = replace(cfg.vbg, lineshape="top_hat") if case == "top_hat_vbg" else cfg.vbg
+    ref = (kernel if case == "default"
+           else spectrometer.build_kernel(wg3, cfg.filters, vbg, models[0], plan))
+    monkeypatch.setattr(spectrometer, "BAND_CHUNK_CELLS", cells)
+    got = spectrometer.build_kernel(wg3, cfg.filters, vbg, models[0], plan)
+    for name in ("band_start", "band_values", "mapped_signal_nm", "vbg_centers_nm"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+    if case != "fixed":  # the default fixed plan leaves support columns unreached
+        assert _operator_bits(got) == _operator_bits(ref)
+
+
+def test_golden_chunk_plans_straddle_a_chunk_boundary(cfg, wg3, models):
+    # tests/golden.json pins kernels whose row counts sit one below, on and
+    # one above a multiple of the rows a chunk holds; they must still do so
+    counts = []
+    for d in (-1, 0, 1):
+        plan = replace(cfg.scan, **golden.KERNEL_PLANS[f"{2 * golden.CHUNK_ROWS + d}-rows"])
+        kern = spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, models[0], plan)
+        rows, width = kern.band_values.shape
+        counts.append(rows - 2 * (spectrometer.BAND_CHUNK_CELLS // width))
+    assert counts == [-1, 0, 1]
+
+
+def test_a_band_is_checked_whole_before_any_chunk_is_evaluated(cfg, wg3, models,
+                                                                monkeypatch):
+    # the wavelength checks and the reference throughput's come first, so a
+    # chunked build raises what the one-chunk build raised
+    def evaluated(*args):
+        raise AssertionError("a chunk was evaluated before the whole band was checked")
+
+    monkeypatch.setattr(dispersion, "_band_mismatch", evaluated)
+    blocked = [replace(f, peak=0.0) if f.kind == "broadband_loss" else f for f in cfg.filters]
+    with pytest.raises(DomainError, match="reference throughput is zero"):
+        spectrometer.build_kernel(wg3, blocked, cfg.vbg, models[0], cfg.scan)
+
+    def window_fails(*args):
+        raise DomainError("window")
+
+    monkeypatch.setattr(dispersion, "_check_band", window_fails)
+    with pytest.raises(DomainError, match="window"):
+        spectrometer.build_kernel(wg3, blocked, cfg.vbg, models[0], cfg.scan)
+
+
+@pytest.mark.parametrize("plan, bounds_mb", [
+    ({}, (3.0, 2.5)), ({"pump_step_nm": 0.02}, (4.0, 5.0))], ids=["1201-rows", "3001-rows"])
+def test_band_steps_stay_within_their_memory_budget(cfg, wg3, models, plan, bounds_mb):
+    # traced peaks: a build held about nine whole-band temporaries (5.75 and
+    # 14.3 MB) and rl_operator 4.0 and 8.9 MB, for 0.63 and 1.58 MB bands
+    def peak_mb(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    plan = replace(cfg.scan, **plan)
+    kern, build_mb = peak_mb(
+        lambda: spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, models[0], plan))
+    _, operator_mb = peak_mb(lambda: kern.rl_operator)
+    assert build_mb <= bounds_mb[0] and operator_mb <= bounds_mb[1], (build_mb, operator_mb)
 
 
 def _cellwise_build(wg, chain, vbg, conv_model, plan):
