@@ -323,7 +323,7 @@ def _check_band(signal_nm, start, width, pump_nm, wg):
     columns start[i] .. start[i] + width - 1 of an ascending signal_nm grid
     against pump_nm[i], without evaluating it.  The SFG wavelength rises
     with the signal along a row, by about 0.3 nm per nm: on a grid whose
-    steps are far above an ulp (default_signal_grid's are 0.02 nm) the
+    steps are far above an ulp (default_signal_grid's are 0.04 nm) the
     band's SFG extremes are at its rows' end cells, and only those are
     computed."""
     ends = np.stack((start, start + width - 1), axis=1)

@@ -38,7 +38,9 @@ from .counting import poisson_counts, validate_seed
 from .errors import DomainError, TuningError, UnrecoverableBandError, check_finite
 from .units import photon_energy_j
 
-SIGNAL_GRID_STEP_NM = 0.02
+# The default scan's mapped signal moves 0.031 nm per pump step: a 0.04 nm
+# grid leaves RL fewer support columns than scan points (950 from 1201).
+SIGNAL_GRID_STEP_NM = 0.04
 BAND_REL_TOL = 1e-12  # band keeps entries above this x their row's peak
 _GRID_PAD_NM = 1.5  # sinc^2 tails beyond the mapped range worth keeping
 _GRID_COUNT_TOL = 1e-9  # pump steps a window may fall short of a whole count
@@ -350,7 +352,7 @@ def build_kernel(wg, chain, vbg, conv_model, plan):
     the VBG is passed separately because its center follows the tracking
     schedule, which also carries the tuning map: a build solves it once.
     The signal grid is default_signal_grid of that map: its mapped range
-    plus 1.5 nm tails, in 0.02 nm steps.
+    plus 1.5 nm tails, in SIGNAL_GRID_STEP_NM (0.04 nm) steps.
     Each row is evaluated only on its window around the VBG setpoint
     (outside it the VBG line is below 1e-19 of its peak), a chunk of rows at
     a time (_row_chunks), once the whole band's wavelengths

@@ -39,8 +39,8 @@ LINE_NM, LINE_W, DECONVOLVE_SEED = 1550.3, 1e-13, 11
 ROW_STRIDE = 150
 TOP_HAT_RTOL = 1e-15
 # Rows of the band chunk the chunk-boundary plans straddle: 16384 band
-# cells per chunk over the default plan's 69-column band.
-CHUNK_ROWS = 16384 // 69
+# cells per chunk over the default plan's 36-column band.
+CHUNK_ROWS = 16384 // 36
 # The named plans, as ScanPlan fields replaced in the bundled plan.
 KERNEL_PLANS = {
     "default": {},
@@ -48,8 +48,10 @@ KERNEL_PLANS = {
                         "pump_stop_nm": 1956.0, "pump_step_nm": 0.1},
     "pump-step-0.07": {"pump_step_nm": 0.07},
     "3001-rows": {"pump_step_nm": 0.02},
-    # 2 x CHUNK_ROWS rows, one fewer and one more, at the default 0.05 nm step
-    **{f"{2 * CHUNK_ROWS + d}-rows": {"pump_stop_nm": 1920.0 + 0.05 * (2 * CHUNK_ROWS + d - 1)}
+    # 2 x CHUNK_ROWS rows, one fewer and one more, at a 0.04 nm step: at the
+    # default 0.05 nm step the 909-row plan's band is 35 columns wide
+    **{f"{2 * CHUNK_ROWS + d}-rows": {"pump_step_nm": 0.04,
+                                      "pump_stop_nm": 1920.0 + 0.04 * (2 * CHUNK_ROWS + d - 1)}
        for d in (-1, 0, 1)},
 }
 
@@ -104,8 +106,12 @@ def acceptance_lines():
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
                            os.path.join("tests", "test_acceptance.py")],
                           cwd=root, capture_output=True, text=True)
-    lines = {f"a{m.group(2)}": m.group(0) for m in
-             re.finditer(r"\[(PASS|FAIL)\] (\d\d) .*", proc.stdout)}
+    # each test prints its line before it compares it with this file, so the
+    # first match is the printed line; a moved line's assertion message
+    # quotes both lines again, abridged, further down
+    lines = {}
+    for m in re.finditer(r"\[(PASS|FAIL)\] (\d\d) .*", proc.stdout):
+        lines.setdefault(f"a{m.group(2)}", m.group(0))
     failed = sorted(k for k, line in lines.items() if line.startswith("[FAIL]"))
     if len(lines) != 10 or failed:
         raise SystemExit(f"acceptance run gave {len(lines)} lines, failed: {failed}\n"

@@ -336,13 +336,13 @@ def test_deconvolve_with_saved_kernel(scan_workdir):
     report = json.loads((work / "est.csv.report.json").read_text())
     assert report["iterations_used"] == 2
     assert report["stop_reason"] == "discrepancy_reached"
-    assert report["residual_norm"] == pytest.approx(0.8878576069011208, rel=1e-9)
+    assert report["residual_norm"] == pytest.approx(0.8883475758356731, rel=1e-9)
     assert report["background_cps"] == pytest.approx(42.592592592592595, rel=1e-12)
     assert report["config_hash"] == CONFIG_HASH
     assert report["seed"] == 7
     est, emeta = uio.read_spectrum_csv(work / "est.csv")
     peak_nm = float(est.grid_nm[np.argmax(est.values)])
-    assert peak_nm == pytest.approx(1550.0119857371326, abs=1e-9)
+    assert peak_nm == pytest.approx(1549.9919857371326, abs=1e-9)
     # the report carries the iteration count, stop reason and dwell
     assert emeta == {"config_hash": CONFIG_HASH, "seed": "7"}
 
@@ -370,7 +370,7 @@ def test_deconvolve_model_kernel_matches_saved(scan_workdir):
     assert code == 0
     rep = json.loads((work / "rep2.json").read_text())
     assert rep["iterations_used"] == 2
-    assert rep["residual_norm"] == pytest.approx(0.8878576069011208, rel=1e-9)
+    assert rep["residual_norm"] == pytest.approx(0.8883475758356731, rel=1e-9)
 
 
 def test_deconvolve_rejects_kernel_for_another_pump_range(scan_workdir):
@@ -574,7 +574,7 @@ def test_scan_refuses_a_plan_deconvolve_cannot_invert(scan_workdir, tmp_path, ca
     code, text = run_cli(["scan", "--input", str(work / "input.csv"), "--out", str(scan),
                           "--tracking", "fixed", "--write-kernel", str(kernel)])
     assert code == 4 and text == ""
-    assert "kernel has no response in: [1570.020, 1570.900] nm" in capsys.readouterr().err
+    assert "kernel has no response in: [1570.040, 1570.880] nm" in capsys.readouterr().err
     assert not scan.exists() and not kernel.exists()
 
 
@@ -795,19 +795,19 @@ def test_deconvolve_model_and_kernel_file_write_the_same_bytes(scan_workdir, tmp
 # the file layout must leave every one of them as it is.
 _WORKFLOW_DIGESTS = {
     "scan.sampled_counts": "68c97b66f7eab7a689be987bb370fb638ec19bcb7d6ea50518b498d9421d6d98",
-    "scan.expected_rate_cps": "4b5adf1c1711d55f662b6a10b7de10bb178df923da5120a380c2cd07641bb102",
+    "scan.expected_rate_cps": "b03b510f24e8a2e10c19996c9a5f204040786bccbf4c068d9755b901869658f8",
     "scan.signal_nm_mapped": "5df13b38c5c152391d902e77101bfaf3df98aa80862e31b8202fcebdb8cf5299",
     "scan.vbg_centers_nm": "3e531ab86cdbb7bf9f21762676bdef54f799855d0f718a11360832f79fe09c6e",
-    "kernel.band_values": "39972fc08982df62349dc53b0803584f57f035ef9fbe9c9b5c23bd376675d9cc",
-    "kernel.band_start": "83b687042e127e5b997d7ae0d42a68670be0bf8b46b5276ebd81004499b4aed2",
+    "kernel.band_values": "e5a3065ba7314026e531c5c07571ad43a821cfa1f9deb76cc454e981d6053ae0",
+    "kernel.band_start": "2e485ae55c6362dee61600a65245c8dcce4218546de344ea3b832deb84598c34",
     "kernel.pump_grid_nm": "51c9914115518cabd26d5c8cb34ad3b1768656bc913686582cd7ccc7d98438dc",
-    "kernel.signal_grid_nm": "0b13ea6e6e21edede082ad38390fff0791f9ce37b6bee8a0379b052cd846147f",
+    "kernel.signal_grid_nm": "d7c928b736e3dfdc52c1e4402d5cf0c491491f7abdac096f6b1f218d11c8eb5e",
     "kernel.mapped_signal_nm": "5df13b38c5c152391d902e77101bfaf3df98aa80862e31b8202fcebdb8cf5299",
     "kernel.vbg_centers_nm": "3e531ab86cdbb7bf9f21762676bdef54f799855d0f718a11360832f79fe09c6e",
-    "estimate_file.grid_nm": "0b13ea6e6e21edede082ad38390fff0791f9ce37b6bee8a0379b052cd846147f",
-    "estimate_file.values": "36760cf90d3aae307629bf717c0595c1e1cbcefc21a39f31bb0b4bb2e995877d",
-    "estimate_model.grid_nm": "0b13ea6e6e21edede082ad38390fff0791f9ce37b6bee8a0379b052cd846147f",
-    "estimate_model.values": "36760cf90d3aae307629bf717c0595c1e1cbcefc21a39f31bb0b4bb2e995877d",
+    "estimate_file.grid_nm": "d7c928b736e3dfdc52c1e4402d5cf0c491491f7abdac096f6b1f218d11c8eb5e",
+    "estimate_file.values": "2dcaba7bfb4c1d9811b6c050042afdd6669dbc090cdbca40c823780721a2c718",
+    "estimate_model.grid_nm": "d7c928b736e3dfdc52c1e4402d5cf0c491491f7abdac096f6b1f218d11c8eb5e",
+    "estimate_model.values": "2dcaba7bfb4c1d9811b6c050042afdd6669dbc090cdbca40c823780721a2c718",
 }
 
 
@@ -849,13 +849,13 @@ _KERNEL_PLANS = {
 _KERNEL_DIGESTS = {
     "fixed-vbg-window": {
         "pump_grid_nm": "046725062234abd4dc5a607047093cb8a73ed54bd8dc9b3dde3c37ba659374dd",
-        "signal_grid_nm": "b880a8d329d3dba5a3c1cf93ae3cd01a899b89e7c1a202f3de2991ea7d354490",
-        "band_values": "2672e73e158c2d8c9cea912d2b5b4a3bb3308e3a3c0adb362ef7784f29827aa0",
+        "signal_grid_nm": "d41095cb68e027ba8c4900789315a26714ccee52c42be7823da31b53df9b037a",
+        "band_values": "9177c1833d9732b85b3cbb1a6c6acea0e170dd30ea1bd357b8ffdd8a4319cd2b",
     },
     "pump-step-0.07": {
         "pump_grid_nm": "55690964a18c419c01f4b49f6c69c0dbd9ae3710a5878a840e6282a352a4c3a1",
-        "signal_grid_nm": "9fcb87c949b29ab2bfd4761468ea651248f243615f3f99088c7cc6208a0039dc",
-        "band_values": "d58f33d33d602dde3b61b64c25601bbea41344e6a4d91cbaaf0057fa479b423b",
+        "signal_grid_nm": "6d97c566eb72380a6860961c0e5595099a8f8fcb9c60d0385b3a28a033143bbc",
+        "band_values": "6726fdc3539603fb61fe4d48868f7e4e92a146f4286c18edd7896b7c000be858",
     },
 }
 

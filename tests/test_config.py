@@ -48,6 +48,7 @@ def _parse_mutated(cfg, mutate):
     (lambda r: r.update(nep_convention="bogus"), "nep_convention"),
     (lambda r: r["vbg"].update(fwhm_nm=-0.05), "vbg"),
     (lambda r: r["scan"].update(pump_step_nm=0.0), "scan"),
+    # the signal grid step is spectrometer.SIGNAL_GRID_STEP_NM, not a config field
     (lambda r: r.update(signal_grid_step_nm=0.02), "signal_grid_step_nm"),
     (lambda r: r.update(apd={"dark_rate_cps": 25.0}), "apd"),
     (lambda r: r["sellmeier"].update(t_ref=24.5), "sellmeier.t_ref"),

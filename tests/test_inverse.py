@@ -61,18 +61,19 @@ def test_rl_recovers_delta(small_kernel, delta_scan):
 
 
 def test_rl_tracks_line_shift(small_kernel, small_plan, noise, delta_scan):
-    _, scan_a = delta_scan
+    # lines 0.5 nm apart land in grid bins 0.52 nm apart; each estimate peaks
+    # in its own line's bin
+    s_a, scan_a = delta_scan
     s_b = spectra.monochromatic_spectrum(small_kernel.signal_grid_nm, 1550.5, 1e-12)
     scan_b = spectrometer.forward_scan(s_b, small_kernel, noise, small_plan,
                                        sample=False)
     grid = small_kernel.signal_grid_nm
-    peaks = []
-    for scan in (scan_a, scan_b):
+    for source, scan in ((s_a, scan_a), (s_b, scan_b)):
         res = inverse.deconvolve(scan, small_kernel, max_iters=300,
                                  discrepancy_target=0.0,
                                  background_cps=PEDESTAL_CPS)
-        peaks.append(float(grid[np.argmax(res.estimate.values)]))
-    assert peaks[1] - peaks[0] == pytest.approx(0.5, abs=1e-12)
+        peak_nm = float(grid[np.argmax(res.estimate.values)])
+        assert peak_nm == pytest.approx(float(grid[np.argmax(source.values)]), abs=1e-12)
 
 
 def test_rl_noiseless_smooth_roundtrip(small_kernel, smooth_scan):
@@ -167,10 +168,10 @@ def test_dead_columns_raise_unrecoverable_band(small_kernel, delta_scan):
     with pytest.raises(UnrecoverableBandError) as err:
         inverse.deconvolve(scan, broken, background_cps=PEDESTAL_CPS)
     (lo, hi), (lo2, hi2) = err.value.bands_nm
-    assert lo == pytest.approx(1549.0119857371326, abs=1e-9)
-    assert hi == pytest.approx(1549.2919857371326, abs=1e-9)
-    assert lo2 == pytest.approx(1551.0119857371326, abs=1e-9)
-    assert hi2 == pytest.approx(1551.0919857371326, abs=1e-9)
+    assert lo == pytest.approx(1549.0319857371326, abs=1e-9)
+    assert hi == pytest.approx(1549.2719857371326, abs=1e-9)
+    assert lo2 == pytest.approx(1551.0319857371326, abs=1e-9)
+    assert hi2 == pytest.approx(1551.0719857371325, abs=1e-9)
 
 
 def test_deconvolve_rejects_a_kernel_for_another_power_or_vbg_mode(

@@ -94,7 +94,7 @@ def test_tracking_schedule_tracked(cfg, wg3, models):
     assert drift == pytest.approx(0.43139403230463813, abs=1e-9)
     assert fixed.vbg_centers_nm[0] == pytest.approx(863.5714285714264, abs=1e-9)
     span = spectrometer.fixed_vbg_usable_span(fixed, tracked)
-    assert span == pytest.approx(18.319999999999936, abs=1e-6)
+    assert span == pytest.approx(18.3599999999999, abs=1e-6)
     pump = cfg.scan.pump_grid_nm()
     sig = dispersion.phase_matched_signal(pump, wg3)
     assert np.array_equal(sched.signal_nm, sig)
@@ -168,7 +168,7 @@ def test_kernel_build_solves_the_tuning_map_once(cfg, wg3, models, monkeypatch):
 
 def test_kernel_build_evaluates_only_the_band(cfg, wg3, models, monkeypatch):
     # beyond the schedule's tuning-map solve, dk is evaluated on the band's
-    # 1201 x W cells, never on the dense 1201 x 2052 grid
+    # 1201 x W cells, never on the dense 1201 x 1027 grid
     cells = []
     mismatch = dispersion.qpm_mismatch
 
@@ -435,7 +435,7 @@ def test_column_peak_is_the_column_max_of_the_dense_oracle(band_and_oracle):
 
 # 1920-1980 nm at 0.1 nm with the VBG parked: no row's band reaches 45 columns
 FOUND_PLAN = {"pump_step_nm": 0.1, "vbg_tracking": "fixed"}
-FOUND_BANDS_NM = [(1570.0199999999895, 1570.8999999999896)]
+FOUND_BANDS_NM = [(1570.0399999999897, 1570.8799999999896)]
 
 
 def test_reach_check_names_the_unreached_run(cfg, wg3, models):
@@ -445,7 +445,7 @@ def test_reach_check_names_the_unreached_run(cfg, wg3, models):
         with pytest.raises(UnrecoverableBandError) as err:
             check()
         assert err.value.bands_nm == FOUND_BANDS_NM
-        assert "[1570.020, 1570.900] nm" in str(err.value)
+        assert "[1570.040, 1570.880] nm" in str(err.value)
 
 
 def test_forward_scan_refuses_a_plan_with_unreached_support(cfg, wg3, models):
@@ -496,7 +496,8 @@ def test_top_hat_kernels_match_a_scipy_erf_build(cfg, wg3, models, monkeypatch, 
     monkeypatch.setattr(components, "erfc", special.erfc)
     ref = spectrometer.build_kernel(wg3, chain, vbg, conv, cfg.scan)
     assert np.array_equal(ours.band_start, ref.band_start)
-    assert np.count_nonzero(ref.band_values) > 10_000
+    # the top-hat VBG build, the sparser of the two, holds 9636 nonzero cells
+    assert np.count_nonzero(ref.band_values) >= 9636
     assert np.allclose(ours.band_values, ref.band_values, rtol=1e-12, atol=0.0)
 
 
@@ -560,16 +561,43 @@ def test_tracking_beyond_tuning_range_raises(cfg, wg3, small_plan):
 
 
 def test_kernel_shape_and_axes(kernel):
-    assert kernel.matrix.shape == (1201, 2052)
+    assert kernel.matrix.shape == (1201, 1027)
     assert kernel.matrix.shape == (kernel.pump_grid_nm.size, kernel.signal_grid_nm.size)
     width = kernel.band_values.shape[1]
-    assert kernel.band_values.shape == (1201, width) and width <= 71
+    assert kernel.band_values.shape == (1201, width) and width <= 38
     assert kernel.band_start.dtype.kind == "i"
-    assert np.all((kernel.band_start >= 0) & (kernel.band_start <= 2052 - width))
+    assert np.all((kernel.band_start >= 0) & (kernel.band_start <= 1027 - width))
     assert np.all(np.diff(kernel.signal_grid_nm) > 0)
     assert np.all(kernel.band_values >= 0.0)
     assert not kernel.matrix.flags.writeable
     assert kernel.vbg_tracking == "tracked"
+
+
+def test_signal_grid_step_leaves_the_forward_model_converged(cfg, wg3, models, kernel,
+                                                            monkeypatch):
+    # the 5-mode source's signal rates on the 0.04 nm grid against a 0.005 nm
+    # build: 9.0e-12 of the peak rate apart
+    conv, _ = models
+    silent = NoiseModel(floor_cps=0.0, amplitude_cps=0.0, exponent=1.0)
+
+    def rates(kern):
+        source = spectra.multimode_ld_spectrum(kern.signal_grid_nm)
+        return spectrometer.expected_rates(source, kern, silent, cfg.scan.pump_power_mw)
+
+    got = rates(kernel)  # before the patch: a kernel derives its grid on first use
+    monkeypatch.setattr(spectrometer, "SIGNAL_GRID_STEP_NM", 0.005)
+    fine = spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, conv, cfg.scan)
+    assert (kernel.signal_grid_nm.size, fine.signal_grid_nm.size) == (1027, 8202)
+    want = rates(fine)
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(want)
+
+
+def test_default_support_has_no_more_columns_than_scan_points(kernel):
+    # RL solves for one value per support column from one count per scan
+    # point; a grid finer than the mapped signal's spacing would leave more
+    # unknowns than data, and those directions of the estimate would come
+    # from RL's path, not from the scan (950 columns from 1201 points)
+    assert kernel.rl_operator.support.size <= kernel.pump_grid_nm.size
 
 
 def test_kernel_peak_value_is_eta_over_photon_energy(cfg, wg3, models, monkeypatch):
