@@ -13,7 +13,7 @@ Because a correction applied identically to all three waves cancels out of dk
 lumped onto the signal-band index, where the calibration anchors live.
 
 dk is the difference of the three waves' n/l terms (_term, _dk), and each
-term is evaluated on the axis it depends on.  The tuning-map bisection
+term is evaluated on the axis it depends on.  The tuning-map root solve
 computes the known wave's term once per known wavelength.  A kernel band
 (_band_mismatch) computes the signal term once per signal-grid column, the
 pump term once per row and only the SFG wavelength and its term per cell,
@@ -22,13 +22,16 @@ an array's extremes, not every element, and a band built in row chunks is
 checked whole first (_check_band).
 
 The tuning map is solved by a coarse 1 nm scan for dk's sign change, then
-bisection.  The scan evaluates dk on every node only for pumps on a 1 nm
-stride; a pump between two of them inherits their common sign on every node
-where dk falls strictly from one to the other without reaching zero.  That is
-exact: at fixed signal d(dk)/d(l_p) = 2 pi (n_g(l_p) - n_g(l_sfg)) / l_p^2,
-negative under normal dispersion and free of the period and of the signal-only
-correction.  Nodes where the neighbours disagree, vanish or are out of that
-order (the guard) are evaluated for every pump between them.
+bracketed false-position steps with an Anderson-Bjorck weight
+(_bracketed_roots).  The scan evaluates dk on every node only for pumps on a
+1 nm stride; a pump between two of them inherits their common sign on every
+node where dk falls strictly from one to the other without reaching zero.
+That is exact: at fixed signal d(dk)/d(l_p) = 2 pi (n_g(l_p) - n_g(l_sfg)) /
+l_p^2, negative under normal dispersion and free of the period and of the
+signal-only correction.  Nodes where the neighbours disagree, vanish or are
+out of that order (the guard) are evaluated for every pump between them.
+dk is linear to about 1e-3 nm across a 1 nm bracket, so after the bracket's
+two ends three steps reach the float-noise floor.
 """
 from dataclasses import dataclass, field, replace
 
@@ -49,6 +52,8 @@ HALF_MAX_ARG = 1.39155737825151
 SIGNAL_SEARCH_NM = (1450.0, 1650.0)
 PUMP_SEARCH_NM = (1820.0, 2080.0)
 _COARSE_STEP_NM = 1.0
+# a tuning-map root stops once its estimate moves less than this x its bracket
+_ROOT_STEP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -194,9 +199,9 @@ def refractive_index(wavelength_nm, temperature_c, correction=(), medium=CONGRUE
 
     Checks the wavelength and temperature against the medium's validity
     windows, then evaluates the Sellmeier equation plus the correction
-    polynomial (skipped when there is none).  The tuning-map bisection calls
-    the unchecked evaluator directly: its points lie inside the wavelength
-    range that the coarse scan checked through qpm_mismatch.
+    polynomial (skipped when there is none).  The tuning-map root solve
+    calls the unchecked evaluator directly: its points lie inside the
+    wavelength range that the coarse scan checked through qpm_mismatch.
 
     Parameters
     ----------
@@ -239,7 +244,7 @@ def qpm_mismatch(signal_nm, pump_nm, wg):
     pump and SFG waves use the bulk Sellmeier index.  The SFG wavelength is
     computed once; all three waves are checked against the medium's
     validity windows, then dk is evaluated by the one unchecked formula
-    (_dk) the tuning-map bisection and the kernel band use too.
+    (_dk) the tuning-map root solve and the kernel band use too.
     """
     s = np.asarray(signal_nm, dtype=float)
     p = np.asarray(pump_nm, dtype=float)
@@ -269,8 +274,9 @@ def _mismatch_against(known, wg, solve_for):
 
     The known wave's term is computed once, and nothing is checked: the
     coarse scan ran qpm_mismatch on every node at the smallest and the
-    largest known wavelength, the bisection only evaluates points between
-    those nodes, and the SFG wavelength is monotone in both waves.
+    largest known wavelength, the root solve only evaluates points inside
+    brackets between those nodes, and the SFG wavelength is monotone in
+    both waves.
     """
     correction = wg.dispersion_correction
     known_term = _term(known, wg, correction if solve_for == "pump" else ())
@@ -351,7 +357,9 @@ def _bisect_roots(f, lo, hi, iterations=80):
     leaves every lo and hi bit for bit as it was, each later step repeats
     it.  The loop stops there, returning the bits all `iterations` steps
     would give.  A 1 nm bracket near 1550 nm reaches adjacent floats after
-    about 42 halvings; `iterations` is only a cap.
+    about 42 halvings; `iterations` is only a cap.  The scalar solves use it:
+    acceptance_bandwidth's half-maximum crossings and the two-point
+    conversion pin.
     """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
@@ -370,6 +378,55 @@ def _bisect_roots(f, lo, hi, iterations=80):
     return 0.5 * (lo + hi)
 
 
+def _bracketed_roots(f, lo, hi):
+    """Vectorized bracketed root finder; elementwise, f must change sign on
+    [lo, hi] or vanish at an end.
+
+    False position with the Anderson-Bjorck weight (Anderson & Bjorck, BIT
+    13, 253-264, 1973), in a variant: the estimate is the secant through the
+    bracket ends, it replaces the end whose f has its sign, and the retained
+    end's f is scaled by m = 1 - f(estimate) / f(replaced end), or by 1/2
+    where that is not positive.  The scaling is done at every step; the
+    published method does it only when the estimate replaces the latest
+    estimate, and otherwise keeps the latest estimate as the end, unscaled.
+    An estimate not strictly inside the bracket is replaced by the
+    bracket's midpoint.  An element stops, and keeps its state, once an
+    estimate moves less than _ROOT_STEP_TOL of its first bracket from the
+    one before (that last estimate is its root, unevaluated) or once f
+    vanishes.  Every step is elementwise and a stopped element is never
+    touched again, so a root depends only on its own f, lo and hi, never on
+    the other elements or on how many steps they take.  After 80 steps an
+    element's last estimate is its root.
+    """
+    a = np.array(lo, dtype=float, copy=True)
+    b = np.array(hi, dtype=float, copy=True)
+    fa, fb = f(a), f(b)
+    tol = _ROOT_STEP_TOL * (b - a)
+    root = np.where(fa == 0.0, a, b)
+    done = (fa == 0.0) | (fb == 0.0) | (a == b)
+    prev = np.full_like(a, np.nan)
+    # a secant that divides by zero (a stopped element's, say) is not inside
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(80):
+            c = b - fb * (b - a) / (fb - fa)
+            inside = (c > np.minimum(a, b)) & (c < np.maximum(a, b))
+            c = np.where(inside, c, 0.5 * (a + b))
+            root = np.where(done, root, c)
+            done = done | (np.abs(c - prev) <= tol)
+            if done.all():
+                break
+            fc = f(c)
+            done = done | (fc == 0.0)
+            on_b = fc * fb > 0.0
+            to_b, to_a = ~done & on_b, ~done & ~on_b  # the end c replaces
+            m = 1.0 - fc / np.where(on_b, fb, fa)
+            m = np.where(m > 0.0, m, 0.5)
+            a, fa = np.where(to_a, c, a), np.where(to_a, fc, np.where(to_b, fa * m, fa))
+            b, fb = np.where(to_b, c, b), np.where(to_b, fc, np.where(to_a, fb * m, fb))
+            prev = np.where(done, prev, c)
+    return root
+
+
 def _checked_mismatch(known, x, wg, solve_for):
     """qpm_mismatch of the known wavelengths against the unknown ones x."""
     return qpm_mismatch(x, known, wg) if solve_for == "signal" else qpm_mismatch(known, x, wg)
@@ -382,7 +439,7 @@ def _coarse_signs(known, grid, wg, solve_for):
 
     The first known wavelength of every 1 nm bin, and the last, are strided:
     qpm_mismatch evaluates dk for them on every node, which also checks the
-    whole box of wavelengths the scan and its bisection can reach.  A known
+    whole box of wavelengths the scan and its root solve can reach.  A known
     wavelength between two strided neighbours is evaluated only on the nodes
     where the neighbours' dk differ in sign, vanish, or are not strictly
     ordered (dk lower at the higher neighbour); every other node takes the
@@ -440,6 +497,11 @@ def _solve_matched(known_nm, wg, solve_for, window_nm):
     guard is what holds it: where dk does not fall from one neighbour to
     the next, the node is evaluated.  Root counts, brackets and errors are
     those of a full scan, reported in input order.
+
+    Each bracket is then solved by _bracketed_roots on dk of its own known
+    wavelength, elementwise, so a root is the one a solve of that wavelength
+    alone gives.  The roots are checked through qpm_mismatch: |dk| above
+    DK_TOLERANCE_PER_UM at any of them is a TuningError.
     """
     known = np.atleast_1d(np.asarray(known_nm, dtype=float))
     if known.size == 0:
@@ -471,11 +533,11 @@ def _solve_matched(known_nm, wg, solve_for, window_nm):
     lo = np.where(at_node, node, nodes[idx])
     hi = np.where(at_node, node, nodes[idx + 1])
 
-    root = _bisect_roots(_mismatch_against(distinct, wg, solve_for), lo, hi)
+    root = _bracketed_roots(_mismatch_against(distinct, wg, solve_for), lo, hi)
     resid = np.abs(_checked_mismatch(distinct, root, wg, solve_for))
     if np.any(resid > DK_TOLERANCE_PER_UM):
         raise TuningError(
-            f"bisection failed to reach |dk| < {DK_TOLERANCE_PER_UM} rad/um "
+            f"tuning solve failed to reach |dk| < {DK_TOLERANCE_PER_UM} rad/um "
             f"(worst {resid.max():.3e})"
         )
     return root[back]
@@ -485,7 +547,9 @@ def phase_matched_signal(pump_nm, wg):
     """Signal wavelength [nm] phase matched to the given pump wavelength(s).
 
     Scans a 1 nm grid over 1450-1650 nm for the sign change of dk, then
-    bisects to |dk| < 1e-9 rad/um.  Only pumps on a 1 nm stride are scanned
+    solves each bracket by false position with an Anderson-Bjorck weight,
+    stopping once a step moves less than 1e-9 nm, and checks |dk| < 1e-9
+    rad/um at the root.  Only pumps on a 1 nm stride are scanned
     on every node.  A pump between two of them inherits their sign on every
     node where dk falls strictly from the lower one to the higher one
     without reaching zero (the ordering guard): at fixed signal dk falls

@@ -44,6 +44,7 @@ SIGNAL_GRID_STEP_NM = 0.04
 BAND_REL_TOL = 1e-12  # band keeps entries above this x their row's peak
 _GRID_PAD_NM = 1.5  # sinc^2 tails beyond the mapped range worth keeping
 _GRID_COUNT_TOL = 1e-9  # pump steps a window may fall short of a whole count
+_SIGNAL_COUNT_TOL = 1e-6  # signal steps a span may pass a whole count by
 RL_BLOCK_ROWS = 16  # kernel rows per dense block of the RL operator
 BAND_CHUNK_CELLS = 16384  # band cells per row chunk of a build or an RL operator
 
@@ -211,7 +212,10 @@ class ResponseKernel:
     column, stored only over its W-column window: band_values[i, k] is the
     entry at column band_start[i] + k, zero outside.  mapped_signal_nm[i] is
     row i's phase-matched signal (the scan's native abscissa).  Both grids
-    are derived.  Pump power and VBG tracking mode are the plan's; the rows
+    are derived and read-only; the signal grid,
+    default_signal_grid(mapped_signal_nm), is fixed when the kernel is made,
+    so it is the grid build_kernel evaluated the band on.  Pump power and
+    VBG tracking mode are the plan's; the rows
     carry the pinned efficiency at that power.  The plan's dwell and seed
     enter nothing the kernel holds.
     """
@@ -221,18 +225,18 @@ class ResponseKernel:
     band_values: np.ndarray       # n_pump x W entries of the windows
     mapped_signal_nm: np.ndarray
     vbg_centers_nm: np.ndarray
+    signal_grid_nm: np.ndarray = field(init=False)
     pump_power_mw = property(lambda self: self.plan.pump_power_mw)
     vbg_tracking = property(lambda self: self.plan.vbg_tracking)
+
+    def __post_init__(self):
+        object.__setattr__(self, "signal_grid_nm",
+                           _read_only(default_signal_grid(self.mapped_signal_nm)))
 
     @functools.cached_property
     def pump_grid_nm(self):
         """Read-only plan.pump_grid_nm(), one point per row."""
         return _read_only(self.plan.pump_grid_nm())
-
-    @functools.cached_property
-    def signal_grid_nm(self):
-        """Read-only default_signal_grid(mapped_signal_nm)."""
-        return _read_only(default_signal_grid(self.mapped_signal_nm))
 
     @functools.cached_property
     def band_columns(self):
@@ -320,11 +324,16 @@ def _row_chunks(n_rows, width):
 
 
 def default_signal_grid(mapped):
-    """Ascending grid over a tuning map's end points plus tails."""
+    """Ascending grid over a tuning map's end points plus tails.
+
+    The step count is ceiled with a 1e-6-step tolerance, far above the
+    tuning solve's root noise (about 1e-10 of a step), so ends a whole
+    number of steps apart give the same grid whichever way that noise falls.
+    """
     ends = mapped[[0, -1]]
     lo = float(np.min(ends)) - _GRID_PAD_NM
     hi = float(np.max(ends)) + _GRID_PAD_NM
-    n = int(np.ceil((hi - lo) / SIGNAL_GRID_STEP_NM))
+    n = int(np.ceil((hi - lo) / SIGNAL_GRID_STEP_NM - _SIGNAL_COUNT_TOL))
     return lo + SIGNAL_GRID_STEP_NM * np.arange(n + 1)
 
 

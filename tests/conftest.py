@@ -1,6 +1,6 @@
 """Shared fixtures: one config load and one kernel build per session.
 
-The default kernel is the expensive object (1201 x 1027); building it once
+The default kernel is the expensive object (1201 x 1026); building it once
 keeps the whole suite comfortably inside the runtime budget.
 """
 import os

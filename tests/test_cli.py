@@ -795,19 +795,19 @@ def test_deconvolve_model_and_kernel_file_write_the_same_bytes(scan_workdir, tmp
 # the file layout must leave every one of them as it is.
 _WORKFLOW_DIGESTS = {
     "scan.sampled_counts": "68c97b66f7eab7a689be987bb370fb638ec19bcb7d6ea50518b498d9421d6d98",
-    "scan.expected_rate_cps": "b03b510f24e8a2e10c19996c9a5f204040786bccbf4c068d9755b901869658f8",
-    "scan.signal_nm_mapped": "5df13b38c5c152391d902e77101bfaf3df98aa80862e31b8202fcebdb8cf5299",
-    "scan.vbg_centers_nm": "3e531ab86cdbb7bf9f21762676bdef54f799855d0f718a11360832f79fe09c6e",
-    "kernel.band_values": "e5a3065ba7314026e531c5c07571ad43a821cfa1f9deb76cc454e981d6053ae0",
+    "scan.expected_rate_cps": "df51f8217a3c9032f88b9f69e0dc2bfcb77987c1ae6125c7676432c18dba7985",
+    "scan.signal_nm_mapped": "f10db7f18d5abdc5abde715dd7281c837fead0dea8cff6cf2414e81faf1e5b06",
+    "scan.vbg_centers_nm": "2b95dd37873b102901c0fc7bd9eb2e036a64dcab4f1cd3b1c3dc47cc443294fa",
+    "kernel.band_values": "044522ceb75aa87990f47b2d3afabeee4130e0d67aa398fde894349b942fbeab",
     "kernel.band_start": "2e485ae55c6362dee61600a65245c8dcce4218546de344ea3b832deb84598c34",
     "kernel.pump_grid_nm": "51c9914115518cabd26d5c8cb34ad3b1768656bc913686582cd7ccc7d98438dc",
-    "kernel.signal_grid_nm": "d7c928b736e3dfdc52c1e4402d5cf0c491491f7abdac096f6b1f218d11c8eb5e",
-    "kernel.mapped_signal_nm": "5df13b38c5c152391d902e77101bfaf3df98aa80862e31b8202fcebdb8cf5299",
-    "kernel.vbg_centers_nm": "3e531ab86cdbb7bf9f21762676bdef54f799855d0f718a11360832f79fe09c6e",
-    "estimate_file.grid_nm": "d7c928b736e3dfdc52c1e4402d5cf0c491491f7abdac096f6b1f218d11c8eb5e",
-    "estimate_file.values": "2dcaba7bfb4c1d9811b6c050042afdd6669dbc090cdbca40c823780721a2c718",
-    "estimate_model.grid_nm": "d7c928b736e3dfdc52c1e4402d5cf0c491491f7abdac096f6b1f218d11c8eb5e",
-    "estimate_model.values": "2dcaba7bfb4c1d9811b6c050042afdd6669dbc090cdbca40c823780721a2c718",
+    "kernel.signal_grid_nm": "244a51bdce21c58236be3cf0aa9f52591b5d989ee83e4871dac0185aa41a5fdc",
+    "kernel.mapped_signal_nm": "f10db7f18d5abdc5abde715dd7281c837fead0dea8cff6cf2414e81faf1e5b06",
+    "kernel.vbg_centers_nm": "2b95dd37873b102901c0fc7bd9eb2e036a64dcab4f1cd3b1c3dc47cc443294fa",
+    "estimate_file.grid_nm": "244a51bdce21c58236be3cf0aa9f52591b5d989ee83e4871dac0185aa41a5fdc",
+    "estimate_file.values": "ab3d5891fc833d0991dc4398e7a74ad5d23666a5fa76413b5b0e331e801ba8c3",
+    "estimate_model.grid_nm": "244a51bdce21c58236be3cf0aa9f52591b5d989ee83e4871dac0185aa41a5fdc",
+    "estimate_model.values": "ab3d5891fc833d0991dc4398e7a74ad5d23666a5fa76413b5b0e331e801ba8c3",
 }
 
 
@@ -849,13 +849,13 @@ _KERNEL_PLANS = {
 _KERNEL_DIGESTS = {
     "fixed-vbg-window": {
         "pump_grid_nm": "046725062234abd4dc5a607047093cb8a73ed54bd8dc9b3dde3c37ba659374dd",
-        "signal_grid_nm": "d41095cb68e027ba8c4900789315a26714ccee52c42be7823da31b53df9b037a",
-        "band_values": "9177c1833d9732b85b3cbb1a6c6acea0e170dd30ea1bd357b8ffdd8a4319cd2b",
+        "signal_grid_nm": "804b16ec95a35e429edc1a9d089209c88461d267a4fe42b30863f4f72b7830c6",
+        "band_values": "4f929c86ce4a543f4d027cfa597b056d3b78cf1df702b1e3aabd689ebbb28024",
     },
     "pump-step-0.07": {
         "pump_grid_nm": "55690964a18c419c01f4b49f6c69c0dbd9ae3710a5878a840e6282a352a4c3a1",
-        "signal_grid_nm": "6d97c566eb72380a6860961c0e5595099a8f8fcb9c60d0385b3a28a033143bbc",
-        "band_values": "6726fdc3539603fb61fe4d48868f7e4e92a146f4286c18edd7896b7c000be858",
+        "signal_grid_nm": "38dd50b427805a68ac8132865b1dedd07be38af9bbd745f63f6ee1dd44080a61",
+        "band_values": "e8edc0424a03142c096bb05605ff8d5add31b80fb47b9e67d129a5f70bb09b60",
     },
 }
 

@@ -217,7 +217,7 @@ def test_band_mismatch_raises_as_qpm_mismatch(cfg, wg3, small_plan, case):
         assert np.array_equal(np.isnan(dk), np.isnan(grid[cols]))
 
 
-def test_phase_matched_solves_match_the_oracle_bisection(wg3):
+def test_phase_matched_solves_match_the_oracle_solve(wg3):
     signal = np.linspace(1530.0, 1575.0, 91)
     assert np.array_equal(dispersion.phase_matched_pump(signal, wg3),
                           tuning_oracle.phase_matched_pump(signal, wg3))
@@ -228,21 +228,97 @@ def test_phase_matched_solves_match_the_oracle_bisection(wg3):
             == tuning_oracle.phase_matched_signal(1950.0, wg3))
 
 
-def test_tuning_solve_stops_at_the_fixed_point(cfg, wg3, monkeypatch):
-    # 1 nm coarse brackets near 1550 nm reach adjacent floats in ~42 halvings;
-    # one more step finds nothing left to change
+def test_tuning_solve_takes_at_most_six_evaluations(cfg, wg3, monkeypatch):
+    # dk is linear to about 1e-3 nm across a 1 nm coarse bracket: after its
+    # two ends, three false-position steps reach the float-noise floor
     calls = []
-    bisect = dispersion._bisect_roots
+    solve = dispersion._bracketed_roots
 
-    def counted(f, lo, hi, iterations=80):
+    def counted(f, lo, hi):
         def g(x):
             calls.append(np.size(x))
             return f(x)
-        return bisect(g, lo, hi, iterations)
+        return solve(g, lo, hi)
 
-    monkeypatch.setattr(dispersion, "_bisect_roots", counted)
+    monkeypatch.setattr(dispersion, "_bracketed_roots", counted)
     dispersion.phase_matched_signal(cfg.scan.pump_grid_nm(), wg3)
-    assert 40 <= len(calls) - 1 <= 46 and set(calls) == {1201}
+    assert len(calls) <= 6 and set(calls) == {1201}
+
+
+def _assert_near_the_bisection(pump, wg):
+    got = dispersion.phase_matched_signal(pump, wg)
+    assert np.max(np.abs(got - tuning_oracle.bisected_signal(pump, wg))) <= 1e-9
+    assert np.max(np.abs(dispersion.qpm_mismatch(got, pump, wg))) <= 1e-12
+
+
+@pytest.mark.parametrize("step", [0.05, 0.02])
+def test_tuning_roots_sit_on_the_80_step_bisection(cfg, wg3, step):
+    # the default plan's 1201 pumps and the 3001 of a 0.02 nm step
+    _assert_near_the_bisection(replace(cfg.scan, pump_step_nm=step).pump_grid_nm(), wg3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(width=st.floats(6.0, 60.0), step=st.floats(0.02, 0.1), where=st.floats(0.0, 1.0),
+       bend=st.floats(-0.5, 0.5))
+def test_drawn_plans_roots_sit_on_the_80_step_bisection(cfg, wg3, width, step, where, bend):
+    start = 1920.0 + where * (60.0 - width)
+    plan = replace(cfg.scan, pump_start_nm=start, pump_stop_nm=start + width,
+                   pump_step_nm=step)
+    wg = _bent(wg3, bend)
+    try:
+        dispersion.phase_matched_signal(plan.pump_grid_nm(), wg)
+    except TuningError:
+        assume(False)  # a second root in the window
+    _assert_near_the_bisection(plan.pump_grid_nm(), wg)
+
+
+# slopes of the size dk has near a root (about 1 rad/um per nm), or none
+_SLOPES = st.one_of(st.just(0.0), st.floats(0.01, 3.0), st.floats(-3.0, -0.01))
+_BRACKETS = st.tuples(st.floats(1400.0, 1700.0), st.floats(0.0, 2.0), st.floats(0.0, 1.0),
+                      st.sampled_from(["linear", "curved"]), _SLOPES, st.floats(0.5, 40.0))
+
+
+def _synthetic(brackets):
+    """(lo, hi, root, f): per element (lo, width, frac, kind, slope, k), a
+    root at lo + width * frac, and f linear, slope (x - root), or curved,
+    sign(slope) (u(x) - u(root)) with u = 1 / (1 + k (hi - x) / width), whose
+    slope grows (1 + k)^2-fold across the bracket.  Only + - * / are used, so
+    an element's f has the same bits in any batch."""
+    lo, width, frac, kind, slope, k = (np.array(v) for v in zip(*brackets))
+    hi, root = lo + width, lo + width * frac
+    scale = np.where(width > 0.0, width, 1.0)
+
+    def f(x):
+        curved = np.sign(slope) * (1.0 / (1.0 + k * (hi - x) / scale)
+                                   - 1.0 / (1.0 + k * (hi - root) / scale))
+        return np.where(kind == "linear", slope * (x - root), curved)
+
+    return lo, hi, root, f
+
+
+@settings(max_examples=150, deadline=None)
+@given(brackets=st.lists(_BRACKETS, min_size=1, max_size=8))
+@example(brackets=[(1550.0, 1.0, 0.0, "linear", 1.0, 1.0),     # root on lo
+                   (1551.0, 0.0, 0.5, "curved", 1.0, 1.0),     # lo == hi
+                   (1550.0, 1.0, 0.5, "linear", -2.0, 1.0),    # dk exactly 0 mid-solve
+                   (1560.0, 1.0, 0.3, "curved", -1.0, 40.0)])  # strongly curved
+def test_bracketed_roots_stay_inside_and_elementwise(brackets):
+    lo, hi, root, f = _synthetic(brackets)
+    evaluated = []
+
+    def g(x):
+        evaluated.append(x.copy())
+        return f(x)
+
+    got = dispersion._bracketed_roots(g, lo, hi)
+    assert np.all((lo <= got) & (got <= hi))
+    assert all(np.all((lo <= x) & (x <= hi)) for x in evaluated)
+    # a linear f with a slope has one root, and the first secant is on it
+    linear = np.array([b[3] == "linear" and b[4] != 0.0 for b in brackets])
+    assert np.all(np.abs(got - root)[linear] <= 1e-9 * (hi - lo)[linear])
+    for i, one in enumerate(brackets):
+        alone = dispersion._bracketed_roots(_synthetic([one])[3], lo[i:i + 1], hi[i:i + 1])
+        assert alone.view(np.int64)[0] == got.view(np.int64)[i]
 
 
 def _two_end_bisection(f, lo, hi, iterations=80):

@@ -404,7 +404,6 @@ def band_and_oracle(request, cfg, wg3, models, small_plan):
             mp.setattr(spectrometer, "default_signal_grid", np.sort)
         kern = spectrometer.build_kernel(wg3, cfg.filters, vbg, conv, plan)
         dense, dense_grid = dense_kernel(wg3, cfg.filters, vbg, conv, plan)
-        # the kernel derives its grid on first read, so read it under the patch
         assert np.array_equal(kern.signal_grid_nm, dense_grid)
     if request.param == "clipped_grid":
         width = kern.band_values.shape[1]
@@ -435,7 +434,7 @@ def test_column_peak_is_the_column_max_of_the_dense_oracle(band_and_oracle):
 
 # 1920-1980 nm at 0.1 nm with the VBG parked: no row's band reaches 45 columns
 FOUND_PLAN = {"pump_step_nm": 0.1, "vbg_tracking": "fixed"}
-FOUND_BANDS_NM = [(1570.0399999999897, 1570.8799999999896)]
+FOUND_BANDS_NM = [(1570.0399999999988, 1570.8799999999987)]
 
 
 def test_reach_check_names_the_unreached_run(cfg, wg3, models):
@@ -561,12 +560,12 @@ def test_tracking_beyond_tuning_range_raises(cfg, wg3, small_plan):
 
 
 def test_kernel_shape_and_axes(kernel):
-    assert kernel.matrix.shape == (1201, 1027)
+    assert kernel.matrix.shape == (1201, 1026)
     assert kernel.matrix.shape == (kernel.pump_grid_nm.size, kernel.signal_grid_nm.size)
     width = kernel.band_values.shape[1]
     assert kernel.band_values.shape == (1201, width) and width <= 38
     assert kernel.band_start.dtype.kind == "i"
-    assert np.all((kernel.band_start >= 0) & (kernel.band_start <= 1027 - width))
+    assert np.all((kernel.band_start >= 0) & (kernel.band_start <= 1026 - width))
     assert np.all(np.diff(kernel.signal_grid_nm) > 0)
     assert np.all(kernel.band_values >= 0.0)
     assert not kernel.matrix.flags.writeable
@@ -584,12 +583,38 @@ def test_signal_grid_step_leaves_the_forward_model_converged(cfg, wg3, models, k
         source = spectra.multimode_ld_spectrum(kern.signal_grid_nm)
         return spectrometer.expected_rates(source, kern, silent, cfg.scan.pump_power_mw)
 
-    got = rates(kernel)  # before the patch: a kernel derives its grid on first use
     monkeypatch.setattr(spectrometer, "SIGNAL_GRID_STEP_NM", 0.005)
     fine = spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, conv, cfg.scan)
-    assert (kernel.signal_grid_nm.size, fine.signal_grid_nm.size) == (1027, 8202)
-    want = rates(fine)
+    assert (kernel.signal_grid_nm.size, fine.signal_grid_nm.size) == (1026, 8201)
+    got, want = rates(kernel), rates(fine)
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(want)
+
+
+def test_signal_grid_size_ignores_root_noise(kernel):
+    # the default map's ends sit on calibration anchors 41 nm apart, 1025
+    # whole 0.04 nm steps; moving either end by 1e-9 nm, far above the
+    # solve's root noise, leaves the grid's 1026 points
+    for lo_shift in (-1e-9, 0.0, 1e-9):
+        for hi_shift in (-1e-9, 0.0, 1e-9):
+            mapped = kernel.mapped_signal_nm + 0.0
+            mapped[0] += lo_shift
+            mapped[-1] += hi_shift
+            assert spectrometer.default_signal_grid(mapped).size == 1026
+
+
+def test_a_kernel_keeps_the_grid_it_was_built_on(cfg, wg3, models, small_plan, monkeypatch):
+    # the grid step read after the build changes neither the kernel's grid
+    # nor its rates: the grid is the one its band was evaluated on
+    conv, noise = models
+    kern, ref = (spectrometer.build_kernel(wg3, cfg.filters, cfg.vbg, conv, small_plan)
+                 for _ in range(2))
+    source = spectra.multimode_ld_spectrum(ref.signal_grid_nm, n_modes=1, total_dbm=-110.0)
+    want = spectrometer.expected_rates(source, ref, noise, small_plan.pump_power_mw)
+    monkeypatch.setattr(spectrometer, "SIGNAL_GRID_STEP_NM", 0.005)
+    assert np.array_equal(kern.signal_grid_nm, ref.signal_grid_nm)  # kern's first read
+    assert not kern.signal_grid_nm.flags.writeable
+    got = spectrometer.expected_rates(source, kern, noise, small_plan.pump_power_mw)
+    assert np.array_equal(got, want) and np.max(got) > 2.0 * noise.rate(small_plan.pump_power_mw)
 
 
 def test_default_support_has_no_more_columns_than_scan_points(kernel):

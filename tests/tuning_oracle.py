@@ -1,11 +1,13 @@
 """Reference tuning-map solver, the oracle for the one-pass solve.
 
-It solves the map the way the package did before its solve stopped at the
-bisection's fixed point: every one of the 80 bisection steps evaluates dk
-through the checked refractive_index, with dk written out term by term as
-qpm_mismatch had it, and the scan-center pump of the fixed VBG setpoint is a
-scalar solve of its own.  The solvers and schedules here must give the
-package's bits.
+It solves the map the plain way: dk on every node of the full 1 nm scan for
+every known wavelength, then the package's bracketed steps (false position
+with its Anderson-Bjorck weight) written out on the elements still moving,
+every evaluation of dk going through the checked refractive_index, term by
+term as qpm_mismatch had it.  The scan-center pump of the fixed VBG setpoint
+is a scalar solve of its own.  The solvers and schedules here must give the
+package's bits.  bisect_roots, 80 full bisection steps, is the accuracy
+reference the bracketed roots are held to.
 """
 import numpy as np
 
@@ -44,17 +46,62 @@ def bisect_roots(f, lo, hi, iterations=80):
     return 0.5 * (lo + hi)
 
 
-def _solve(known_nm, wg, solve_for, window_nm):
+def bracketed_roots(f, lo, hi):
+    """dispersion._bracketed_roots' false position, on the elements still
+    moving: f(x, i) is f of the elements i at x.  Each pass takes an element's
+    secant through its bracket ends (the midpoint when that is not strictly
+    inside), stops it once that moved at most _ROOT_STEP_TOL of its first
+    bracket from its previous estimate, and otherwise evaluates it there."""
+    a = np.array(lo, dtype=float, copy=True)
+    b = np.array(hi, dtype=float, copy=True)
+    every = np.arange(a.size)
+    fa, fb = f(a, every), f(b, every)
+    tol = dispersion._ROOT_STEP_TOL * (b - a)
+    root = np.where(fa == 0.0, a, b)
+    prev = np.full(a.size, np.nan)
+    i = np.flatnonzero((fa != 0.0) & (fb != 0.0) & (a != b))
+    for _ in range(80):
+        if i.size == 0:
+            break
+        c = b[i] - fb[i] * (b[i] - a[i]) / (fb[i] - fa[i])
+        outside = ~((c > np.minimum(a[i], b[i])) & (c < np.maximum(a[i], b[i])))
+        c[outside] = 0.5 * (a[i] + b[i])[outside]
+        root[i] = c
+        moving = ~(np.abs(c - prev[i]) <= tol[i])
+        i, c = i[moving], c[moving]
+        fc = f(c, i)
+        i, c, fc = i[fc != 0.0], c[fc != 0.0], fc[fc != 0.0]
+        on_b = fc * fb[i] > 0.0
+        ia, ib = i[~on_b], i[on_b]
+        # the retained end's f is scaled by 1 - f(c) / f(replaced end), or by
+        # 1/2 where that is not positive
+        m_a = 1.0 - fc[on_b] / fb[ib]
+        fa[ib] *= np.where(m_a > 0.0, m_a, 0.5)
+        b[ib], fb[ib] = c[on_b], fc[on_b]
+        m_b = 1.0 - fc[~on_b] / fa[ia]
+        fb[ia] *= np.where(m_b > 0.0, m_b, 0.5)
+        a[ia], fa[ia] = c[~on_b], fc[~on_b]
+        prev[i] = c
+    return root
+
+
+def _bisected(f, lo, hi):
+    """bisect_roots of f(x, i) over every element."""
+    every = np.arange(np.size(lo))
+    return bisect_roots(lambda x: f(x, every), lo, hi)
+
+
+def _solve(known_nm, wg, solve_for, window_nm, roots=bracketed_roots):
     known = np.atleast_1d(np.asarray(known_nm, dtype=float))
     grid = np.arange(window_nm[0], window_nm[1] + dispersion._COARSE_STEP_NM,
                      dispersion._COARSE_STEP_NM)
     if solve_for == "signal":
-        def dk(x):
-            return qpm_mismatch(x, known, wg)
+        def dk(x, i):
+            return qpm_mismatch(x, known[i], wg)
         dk_grid = qpm_mismatch(grid[None, :], known[:, None], wg)
     else:
-        def dk(x):
-            return qpm_mismatch(known, x, wg)
+        def dk(x, i):
+            return qpm_mismatch(known[i], x, wg)
         dk_grid = qpm_mismatch(known[:, None], grid[None, :], wg)
     on_node = dk_grid == 0.0
     sign_flip = dk_grid[:, :-1] * dk_grid[:, 1:] < 0.0
@@ -65,13 +112,19 @@ def _solve(known_nm, wg, solve_for, window_nm):
     idx = np.argmax(sign_flip, axis=1)
     lo = np.where(at_node, node, grid[idx])
     hi = np.where(at_node, node, grid[idx + 1])
-    root = bisect_roots(dk, lo, hi)
+    root = roots(dk, lo, hi)
     return float(root[0]) if np.ndim(known_nm) == 0 else root
 
 
 def phase_matched_signal(pump_nm, wg):
     """Signal [nm] phase matched to pump_nm over the default search window."""
     return _solve(pump_nm, wg, "signal", dispersion.SIGNAL_SEARCH_NM)
+
+
+def bisected_signal(pump_nm, wg):
+    """Signal [nm] phase matched to pump_nm by 80 bisection steps on the same
+    coarse brackets: the accuracy reference."""
+    return _solve(pump_nm, wg, "signal", dispersion.SIGNAL_SEARCH_NM, roots=_bisected)
 
 
 def phase_matched_pump(signal_nm, wg):
