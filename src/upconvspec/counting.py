@@ -24,8 +24,11 @@ versions from a documented algorithm pair:
 
 Both run on all their lanes at once and give the counts a scalar sampler
 gives lane by lane (tests/poisson_oracle.py): numpy's + - * /, sqrt, abs
-and floor round as Python's do, while exp, log and lgamma, which numpy
-need not round as libm does, run per lane on Python floats.
+and floor round as Python's do, while exp, which numpy need not round as
+libm does, runs per lane on Python floats.  PTRS's log test runs on arrays
+(np.log, and a Stirling series for lgamma); a lane whose two sides it
+cannot tell apart within a guard band far wider than their rounding
+takes the test on Python floats, with libm's log and lgamma.
 """
 from dataclasses import dataclass
 import math
@@ -36,6 +39,10 @@ from .errors import DomainError
 from .units import photon_energy_j, dbm_to_watts
 
 _PTRS_SWITCH = 30.0
+# PTRS's array log test leaves a lane to the scalar one when its two sides
+# are within this share of their terms' magnitudes (see _ptrs_lanes)
+_PTRS_GUARD = 1e-9
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _MAX_MEAN = 2.0 ** 62
 
 # SeedSequence constants (numpy/random/bit_generator.pyx).
@@ -236,10 +243,21 @@ def _ptrs_log_accept(k, us, v, mean, a, b, inv_alpha):
     """PTRS's final acceptance test, on Python floats.
 
     math.log and math.lgamma are libm's; numpy's log need not give the same
-    bits, so this test never runs on arrays.
+    bits, so _ptrs_lanes leaves to this test every lane whose array test
+    could round the other way.
     """
     return (math.log(v * inv_alpha / (a / (us * us) + b))
             <= k * math.log(mean) - mean - math.lgamma(k + 1.0))
+
+
+def _lgamma_stirling(z):
+    """lgamma(z) for arrays of z >= 10: Stirling's series through its z**-7
+    term, which leaves a truncation error below 1 / (1188 z**9), under 1e-12
+    at z = 10."""
+    r = 1.0 / z
+    r2 = r * r
+    series = r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 * (1.0 / 1260.0 - r2 / 1680.0)))
+    return (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + series
 
 
 def _ptrs_lanes(means, lanes):
@@ -247,8 +265,13 @@ def _ptrs_lanes(means, lanes):
 
     Each round every open lane takes a (u, v) pair from its stream.  The
     constants, the squeeze and the cheap rejections are + - * /, sqrt, abs
-    and floor, which numpy rounds as Python does; only the lanes they leave
-    undecided take the log test, one by one.
+    and floor, which numpy rounds as Python does.  The lanes they leave
+    undecided take the log test on arrays, with np.log and, for k + 1 >= 10,
+    _lgamma_stirling: both sides of the test are off the scalar test's by
+    far less than _PTRS_GUARD of their terms' magnitudes.  A lane with
+    k + 1 < 10, or with the two sides within that guard band of each other,
+    takes the scalar test, _ptrs_log_accept.  So every lane decides as the
+    scalar test does.
     """
     out = np.empty(means.size, dtype=np.int64)
     b = 0.931 + 2.53 * np.sqrt(means)
@@ -263,8 +286,17 @@ def _ptrs_lanes(means, lanes):
         k = np.floor((2.0 * a / us + b) * u + means + 0.43)
         accept = (us >= 0.07) & (v <= v_r)
         test = np.flatnonzero(~accept & (k >= 0) & ((us >= 0.013) | (v <= us)))
-        accept[test] = [_ptrs_log_accept(*args) for args in zip(
-            *(x[test].tolist() for x in (k, us, v, means, a, b, inv_alpha)))]
+        kt, ust, mt = k[test], us[test], means[test]
+        lhs = np.log(v[test] * inv_alpha[test] / (a[test] / (ust * ust) + b[test]))
+        k_log_mean = kt * np.log(mt)
+        lgamma = _lgamma_stirling(kt + 1.0)
+        rhs = k_log_mean - mt - lgamma
+        guard = _PTRS_GUARD * (np.abs(k_log_mean) + mt + np.abs(lgamma) + np.abs(lhs) + 1.0)
+        sure = (kt >= 9.0) & (np.abs(rhs - lhs) > guard)
+        accept[test[sure]] = lhs[sure] <= rhs[sure]
+        close = test[~sure]
+        accept[close] = [_ptrs_log_accept(*args) for args in zip(
+            *(x[close].tolist() for x in (k, us, v, means, a, b, inv_alpha)))]
         out[where[accept]] = k[accept]
         left = ~accept
         where, means, a, b, inv_alpha, v_r = (

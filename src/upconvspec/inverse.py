@@ -14,13 +14,11 @@ step starts from an extrapolated point (Biggs & Andrews, Appl. Opt. 36,
 zero.  Entries that fall below 1e-16 x the largest (or below the smallest
 normal double) are set to zero after every step: RL cannot regrow them, and
 left alone they go subnormal and make every later step several times
-slower.  Once a fifth or more of the columns are zero they are dropped from
-the products.  RL runs on count rates with the kernel's dwell-free operator
+slower.  RL runs on count rates with the kernel's dwell-free operator
 (ResponseKernel.rl_operator, built once per kernel), so a call builds
-nothing: dense blocks of consecutive band rows while every column is live,
-and from the first compaction on the kernel's CSR of the same weights
-(RLOperator.csr, built by the first call that compacts), sliced to the live
-columns.  Only that CSR loads scipy.sparse.
+nothing.  Every product runs on the operator's dense blocks of consecutive
+band rows, two per iteration: one back product, and one forward product of
+both the new iterate and the next step's start.  Nothing here loads SciPy.
 """
 import numbers
 from dataclasses import dataclass
@@ -35,7 +33,6 @@ _CLIP_SIGMA = 3.5
 _MIN_BASELINE_POINTS = 5
 _FLUSH_REL = 1e-16  # RL entries below this x the largest are set to zero
 _TINY = np.finfo(float).tiny  # ... as is anything below the smallest normal
-_COMPACT_FRAC = 0.8  # drop zero columns once this share or fewer are live
 
 
 def _median(values):
@@ -133,10 +130,11 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
     it is 0 for the first two steps and after any step that raised chi^2.
     A step from y keeps the flux sum(M x) equal to the data's, as plain RL
     does.  Entries below max(1e-16 max(x), smallest normal double) are
-    flushed to zero; once 80 % or fewer of the columns are nonzero, the
-    zero ones leave the forward and back products.  The products move from
-    the operator's row blocks to its CSR there, which sums in another order,
-    so results move at the last-bit level.
+    flushed to zero, and stay zero.  Once x_k+1 and g_k+1 are known, so are
+    the next alpha, unless chi^2 rose, and the next start y: one forward
+    product of both gives their models, and chi^2 comes from x_k+1's.  If
+    chi^2 rose, y and its model are dropped and the next step starts from
+    x_k+1.
 
     The estimate is supported on the kernel columns inside the scan's mapped
     signal range; columns with no band entry there make those bands
@@ -179,8 +177,7 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
     rates = np.maximum(d - bg_counts, 0.0) / dwell
     op = kernel.rl_operator
     support, norm = op.support, op.norm
-    fwd, back = op.forward, op.back  # row blocks while every column is live
-    csr = None
+    fwd, back = op.forward, op.back
     grid = kernel.signal_grid_nm
 
     def discrepancy(model):
@@ -200,50 +197,47 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
         )
 
     x = np.full(support.size, total / norm.sum())
-    model = fwd(x)
-    x_prev = g_prev = None
-    alpha = 0.0
+    y, model_y = x, fwd(x)
+    g_prev, gg_prev = None, 0.0
     chi2_prev = np.inf
     stop_reason = "max_iterations"
     iters = 0
     for iters in range(1, max_iters + 1):
+        ratio = np.divide(rates, model_y, out=np.zeros(rates.size), where=model_y > 0.0)
+        xy = np.empty((2, x.size))  # x_new, and the next step's start if it extrapolates
+        x_new = np.multiply(y, back(ratio), out=xy[0])
+        x_new /= norm
+        flushed = x_new < max(_FLUSH_REL * x_new.max(initial=0.0), _TINY)
+        np.putmask(x_new, flushed, 0.0)
+        g = x_new - y
+        np.putmask(g, flushed, 0.0)
+        dx = x_new - x
+        gg = float(g @ g)
+        # The next step's alpha, as if chi^2 did not rise, so that its start
+        # y and x_new share one forward product.
+        alpha = min(max(float(g @ g_prev) / gg_prev, 0.0), 1.0) if gg_prev > 0.0 else 0.0
         if alpha > 0.0:
             # Log-space extrapolation along the last step: y stays positive
-            # wherever x is, and a zero stays zero.
-            y = x * np.divide(x, x_prev, out=np.ones_like(x), where=x > 0.0) ** alpha
-            model_y = fwd(y)
+            # wherever x_new is, and a zero stays zero.  Where x_new > 0, x is
+            # at least _TINY, so the maximum changes no divisor there; it only
+            # turns 0 / 0 into 0 / _TINY.
+            y = np.divide(x_new, np.maximum(x, _TINY), out=xy[1])
+            y **= alpha
+            y *= x_new
+            model, model_y = fwd(xy)
         else:
-            y, model_y = x, model
-        ratio = np.divide(rates, model_y, out=np.zeros_like(model_y), where=model_y > 0.0)
-        x_new = y * back(ratio) / norm
-        flushed = x_new < max(_FLUSH_REL * x_new.max(initial=0.0), _TINY)
-        x_new[flushed] = 0.0
-        g = x_new - y
-        g[flushed] = 0.0
-        dx = x_new - x
-        model = fwd(x_new)  # also the next iteration's model
+            y = x_new
+            model = model_y = fwd(x_new)
         chi2 = discrepancy(model)
-        if g_prev is not None and chi2 <= chi2_prev:
-            gg = float(g_prev @ g_prev)
-            alpha = min(max(float(g @ g_prev) / gg, 0.0), 1.0) if gg > 0.0 else 0.0
-        else:
-            alpha = 0.0  # first step, or chi^2 rose: restart
-        x_prev, x, g_prev, chi2_prev = x, x_new, g, chi2
+        if chi2 > chi2_prev:  # restart from x_new
+            y, model_y = x_new, model
+        x, g_prev, gg_prev, chi2_prev = x_new, g, gg, chi2
         if chi2 <= discrepancy_target:
             stop_reason = "discrepancy_reached"
             break
         if dx @ dx <= 1e-18 * (x @ x):  # |dx| <= 1e-9 |x|
             stop_reason = "stagnation"
             break
-        if np.count_nonzero(flushed) >= (1.0 - _COMPACT_FRAC) * x.size:
-            # Flushed columns stay zero: drop them from every product, which
-            # from here on run on the operator's CSR (a row per column),
-            # sliced to the live ones.
-            live = ~flushed
-            x, x_prev, g_prev, norm = x[live], x_prev[live], g_prev[live], norm[live]
-            support = support[live]
-            csr = (op.csr if csr is None else csr)[live]
-            fwd, back = csr.T.dot, csr.dot
 
     est[support] = x
     return DeconvolutionResult(

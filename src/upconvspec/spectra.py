@@ -21,7 +21,9 @@ class Spectrum:
         vals = np.asarray(self.values, dtype=float)
         if grid.ndim != 1 or grid.shape != vals.shape or grid.size < 1:
             raise DomainError("spectrum grid and values must be matching 1-D arrays")
-        if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+        # compared pairwise, not by np.diff, which overflows on a grid that
+        # spans more than the largest double
+        if not np.all(np.isfinite(grid)) or np.any(grid[1:] <= grid[:-1]):
             raise DomainError("spectrum grid must be finite and strictly ascending")
         if np.any(vals < 0) or not np.all(np.isfinite(vals)):
             raise DomainError("spectrum values must be finite and nonnegative")

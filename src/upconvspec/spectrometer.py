@@ -16,8 +16,7 @@ phase-matched signal, so K is banded: a row is evaluated, stored and
 written only over a fixed-width window of columns around its VBG setpoint
 (ResponseKernel.band_start, band_values), and Richardson-Lucy runs on an
 operator built from that band once per kernel (rl_operator, an RLOperator):
-dense blocks of RL_BLOCK_ROWS consecutive rows, and a CSR of the same
-weights, built only when RL first drops columns.  The build and the
+dense blocks of RL_BLOCK_ROWS consecutive rows.  The build and the
 operator's scatter work on chunks of rows of at most BAND_CHUNK_CELLS band
 cells, so neither holds a whole-band temporary beside the band it makes.
 
@@ -159,9 +158,8 @@ class RLOperator:
     columns[b], which cover every support column those rows reach.  Entries
     are the band times the grid weights; the band's columns outside the
     support are left out.  norm is the column sums, back(1).  The arrays
-    are read-only.  csr, the same weights as a CSR matrix with one row per
-    support column and no explicit zeros, is built on first use: only it
-    loads scipy.sparse.
+    are read-only.  Both products run on the blocks, and forward takes
+    several vectors in one product.
     """
 
     support: np.ndarray           # signal-grid columns inside the mapped range
@@ -176,9 +174,16 @@ class RLOperator:
             array.flags.writeable = False
 
     def forward(self, x):
-        """Per-row sums of the weights times x, one value per kernel row."""
-        model = np.matmul(self.blocks, np.take(x, self.columns)[..., None])
-        return model.reshape(-1)[:self.n_rows]
+        """Per-row sums of the weights times x, one value per kernel row.
+
+        x may also be k x n_support, k vectors in one product: the sums are
+        then k x n_rows, a row per vector.
+        """
+        taken = x.take(self.columns, axis=x.ndim - 1)  # [k x] n_blocks x width
+        if x.ndim == 1:
+            return np.matmul(self.blocks, taken[..., None]).reshape(-1)[:self.n_rows]
+        model = np.matmul(self.blocks, taken.transpose(1, 2, 0))
+        return model.reshape(-1, x.shape[0])[:self.n_rows].T
 
     def back(self, r):
         """Per-column sums of the weights times r (one value per kernel row)."""
@@ -187,20 +192,6 @@ class RLOperator:
         sums = np.matmul(self.blocks.transpose(0, 2, 1), padded[..., None])
         return np.bincount(self.columns.reshape(-1), weights=sums.reshape(-1),
                            minlength=self.support.size)
-
-    @functools.cached_property
-    def csr(self):
-        """The weights as a CSR matrix, support columns x kernel rows."""
-        from scipy import sparse
-
-        rows = self.blocks.reshape(-1, self.blocks.shape[2])[:self.n_rows]
-        keep = rows != 0.0
-        cols = np.repeat(self.columns, RL_BLOCK_ROWS, axis=0)[:self.n_rows][keep]
-        indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
-        csr = sparse.csr_matrix((rows[keep], cols, indptr),
-                                shape=(self.n_rows, self.support.size)).T.tocsr()
-        csr.data.flags.writeable = False
-        return csr
 
 
 @dataclass(frozen=True)

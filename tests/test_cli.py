@@ -805,9 +805,9 @@ _WORKFLOW_DIGESTS = {
     "kernel.mapped_signal_nm": "f10db7f18d5abdc5abde715dd7281c837fead0dea8cff6cf2414e81faf1e5b06",
     "kernel.vbg_centers_nm": "2b95dd37873b102901c0fc7bd9eb2e036a64dcab4f1cd3b1c3dc47cc443294fa",
     "estimate_file.grid_nm": "244a51bdce21c58236be3cf0aa9f52591b5d989ee83e4871dac0185aa41a5fdc",
-    "estimate_file.values": "ab3d5891fc833d0991dc4398e7a74ad5d23666a5fa76413b5b0e331e801ba8c3",
+    "estimate_file.values": "48c9823c459e9d469531c0fa5472817ac8b03b3df37ce367dc15d1da90fca83c",
     "estimate_model.grid_nm": "244a51bdce21c58236be3cf0aa9f52591b5d989ee83e4871dac0185aa41a5fdc",
-    "estimate_model.values": "ab3d5891fc833d0991dc4398e7a74ad5d23666a5fa76413b5b0e331e801ba8c3",
+    "estimate_model.values": "48c9823c459e9d469531c0fa5472817ac8b03b3df37ce367dc15d1da90fca83c",
 }
 
 
@@ -940,8 +940,8 @@ def test_import_and_forward_commands_load_no_scipy(scan_workdir, tmp_path, case)
 @pytest.mark.parametrize("kernel", ["file", "model"])
 def test_deconvolve_of_a_broad_scan_loads_no_scipy_or_numpy_ma(scan_workdir, tmp_path,
                                                                kernel):
-    # RL runs on the operator's row blocks until it drops columns; the broad
-    # scan stops before any are flushed, so scipy.sparse is never needed.
+    # RL runs on the operator's row blocks alone, however many columns it
+    # flushes (test_rl_band.py runs a flushing line with scipy blocked).
     work, _ = scan_workdir
     assert _modules_after(
         _RUN_CLI, "deconvolve", "--raw", work / "scan.csv",

@@ -1,9 +1,10 @@
 """Poisson sampler statistics, stream splitting, photon budgets, detection."""
 import hashlib
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import poisson_oracle
@@ -84,6 +85,35 @@ def test_poisson_counts_equal_per_point_sampler_on_many_lanes(n, means_seed, see
     means[special] = gen.choice(SPECIAL_MEANS, int(special.sum()))
     counts = counting.poisson_counts(means, seed)
     assert counts.tolist() == poisson_oracle.poisson_counts(means.tolist(), seed)
+
+
+@given(z=st.one_of(st.floats(10.0, 1e3), st.floats(10.0, 1e18)))
+@example(z=10.0)
+def test_stirling_lgamma_sits_well_inside_the_ptrs_guard(z):
+    # the array log test's lgamma against libm's, a thousandth of the guard
+    # band that sends a lane to the scalar test
+    want = math.lgamma(z)
+    got = float(counting._lgamma_stirling(np.array([z]))[0])
+    assert abs(got - want) <= 1e-3 * counting._PTRS_GUARD * (abs(want) + 1.0)
+
+
+def test_ptrs_array_log_test_decides_as_the_scalar_one(monkeypatch):
+    # an infinite guard sends every PTRS log test to _ptrs_log_accept
+    gen = np.random.default_rng(20241020)
+    means = 10.0 ** gen.uniform(math.log10(30.0), 7.0, 4000)
+    scalar_tests = []
+    scalar = counting._ptrs_log_accept
+    monkeypatch.setattr(counting, "_ptrs_log_accept",
+                        lambda *args: scalar_tests.append(args) or scalar(*args))
+    for seed in (3, 2**40 + 1):
+        scalar_tests.clear()
+        arrays = counting.poisson_counts(means, seed)
+        n_left = len(scalar_tests)
+        with monkeypatch.context() as mp:
+            mp.setattr(counting, "_PTRS_GUARD", np.inf)
+            assert counting.poisson_counts(means, seed).tolist() == arrays.tolist()
+        # the array test decided all but a few of them
+        assert n_left < 0.1 * (len(scalar_tests) - n_left)
 
 
 def test_default_scan_counts_are_pinned(cfg, models, kernel):

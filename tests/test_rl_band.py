@@ -2,14 +2,18 @@
 
 deconvolve runs RL on count rates with ResponseKernel.rl_operator: the band
 times the grid weights on the support columns, built once per kernel as
-dense blocks of consecutive rows, and as a CSR once RL drops columns.
+dense blocks of consecutive rows, which every product runs on.
 dense_rl is the loop as it ran on a dense matrix in counts, here the
 kernel's dense view; the two must agree in iteration count and stop reason,
 and in estimate and residual to a relative 1e-9.  The band's dropped mass
 is checked against the dense oracle build, the operator's form against the
-dense view, its block products against its CSR, and its reuse across dwells
-and calls against a fresh kernel's.
+dense view, its block products against that view, and its reuse across
+dwells and calls against a fresh kernel's.  A bright line's RL, which
+flushes most columns, runs with scipy blocked.
 """
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +22,7 @@ from dense_kernel import dense_kernel
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+import upconvspec
 from upconvspec import inverse, spectra, spectrometer
 from upconvspec.errors import UnrecoverableBandError
 
@@ -165,12 +170,6 @@ def test_rl_operator_is_the_weighted_band_on_the_support(kernel_and_plan):
     assert np.allclose(op.norm, weighted.sum(axis=0), rtol=1e-14, atol=0.0)
     assert np.all(op.norm > 0.0)
     assert not any(a.flags.writeable for a in (op.support, op.blocks, op.columns, op.norm))
-    # the CSR form: the same weights, one row per support column, no explicit zeros
-    csr = op.csr
-    assert csr.format == "csr" and csr.shape == (op.support.size, n)
-    assert np.array_equal(csr.toarray(), weighted.T)
-    assert csr.nnz == np.count_nonzero(weighted)
-    assert not csr.data.flags.writeable
 
 
 def test_band_is_rebuilt_for_a_replaced_kernel(small_kernel):
@@ -194,8 +193,8 @@ def test_band_is_rebuilt_for_a_replaced_kernel(small_kernel):
        step_nm=st.floats(0.02, 0.1), where=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 @example(tracking="tracked", width_nm=0.3, step_nm=0.1, where=0.5, seed=1)
 @example(tracking="fixed", width_nm=1.0, step_nm=0.1, where=0.2, seed=2)
-def test_block_products_agree_with_the_csr(cfg, wg3, models, tracking, width_nm, step_nm,
-                                           where, seed):
+def test_block_products_agree_with_the_dense_view(cfg, wg3, models, tracking, width_nm,
+                                                  step_nm, where, seed):
     # Widths under 2 nm give supports narrower than a block's columns (10
     # support columns at 0.3 nm).  A fixed VBG parked for a wide window
     # leaves support columns no row reaches: RL rejects those kernels.
@@ -208,11 +207,16 @@ def test_block_products_agree_with_the_csr(cfg, wg3, models, tracking, width_nm,
     except UnrecoverableBandError:
         reject()
     assert op.blocks.shape[2] <= op.support.size
+    # the operator's weights, as a dense kernel rows x support columns matrix
+    weighted = kern.matrix[:, op.support]
+    weighted *= np.gradient(kern.signal_grid_nm)[op.support]
     rng = np.random.default_rng(seed)
-    x, r = rng.uniform(0.5, 1.5, op.support.size), rng.uniform(0.5, 1.5, op.n_rows)
-    csr = op.csr
-    for block, exact in ((op.forward(x), csr.T @ x), (op.back(r), csr @ r),
-                         (op.norm, np.asarray(csr.sum(axis=1)).ravel())):
+    xs, r = rng.uniform(0.5, 1.5, (2, op.support.size)), rng.uniform(0.5, 1.5, op.n_rows)
+    pair = op.forward(xs)  # both vectors in one product
+    assert pair.shape == (2, op.n_rows)
+    for block, exact in ((op.forward(xs[0]), weighted @ xs[0]), (pair[0], weighted @ xs[0]),
+                         (pair[1], weighted @ xs[1]), (op.back(r), r @ weighted),
+                         (op.norm, weighted.sum(axis=0))):
         assert block.shape == exact.shape
         assert np.all(np.abs(block - exact) <= 1e-14 * np.abs(exact))
 
@@ -236,25 +240,38 @@ def test_rl_operator_is_built_once_and_serves_every_dwell(small_kernel, small_pl
     assert reused.residual_norm == fresh.residual_norm
 
 
-def test_csr_is_built_by_the_first_compaction_and_kept(cfg, kernel, noise):
-    kern = replace(kernel)
-    op = kern.rl_operator
-    grid = kern.signal_grid_nm
-    broad = spectra.multimode_ld_spectrum(grid, total_dbm=-100.0, center_nm=1550.0)
-    line = spectra.monochromatic_spectrum(grid, 1550.3, 1e-13)
-    scan = spectrometer.forward_scan(broad, kern, noise, replace(cfg.scan, seed=11))
-    inverse.deconvolve(scan, kern, noise_model=noise)
-    assert "csr" not in vars(op)  # no column was dropped
-    built = []
-    for dwell_s in (10.0, 100.0):  # each compacts: most columns end at zero
-        scan = spectrometer.forward_scan(line, kern, noise,
-                                         replace(cfg.scan, dwell_s=dwell_s, seed=11))
-        res = inverse.deconvolve(scan, kern, noise_model=noise)
-        assert res.stop_reason == "discrepancy_reached"
-        assert np.count_nonzero(res.estimate.values) < 0.8 * op.support.size
-        built.append(vars(op)["csr"])
-    assert built[1] is built[0]
-    assert kern.rl_operator is op
+# A bright line at 100 s: RL flushes most support columns on its way to the
+# discrepancy target.  scipy is blocked, so any scipy import raises.
+_LINE_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from dataclasses import replace
+import numpy as np
+from upconvspec import config, inverse, spectra, spectrometer
+cfg = config.load_config()
+conv, noise = config.pinned_models(cfg)
+kern = spectrometer.build_kernel(config.calibrated_waveguide(cfg), cfg.filters, cfg.vbg,
+                                 conv, cfg.scan)
+line = spectra.monochromatic_spectrum(kern.signal_grid_nm, 1550.3, 1e-13)
+scan = spectrometer.forward_scan(line, kern, noise, replace(cfg.scan, dwell_s=100.0, seed=11))
+res = inverse.deconvolve(scan, kern, noise_model=noise)
+print(res.stop_reason, np.count_nonzero(res.estimate.values), kern.support.size)
+print(" ".join(m for m, mod in sys.modules.items() if m.startswith("scipy") and mod is not None))
+"""
+
+
+def test_line_deconvolve_flushes_columns_without_scipy():
+    src = os.path.dirname(os.path.dirname(upconvspec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _LINE_WITHOUT_SCIPY], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result, loaded = (proc.stdout + "\n").split("\n", 1)
+    stop_reason, live, n_support = result.split()
+    assert stop_reason == "discrepancy_reached"
+    assert int(live) <= 0.8 * int(n_support)  # a fifth or more flushed
+    assert loaded.split() == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -66,6 +66,14 @@ def test_spectrum_grid_must_be_finite(grid):
         spectra.Spectrum(np.array(grid), np.ones(len(grid)))
 
 
+def test_spectrum_grid_wider_than_the_double_range_is_checked_without_overflow():
+    # the span exceeds the largest double, so a difference of the ends overflows
+    wide = np.array([-5.172371460467415e+307, 1.2804559888155743e+308])
+    assert np.array_equal(spectra.Spectrum(wide, np.zeros(2)).grid_nm, wide)
+    with pytest.raises(DomainError, match="strictly ascending"):
+        spectra.Spectrum(wide[::-1], np.zeros(2))
+
+
 def test_interpolation_is_zero_outside_support():
     s = spectra.monochromatic_spectrum(GRID, 1550.0, 1e-12)
     wider = np.arange(1540.0, 1560.0, 0.05)
