@@ -12,7 +12,9 @@ The erf edges (edge filters, top-hat lineshapes) are 0.5 erfc(-u), not
 0.5 (1 + erf(u)): the latter cancels in the tail, 0.4 % off at u = -5.5,
 while erfc keeps its relative accuracy there.  erfc is libm's, so building
 a kernel loads no SciPy.  Saturated arguments take the exact limit without
-calling it; the default short-pass edge sits there on every kernel cell.
+calling it; the default short-pass edge sits there on every kernel cell,
+and a kernel build applies an edge saturated over a whole chunk of cells
+as one scalar (flat_transmission).
 """
 import math
 from dataclasses import dataclass
@@ -135,11 +137,36 @@ def transmission(element, wavelength_nm):
     elif element.kind == "band_pass":
         out = _line(lam, element.center_nm, element.fwhm_nm, element.peak,
                     element.lineshape, element.edge_width_nm)
-    elif element.kind == "short_pass":
-        out = element.peak * 0.5 * erfc((lam - element.edge_nm) / element.edge_width_nm)
-    else:  # long_pass
-        out = element.peak * 0.5 * erfc((element.edge_nm - lam) / element.edge_width_nm)
+    else:  # short_pass, long_pass
+        out = element.peak * 0.5 * erfc(_edge_arg(element, lam))
     return float(out) if np.ndim(wavelength_nm) == 0 else out
+
+
+def _edge_arg(element, lam):
+    """An edge filter's erfc argument at lam [nm], monotone in lam."""
+    if element.kind == "short_pass":
+        return (lam - element.edge_nm) / element.edge_width_nm
+    return (element.edge_nm - lam) / element.edge_width_nm
+
+
+def flat_transmission(element, lo_nm, hi_nm):
+    """The one transmission element has at every wavelength in [lo_nm,
+    hi_nm], or None where it varies there.
+
+    A broadband loss is flat everywhere.  An edge filter is flat where its
+    erfc argument is saturated (see erfc) at both ends on one side: the
+    argument is monotone in the wavelength, so every wavelength between
+    takes the same exact limit, and the value has transmission's bits.
+    """
+    if element.kind == "broadband_loss":
+        return element.peak
+    if element.kind in ("short_pass", "long_pass"):
+        u = (_edge_arg(element, lo_nm), _edge_arg(element, hi_nm))
+        if all(x <= -_ERFC_TWO for x in u):
+            return element.peak * 0.5 * 2.0
+        if all(x >= _ERFC_ZERO for x in u):
+            return element.peak * 0.5 * 0.0
+    return None
 
 
 def vbg_half_extent_nm(vbg):

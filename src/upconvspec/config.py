@@ -32,6 +32,11 @@ from .spectrometer import ScanPlan
 
 DEFAULTS_RESOURCE = "defaults.yaml"
 
+# libyaml's C parser where PyYAML was built with it, feeding the same safe
+# constructor: the same documents, parsed about five times faster; text that
+# is not YAML is a YAMLError through either, worded by its parser
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 # Dataclass fields a config cannot set: the medium's validity window, the
 # fitted tuning correction, and the waveguide's medium (the sellmeier section).
 _NOT_CONFIGURABLE = ("valid_um", "valid_temp_c", "dispersion_correction", "medium")
@@ -179,7 +184,7 @@ def load_config(path=None):
         with open(path, "r") as fh:
             text = fh.read()
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError("", f"not valid YAML: {exc}") from exc
     return parse_config(doc)

@@ -18,20 +18,25 @@ computes the known wave's term once per known wavelength.  A kernel band
 (_band_mismatch) computes the signal term once per signal-grid column, the
 pump term once per row and only the SFG wavelength and its term per cell,
 and hands that SFG wavelength on to the filter chain.  Window checks compare
-an array's extremes, not every element, and a band built in row chunks is
-checked whole first (_check_band).
+an array's extremes, not every element; a band is checked whole, from its
+rows' end cells, before it is built in row chunks (_check_band), and the
+chunks are not checked again.
 
 The tuning map is solved by a coarse 1 nm scan for dk's sign change, then
 bracketed false-position steps with an Anderson-Bjorck weight
 (_bracketed_roots).  The scan evaluates dk on every node only for pumps on a
-1 nm stride; a pump between two of them inherits their common sign on every
+1 nm stride; a pump between two of them has the upper one's sign on every
 node where dk falls strictly from one to the other without reaching zero.
 That is exact: at fixed signal d(dk)/d(l_p) = 2 pi (n_g(l_p) - n_g(l_sfg)) /
 l_p^2, negative under normal dispersion and free of the period and of the
 signal-only correction.  Nodes where the neighbours disagree, vanish or are
-out of that order (the guard) are evaluated for every pump between them.
-dk is linear to about 1e-3 nm across a 1 nm bracket, so after the bracket's
-two ends three steps reach the float-noise floor.
+out of that order (the guard) are evaluated for every pump between them,
+and only they can move its roots: its root count is the upper neighbour's
+plus the change in zero nodes and in sign flips on the node pairs that touch
+them, and its bracket is the upper neighbour's unless a root sits on one of
+those (_coarse_roots).  dk is linear to about 1e-3 nm across a 1 nm
+bracket, so after the bracket's two ends three steps reach the float-noise
+floor.
 """
 from dataclasses import dataclass, field, replace
 
@@ -290,51 +295,48 @@ def _mismatch_against(known, wg, solve_for):
     return dk
 
 
-def _checked_cells(s, cols, p, wg):
-    """(span, SFG wavelengths [nm]) of the cells cols, entry [i, k] pairing the
-    signal s[cols[i, k]] with the pump p[i, 0], checked as qpm_mismatch checks
-    them: span is s from the first column to the last (the cells' own
-    extremes on an ascending grid), checked with the pumps for positivity,
-    then the SFG cells, the span and the pumps against the medium's window."""
-    span = s[cols.min():cols.max() + 1]
-    if np.fmin.reduce(span) <= 0 or np.fmin.reduce(p, axis=None) <= 0:
-        raise DomainError("wavelengths must be positive")
-    lam_s = s[cols]
-    f_nm = lam_s * p / (lam_s + p)
-    for lam_nm in (f_nm, span, p):
-        _check_window(lam_nm, wg.temperature_c, wg.medium)
-    return span, f_nm
-
-
 def _band_mismatch(signal_nm, cols, pump_nm, wg):
     """(dk [rad/um], SFG wavelength [nm]) on a kernel band: entry [i, k]
     pairs the signal signal_nm[cols[i, k]] with the pump pump_nm[i].
 
-    Bit for bit qpm_mismatch and sfg_wavelength of the gathered cells,
-    errors included (_checked_cells), with each term evaluated on the axis
-    it depends on: the signal term once per signal_nm column the band
-    spans, then gathered at cols; the pump term once per row; the SFG
-    wavelength and its term once per cell.  A band built a chunk of rows at
-    a time is first checked whole (_check_band).
+    Bit for bit qpm_mismatch and sfg_wavelength of the gathered cells, with
+    each term evaluated on the axis it depends on: the signal term once per
+    signal_nm column the band spans, then gathered at cols; the pump term
+    once per row; the SFG wavelength and its term once per cell.  Nothing is
+    checked: a build checks its whole band first (_check_band), and builds
+    it a chunk of rows at a time through this.
     """
     s = np.asarray(signal_nm, dtype=float)
     p = np.asarray(pump_nm, dtype=float)[:, None]
-    span, f_nm = _checked_cells(s, cols, p, wg)
-    b = _term(span, wg, wg.dispersion_correction)[cols - cols.min()]
+    lam_s = s[cols]
+    f_nm = lam_s * p / (lam_s + p)
+    first = cols.min()
+    b = _term(s[first:cols.max() + 1], wg, wg.dispersion_correction)[cols - first]
     return _dk(_term(f_nm, wg), b, _term(p, wg), wg), f_nm
 
 
 def _check_band(signal_nm, start, width, pump_nm, wg):
-    """Raise what _band_mismatch raises on a whole band, row i being the
+    """Raise what qpm_mismatch raises on a whole band, row i being the
     columns start[i] .. start[i] + width - 1 of an ascending signal_nm grid
-    against pump_nm[i], without evaluating it.  The SFG wavelength rises
-    with the signal along a row, by about 0.3 nm per nm: on a grid whose
-    steps are far above an ulp (default_signal_grid's are 0.04 nm) the
-    band's SFG extremes are at its rows' end cells, and only those are
-    computed."""
+    against pump_nm[i], without evaluating it.
+
+    As qpm_mismatch checks the band's cells: the signal span from its first
+    column to its last (the cells' own extremes on an ascending grid) and
+    the pumps for positivity, then the SFG wavelengths, the span and the
+    pumps against the medium's window.  The SFG wavelength rises with the
+    signal along a row, by about 0.3 nm per nm: on a grid whose steps are
+    far above an ulp (default_signal_grid's are 0.04 nm) the band's SFG
+    extremes are at its rows' end cells, and only those are computed.
+    """
+    s = np.asarray(signal_nm, dtype=float)
+    p = np.asarray(pump_nm, dtype=float)[:, None]
     ends = np.stack((start, start + width - 1), axis=1)
-    _checked_cells(np.asarray(signal_nm, dtype=float), ends,
-                   np.asarray(pump_nm, dtype=float)[:, None], wg)
+    span = s[ends.min():ends.max() + 1]
+    if np.fmin.reduce(span) <= 0 or np.fmin.reduce(p, axis=None) <= 0:
+        raise DomainError("wavelengths must be positive")
+    lam_s = s[ends]
+    for lam_nm in (lam_s * p / (lam_s + p), span, p):
+        _check_window(lam_nm, wg.temperature_c, wg.medium)
 
 
 def efficiency_factor(delta_k_per_um, length_mm):
@@ -432,49 +434,80 @@ def _checked_mismatch(known, x, wg, solve_for):
     return qpm_mismatch(x, known, wg) if solve_for == "signal" else qpm_mismatch(known, x, wg)
 
 
-def _coarse_signs(known, grid, wg, solve_for):
-    """sign(dk) on the coarse grid for known wavelengths sorted ascending and
-    distinct, as (signs, nodes): one row per known wavelength, one column
-    per node of grid that counts.
+def _coarse_roots(known, grid, wg, solve_for):
+    """Root counts and brackets of dk on the coarse grid, for known
+    wavelengths sorted ascending and distinct: (count, lo, hi), each with
+    one entry per known wavelength, lo and hi being grid nodes.
+
+    A root exactly on a grid node counts once, as that node (lo = hi); a
+    sign flip between two nonzero nodes counts as one root inside that
+    interval.  Counts are a full scan's; where every count is 1, each
+    bracket holds its row's root.
 
     The first known wavelength of every 1 nm bin, and the last, are strided:
     qpm_mismatch evaluates dk for them on every node, which also checks the
     whole box of wavelengths the scan and its root solve can reach.  A known
-    wavelength between two strided neighbours is evaluated only on the nodes
-    where the neighbours' dk differ in sign, vanish, or are not strictly
-    ordered (dk lower at the higher neighbour); every other node takes the
-    neighbours' common sign (see _solve_matched for why that is exact).
-
-    A node that every row inherits with a nonzero sign (for a lone row:
-    where its dk is nonzero) has that sign in all rows.  It is dropped when
-    its grid neighbours are such nodes too, with the same sign: a run of
-    dropped nodes holds no root, so the nodes left give the full grid's
-    root counts, and every sign flip between them is between adjacent grid
-    nodes.
+    wavelength between two strided neighbours has the signs of its upper
+    neighbour on every node where the neighbours' dk are nonzero with one
+    sign and strictly ordered (dk lower at the upper neighbour): see
+    _solve_matched for why that is exact.  It is evaluated on the other
+    nodes, and only those change its count and bracket: its count is the
+    upper neighbour's plus the change in zero nodes, and in sign flips on
+    the node pairs that touch an evaluated node; its bracket is the upper
+    neighbour's unless its root lies on one of those nodes or pairs.
     """
-    strided = np.diff(np.floor(known / _COARSE_STEP_NM), prepend=-np.inf) != 0.0
-    strided[-1:] = True
+    bins = np.floor(known / _COARSE_STEP_NM)
+    strided = np.ones(known.size, dtype=bool)
+    strided[1:-1] = bins[1:-1] != bins[:-2]
     dk = _checked_mismatch(known[strided][:, None], grid[None, :], wg, solve_for)
-    lo, hi = dk[:-1], dk[1:]
-    inherit = (lo > hi) & ((hi > 0.0) | (lo < 0.0))
+    # per strided row: sign flips between nonzero nodes plus zero nodes, and
+    # the bracket of the first of them
+    neg, pos = dk < 0.0, dk > 0.0
+    flip = (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])
+    count, lo = flip.sum(axis=1), np.argmax(flip, axis=1)
+    hi = lo + 1
+    zero = dk == 0.0
+    if zero.any():
+        at_node = zero.any(axis=1)
+        count = count + zero.sum(axis=1)
+        lo = np.where(at_node, np.argmax(zero, axis=1), lo)
+        hi = np.where(at_node, lo, hi)
+    # a row's own strided row, or for a row between two, the upper one
+    src = np.cumsum(strided) - strided
+    count, lo, hi = count[src], lo[src], hi[src]
 
-    sign0 = np.sign(dk[0])
-    quiet = inherit.all(axis=0) & (sign0 != 0.0)
-    edge = ~quiet[:-1] | ~quiet[1:] | (sign0[:-1] != sign0[1:])
-    keep = ~quiet
-    keep[:-1] |= edge
-    keep[1:] |= edge
-    cols = np.flatnonzero(keep)
-
+    # evaluated cells: each between row against its pair's non-inherited
+    # nodes, row by row in node order
+    inherit = (dk[:-1] > dk[1:]) & ((dk[1:] > 0.0) | (dk[:-1] < 0.0))
+    pair, node = np.divmod(np.flatnonzero(~inherit), grid.size)
+    per_pair = np.bincount(pair, minlength=inherit.shape[0])
     between = np.flatnonzero(~strided)
-    seg = np.cumsum(strided)[between] - 1
-    rows, at = np.nonzero(~inherit[:, cols][seg])
-    sign = np.empty((known.size, cols.size))
-    sign[strided] = np.sign(dk[:, cols])
-    sign[between] = np.sign(hi[:, cols][seg])
-    sign[between[rows], at] = np.sign(
-        _checked_mismatch(known[between[rows]], grid[cols[at]], wg, solve_for))
-    return sign, grid[cols]
+    reps = per_pair[src[between] - 1]
+    row = np.repeat(between, reps)
+    cell = np.arange(row.size) + np.repeat(
+        np.cumsum(per_pair)[src[between] - 1] - np.cumsum(reps), reps)
+    k = node[cell]
+    s = np.sign(_checked_mismatch(known[row], grid[k], wg, solve_for))
+    # the upper neighbour's signs at nodes k - 1, k and k + 1 (NaN past the
+    # grid) against the between row's own: s at k, and at k - 1 where that
+    # node is evaluated too.  A cell whose right neighbour is evaluated
+    # leaves their pair to that neighbour (NaN on its right).
+    padded = np.full((dk.shape[0], grid.size + 2), np.nan)
+    padded[:, 1:-1] = dk
+    at_k = src[row] * padded.shape[1] + k + 1
+    h_lo, h, h_hi = (np.sign(padded.ravel()[at_k + d]) for d in (-1, 0, 1))
+    adjacent = (row[1:] == row[:-1]) & (k[1:] == k[:-1] + 1)
+    h_hi[:-1][adjacent] = np.nan
+    s_lo = h_lo.copy()
+    s_lo[1:][adjacent] = s[:-1][adjacent]
+    at, left, right = s == 0.0, s_lo * s < 0.0, s * h_hi < 0.0
+    change = ((at.astype(int) + left + right)
+              - ((h == 0.0).astype(int) + (h_lo * h < 0.0) + (h * h_hi < 0.0)))
+    count = count + np.bincount(row, weights=change, minlength=known.size).astype(int)
+    hit = at | left | right
+    lo[row[hit]] = (k - left)[hit]
+    hi[row[hit]] = (k + right)[hit]
+    return count, grid[lo], grid[hi]
 
 
 def _solve_matched(known_nm, wg, solve_for, window_nm):
@@ -483,9 +516,11 @@ def _solve_matched(known_nm, wg, solve_for, window_nm):
     solve_for: "signal" (known = pump) or "pump" (known = signal).  The
     coarse scan covers window_nm in 1 nm steps.  It evaluates dk on every
     node only for known wavelengths on a 1 nm stride; one between two
-    strided neighbours inherits their sign on every node where dk falls
-    strictly from the lower neighbour to the higher one without reaching
-    zero, and is evaluated on the other nodes (_coarse_signs).
+    strided neighbours has the upper neighbour's sign on every node where dk
+    falls strictly from the lower neighbour to the upper one without
+    reaching zero, and is evaluated on the other nodes (_coarse_roots).  Its
+    root count is the upper neighbour's, corrected on the evaluated nodes and
+    the node pairs that touch them, and so is its bracket.
 
     That is exact for the signal solve.  At a fixed signal,
     d(dk)/d(l_p) = 2 pi (n_g(l_p) - n_g(l_sfg)) / l_p^2 with n_g the group
@@ -508,12 +543,8 @@ def _solve_matched(known_nm, wg, solve_for, window_nm):
         return known
     grid = np.arange(window_nm[0], window_nm[1] + _COARSE_STEP_NM, _COARSE_STEP_NM)
     distinct, back = np.unique(known, return_inverse=True)
-    sign, nodes = _coarse_signs(distinct, grid, wg, solve_for)
-    # A root exactly on a grid node counts once, as that node; a sign flip
-    # between nonzero nodes counts as one root inside its interval.
-    on_node = sign == 0.0
-    sign_flip = sign[:, :-1] * sign[:, 1:] < 0.0
-    n_roots = (on_node.sum(axis=1) + sign_flip.sum(axis=1))[back]
+    n_roots, lo, hi = _coarse_roots(distinct, grid, wg, solve_for)
+    n_roots = n_roots[back]
     if np.any(n_roots == 0):
         bad = known[n_roots == 0]
         raise TuningError(
@@ -527,12 +558,6 @@ def _solve_matched(known_nm, wg, solve_for, window_nm):
             f"ambiguous phase matching: {int(n_roots.max())} roots inside "
             f"[{grid[0]:.1f}, {grid[-1]:.1f}] nm for {bad[:3].tolist()} nm"
         )
-    at_node = on_node.any(axis=1)
-    node = nodes[np.argmax(on_node, axis=1)]
-    idx = np.argmax(sign_flip, axis=1)
-    lo = np.where(at_node, node, nodes[idx])
-    hi = np.where(at_node, node, nodes[idx + 1])
-
     root = _bracketed_roots(_mismatch_against(distinct, wg, solve_for), lo, hi)
     resid = np.abs(_checked_mismatch(distinct, root, wg, solve_for))
     if np.any(resid > DK_TOLERANCE_PER_UM):
@@ -549,13 +574,15 @@ def phase_matched_signal(pump_nm, wg):
     Scans a 1 nm grid over 1450-1650 nm for the sign change of dk, then
     solves each bracket by false position with an Anderson-Bjorck weight,
     stopping once a step moves less than 1e-9 nm, and checks |dk| < 1e-9
-    rad/um at the root.  Only pumps on a 1 nm stride are scanned
-    on every node.  A pump between two of them inherits their sign on every
+    rad/um at the root.  Only pumps on a 1 nm stride are scanned on every
+    node.  A pump between two of them has the higher one's sign on every
     node where dk falls strictly from the lower one to the higher one
     without reaching zero (the ordering guard): at fixed signal dk falls
-    with the pump, so such a node keeps its sign in between.  Root counts
-    and roots are those of a full scan.  Raises TuningError when no root or
-    more than one root lies in the window.
+    with the pump, so such a node keeps its sign in between.  It is
+    evaluated on the other nodes, and its root count and bracket are the
+    higher pump's, corrected on those nodes and the node pairs touching
+    them.  Root counts and roots are those of a full scan.  Raises
+    TuningError when no root or more than one root lies in the window.
     """
     root = _solve_matched(pump_nm, wg, "signal", SIGNAL_SEARCH_NM)
     return float(root[0]) if np.ndim(pump_nm) == 0 else root

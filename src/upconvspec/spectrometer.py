@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dispersion
-from .components import transmission, vbg_half_extent_nm, vbg_transmission
+from .components import (flat_transmission, transmission, vbg_half_extent_nm,
+                         vbg_transmission)
 from .counting import poisson_counts, validate_seed
 from .errors import DomainError, TuningError, UnrecoverableBandError, check_finite
 from .units import photon_energy_j
@@ -357,10 +358,13 @@ def build_kernel(wg, chain, vbg, conv_model, plan):
     (outside it the VBG line is below 1e-19 of its peak), a chunk of rows at
     a time (_row_chunks), once the whole band's wavelengths
     (dispersion._check_band) and reference throughput have passed their
-    checks.  On those cells
+    checks; the chunks are not checked again.  On those cells
     dispersion._band_mismatch gives dk and the SFG wavelength, with the
     signal term evaluated once per grid column and the pump term once per
-    row; the SFG wavelength feeds the VBG and the filter chain.  Entries at or
+    row; the SFG wavelength feeds the VBG and the filter chain.  A filter
+    that is one constant over a chunk's SFG wavelengths (a broadband loss,
+    or an edge saturated there: components.flat_transmission) is applied as
+    that scalar.  Entries at or
     below BAND_REL_TOL x their row's peak are set to zero.  The tolerance is
     per row, not global: in fixed-VBG mode rows far from the VBG center have
     small peaks, and a per-row cut keeps their shape.
@@ -395,8 +399,10 @@ def build_kernel(wg, chain, vbg, conv_model, plan):
         dk, sfg = dispersion._band_mismatch(grid, cols, pump[rows], wg)
         qpm = dispersion.efficiency_factor(dk, wg.length_mm)
         t_actual = vbg_transmission(vbg, sfg, center_nm=centers[rows, None])
+        lo_nm, hi_nm = sfg.min(), sfg.max()
         for el in chain:
-            t_actual = t_actual * transmission(el, sfg)
+            flat = flat_transmission(el, lo_nm, hi_nm)
+            t_actual = t_actual * (transmission(el, sfg) if flat is None else flat)
         chunk = values[rows]
         np.divide(eta * qpm * (t_actual / t_ref[rows, None]), per_photon[cols], out=chunk)
         chunk[chunk <= BAND_REL_TOL * chunk.max(axis=1, keepdims=True)] = 0.0

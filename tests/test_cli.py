@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import upconvspec
 from upconvspec import cli, config, dispersion, io as uio, spectra
+from upconvspec.errors import ConfigError
 
 CONFIG_HASH = "e39ceeba231a8ed9"
 
@@ -274,15 +276,10 @@ def bundled_raw():
     return config.load_config().raw
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_a_perturbed_config_exits_0_3_or_4_and_warns_nothing(scan_workdir, bundled_raw,
-                                                              tmp_path_factory, data):
-    # one or two numbers of the bundled config scaled (by 0, -1, 0.5 ... 10)
-    # and nudged by up to 1e-3; fom and design-qpm on every config, scan on
-    # about one in four, over a 121-point window so the example stays cheap
-    work, _ = scan_workdir
-    raw = copy.deepcopy(bundled_raw)
+def _perturbed(raw, data):
+    """A copy of raw with one or two of its numbers scaled (by 0, -1, 0.5 ...
+    10) and nudged by up to 1e-3."""
+    raw = copy.deepcopy(raw)
     paths = list(_number_paths(raw))
     for _ in range(data.draw(st.integers(1, 2))):
         *keys, last = data.draw(st.sampled_from(paths))
@@ -292,6 +289,17 @@ def test_a_perturbed_config_exits_0_3_or_4_and_warns_nothing(scan_workdir, bundl
         factor = data.draw(st.sampled_from([0.0, -1.0, 0.5, 0.99, 1.01, 2.0, 10.0]))
         value = node[last] * factor + data.draw(st.sampled_from([0.0, -1e-3, 1e-3]))
         node[last] = int(value) if isinstance(node[last], int) else value
+    return raw
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_perturbed_config_exits_0_3_or_4_and_warns_nothing(scan_workdir, bundled_raw,
+                                                              tmp_path_factory, data):
+    # fom and design-qpm on every perturbed config, scan on about one in
+    # four, over a 121-point window so the example stays cheap
+    work, _ = scan_workdir
+    raw = _perturbed(bundled_raw, data)
     tmp = tmp_path_factory.mktemp("fuzz")
     path = tmp / "config.yaml"
     path.write_text(yaml.safe_dump(raw))
@@ -545,6 +553,33 @@ def test_deconvolve_needs_config_hash_headers(scan_workdir, tmp_path, capsys, un
     assert code == 4
     assert (f"{files[unhashed]}: missing '# config_hash:' header"
             in capsys.readouterr().err)
+
+
+def _loaded(path, loader):
+    """(config, its hash) from path through loader, or the ConfigError's text."""
+    try:
+        with mock.patch.object(config, "_LOADER", loader):
+            cfg = config.load_config(path)
+    except ConfigError as exc:
+        return str(exc)
+    return cfg, config.config_hash(cfg)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_libyaml_and_python_loaders_read_a_config_alike(bundled_raw, tmp_path_factory, data):
+    # the bundled file and the perturbed configs of the CLI fuzz test give an
+    # equal config and hash, or the same error, through either parser; a file
+    # that is not YAML is a ConfigError through both, worded by each parser
+    tmp = tmp_path_factory.mktemp("loaders")
+    (tmp / "config.yaml").write_text(yaml.safe_dump(_perturbed(bundled_raw, data)))
+    (tmp / "bad.yaml").write_text("waveguide: [unclosed\n  x: {")
+    for path in (None, tmp / "config.yaml"):
+        assert _loaded(path, yaml.CSafeLoader) == _loaded(path, yaml.SafeLoader)
+    assert _loaded(None, yaml.CSafeLoader)[1] == CONFIG_HASH
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        assert _loaded(tmp / "bad.yaml", loader).startswith(": not valid YAML: ")
 
 
 def test_exit_codes(tmp_path):

@@ -157,3 +157,23 @@ def test_erf_saturates_to_exact_limits():
     assert np.isnan(erfc(np.nan))
     assert np.array_equal(erfc(np.full((3, 2), -85.0)), np.full((3, 2), 2.0))
     assert isinstance(erfc(0.3), np.float64) and erfc(np.zeros((2, 0))).shape == (2, 0)
+
+
+@pytest.mark.parametrize("kind, edge_nm, flat", [
+    ("short_pass", 945.0, True),    # the default edge: erfc = 2 on every SFG cell
+    ("short_pass", 870.0, False),   # the edge inside the range
+    ("long_pass", 800.0, True),
+    ("long_pass", 905.0, False),    # erfc above 27.3 at one end only
+    ("long_pass", 910.0, True),     # erfc = 0 over the whole range
+    ("broadband_loss", 0.0, True),
+    ("band_pass", 0.0, False),
+])
+def test_flat_transmission_has_every_wavelengths_bits(kind, edge_nm, flat):
+    el = FilterElement(kind=kind, edge_nm=edge_nm, center_nm=865.0, fwhm_nm=40.0, peak=0.9)
+    lam = np.linspace(850.0, 880.0, 3001)
+    got = components.flat_transmission(el, lam[0], lam[-1])
+    if not flat:
+        assert got is None
+        return
+    want = transmission(el, lam)
+    assert np.array_equal((np.ones_like(lam) * got).view(np.int64), want.view(np.int64))

@@ -205,10 +205,9 @@ def test_band_mismatch_raises_as_qpm_mismatch(cfg, wg3, small_plan, case):
         grid[cols[7, 2]] = np.nan  # NaN passes the checks, but hides no other wavelength
     if case == "pump not positive":
         pump[3] = -1.0
-    got = _domain_error(lambda: dispersion._band_mismatch(grid, cols, pump, wg))
+    # a band's errors are its whole-band check's, made from each row's end
+    # cells before any chunk is evaluated; _band_mismatch checks nothing
     want = _domain_error(lambda: dispersion.qpm_mismatch(grid[cols], pump[:, None], wg))
-    assert got == want
-    # the whole-band check a chunked build makes first, from each row's end cells
     assert _domain_error(lambda: dispersion._check_band(grid, cols[:, 0], cols.shape[1],
                                                         pump, wg)) == want
     assert (want is None) == (case == "nan signal")
@@ -497,12 +496,72 @@ def test_tuning_solve_sends_a_fifth_of_the_full_scan_through_qpm_mismatch(cfg, w
     assert sum(cells) <= (1201 * 201 + 1201) // 5
 
 
+@pytest.mark.parametrize("step, want", [(0.05, [12261, 722, 1201]),
+                                        (0.02, [12261, 1862, 3001])],
+                         ids=["1201-rows", "3001-rows"])
+def test_tuning_solve_sends_the_pinned_cells_through_qpm_mismatch(cfg, wg3, monkeypatch,
+                                                                  step, want):
+    # a schedule's one solve (scan pumps plus the scan centre) sends the strided
+    # scan (61 pumps x 201 nodes), the between pumps' evaluated nodes and the
+    # residual check through the checked dk: the bench's dispersion.qpm_cells
+    cells = []
+    mismatch = dispersion.qpm_mismatch
+
+    def counted(signal_nm, pump_nm, wg):
+        dk = mismatch(signal_nm, pump_nm, wg)
+        cells.append(np.size(dk))
+        return dk
+
+    monkeypatch.setattr(dispersion, "qpm_mismatch", counted)
+    spectrometer.vbg_tracking_schedule(replace(cfg.scan, pump_step_nm=step), wg3, cfg.vbg)
+    assert cells == want
+
+
+def _outcome(solve, known, wg):
+    """The bits a solve returns, or its TuningError's text."""
+    try:
+        return _bits(solve(known, wg)).tobytes()
+    except TuningError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(solve_for=st.sampled_from(["signal", "pump"]), width=st.floats(0.5, 60.0),
+       step=st.floats(0.013, 0.31), where=st.floats(0.0, 1.0),
+       bend=st.one_of(st.floats(-0.7, 0.7), st.floats(-8.0, 8.0)),
+       duplicates=st.integers(0, 20), seed=st.integers(0, 2**32 - 1))
+@example(solve_for="signal", width=60.0, step=0.013, where=0.5, bend=0.0, duplicates=5, seed=0)
+@example(solve_for="pump", width=60.0, step=0.013, where=0.5, bend=0.0, duplicates=5, seed=0)
+def test_tuning_solves_equal_the_oracle(wg3, solve_for, width, step, where, bend,
+                                        duplicates, seed):
+    # shuffled known sets with duplicates, on bends from one root through
+    # none to two: the package's roots bit for bit, or its error word for word
+    rng = np.random.default_rng(seed)
+    lo, hi = (1890.0, 2010.0) if solve_for == "signal" else (1515.0, 1595.0)
+    start = lo + where * (hi - lo - width)
+    known = start + step * np.arange(int(width / step) + 1)
+    known = rng.permutation(np.append(known, rng.choice(known, duplicates)))
+    wg = _bent(wg3, bend)
+    name = f"phase_matched_{solve_for}"
+    assert (_outcome(getattr(dispersion, name), known, wg)
+            == _outcome(getattr(tuning_oracle, name), known, wg))
+
+
 _SIGNAL_NODES = np.arange(1450.0, 1651.0, 1.0)
 
 
 def _root_counts(dk):
     """Roots per row as the coarse scan counts them: zero nodes plus sign flips."""
     return (dk == 0.0).sum(axis=1) + (dk[:, :-1] * dk[:, 1:] < 0.0).sum(axis=1)
+
+
+def _brackets(dk, nodes):
+    """(lo, hi) per row of a full scan: its first zero node, else its first flip."""
+    on_node, flip = dk == 0.0, dk[:, :-1] * dk[:, 1:] < 0.0
+    at_node = on_node.any(axis=1)
+    node = nodes[np.argmax(on_node, axis=1)]
+    idx = np.argmax(flip, axis=1)
+    return (np.where(at_node, node, nodes[idx]), np.where(at_node, node, nodes[idx + 1]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -540,10 +599,12 @@ def test_strided_scan_counts_and_solves_as_the_full_scan(wg3, start, span, size,
     full = dispersion.qpm_mismatch(_SIGNAL_NODES[None, :], pump[:, None], wg)
     want = _root_counts(full)
     distinct = np.unique(pump)
-    sign, nodes = dispersion._coarse_signs(distinct, _SIGNAL_NODES, wg, "signal")
+    count, lo, hi = dispersion._coarse_roots(distinct, _SIGNAL_NODES, wg, "signal")
     row = np.searchsorted(distinct, pump)
-    assert np.array_equal(sign[row], np.sign(full[:, np.searchsorted(_SIGNAL_NODES, nodes)]))
-    assert np.array_equal(_root_counts(sign)[row], want)
+    assert np.array_equal(count[row], want)
+    if np.all(want == 1):
+        want_lo, want_hi = _brackets(full, _SIGNAL_NODES)
+        assert np.array_equal(lo[row], want_lo) and np.array_equal(hi[row], want_hi)
 
     one = want == 1
     if one.any():

@@ -4,7 +4,9 @@ It solves the map the plain way: dk on every node of the full 1 nm scan for
 every known wavelength, then the package's bracketed steps (false position
 with its Anderson-Bjorck weight) written out on the elements still moving,
 every evaluation of dk going through the checked refractive_index, term by
-term as qpm_mismatch had it.  The scan-center pump of the fixed VBG setpoint
+term as qpm_mismatch had it.  A known wavelength with no root or more than
+one in the window, or a root above the dk tolerance, raises the package's
+TuningError, word for word.  The scan-center pump of the fixed VBG setpoint
 is a scalar solve of its own.  The solvers and schedules here must give the
 package's bits.  bisect_roots, 80 full bisection steps, is the accuracy
 reference the bracketed roots are held to.
@@ -105,14 +107,25 @@ def _solve(known_nm, wg, solve_for, window_nm, roots=bracketed_roots):
         dk_grid = qpm_mismatch(known[:, None], grid[None, :], wg)
     on_node = dk_grid == 0.0
     sign_flip = dk_grid[:, :-1] * dk_grid[:, 1:] < 0.0
-    if np.any(on_node.sum(axis=1) + sign_flip.sum(axis=1) != 1):
-        raise TuningError("oracle needs exactly one root per known wavelength")
+    n_roots = on_node.sum(axis=1) + sign_flip.sum(axis=1)
+    window = f"[{grid[0]:.1f}, {grid[-1]:.1f}] nm"
+    if np.any(n_roots == 0):
+        raise TuningError(f"no phase-matched {solve_for} in {window} "
+                          f"for {known[n_roots == 0][:3].tolist()} nm "
+                          f"(period {wg.qpm_period_um} um, {wg.temperature_c} C)")
+    if np.any(n_roots > 1):
+        raise TuningError(f"ambiguous phase matching: {int(n_roots.max())} roots inside "
+                          f"{window} for {known[n_roots > 1][:3].tolist()} nm")
     at_node = on_node.any(axis=1)
     node = grid[np.argmax(on_node, axis=1)]
     idx = np.argmax(sign_flip, axis=1)
     lo = np.where(at_node, node, grid[idx])
     hi = np.where(at_node, node, grid[idx + 1])
     root = roots(dk, lo, hi)
+    resid = np.abs(dk(root, np.arange(known.size)))
+    if np.any(resid > dispersion.DK_TOLERANCE_PER_UM):
+        raise TuningError(f"tuning solve failed to reach |dk| < "
+                          f"{dispersion.DK_TOLERANCE_PER_UM} rad/um (worst {resid.max():.3e})")
     return float(root[0]) if np.ndim(known_nm) == 0 else root
 
 
