@@ -176,17 +176,18 @@ def parse_config(doc):
 
 
 def load_config(path=None):
-    """Config from a YAML file path, or the bundled defaults when None."""
-    if path is None:
-        text = (importlib.resources.files("upconvspec") / "data" /
-                DEFAULTS_RESOURCE).read_text()
-    else:
-        with open(path, "r") as fh:
-            text = fh.read()
+    """Config from a YAML file path, or the bundled defaults when None; a
+    file that is not YAML is a ConfigError on its path."""
     try:
-        doc = yaml.load(text, Loader=_LOADER)
+        if path is None:
+            doc = yaml.load((importlib.resources.files("upconvspec") / "data" /
+                             DEFAULTS_RESOURCE).read_text(), Loader=_LOADER)
+        else:
+            # the open file, not its text: the parser's marks then name the file
+            with open(path, "r") as fh:
+                doc = yaml.load(fh, Loader=_LOADER)
     except yaml.YAMLError as exc:
-        raise ConfigError("", f"not valid YAML: {exc}") from exc
+        raise ConfigError("" if path is None else str(path), f"not valid YAML: {exc}") from exc
     return parse_config(doc)
 
 

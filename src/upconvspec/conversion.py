@@ -9,8 +9,8 @@ rate, D(P) = D0 + a * P^gamma.
 
 Both models can be pinned from measured (power, value) pairs:
 
-* two points -> exact closed form (noise) or 1-D bisection (conversion),
-  which is how the deployed instrument is characterized;
+* two points -> exact closed form (noise) or a 1-D false-position solve
+  (conversion), which is how the deployed instrument is characterized;
 * three or more points -> bounded least squares by variable projection, with
   a FitReport carrying residuals so an overdetermined characterization that
   the model cannot reproduce is visible instead of silently averaged away.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import _bisect_roots
+from .dispersion import bracketed_roots
 from .errors import DomainError, FitError, check_finite
 
 
@@ -137,10 +137,14 @@ def _project(basis, target, lo, hi, c_lo, c_hi):
 def fit_conversion(points):
     """Pin ConversionModel to measured (power_mw, efficiency) pairs.
 
-    Two points: solve the sin^2 ratio equation for u by bisection (the ratio
+    Two points: solve the sin^2 ratio equation for u (the ratio
     g(u) = eta2*sin^2(u sqrt(P1)) - eta1*sin^2(u sqrt(P2)) has exactly one
     root in (0, pi/(2 sqrt(Pmax))) when the points are consistent with a
-    monotone saturating curve), then eta_max from either point.
+    monotone saturating curve), then eta_max from the higher point.  g's
+    sign at the bracket ends makes the checks; the root is solved, by
+    dispersion.bracketed_roots with a stop tolerance of 0, on the sine-ratio
+    form sqrt(eta1) sin(u sqrt(P2)) / sin(u sqrt(P1)) - sqrt(eta2), which has
+    the same root there.
     More points: least squares over u in [1e-9, pi/(2 sqrt(Pmax))] and
     eta_max in [1e-6, 1] (_project).  Returns (model, FitReport).
     """
@@ -169,7 +173,14 @@ def fit_conversion(points):
                 "sin^2 curve on the monotone branch"
             )
         else:
-            u = float(_bisect_roots(g, lo, hi))
+            # g's root solves the sine ratio too, as sin(u sqrt(P1)) > 0 on
+            # (0, hi]; its terms do not vanish as u^2 with u, so false position
+            # runs on it to a repeated estimate
+            def ratio(u):
+                return (np.sqrt(e1) * np.sin(u * np.sqrt(p2)) / np.sin(u * np.sqrt(p1))
+                        - np.sqrt(e2))
+
+            u = float(bracketed_roots(ratio, np.array([lo]), np.array([hi]), step_tol=0.0)[0])
         eta_max = float(e2 / np.sin(u * np.sqrt(p2)) ** 2)
         if eta_max > 1.0 + 1e-9:
             raise FitError(

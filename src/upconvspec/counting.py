@@ -402,6 +402,11 @@ def detectability(scan_nm, rate_cps, dwell_s, truth_nm, resolution_nm,
                " reads mostly zero counts" if background_cps is None else ""))
 
     half = max(1, int(round(resolution_nm / step / 2.0)))
+    # np.convolve's "same" output has the longer input's length, not the scan's
+    if 2 * half + 1 > lam.size:
+        raise DomainError(
+            f"resolution window of {2 * half + 1} points ({resolution_nm} nm at a "
+            f"{step:.4g} nm step) is longer than the scan's {lam.size} points")
     counts = rate * dwell_s
     kernel = np.ones(2 * half + 1)
     window_counts = np.convolve(counts, kernel, mode="same")

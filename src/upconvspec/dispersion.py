@@ -24,7 +24,7 @@ chunks are not checked again.
 
 The tuning map is solved by a coarse 1 nm scan for dk's sign change, then
 bracketed false-position steps with an Anderson-Bjorck weight
-(_bracketed_roots).  The scan evaluates dk on every node only for pumps on a
+(bracketed_roots).  The scan evaluates dk on every node only for pumps on a
 1 nm stride; a pump between two of them has the upper one's sign on every
 node where dk falls strictly from one to the other without reaching zero.
 That is exact: at fixed signal d(dk)/d(l_p) = 2 pi (n_g(l_p) - n_g(l_sfg)) /
@@ -57,7 +57,8 @@ HALF_MAX_ARG = 1.39155737825151
 SIGNAL_SEARCH_NM = (1450.0, 1650.0)
 PUMP_SEARCH_NM = (1820.0, 2080.0)
 _COARSE_STEP_NM = 1.0
-# a tuning-map root stops once its estimate moves less than this x its bracket
+# a bracketed_roots root (the tuning map, acceptance_bandwidth) stops once
+# its estimate moves at most this x its bracket
 _ROOT_STEP_TOL = 1e-9
 
 
@@ -351,36 +352,7 @@ def efficiency_factor(delta_k_per_um, length_mm):
     return float(out) if np.ndim(delta_k_per_um) == 0 else out
 
 
-def _bisect_roots(f, lo, hi, iterations=80):
-    """Vectorized bisection; elementwise, f must change sign on [lo, hi]
-    or vanish at lo.
-
-    The state (lo, hi, f(lo)) is a function of itself alone, so once a step
-    leaves every lo and hi bit for bit as it was, each later step repeats
-    it.  The loop stops there, returning the bits all `iterations` steps
-    would give.  A 1 nm bracket near 1550 nm reaches adjacent floats after
-    about 42 halvings; `iterations` is only a cap.  The scalar solves use it:
-    acceptance_bandwidth's half-maximum crossings and the two-point
-    conversion pin.
-    """
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    flo = f(lo)
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        take_lo = flo * fmid <= 0.0
-        # mid replaces hi where take_lo and lo elsewhere: the step leaves the
-        # state as it was iff each replaced end already has mid's bits
-        if np.array_equal(np.where(take_lo, hi, lo).view(np.int64), mid.view(np.int64)):
-            break
-        hi = np.where(take_lo, mid, hi)
-        lo = np.where(take_lo, lo, mid)
-        flo = np.where(take_lo, flo, fmid)
-    return 0.5 * (lo + hi)
-
-
-def _bracketed_roots(f, lo, hi):
+def bracketed_roots(f, lo, hi, step_tol=_ROOT_STEP_TOL):
     """Vectorized bracketed root finder; elementwise, f must change sign on
     [lo, hi] or vanish at an end.
 
@@ -393,17 +365,22 @@ def _bracketed_roots(f, lo, hi):
     estimate, and otherwise keeps the latest estimate as the end, unscaled.
     An estimate not strictly inside the bracket is replaced by the
     bracket's midpoint.  An element stops, and keeps its state, once an
-    estimate moves less than _ROOT_STEP_TOL of its first bracket from the
-    one before (that last estimate is its root, unevaluated) or once f
-    vanishes.  Every step is elementwise and a stopped element is never
-    touched again, so a root depends only on its own f, lo and hi, never on
-    the other elements or on how many steps they take.  After 80 steps an
-    element's last estimate is its root.
+    estimate moves at most step_tol of its first bracket from the one before
+    (that last estimate is its root, unevaluated) or once f vanishes.  Every
+    step is elementwise and a stopped element is never touched again, so a
+    root depends only on its own f, lo and hi, never on the other elements
+    or on how many steps they take.  After 80 steps an element's last
+    estimate is its root.
+
+    The tuning map (_solve_matched) and acceptance_bandwidth keep the
+    default step_tol, _ROOT_STEP_TOL.  The two-point conversion pin
+    (conversion.fit_conversion) passes 0: an element then runs until an
+    estimate repeats bit for bit, or for the 80 steps.
     """
     a = np.array(lo, dtype=float, copy=True)
     b = np.array(hi, dtype=float, copy=True)
     fa, fb = f(a), f(b)
-    tol = _ROOT_STEP_TOL * (b - a)
+    tol = step_tol * (b - a)
     root = np.where(fa == 0.0, a, b)
     done = (fa == 0.0) | (fb == 0.0) | (a == b)
     prev = np.full_like(a, np.nan)
@@ -533,7 +510,7 @@ def _solve_matched(known_nm, wg, solve_for, window_nm):
     the next, the node is evaluated.  Root counts, brackets and errors are
     those of a full scan, reported in input order.
 
-    Each bracket is then solved by _bracketed_roots on dk of its own known
+    Each bracket is then solved by bracketed_roots on dk of its own known
     wavelength, elementwise, so a root is the one a solve of that wavelength
     alone gives.  The roots are checked through qpm_mismatch: |dk| above
     DK_TOLERANCE_PER_UM at any of them is a TuningError.
@@ -558,7 +535,7 @@ def _solve_matched(known_nm, wg, solve_for, window_nm):
             f"ambiguous phase matching: {int(n_roots.max())} roots inside "
             f"[{grid[0]:.1f}, {grid[-1]:.1f}] nm for {bad[:3].tolist()} nm"
         )
-    root = _bracketed_roots(_mismatch_against(distinct, wg, solve_for), lo, hi)
+    root = bracketed_roots(_mismatch_against(distinct, wg, solve_for), lo, hi)
     resid = np.abs(_checked_mismatch(distinct, root, wg, solve_for))
     if np.any(resid > DK_TOLERANCE_PER_UM):
         raise TuningError(
@@ -620,7 +597,8 @@ def acceptance_bandwidth(wg, pump_nm, signal_nm):
     Each side's bracket doubles from 0.05 nm until |dk| passes its
     half-maximum level; one that would leave the medium's window first (a
     waveguide so short that it accepts the whole window) is a TuningError
-    naming the length."""
+    naming the length.  Each crossing is then solved on its bracket by
+    bracketed_roots, as the tuning map is."""
     center = float(signal_nm)
     dk = abs(qpm_mismatch(center, pump_nm, wg))
     if not dk <= DK_TOLERANCE_PER_UM:
@@ -653,8 +631,7 @@ def acceptance_bandwidth(wg, pump_nm, signal_nm):
         else:
             raise TuningError("half-maximum crossing not found near the tuning peak")
         lo, hi = (outer, center) if direction < 0 else (center, outer)
-        crossings.append(float(_bisect_roots(lambda x: excess(x), np.array([lo]),
-                                             np.array([hi]))[0]))
+        crossings.append(float(bracketed_roots(excess, np.array([lo]), np.array([hi]))[0]))
     lo_nm, hi_nm = sorted(crossings)
     sfg_lo = sfg_wavelength(lo_nm, float(pump_nm))
     sfg_hi = sfg_wavelength(hi_nm, float(pump_nm))

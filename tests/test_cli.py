@@ -571,25 +571,33 @@ def _loaded(path, loader):
 def test_libyaml_and_python_loaders_read_a_config_alike(bundled_raw, tmp_path_factory, data):
     # the bundled file and the perturbed configs of the CLI fuzz test give an
     # equal config and hash, or the same error, through either parser; a file
-    # that is not YAML is a ConfigError through both, worded by each parser
+    # that is not YAML is a ConfigError on its path through both, worded by
+    # each parser
     tmp = tmp_path_factory.mktemp("loaders")
     (tmp / "config.yaml").write_text(yaml.safe_dump(_perturbed(bundled_raw, data)))
-    (tmp / "bad.yaml").write_text("waveguide: [unclosed\n  x: {")
+    bad = tmp / "bad.yaml"
+    bad.write_text("waveguide: [unclosed\n  x: {")
     for path in (None, tmp / "config.yaml"):
         assert _loaded(path, yaml.CSafeLoader) == _loaded(path, yaml.SafeLoader)
     assert _loaded(None, yaml.CSafeLoader)[1] == CONFIG_HASH
     for loader in (yaml.CSafeLoader, yaml.SafeLoader):
-        assert _loaded(tmp / "bad.yaml", loader).startswith(": not valid YAML: ")
+        assert _loaded(bad, loader).startswith(f"{bad}: not valid YAML: ")
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     code, _ = run_cli(["scan", "--input", str(tmp_path / "missing.csv"),
                        "--out", str(tmp_path / "out.csv")])
     assert code == 2
     bad = tmp_path / "bad.yaml"
     bad.write_text("waveguide: [unclosed\n  x: {")
+    capsys.readouterr()
     code, _ = run_cli(["--config", str(bad), "fom", "--pump-power", "30"])
     assert code == 3
+    # a YAML error names the file, in the field path and in the parser's marks
+    err = capsys.readouterr().err
+    assert f'config error: {bad}: not valid YAML' in err
+    assert f'in "{bad}", line 1, column 12' in err
+    assert "<unicode string>" not in err and "config error: : " not in err
 
 
 def test_scan_with_a_negative_seed_is_a_domain_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Conversion-efficiency and pump-noise model pins and fits."""
 import numpy as np
 import pytest
+import tuning_oracle
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import least_squares
 
@@ -16,12 +17,44 @@ GAMMA_PIN = 1.3020384907884603
 AMP_PIN = 0.505765121917392
 
 
-def test_fit_conversion_reproduces_points_exactly(cfg):
+def test_fit_conversion_reproduces_points_exactly(cfg, monkeypatch):
+    calls = []
+    solve = conversion.bracketed_roots
+
+    def counted(f, lo, hi, **kwargs):
+        return solve(lambda u: calls.append(1) or f(u), lo, hi, **kwargs)
+
+    monkeypatch.setattr(conversion, "bracketed_roots", counted)
     model, report = fit_conversion(cfg.conversion_points)
     assert (model.u_per_sqrt_mw, model.eta_max) == (U_PIN, ETA_MAX_PIN)  # bit for bit
+    assert len(calls) <= 15
     assert model.efficiency(20.0) == pytest.approx(0.15, abs=1e-12)
     assert model.efficiency(58.0) == pytest.approx(0.286, abs=1e-12)
     assert report.rms < 1e-12 and not report.degenerate
+
+
+@settings(max_examples=200, deadline=None)
+@given(powers=st.lists(st.floats(1.0, 100.0), min_size=2, max_size=2, unique=True),
+       u_frac=st.floats(0.05, 0.999), eta_max=st.floats(0.05, 1.0))
+def test_two_point_pin_sits_on_the_80_step_bisection(powers, u_frac, eta_max):
+    p1, p2 = sorted(powers)
+    assume(p2 - p1 > 1e-3)
+    hi = np.pi / (2.0 * np.sqrt(p2))
+    e1, e2 = eta_max * np.sin(u_frac * hi * np.sqrt(np.array([p1, p2]))) ** 2
+    model, _ = fit_conversion([(p1, e1), (p2, e2)])
+
+    def g(u):
+        return e2 * np.sin(u * np.sqrt(p1)) ** 2 - e1 * np.sin(u * np.sqrt(p2)) ** 2
+
+    want = float(tuning_oracle.bisect_roots(g, np.array([hi * 1e-9]), np.array([hi]))[0])
+    # kappa is the relative change of the root per relative change of the
+    # ratio sin(u sqrt(P2)) / sin(u sqrt(P1)): rounding in either solve's f
+    # moves its root a few ulps times kappa, which close powers or a pin near
+    # the linear limit raise to about 1e5
+    a, b = want * np.sqrt(p1), want * np.sqrt(p2)
+    kappa = 1.0 / abs(b / np.tan(b) - a / np.tan(a))
+    rel = abs(model.u_per_sqrt_mw - want) / want
+    assert rel <= max(1e-12, 32 * np.finfo(float).eps * kappa)
 
 
 def test_efficiency_interpolates_between_points(models):

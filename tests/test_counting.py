@@ -277,6 +277,15 @@ def test_detectability_validation():
                          ((lam, np.ones(50), 1.0, 1550.0, 0.16), {"background_cps": 0.0})]:
         with pytest.raises(DomainError):
             counting.detectability(*args, **kwargs)
+    # a 5-point scan and a resolution window of 7 or 11 points, the line on
+    # either end
+    short = np.linspace(1549.0, 1551.0, 5)
+    line = np.array([1000.0, 1.0, 1.0, 1.0, 1.0])
+    for resolution_nm, window in ((3.0, 7), (5.0, 11)):
+        for where in (0, 4):
+            with pytest.raises(DomainError, match=f"{window} points .* scan's 5 points"):
+                counting.detectability(short, np.roll(line, where), 1.0, short[where],
+                                       resolution_nm)
 
 
 def test_detectability_needs_a_background_for_a_dark_scan():

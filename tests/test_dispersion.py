@@ -115,7 +115,7 @@ def test_phase_match_state_at_anchor(wg3):
 
 
 def test_qpm_mismatch_matches_the_oracle_formula(wg1, wg3):
-    # qpm_mismatch is its checks plus the bisection's own dk evaluator; the
+    # qpm_mismatch is its checks plus the tuning solve's own dk evaluator; the
     # oracle writes dk out term by term through the checked refractive_index
     sig = np.linspace(1450.0, 1650.0, 201)
     pump = np.linspace(1820.0, 2080.0, 53)
@@ -231,7 +231,7 @@ def test_tuning_solve_takes_at_most_six_evaluations(cfg, wg3, monkeypatch):
     # dk is linear to about 1e-3 nm across a 1 nm coarse bracket: after its
     # two ends, three false-position steps reach the float-noise floor
     calls = []
-    solve = dispersion._bracketed_roots
+    solve = dispersion.bracketed_roots
 
     def counted(f, lo, hi):
         def g(x):
@@ -239,7 +239,7 @@ def test_tuning_solve_takes_at_most_six_evaluations(cfg, wg3, monkeypatch):
             return f(x)
         return solve(g, lo, hi)
 
-    monkeypatch.setattr(dispersion, "_bracketed_roots", counted)
+    monkeypatch.setattr(dispersion, "bracketed_roots", counted)
     dispersion.phase_matched_signal(cfg.scan.pump_grid_nm(), wg3)
     assert len(calls) <= 6 and set(calls) == {1201}
 
@@ -309,74 +309,15 @@ def test_bracketed_roots_stay_inside_and_elementwise(brackets):
         evaluated.append(x.copy())
         return f(x)
 
-    got = dispersion._bracketed_roots(g, lo, hi)
+    got = dispersion.bracketed_roots(g, lo, hi)
     assert np.all((lo <= got) & (got <= hi))
     assert all(np.all((lo <= x) & (x <= hi)) for x in evaluated)
     # a linear f with a slope has one root, and the first secant is on it
     linear = np.array([b[3] == "linear" and b[4] != 0.0 for b in brackets])
     assert np.all(np.abs(got - root)[linear] <= 1e-9 * (hi - lo)[linear])
     for i, one in enumerate(brackets):
-        alone = dispersion._bracketed_roots(_synthetic([one])[3], lo[i:i + 1], hi[i:i + 1])
+        alone = dispersion.bracketed_roots(_synthetic([one])[3], lo[i:i + 1], hi[i:i + 1])
         assert alone.view(np.int64)[0] == got.view(np.int64)[i]
-
-
-def _two_end_bisection(f, lo, hi, iterations=80):
-    """_bisect_roots with its earlier stop test, which compared both lo and
-    hi with their updates."""
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    flo = f(lo)
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        take_lo = flo * fmid <= 0.0
-        new_hi = np.where(take_lo, mid, hi)
-        new_lo = np.where(take_lo, lo, mid)
-        if (np.array_equal(new_lo.view(np.int64), lo.view(np.int64))
-                and np.array_equal(new_hi.view(np.int64), hi.view(np.int64))):
-            break
-        hi, lo = new_hi, new_lo
-        flo = np.where(take_lo, flo, fmid)
-    return 0.5 * (lo + hi)
-
-
-_EDGES = st.tuples(st.floats(1400.0, 1700.0), st.floats(0.0, 2.0), st.floats(0.0, 1.0))
-
-
-@settings(max_examples=150, deadline=None)
-@given(brackets=st.lists(_EDGES, min_size=1, max_size=8), slope=st.floats(-3.0, 3.0),
-       tuning=st.booleans())
-@example(brackets=[(1550.0, 1.0, 0.0), (1551.0, 0.0, 0.5), (1449.5, 1.0, 0.3)], slope=1.0,
-         tuning=False)
-@example(brackets=[(1560.0, 1.0, 0.0), (1561.0, 0.0, 0.0)], slope=0.0, tuning=True)
-def test_early_exit_bisection_gives_the_bits_of_80_steps(wg3, brackets, slope, tuning):
-    # (lo, width, frac): frac = 0 puts the root on lo, so f(lo) == 0, and
-    # width = 0 makes lo == hi, a root on a coarse node
-    lo = np.array([b[0] for b in brackets])
-    hi = lo + np.array([b[1] for b in brackets])
-    if tuning:
-        pump = np.linspace(1920.0, 1980.0, lo.size)
-        f = dispersion._mismatch_against(pump, wg3, "signal")
-    else:
-        root = lo + np.array([b[1] * b[2] for b in brackets])
-        def f(x):
-            return slope * (x - root)
-    steps = {"got": 0, "two ends": 0}
-
-    def counted(key):
-        def g(x):
-            steps[key] += 1
-            return f(x)
-        return g
-
-    got = dispersion._bisect_roots(counted("got"), lo, hi)
-    want = tuning_oracle.bisect_roots(f, lo, hi)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    # mid replaces one end of each bracket, so "the replaced end already has
-    # mid's bits" is "no end changes": the same stop after as many steps
-    two_ends = _two_end_bisection(counted("two ends"), lo, hi)
-    assert np.array_equal(got.view(np.int64), two_ends.view(np.int64))
-    assert steps["got"] == steps["two ends"]
 
 
 def test_efficiency_factor_peak_and_nulls(wg3):
@@ -394,6 +335,19 @@ def test_acceptance_bandwidth_values(wg3):
     assert bw.sfg_band_fwhm_nm == pytest.approx(0.18253498535750623, abs=1e-6)
     # the SFG-side width is the signal-side width compressed by the band map
     assert bw.sfg_band_fwhm_nm < bw.signal_band_fwhm_nm
+
+
+@pytest.mark.parametrize("pump_nm", [1900.0, 1950.0, 2000.0])
+def test_acceptance_bandwidth_sits_on_the_80_step_bisection(wg3, pump_nm, monkeypatch):
+    signal_nm = dispersion.phase_matched_signal(pump_nm, wg3)
+    mismatch, calls = dispersion.qpm_mismatch, []
+    monkeypatch.setattr(dispersion, "qpm_mismatch",
+                        lambda *args: calls.append(1) or mismatch(*args))
+    got = dispersion.acceptance_bandwidth(wg3, pump_nm, signal_nm)
+    assert len(calls) <= 25
+    monkeypatch.setattr(dispersion, "bracketed_roots", tuning_oracle.bisect_roots)
+    want = dispersion.acceptance_bandwidth(wg3, pump_nm, signal_nm)
+    assert abs(got.signal_band_fwhm_nm - want.signal_band_fwhm_nm) <= 1e-10
 
 
 @pytest.mark.parametrize("signal_nm", [1551.0, 1550.0001, float("nan")])

@@ -49,7 +49,7 @@ def bisect_roots(f, lo, hi, iterations=80):
 
 
 def bracketed_roots(f, lo, hi):
-    """dispersion._bracketed_roots' false position, on the elements still
+    """dispersion.bracketed_roots' false position, on the elements still
     moving: f(x, i) is f of the elements i at x.  Each pass takes an element's
     secant through its bracket ends (the midpoint when that is not strictly
     inside), stops it once that moved at most _ROOT_STEP_TOL of its first
