@@ -53,7 +53,8 @@ class FilterElement:
     kind: "band_pass" | "short_pass" | "long_pass" | "broadband_loss"
     Band-pass filters use a gaussian or an erf-edged top-hat lineshape of
     width fwhm_nm around center_nm.  Edge filters roll off over
-    edge_width_nm (erf transition scale) at edge_nm.  Broadband loss is a
+    edge_width_nm (erf transition scale) at edge_nm, and so do a top-hat's
+    two edges; it must be positive for either.  Broadband loss is a
     wavelength-independent transmission equal to peak.
     """
 
@@ -77,6 +78,8 @@ class FilterElement:
                 raise DomainError("band_pass needs positive center_nm and fwhm_nm")
             if self.lineshape not in ("gaussian", "top_hat"):
                 raise DomainError(f"unknown band_pass lineshape {self.lineshape!r}")
+            if self.lineshape == "top_hat" and self.edge_width_nm <= 0:
+                raise DomainError("top_hat band_pass needs a positive edge_width_nm")
         if self.kind in ("short_pass", "long_pass"):
             if self.edge_nm <= 0 or self.edge_width_nm <= 0:
                 raise DomainError("edge filters need positive edge_nm and edge_width_nm")
@@ -100,6 +103,9 @@ class VbgState:
     lineshape: str = "gaussian"
 
     def __post_init__(self):
+        if np.shape(self.tuning_range_nm) != (2,):
+            raise DomainError(f"VBG tuning_range_nm must be two numbers (lo, hi), "
+                              f"got {self.tuning_range_nm!r}")
         lo, hi = self.tuning_range_nm
         check_finite("VBG", self, "tuning_range_nm", "fwhm_nm")
         if not (lo < hi):

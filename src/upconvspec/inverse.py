@@ -136,6 +136,10 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
     chi^2 rose, y and its model are dropped and the next step starts from
     x_k+1.
 
+    When no count stands above the background, the estimate is zero, RL's
+    fixed point, after no iteration: the stop reason is discrepancy_reached
+    if the background alone meets discrepancy_target, else stagnation.
+
     The estimate is supported on the kernel columns inside the scan's mapped
     signal range; columns with no band entry there make those bands
     unrecoverable and raise UnrecoverableBandError (from rl_operator).
@@ -189,11 +193,12 @@ def deconvolve(raw, kernel, max_iters=500, discrepancy_target=1.0,
 
     est = np.zeros(grid.size)
     total = float(rates.sum())
-    if total == 0.0:
+    if total == 0.0:  # zero is RL's fixed point: no step can move it
+        chi2 = discrepancy(np.zeros(d.size))
         return DeconvolutionResult(
-            estimate=Spectrum(grid, est), iterations_used=0,
-            residual_norm=discrepancy(np.zeros(d.size)),
-            stop_reason="discrepancy_reached", background_cps=float(background_cps),
+            estimate=Spectrum(grid, est), iterations_used=0, residual_norm=chi2,
+            stop_reason="discrepancy_reached" if chi2 <= discrepancy_target else "stagnation",
+            background_cps=float(background_cps),
         )
 
     x = np.full(support.size, total / norm.sum())

@@ -109,6 +109,12 @@ def test_filter_element_validation():
         FilterElement(kind="broadband_loss", peak=1.2)
     with pytest.raises(DomainError):
         FilterElement(kind="band_pass", center_nm=860.0, fwhm_nm=1.0, lineshape="sinc")
+    # a top-hat's edges roll off over edge_width_nm: -1 inverted the filter
+    # (1e-90 at its centre), and 0 gave NaN with a divide-by-zero warning
+    for width in (-1.0, 0.0):
+        with pytest.raises(DomainError, match="edge_width_nm"):
+            FilterElement(kind="band_pass", center_nm=857.0, fwhm_nm=20.0,
+                          lineshape="top_hat", edge_width_nm=width)
 
 
 def test_vbg_validation():
@@ -118,6 +124,9 @@ def test_vbg_validation():
         VbgState(fwhm_nm=0.0)
     with pytest.raises(DomainError):
         VbgState(tuning_range_nm=(880.0, 850.0))
+    for bad in ((850.0,), (850.0, 865.0, 880.0), 850.0):
+        with pytest.raises(DomainError, match="tuning_range_nm must be two numbers"):
+            VbgState(tuning_range_nm=bad)
 
 
 _ERF_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -1e-310,

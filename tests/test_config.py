@@ -76,6 +76,10 @@ def _parse_mutated(cfg, mutate):
     pytest.param(lambda r: r["scan"].update(seed=True), "scan.seed", id="seed-bool"),
     pytest.param(lambda r: r["vbg"].update(tuning_range_nm=5), "vbg.tuning_range_nm",
                  id="tuning-range-not-a-pair"),
+    pytest.param(lambda r: r["filters"][1].update(lineshape="top_hat", edge_width_nm=-1.0),
+                 "filters[1]", id="top-hat-edge-width-negative"),
+    pytest.param(lambda r: r["filters"][1].update(lineshape="top_hat", edge_width_nm=0.0),
+                 "filters[1]", id="top-hat-edge-width-zero"),
     pytest.param(lambda r: r["conversion_points"].__setitem__(0, ["a", 0.1]),
                  "conversion_points[0]", id="conversion-point-not-numeric"),
 ])
@@ -83,6 +87,16 @@ def test_parse_rejections_carry_field_path(cfg, mutate, field_path):
     with pytest.raises(ConfigError) as err:
         _parse_mutated(cfg, mutate)
     assert err.value.field_path == field_path
+
+
+@pytest.mark.parametrize("tuning_range", [[850.0], [850.0, 865.0, 880.0]],
+                         ids=["one-number", "three-numbers"])
+def test_a_vbg_tuning_range_of_the_wrong_length_names_the_field(cfg, tuning_range):
+    # it read "vbg: too many values to unpack (expected 2)" and "not enough ..."
+    with pytest.raises(ConfigError) as err:
+        _parse_mutated(cfg, lambda r: r["vbg"].update(tuning_range_nm=tuning_range))
+    assert err.value.field_path == "vbg"
+    assert "tuning_range_nm must be two numbers (lo, hi)" in str(err.value)
 
 
 def _numeric_leaves(node, keys=(), path=""):

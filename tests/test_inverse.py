@@ -230,6 +230,20 @@ def test_zero_signal_scan_yields_zero_estimate(small_kernel, small_plan, noise):
     assert res.background_cps == pytest.approx(PEDESTAL_CPS, rel=1e-12)
 
 
+def test_a_background_above_every_count_stops_on_stagnation(cfg, kernel, noise):
+    # a -100 dBm 5-mode scan under a 1e5 cps background leaves no flux, and
+    # the zero estimate's chi^2 is far above its target: it used to report
+    # discrepancy_reached
+    source = spectra.multimode_ld_spectrum(kernel.signal_grid_nm, n_modes=5,
+                                           total_dbm=-100.0)
+    scan = spectrometer.forward_scan(source, kernel, noise, cfg.scan)
+    res = inverse.deconvolve(scan, kernel, background_cps=1e5)
+    assert res.iterations_used == 0
+    assert np.all(res.estimate.values == 0.0)
+    assert res.residual_norm > 1e4
+    assert res.stop_reason == "stagnation"
+
+
 def test_sampled_all_zero_scan_yields_zero_estimate(small_kernel, small_plan):
     # A weak line with no pedestal draws zero counts everywhere; the expected
     # rates are not zero, but a sampled scan must never be read from them.
